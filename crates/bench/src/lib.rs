@@ -5,6 +5,8 @@
 //! CLI parsing, paper-faithful tree construction, query execution, and
 //! plain-text table rendering.
 
+#![forbid(unsafe_code)]
+
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::{Dataset, QueryProfile, Scale};
 use cbb_geom::Rect;

@@ -8,6 +8,8 @@
 //! only — no efficient minimum m-corner polytope constructions are known
 //! in higher dimensions, which is precisely the paper's argument for CBBs.
 
+#![forbid(unsafe_code)]
+
 pub mod circle;
 pub mod hull;
 pub mod kcorner;

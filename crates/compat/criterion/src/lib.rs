@@ -8,6 +8,8 @@
 //! analysis, HTML report, or baseline comparison — this is a smoke-level
 //! harness that keeps `cargo bench` meaningful offline.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 

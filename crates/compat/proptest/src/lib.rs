@@ -9,6 +9,8 @@
 //! the case number. Unlike real proptest there is **no shrinking** — the
 //! failing inputs are printed as drawn.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     use std::fmt;
 

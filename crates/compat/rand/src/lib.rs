@@ -8,6 +8,8 @@
 //! (synthetic dataset generators and shuffles) require. It makes no
 //! attempt to match the stream of the real `StdRng`.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Core entropy source: a 64-bit generator.

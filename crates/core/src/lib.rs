@@ -18,6 +18,8 @@
 //! R-tree variant (or other MBB-based structure) can plug it in, exactly as
 //! the paper advertises.
 
+#![forbid(unsafe_code)]
+
 pub mod cbb;
 pub mod clip;
 pub mod clipper;

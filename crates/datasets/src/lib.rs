@@ -22,6 +22,8 @@
 //! centers with extents calibrated to the three selectivity profiles
 //! (≈1 / ≈10 / ≈100 results).
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod multi;
 pub mod neuro;

@@ -59,7 +59,7 @@ pub struct TileForest<const D: usize> {
 
 impl<const D: usize> TileForest<D> {
     /// Multi-assign `objects` to `partitioner`'s tiles and bulk-load one
-    /// clipped tree per non-empty tile on `workers` threads.
+    /// clipped tree per non-empty tile in `workers` parallel chunks.
     pub fn build<P: Partitioner<D>>(
         partitioner: &P,
         objects: &[Rect<D>],
@@ -354,7 +354,7 @@ impl BatchOutcome {
     }
 }
 
-/// Execute `queries` against `tree` on `workers` threads. With
+/// Execute `queries` against `tree` in `workers` parallel chunks. With
 /// `use_clips = false` the probes run on the base tree (the unclipped
 /// baseline on the same index).
 pub fn parallel_range_queries<const D: usize>(
@@ -430,9 +430,9 @@ pub struct BatchExecutor<const D: usize, P> {
 }
 
 impl<const D: usize, P: Partitioner<D>> BatchExecutor<D, P> {
-    /// Partition `objects` and bulk-load the per-tile trees on `workers`
-    /// threads. Trees are always built with clip tables so every batch
-    /// can choose clipped or unclipped probing.
+    /// Partition `objects` and bulk-load the per-tile trees in
+    /// `workers` parallel chunks. Trees are always built with clip tables
+    /// so every batch can choose clipped or unclipped probing.
     pub fn build(
         partitioner: P,
         objects: &[Rect<D>],
@@ -538,7 +538,7 @@ impl<const D: usize, P: Partitioner<D>> BatchExecutor<D, P> {
         self.store.tile_tree_count()
     }
 
-    /// Execute `queries` on `workers` threads. With `use_clips = false`
+    /// Execute `queries` in `workers` parallel chunks. With `use_clips = false`
     /// the probes run on the base trees (the unclipped baseline on the
     /// same indexes). Shorthand for [`Self::run_with`] on the classic
     /// per-query path ([`QueryAlgo::Descend`]).
@@ -563,7 +563,7 @@ impl<const D: usize, P: Partitioner<D>> BatchExecutor<D, P> {
             .run_with(queries, workers, use_clips, algo, policy, split)
     }
 
-    /// Execute the kNN probes `(center, k)` on `workers` threads.
+    /// Execute the kNN probes `(center, k)` in `workers` parallel chunks.
     /// Results come back in workload order and are independent of the
     /// worker count. Per-tile searches run the clip-aware kNN
     /// ([`ClippedRTree::knn_stats`]): clip points tighten node MINDISTs

@@ -132,9 +132,9 @@ pub struct DatasetStore<const D: usize, P> {
 }
 
 impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
-    /// Partition `objects` and bulk-load the per-tile trees on `workers`
-    /// threads. Trees are always built with clip tables so every batch
-    /// can choose clipped or unclipped probing.
+    /// Partition `objects` and bulk-load the per-tile trees in
+    /// `workers` parallel chunks. Trees are always built with clip tables
+    /// so every batch can choose clipped or unclipped probing.
     pub fn build(
         partitioner: P,
         objects: &[Rect<D>],
@@ -604,7 +604,7 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
         best
     }
 
-    /// Execute `queries` on `workers` threads. With `use_clips = false`
+    /// Execute `queries` in `workers` parallel chunks. With `use_clips = false`
     /// the probes run on the base trees (the unclipped baseline on the
     /// same indexes). Shorthand for [`Self::run_with`] on the classic
     /// per-query path ([`QueryAlgo::Descend`]).
@@ -619,7 +619,7 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
         )
     }
 
-    /// Execute `queries` on `workers` threads under an explicit
+    /// Execute `queries` in `workers` parallel chunks under an explicit
     /// execution algorithm, [`AutoPolicy`] and intra-tile decomposition
     /// policy.
     ///
@@ -838,7 +838,7 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
         outcome
     }
 
-    /// Execute the kNN probes `(center, k)` on `workers` threads.
+    /// Execute the kNN probes `(center, k)` in `workers` parallel chunks.
     /// Results come back in workload order and are independent of the
     /// worker count. Per-tile searches run the clip-aware kNN
     /// ([`cbb_rtree::ClippedRTree::knn_stats`]): clip points tighten

@@ -2,9 +2,10 @@
 //!
 //! The input rectangle sets are multi-assigned to the tiles of a
 //! [`Partitioner`], a clipped R-tree is bulk-loaded per tile and side,
-//! and the per-tile joins (STT or INLJ, clipped or not) run on a scoped
-//! worker pool pulling from one shared dynamic queue. Duplicate pairs
-//! from spanning objects are eliminated with the reference-point rule
+//! and the per-tile joins (STT or INLJ, clipped or not) run on the
+//! worker pool ([`crate::pool`]) pulling from one shared dynamic queue.
+//! Duplicate pairs from spanning objects are eliminated with the
+//! reference-point rule
 //! (see [`crate::partition`]), so the merged [`JoinResult`] reports
 //! **exactly** the global pair count of a sequential join — verified
 //! against `brute_force_pairs` and sequential `stt`/`inlj` in the tests.
@@ -223,7 +224,8 @@ pub struct JoinPlan<const D: usize, P = UniformGrid<D>> {
     pub use_clips: bool,
     /// Per-tile strategy.
     pub algo: JoinAlgo,
-    /// Worker threads (clamped to the number of scheduled tasks).
+    /// Parallel slots on the worker pool (clamped to the number of
+    /// scheduled tasks).
     pub workers: usize,
     /// When to decompose hot tiles into subtasks.
     pub split: SplitPolicy,

@@ -14,7 +14,7 @@
 //!   per-tile joins by STT over clipped R-trees, INLJ, or a plane sweep
 //!   over the columnar [`cbb_joins::TileColumns`] layout — chosen per
 //!   tile by [`JoinAlgo::Auto`] from tile cardinalities and forest-cache
-//!   presence — on a scoped worker pool with dynamic tile scheduling,
+//!   presence — on the worker pool with dynamic tile scheduling,
 //!   counters merged via `AddAssign` (after Tsitsigkos et al., *Parallel
 //!   In-Memory Evaluation of Spatial Joins*). Pair counts are exactly
 //!   those of a sequential join for every algorithm.
@@ -41,8 +41,14 @@
 //!   version-keyed idempotent replay ([`replay_update_batch`]), so the
 //!   serve layer can recover a catalog after a crash.
 //!
-//! Everything runs on `std::thread::scope` — no runtime, no work queues
-//! outlive a call, no external dependencies.
+//! Everything runs on one persistent worker pool ([`pool`]): a
+//! process-wide set of `available_parallelism() − 1` parked threads,
+//! started on first use, plus the calling thread, which always works on
+//! its own call. `workers` arguments throughout the crate count
+//! *logical* chunks, so results and counters do not depend on the core
+//! count. A panicking task surfaces on the caller (`engine worker
+//! panicked`) and leaves the pool intact; nested and concurrent calls
+//! cannot deadlock. No runtime, no external dependencies.
 //!
 //! ```
 //! use cbb_core::{ClipConfig, ClipMethod};
@@ -61,6 +67,8 @@
 //! );
 //! assert_eq!(partitioned_join(&plan, &left, &right).pairs, 2);
 //! ```
+
+#![deny(unsafe_code)]
 
 pub mod adaptive;
 pub mod batch;

@@ -13,6 +13,8 @@
 //! SplitMix64 generator so that measured dead-space numbers are exactly
 //! reproducible across runs and platforms.
 
+#![forbid(unsafe_code)]
+
 pub mod dominance;
 pub mod mask;
 pub mod point;

@@ -22,6 +22,8 @@
 //! work counter, and the number of result pairs, which is invariant
 //! under clipping and across kernels (verified by tests).
 
+#![forbid(unsafe_code)]
+
 use std::iter::Sum;
 use std::ops::AddAssign;
 

@@ -19,6 +19,8 @@
 //! ([`clipped`]) that attaches the CBB auxiliary structure of §IV to any
 //! variant without altering the base tree.
 
+#![forbid(unsafe_code)]
+
 pub mod clipped;
 pub mod config;
 pub mod hilbert;

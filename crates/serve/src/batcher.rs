@@ -1,10 +1,20 @@
 //! Micro-batch formation and execution: the bridge between the request
 //! queue and the catalog's per-dataset stores.
 //!
-//! A dispatcher blocks for the first request, then keeps the batch open
-//! until it holds `batch_max` requests or `batch_deadline` has passed
-//! since the batch opened — the classic group-commit trade: a bounded
-//! dash of added latency buys amortised dispatch over the executor.
+//! **Natural batching** (the default, `batch_deadline` zero): a
+//! dispatcher blocks for the first request, takes whatever backlog is
+//! already queued — up to `batch_max`, under one queue lock — and goes.
+//! A batch is as large as the load makes it: while the dispatcher
+//! executes one batch the next one queues up behind it, so a saturated
+//! service fills every batch to `batch_max` and an idle one answers a
+//! lone request at once, with no tuning and no added latency.
+//!
+//! A non-zero `batch_deadline` additionally keeps a non-full batch open
+//! that long for stragglers — the classic group-commit trade of a
+//! bounded dash of latency for wider batches. It is worth setting only
+//! when a batch's fixed cost is large next to the wait (durable writes
+//! paying one `fsync` per batch) and arrivals are too sparse to queue
+//! up on their own.
 //!
 //! Execution order inside one micro-batch:
 //!
@@ -29,6 +39,7 @@
 //!    the dispatcher pool deadlock-free.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cbb_engine::{
@@ -44,20 +55,21 @@ use crate::request::{Completion, Request, RequestError, Response, UpdateSummary}
 use crate::service::{Envelope, SharedState};
 
 /// Pull one micro-batch off the queue: block for the first request,
-/// then fill until `batch_max` or `deadline_after` the batch opened.
-/// `None` means the queue is closed and drained — the dispatcher's exit
-/// signal. A batch is never empty. The returned [`Instant`] is when the
-/// batch **opened** (the first request was popped) — the boundary
-/// between a request's queue-wait and coalesce phases.
+/// take the backlog queued behind it (up to `batch_max`, one lock), then
+/// keep a non-full batch open for stragglers until `deadline_after` the
+/// batch opened — not at all when that is zero. `None` means the queue
+/// is closed and drained — the dispatcher's exit signal. A batch is
+/// never empty. The returned [`Instant`] is when the batch **opened**
+/// (the first requests were popped) — the boundary between a request's
+/// queue-wait and coalesce phases.
 pub(crate) fn collect_batch<T>(
     queue: &Bounded<T>,
     batch_max: usize,
     deadline_after: Duration,
 ) -> Option<(Vec<T>, Instant)> {
-    let first = queue.pop()?;
+    let mut batch = queue.pop_many(batch_max)?;
     let opened = Instant::now();
-    let mut batch = vec![first];
-    if batch_max > 1 {
+    if !deadline_after.is_zero() {
         let deadline = opened + deadline_after;
         while batch.len() < batch_max {
             match queue.pop_until(deadline) {
@@ -75,7 +87,8 @@ pub(crate) fn collect_batch<T>(
 /// fulfilled).
 struct BatchTrace {
     spans: Vec<Span>,
-    datasets: Vec<Option<String>>,
+    /// One shared name per read or write group, not a copy per slot.
+    datasets: Vec<Option<Arc<str>>>,
     counters: Vec<Vec<(&'static str, u64)>>,
 }
 
@@ -138,8 +151,9 @@ fn flush_writes<const D: usize, P>(
             continue;
         };
         let slots = || write_slots.iter().map(|s| s.0);
+        let name: Arc<str> = entry.name().into();
         for slot in slots() {
-            trace.datasets[slot] = Some(entry.name().to_string());
+            trace.datasets[slot] = Some(name.clone());
         }
         let (version, results) = if ops.is_empty() {
             // Only empty UpdateBatch requests: nothing to apply, no bump.
@@ -267,7 +281,7 @@ pub(crate) fn run_batch<const D: usize, P>(
                 objects,
             } => {
                 flush_writes(shared, &mut write_groups, &mut responses, &mut trace);
-                trace.datasets[slot] = Some(name.clone());
+                trace.datasets[slot] = Some(name.as_str().into());
                 let t = Instant::now();
                 let response = match shared.create_dataset_now(
                     name,
@@ -289,7 +303,7 @@ pub(crate) fn run_batch<const D: usize, P>(
                 trace.datasets[slot] = shared
                     .catalog
                     .get(*dataset)
-                    .map(|entry| entry.name().to_string());
+                    .map(|entry| entry.name().into());
                 let t = Instant::now();
                 responses[slot] = Some(Response::Dropped(shared.drop_dataset_now(*dataset)));
                 trace.spans[slot].record_duration(Phase::Execute, t.elapsed());
@@ -303,7 +317,7 @@ pub(crate) fn run_batch<const D: usize, P>(
                 trace.datasets[slot] = shared
                     .catalog
                     .get(*dataset)
-                    .map(|entry| entry.name().to_string());
+                    .map(|entry| entry.name().into());
                 let t = Instant::now();
                 let response =
                     match shared.swap_now(*dataset, std::mem::take(objects), partitioner.take()) {
@@ -399,7 +413,7 @@ pub(crate) fn run_batch<const D: usize, P>(
             }
             continue;
         };
-        let name = entry.name().to_string();
+        let name: Arc<str> = entry.name().into();
         let access = shared.stats.access_counters(&name);
         let member_slots: Vec<usize> = group
             .clipped
@@ -571,7 +585,7 @@ fn run_cross_join<const D: usize, P>(
 where
     P: Partitioner<D> + cbb_engine::PersistPartitioner + Clone + PartialEq,
 {
-    let resolve = |id: DatasetId| -> Result<std::sync::Arc<Dataset<D, P>>, Response> {
+    let resolve = |id: DatasetId| -> Result<Arc<Dataset<D, P>>, Response> {
         shared
             .catalog
             .get(id)
@@ -671,6 +685,39 @@ mod tests {
         assert!(t.elapsed() >= Duration::from_millis(10));
         // The open stamp is the *first pop*, not the deadline flush.
         assert!(opened.duration_since(t) < Duration::from_millis(10));
+    }
+
+    #[test]
+    fn default_config_takes_the_backlog_and_goes() {
+        let config = crate::ServiceConfig::default();
+        let collect = |q: &Bounded<u32>| {
+            collect_batch(q, config.batch_max, config.batch_deadline).map(|(batch, _)| batch)
+        };
+        // A lone request is not held back for company. Timed as the
+        // fastest of several tries so a descheduled test thread cannot
+        // fail it, while any real wait would slow every try.
+        let q: Bounded<u32> = Bounded::new(1024);
+        let fastest = (0..20)
+            .map(|i| {
+                q.push(i).unwrap();
+                let t = Instant::now();
+                assert_eq!(collect(&q), Some(vec![i]));
+                t.elapsed()
+            })
+            .min()
+            .expect("twenty tries");
+        assert!(
+            fastest < Duration::from_millis(1),
+            "waited {fastest:?} on a lone request"
+        );
+        // A backlog fills batches to the cap, FIFO, then the remainder.
+        for i in 0..200 {
+            q.push(i).unwrap();
+        }
+        assert_eq!(collect(&q), Some((0..64).collect()));
+        assert_eq!(collect(&q), Some((64..128).collect()));
+        assert_eq!(collect(&q), Some((128..192).collect()));
+        assert_eq!(collect(&q), Some((192..200).collect()));
     }
 
     #[test]

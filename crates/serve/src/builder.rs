@@ -105,8 +105,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Micro-batch flush deadline (see
-    /// [`ServiceConfig::batch_deadline`]).
+    /// How long a non-full micro-batch waits for stragglers; zero (the
+    /// default) takes the queued backlog and goes. See
+    /// [`ServiceConfig::batch_deadline`] for when to set it.
     pub fn batch_deadline(mut self, deadline: Duration) -> Self {
         self.config.batch_deadline = deadline;
         self

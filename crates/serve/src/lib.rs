@@ -56,9 +56,11 @@
 //!   and answers byte-equal to one that never stopped (see the
 //!   [`durability`] module docs, including what is *not* guaranteed).
 //!
-//! Everything is `std`: scoped threads, `Mutex`/`Condvar` queues and
-//! one-shots — no async runtime, in keeping with the workspace's
-//! zero-dependency rule.
+//! Everything is `std`: dispatcher threads, `Mutex`/`Condvar` queues and
+//! one-shots, the engine's persistent worker pool inside a batch — no
+//! async runtime, in keeping with the workspace's zero-dependency rule.
+
+#![forbid(unsafe_code)]
 
 pub mod batcher;
 pub mod builder;

@@ -117,6 +117,30 @@ impl<T> Bounded<T> {
         }
     }
 
+    /// Pop up to `max` (≥ 1) items at once, blocking while the queue is
+    /// empty and open: whatever backlog is queued when the first item
+    /// is available comes back in FIFO order under **one** lock
+    /// acquisition, and blocked producers are woken once for all the
+    /// room made. Never waits for more than one item. `None` means the
+    /// queue is closed **and** drained.
+    pub fn pop_many(&self, max: usize) -> Option<Vec<T>> {
+        assert!(max >= 1, "pop_many takes at least one item");
+        let mut state = self.state.lock().expect("queue poisoned");
+        while state.items.is_empty() {
+            if state.closed {
+                return None;
+            }
+            state = self.not_empty.wait(state).expect("queue poisoned");
+        }
+        let take = max.min(state.items.len());
+        let items: Vec<T> = state.items.drain(..take).collect();
+        drop(state);
+        // Several slots may have opened: every blocked producer gets to
+        // re-check, in one notification.
+        self.not_full.notify_all();
+        Some(items)
+    }
+
     /// Pop, waiting at most until `deadline` when empty. An item already
     /// queued is returned even past the deadline (draining available
     /// backlog costs no extra waiting — the deadline bounds *added*
@@ -229,6 +253,52 @@ mod tests {
         assert_eq!(q.pop_until(past), Popped::Item(7));
         q.close();
         assert_eq!(q.pop_until(past), Popped::Closed);
+    }
+
+    #[test]
+    fn pop_many_takes_the_backlog_in_fifo_order() {
+        let q = Bounded::new(16);
+        for i in 0..10 {
+            q.push(i).unwrap();
+        }
+        // A backlog above `max` yields `max`, then the rest.
+        assert_eq!(q.pop_many(4), Some(vec![0, 1, 2, 3]));
+        assert_eq!(q.pop_many(64), Some(vec![4, 5, 6, 7, 8, 9]));
+        q.push(10).unwrap();
+        q.close();
+        // Closed: the backlog still drains, then `None`.
+        assert_eq!(q.pop_many(64), Some(vec![10]));
+        assert_eq!(q.pop_many(64), None);
+    }
+
+    #[test]
+    fn pop_many_blocks_for_the_first_item_and_wakes_every_producer() {
+        let q = Arc::new(Bounded::new(2));
+        let consumer = {
+            let q = q.clone();
+            std::thread::spawn(move || q.pop_many(8))
+        };
+        q.push(1u32).unwrap();
+        let got = consumer.join().unwrap().expect("open queue");
+        assert_eq!(got[0], 1);
+        // Fill the queue, block two producers, free both slots at once.
+        while q.len() < 2 {
+            q.push(0).unwrap();
+        }
+        let producers: Vec<_> = (0..2)
+            .map(|i| {
+                let q = q.clone();
+                std::thread::spawn(move || q.push(10 + i).is_ok())
+            })
+            .collect();
+        // Passes under any interleaving; the sleep makes the case it is
+        // for (both producers already blocked) the likely one.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(q.pop_many(2).map(|items| items.len()), Some(2));
+        for p in producers {
+            assert!(p.join().unwrap());
+        }
+        assert_eq!(q.len(), 2);
     }
 
     #[test]

@@ -31,12 +31,20 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Flush a micro-batch at this many requests.
     pub batch_max: usize,
-    /// Flush a micro-batch this long after it opened, full or not —
-    /// the latency bound batching is allowed to add.
+    /// How long a non-full micro-batch stays open for stragglers after
+    /// it opened — the latency batching is allowed to add. The default
+    /// is **zero** (natural batching): a batch is the backlog that
+    /// queued up while the previous one executed, so batches fill under
+    /// load and a lone request is answered at once. Set it only when a
+    /// batch's fixed cost dwarfs the wait and arrivals are too sparse
+    /// to queue up by themselves — e.g. durable writes, to share one
+    /// `fsync` among more of them.
     pub batch_deadline: Duration,
     /// Dispatcher (consumer) threads forming and executing batches.
     pub dispatchers: usize,
-    /// Worker threads the executor uses *inside* one batch.
+    /// Logical chunks the executor splits one batch into; they run on
+    /// the engine's persistent pool ([`cbb_engine::pool`]), so answers
+    /// and counters do not depend on it or on the core count.
     pub exec_workers: usize,
     /// Slot-reclamation policy applied to every dataset store the
     /// service creates (see [`CompactionPolicy`]). Set
@@ -78,7 +86,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             queue_capacity: 1024,
             batch_max: 64,
-            batch_deadline: Duration::from_millis(2),
+            batch_deadline: Duration::ZERO,
             dispatchers: 1,
             exec_workers: 4,
             compaction: CompactionPolicy::default(),
@@ -375,7 +383,7 @@ pub struct Scrape {
 ///  submit()/try_submit()          dispatchers               catalog
 ///  ───────────────────▶ bounded ─▶ micro-batch ─▶ ds A ─ RwLock<DatasetStore>
 ///        handles ◀──────  MPMC  ◀─  (size or   ─▶ ds B ─ RwLock<DatasetStore>
-///   (wait per request)   queue      deadline)        forests in one
+///   (wait per request)   queue      backlog)         forests in one
 ///                                                 (DatasetId, DataVersion)
 ///                                                    keyed ForestCache
 /// ```

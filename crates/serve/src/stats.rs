@@ -9,6 +9,8 @@
 //! drift out of sync. With telemetry disabled every handle is a no-op:
 //! the service runs (and answers) identically, and reports read zero.
 
+use std::sync::Arc;
+
 use cbb_engine::{DataVersion, DatasetId};
 use cbb_telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Phase, Registry, SlowQueryRing, TelemetryConfig,
@@ -426,7 +428,7 @@ impl ServiceStats {
         kind: RequestKind,
         latency_ns: u64,
         span: &cbb_telemetry::Span,
-        dataset: Option<String>,
+        dataset: Option<Arc<str>>,
         counters: Vec<(&'static str, u64)>,
     ) {
         self.completed.inc();

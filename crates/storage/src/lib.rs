@@ -21,6 +21,8 @@
 //! * [`fault`] — crash/corruption test doubles ([`FaultyLog`],
 //!   [`FaultyPageStore`]) so recovery's failure paths stay exercised.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod codec;
 pub mod disk_tree;

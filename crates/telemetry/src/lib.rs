@@ -28,6 +28,8 @@
 //! This crate is a leaf: it depends on nothing in the workspace, and
 //! `serve`/`engine`/`bench` depend on it.
 
+#![forbid(unsafe_code)]
+
 mod hist;
 mod registry;
 mod slow;

@@ -8,7 +8,7 @@
 //! retained entry.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::span::Span;
 
@@ -17,8 +17,9 @@ use crate::span::Span;
 pub struct SlowQuery {
     /// Request kind (e.g. `"range"`, `"join"`).
     pub kind: &'static str,
-    /// Dataset name, when the request targeted one.
-    pub dataset: Option<String>,
+    /// Dataset name, when the request targeted one (shared by every
+    /// request of one batch group).
+    pub dataset: Option<Arc<str>>,
     /// End-to-end service time in nanoseconds.
     pub total_ns: u64,
     /// Per-phase nanoseconds.
@@ -115,7 +116,7 @@ mod tests {
         span.record(Phase::Execute, total_ns);
         SlowQuery {
             kind: "range",
-            dataset: Some("d".to_string()),
+            dataset: Some("d".into()),
             total_ns,
             span,
             counters: vec![("results", 1)],

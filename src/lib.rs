@@ -50,6 +50,8 @@
 //! | [`serve`] | `cbb-serve` | async query service: request queue → micro-batched executor |
 //! | [`telemetry`] | `cbb-telemetry` | metrics registry, phase tracing, slow-query ring, scrape exposition |
 
+#![forbid(unsafe_code)]
+
 pub use cbb_bounding as bounding;
 pub use cbb_core as core;
 pub use cbb_datasets as datasets;

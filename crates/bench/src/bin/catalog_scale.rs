@@ -5,16 +5,16 @@
 //! * `rebuild_per_call` — the engine baseline: `partitioned_join`
 //!   assigns and bulk-loads *both* sides on every call.
 //! * `same_dataset` — the pre-catalog serving shape: one dataset is
-//!   served (its forest cached per `(DatasetId, DataVersion)`), the
-//!   probe side is streamed by the client per request.
+//!   served (its forest built once and kept by its store), the probe
+//!   side is streamed by the client per request.
 //! * `cross_dataset` — both layers served: `Request::CrossJoin` joins
-//!   the two stores, borrowing **both** sides' cached forests (the
+//!   the two stores, borrowing **both** sides' forests (the
 //!   layers share a tiling, so the STT fast path applies) — nothing is
 //!   assigned or bulk-loaded per call.
 //!
 //! Pair counts are asserted identical across all three modes, and the
 //! forest-build counter is asserted flat across every repetition —
-//! repeats must hit the cache, never rebuild. Emits
+//! repeats must reuse the stores' forests, never rebuild. Emits
 //! `BENCH_catalog.json`. `CBB_BENCH_SMOKE=1` shrinks the workload to CI
 //! scale (explicit flags still override).
 //!
@@ -120,7 +120,7 @@ fn main() {
     let builds_after_create = service.report().forest_builds;
     assert_eq!(builds_after_create, 2, "one build per created dataset");
 
-    // ── same_dataset: the indexed side is served (cached forest), the
+    // ── same_dataset: the indexed side is served (store's forest), the
     // probe side streams from the client per request.
     let started = Instant::now();
     for _ in 0..reps {
@@ -144,7 +144,6 @@ fn main() {
         report.forest_builds, builds_after_create,
         "served joins must not rebuild"
     );
-    let hits_after_same = report.forest_hits;
 
     // ── cross_dataset: both sides served, both forests borrowed.
     let started = Instant::now();
@@ -171,9 +170,8 @@ fn main() {
     );
     assert_eq!(report.cross_joins, reps as u64);
     assert_eq!(
-        report.forest_hits - hits_after_same,
-        2 * reps as u64,
-        "every cross join borrows BOTH cached forests"
+        report.probe_repartitions, 0,
+        "every cross join borrows BOTH forests"
     );
 
     header(
@@ -182,22 +180,12 @@ fn main() {
         &["reps", "pairs", "wall ms", "ms/join"],
     );
     let rows = [
-        ("rebuild_per_call", rebuild_wall, 0u64, 0u64),
-        (
-            "same_dataset",
-            same_wall,
-            builds_after_create,
-            hits_after_same,
-        ),
-        (
-            "cross_dataset",
-            cross_wall,
-            report.forest_builds,
-            report.forest_hits,
-        ),
+        ("rebuild_per_call", rebuild_wall, 0u64),
+        ("same_dataset", same_wall, builds_after_create),
+        ("cross_dataset", cross_wall, report.forest_builds),
     ];
     let mut json_rows = Vec::new();
-    for (mode, wall, builds, hits) in rows {
+    for (mode, wall, builds) in rows {
         println!(
             "{}",
             row(
@@ -213,12 +201,12 @@ fn main() {
         json_rows.push(format!(
             "{{\"mode\": \"{mode}\", \"reps\": {reps}, \"pairs\": {expected_pairs}, \
              \"wall_ms\": {wall:.2}, \"ms_per_join\": {:.3}, \
-             \"forest_builds\": {builds}, \"forest_hits\": {hits}}}",
+             \"forest_builds\": {builds}}}",
             wall / reps as f64,
         ));
     }
     println!(
-        "\ncross-dataset cached joins ran {:.1}x faster per call than rebuild-per-call",
+        "\ncross-dataset served joins ran {:.1}x faster per call than rebuild-per-call",
         rebuild_wall / cross_wall.max(1e-9)
     );
 

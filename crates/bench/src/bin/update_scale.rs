@@ -1,6 +1,6 @@
 //! Update experiment: the cost of keeping the tile-tree store fresh
 //! under a churning write stream — delta-apply (per-tile incremental
-//! maintenance, copy-on-write tile sharing) vs rebuilding the forest
+//! maintenance in place) vs rebuilding the forest
 //! per batch. Emits `BENCH_update.json`.
 //!
 //! ```text

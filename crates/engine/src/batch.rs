@@ -9,11 +9,10 @@
 //! answers up with their queries.
 //!
 //! The [`TileForest`] — one clipped R-tree per non-empty tile of a
-//! [`Partitioner`] — is the unit the serving layer caches across
-//! requests: an executor borrows a forest (`Arc`-shared), and the same
-//! forest doubles as the prebuilt indexed side of repeated joins
-//! ([`crate::join::partitioned_join_with`]), keyed by
-//! [`crate::partition::DataVersion`] in a [`crate::join::ForestCache`].
+//! [`Partitioner`] — is the unit a dataset store keeps across requests:
+//! an executor borrows a forest (`Arc`-shared), and the same forest
+//! doubles as the prebuilt indexed side of repeated joins
+//! ([`crate::join::partitioned_join_with`]).
 
 use std::sync::{Arc, OnceLock};
 
@@ -37,10 +36,10 @@ use crate::update::{Update, UpdateOutcome};
 ///
 /// Each tile tree sits behind its own `Arc`: cloning a forest is a
 /// per-tile refcount bump, and the mutable maintenance path
-/// ([`Self::insert_object`] / [`Self::delete_object`]) copy-on-writes
-/// only the tiles an update actually touches — the shared tiles of
-/// every older version stay intact, which is what makes epoch-based
-/// version bumps cheap.
+/// ([`Self::insert_object`] / [`Self::delete_object`]) mutates a tile
+/// in place when this forest is its only owner and copies it first
+/// when an older version still shares it — so the tiles of every older
+/// version stay intact, and a single-owner write copies nothing.
 ///
 /// Alongside each tree the forest lazily caches the tile's
 /// [`TileColumns`] — the x-sorted SoA layout the plane-sweep join kernel
@@ -514,7 +513,8 @@ impl<const D: usize, P: Partitioner<D>> BatchExecutor<D, P> {
         self.store.live_count()
     }
 
-    /// Apply an update batch *in order*, copy-on-write — see
+    /// Apply an update batch *in order*, in place unless the forest is
+    /// shared — see
     /// [`DatasetStore::apply_updates`], which this delegates to
     /// (including the version bump per applied batch and the
     /// threshold-driven compaction sweep).
@@ -897,7 +897,8 @@ mod tests {
             // A mixed batch: deletes across the id range (including a
             // spanning-object-rich low range), fresh inserts (one
             // spanning many tiles, one out-of-domain), a dead delete, a
-            // delete of a just-inserted object, and a rejected insert.
+            // delete of a just-inserted object, and two rejected inserts
+            // (non-finite, inverted).
             let mut rng = SplitMix64::new(77);
             let mut updates: Vec<Update<2>> = (0..200)
                 .map(|_| Update::Delete(DataId(rng.gen_range(0.0, 1_500.0) as u32)))
@@ -920,19 +921,28 @@ mod tests {
                 Point([0.0, 0.0]),
                 Point([f64::INFINITY, 1.0]),
             )));
+            updates.push(Update::Insert(Rect {
+                lo: Point([500.0, 500.0]),
+                hi: Point([400.0, 600.0]),
+            }));
             let outcome = exec.apply_updates(&updates, tree, clip);
             assert_eq!(outcome.results.len(), updates.len());
             assert!(outcome.nodes_allocated > 0);
             assert!(outcome.tiles_touched > 0);
             assert!(matches!(
-                outcome.results[updates.len() - 3],
+                outcome.results[updates.len() - 4],
                 UpdateResult::Deleted(true)
             ));
             assert_eq!(
-                outcome.results[updates.len() - 2],
+                outcome.results[updates.len() - 3],
                 UpdateResult::Deleted(false)
             );
-            assert_eq!(outcome.results.last(), Some(&UpdateResult::Rejected));
+            assert_eq!(
+                outcome.results[updates.len() - 2..],
+                [UpdateResult::Rejected, UpdateResult::Rejected]
+            );
+            // A rejected insert takes no arena slot.
+            assert_eq!(exec.objects().len(), objects.len() + 152);
 
             // Oracle: a wholesale rebuild over the surviving arena
             // answers identically (kNN byte-equal, ranges as sets —
@@ -1006,6 +1016,32 @@ mod tests {
                 before.built_tree_count() - 1,
                 "only the touched tile may be copied"
             );
+
+            // Single owner: with no clone of the old forest held, the
+            // batch mutates in place — every tile tree, touched or not,
+            // keeps its address.
+            drop(before);
+            let addrs: Vec<Option<*const ClippedRTree<2>>> = (0..exec.forest().tile_count())
+                .map(|t| exec.forest().tree(t).map(|tree| tree as *const _))
+                .collect();
+            let outcome = exec.apply_updates(
+                &[
+                    Update::Insert(r2(10.0, 10.0, 12.0, 12.0)),
+                    Update::Insert(r2(600.0, 600.0, 700.0, 700.0)),
+                    Update::Delete(DataId(5)),
+                ],
+                tree,
+                clip,
+            );
+            assert!(outcome.tiles_touched >= 2);
+            assert_eq!((outcome.trees_created, outcome.trees_dropped), (0, 0));
+            for (t, addr) in addrs.iter().enumerate() {
+                let now = exec.forest().tree(t).map(|tree| tree as *const _);
+                match (addr, now) {
+                    (Some(a), Some(b)) => assert!(std::ptr::eq(*a, b), "tile {t} was copied"),
+                    (a, b) => assert_eq!(a.is_some(), b.is_some(), "tile {t}"),
+                }
+            }
         }
 
         #[test]

@@ -44,8 +44,7 @@ use crate::update::{Update, UpdateOutcome, UpdateResult};
 /// Identity of a dataset in a [`Catalog`]. Ids are assigned by the
 /// catalog at creation, are unique over the catalog's lifetime, and are
 /// **never reused** after a drop — so a `(DatasetId, DataVersion)` pair
-/// (the [`crate::ForestCache`] key) can never alias a different
-/// dataset's trees.
+/// can never alias a different dataset's state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DatasetId(pub u32);
 
@@ -340,7 +339,8 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
     }
 
     /// The shared per-tile trees (clone the `Arc` to reuse them in a
-    /// join, a cache, or a successor store).
+    /// join or a successor store; while a clone is held, the next write
+    /// copies the tiles it touches instead of mutating them in place).
     pub fn forest(&self) -> &Arc<TileForest<D>> {
         &self.forest
     }
@@ -401,14 +401,16 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
         self.version.bump();
     }
 
-    /// Apply an update batch *in order*, copy-on-write: the previous
-    /// forest (shared with any cache or in-flight reader via its `Arc`s)
-    /// is untouched; this store ends up on a new [`TileForest`] that
-    /// shares every tile the batch did not reach. Inserts take the
+    /// Apply an update batch *in order*, in place when the store is the
+    /// forest's only owner. A caller still holding an `Arc` clone of the
+    /// previous forest keeps it unchanged: then only the tiles the batch
+    /// reaches are copied, and every other tile stays shared. Inserts take the
     /// smallest reclaimed slot when one is free, else a fresh arena
     /// slot; deletes tombstone theirs. `tree`/`clip` only configure
     /// trees for previously empty tiles.
     ///
+    /// An insert whose rectangle is non-finite or inverted (`lo > hi` on
+    /// some axis) is [`UpdateResult::Rejected`] and indexes nothing.
     /// A batch that applied at least one update bumps the version
     /// exactly once; an all-no-op batch (dead-id deletes, rejected
     /// inserts) changes nothing and bumps nothing. After the batch, a
@@ -426,13 +428,13 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
         tree: TreeConfig<D>,
         clip: ClipConfig,
     ) -> UpdateOutcome {
-        let mut forest = TileForest::clone(&self.forest);
+        let forest = Arc::make_mut(&mut self.forest);
         let mut touched = vec![false; forest.tile_count()];
         let mut outcome = UpdateOutcome::default();
         for update in updates {
             let result = match *update {
                 Update::Insert(rect) => {
-                    if !rect.is_finite() {
+                    if !rect.is_finite() || (0..D).any(|i| rect.lo[i] > rect.hi[i]) {
                         UpdateResult::Rejected
                     } else {
                         let id = match self.free.pop() {
@@ -498,7 +500,6 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
             outcome.results.push(result);
         }
         outcome.tiles_touched = touched.iter().filter(|&&t| t).count();
-        self.forest = Arc::new(forest);
         let applied = outcome.applied();
         if applied > 0 {
             self.version.bump();

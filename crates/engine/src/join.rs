@@ -29,14 +29,13 @@
 //! sets against one slowly-changing dataset should instead build a
 //! [`TileForest`] over the indexed side once and call
 //! [`partitioned_join_with`] per request — only the probe side is
-//! (re)built, and the [`ForestCache`] keys the forest by
-//! [`DataVersion`] so a data change (and nothing else) triggers a
-//! rebuild. Counters and pair counts are identical to the build-per-call
-//! path: the same `bulk_load` runs over the same per-tile id lists, and
-//! a clip table that is present but unused changes no traversal.
+//! (re)built. A [`crate::DatasetStore`] keeps its forest current under
+//! writes, so the forest it hands out always matches its arena.
+//! Counters and pair counts are identical to the build-per-call path:
+//! the same `bulk_load` runs over the same per-tile id lists, and a clip
+//! table that is present but unused changes no traversal.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cbb_core::{ClipConfig, ClipPoint};
 use cbb_geom::Rect;
@@ -47,8 +46,7 @@ use cbb_joins::{
 use cbb_rtree::{ClippedRTree, DataId, NodeId, RTree, TreeConfig};
 
 use crate::batch::TileForest;
-use crate::catalog::DatasetId;
-use crate::partition::{DataVersion, Partitioner, UniformGrid};
+use crate::partition::{Partitioner, UniformGrid};
 use crate::pool::{fold_dynamic_tasks, map_chunked};
 
 /// Which per-tile join strategy to run.
@@ -485,7 +483,7 @@ pub fn partitioned_join<const D: usize, P: Partitioner<D>>(
 /// repeat-join fast path. The forest must have been built over `right`
 /// under `plan.partitioner` with `plan.tree`/`plan.clip` (tile counts
 /// are checked; content correspondence is the caller's contract — a
-/// [`ForestCache`] keyed by [`DataVersion`] maintains it).
+/// [`crate::DatasetStore`]'s own forest and arena satisfy it).
 ///
 /// Every counter of the returned [`JoinResult`] equals the build-per-call
 /// path exactly; only the right-side build work (assignment + bulk
@@ -519,8 +517,8 @@ pub fn partitioned_join_with<const D: usize, P: Partitioner<D>>(
 /// borrows both sides' cached [`TileColumns`], and [`JoinAlgo::Auto`]
 /// sees two cached sides and resolves to STT. Both forests must be
 /// tiled by `plan.partitioner` (tile counts are checked; content
-/// correspondence is the caller's contract — a [`ForestCache`] keyed by
-/// `(DatasetId, DataVersion)` maintains it).
+/// correspondence is the caller's contract — each side's
+/// [`crate::DatasetStore`] satisfies it for its own forest).
 ///
 /// `right` is the indexed side's object arena (tombstoned slots
 /// included — only ids present in the forest's trees are ever looked
@@ -831,163 +829,6 @@ fn join_tile<const D: usize, P: Partitioner<D>>(
             }
             result
         }
-    }
-}
-
-/// The key a cached forest is filed under: *which* dataset, at *which*
-/// version. Dataset ids are catalog-unique forever (never reused after
-/// a drop), so a key can never alias another dataset's trees.
-pub type ForestKey = (DatasetId, DataVersion);
-
-/// A bounded LRU [`TileForest`] cache keyed by `(DatasetId,
-/// DataVersion)`: the closing piece of the ROADMAP's "cache keyed by
-/// data version" item, grown a capacity bound for the mutable-store era
-/// and a dataset dimension for the catalog era.
-///
-/// A serving layer calls [`ForestCache::get_or_build`] with a dataset's
-/// id and current version on every request that needs per-tile trees.
-/// While a key stays cached its `Arc` is returned (a *hit* — no
-/// assignment, no bulk loading); a miss builds, stores, and evicts the
-/// least-recently-used key beyond [`ForestCache::capacity`]. Delta
-/// maintenance installs its freshly derived forests with
-/// [`ForestCache::insert`] — those count as neither build nor hit,
-/// which is exactly the point: an update batch produces a new version
-/// *without* a rebuild. Dropping a dataset calls
-/// [`ForestCache::evict_dataset`] so dead layers stop occupying slots.
-///
-/// Capacity is accounted **per key**: two hot datasets each pinning a
-/// version or two coexist in a capacity-4 cache without thrashing each
-/// other, because recency is tracked per `(dataset, version)` entry,
-/// not per dataset. The capacity bound is what keeps a long-running
-/// service with frequent version bumps from retaining every forest it
-/// ever served: per-tile `Arc` sharing makes consecutive versions
-/// cheap, but a thousand epochs of unshared tiles are not. Interior
-/// mutability (mutex + atomic counters) lets many executor threads
-/// share one cache behind an `Arc` or a read lock.
-pub struct ForestCache<const D: usize> {
-    /// Most-recently-used first.
-    slots: Mutex<Vec<(ForestKey, Arc<TileForest<D>>)>>,
-    capacity: usize,
-    builds: AtomicU64,
-    hits: AtomicU64,
-}
-
-/// Versions retained by default: the live one plus a few predecessors
-/// still referenced by in-flight batches.
-pub const DEFAULT_FOREST_CACHE_CAPACITY: usize = 4;
-
-impl<const D: usize> Default for ForestCache<D> {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_FOREST_CACHE_CAPACITY)
-    }
-}
-
-impl<const D: usize> ForestCache<D> {
-    /// An empty cache with the default capacity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache retaining at most `capacity` versions (≥ 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity >= 1, "a cache needs room for one forest");
-        ForestCache {
-            slots: Mutex::new(Vec::new()),
-            capacity,
-            builds: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Maximum number of retained versions.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of versions currently retained.
-    pub fn len(&self) -> usize {
-        self.slots.lock().expect("forest cache poisoned").len()
-    }
-
-    /// Whether no version is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// File `forest` as the most-recently-used entry for `key` (evicting
-    /// the LRU entry over capacity). The **one** shared insertion path:
-    /// `get_or_build` misses and externally supplied forests go through
-    /// the same bookkeeping, and neither touches the build/hit counters
-    /// here — each public door accounts for itself, exactly once. In
-    /// particular, lazily extracting a cached forest's [`TileColumns`]
-    /// never re-files or re-counts anything: columns live *inside* the
-    /// entry, version-exact with its trees.
-    fn file_mru(
-        &self,
-        slots: &mut Vec<(ForestKey, Arc<TileForest<D>>)>,
-        key: ForestKey,
-        forest: Arc<TileForest<D>>,
-    ) {
-        slots.retain(|(k, _)| *k != key);
-        slots.insert(0, (key, forest));
-        slots.truncate(self.capacity);
-    }
-
-    /// The forest for `key`: the cached one when present (refreshed to
-    /// most-recently-used), otherwise `build()` (stored, evicting the
-    /// LRU key over capacity). The build runs under the cache lock —
-    /// concurrent requesters of the same key wait and then hit.
-    pub fn get_or_build(
-        &self,
-        key: ForestKey,
-        build: impl FnOnce() -> TileForest<D>,
-    ) -> Arc<TileForest<D>> {
-        let mut slots = self.slots.lock().expect("forest cache poisoned");
-        if let Some(pos) = slots.iter().position(|(k, _)| *k == key) {
-            let hit = slots.remove(pos);
-            let forest = hit.1.clone();
-            slots.insert(0, hit);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return forest;
-        }
-        let forest = Arc::new(build());
-        self.file_mru(&mut slots, key, forest.clone());
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        forest
-    }
-
-    /// Store an externally produced forest (a delta-applied one) as the
-    /// most-recently-used entry for `key`, evicting over capacity.
-    /// Counts as neither a build nor a hit.
-    pub fn insert(&self, key: ForestKey, forest: Arc<TileForest<D>>) {
-        let mut slots = self.slots.lock().expect("forest cache poisoned");
-        self.file_mru(&mut slots, key, forest);
-    }
-
-    /// Drop every cached version of one dataset (the `DropDataset`
-    /// companion — a dead layer must not occupy LRU slots).
-    pub fn evict_dataset(&self, dataset: DatasetId) {
-        self.slots
-            .lock()
-            .expect("forest cache poisoned")
-            .retain(|((d, _), _)| *d != dataset);
-    }
-
-    /// Number of forest builds performed (misses), over the cache's
-    /// lifetime. The "trees were NOT rebuilt" assertion of cache tests.
-    pub fn builds(&self) -> u64 {
-        self.builds.load(Ordering::Relaxed)
-    }
-
-    /// Number of cache hits (requests served without building).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Drop every cached forest (next requests build regardless of
-    /// version).
-    pub fn invalidate(&self) {
-        self.slots.lock().expect("forest cache poisoned").clear();
     }
 }
 
@@ -1535,201 +1376,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Key helper: dataset `d` at version `v`.
-    fn key(d: u32, v: u64) -> ForestKey {
-        (DatasetId(d), DataVersion(v))
-    }
-
-    #[test]
-    fn forest_cache_columns_access_is_stat_neutral() {
-        // Regression for the one-door bookkeeping: lazily extracting a
-        // cached forest's columns (as every sweep over a cached side
-        // does) must count as neither a build nor a hit — the columns
-        // live inside the entry, not beside it. Only get_or_build moves
-        // the counters; insert() never does.
-        let b = boxes(120, 50, 25.0);
-        let plan = plan2(3, 2);
-        let cache: ForestCache<2> = ForestCache::new();
-        let forest = cache.get_or_build(key(1, 1), || {
-            TileForest::build(&plan.partitioner, &b, plan.tree, plan.clip, 2)
-        });
-        assert_eq!((cache.builds(), cache.hits()), (1, 0));
-        let populated = (0..forest.tile_count())
-            .find(|&t| forest.tree(t).is_some())
-            .expect("some tile is populated");
-        let cols = forest
-            .columns(populated)
-            .expect("populated tile has columns");
-        assert!(!cols.is_empty());
-        assert_eq!(
-            (cache.builds(), cache.hits()),
-            (1, 0),
-            "columns extraction is not a cache event"
-        );
-        cache.insert(key(1, 2), forest.clone());
-        assert_eq!(
-            (cache.builds(), cache.hits()),
-            (1, 0),
-            "insert counts as neither build nor hit"
-        );
-        let again = cache.get_or_build(key(1, 2), || unreachable!("must hit"));
-        assert!(Arc::ptr_eq(&again, &forest));
-        assert_eq!((cache.builds(), cache.hits()), (1, 1));
-    }
-
-    #[test]
-    fn forest_cache_hits_and_invalidates_by_version() {
-        let a = boxes(150, 24, 25.0);
-        let b = boxes(180, 25, 25.0);
-        let plan = plan2(4, 2);
-        let cache: ForestCache<2> = ForestCache::new();
-        let ds = DatasetId(7);
-        let mut version = DataVersion::initial();
-        let build =
-            |data: &[Rect<2>]| TileForest::build(&plan.partitioner, data, plan.tree, plan.clip, 2);
-        // Three joins on one version: one build, two hits, stable result.
-        let r1 = partitioned_join_with(
-            &plan,
-            &a,
-            &b,
-            &cache.get_or_build((ds, version), || build(&b)),
-        );
-        let r2 = partitioned_join_with(
-            &plan,
-            &a,
-            &b,
-            &cache.get_or_build((ds, version), || build(&b)),
-        );
-        let r3 = partitioned_join_with(
-            &plan,
-            &a,
-            &b,
-            &cache.get_or_build((ds, version), || build(&b)),
-        );
-        assert_eq!((cache.builds(), cache.hits()), (1, 2));
-        assert_eq!(r1, r2);
-        assert_eq!(r1, r3);
-        assert_eq!(r1.pairs, brute_force_pairs(&a, &b));
-        // Version bump: rebuild once, then hit again.
-        version.bump();
-        let r4 = partitioned_join_with(
-            &plan,
-            &a,
-            &b,
-            &cache.get_or_build((ds, version), || build(&b)),
-        );
-        assert_eq!((cache.builds(), cache.hits()), (2, 2));
-        assert_eq!(r4, r1, "same data under a new version joins identically");
-        let _ = cache.get_or_build((ds, version), || build(&b));
-        assert_eq!((cache.builds(), cache.hits()), (2, 3));
-        // The same version under a DIFFERENT dataset id is a different
-        // key: a miss, not a hit.
-        let _ = cache.get_or_build((DatasetId(8), version), || build(&b));
-        assert_eq!((cache.builds(), cache.hits()), (3, 3));
-        // Explicit invalidation forces a rebuild of the same key.
-        cache.invalidate();
-        let _ = cache.get_or_build((ds, version), || build(&b));
-        assert_eq!(cache.builds(), 4);
-    }
-
-    #[test]
-    fn forest_cache_lru_caps_retained_versions() {
-        let b = boxes(120, 26, 25.0);
-        let plan = plan2(3, 2);
-        let build =
-            |data: &[Rect<2>]| TileForest::build(&plan.partitioner, data, plan.tree, plan.clip, 2);
-        let cache: ForestCache<2> = ForestCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        assert!(cache.is_empty());
-        // Three distinct versions through a capacity-2 cache: the
-        // oldest is evicted, memory stays bounded.
-        for v in 0..3 {
-            let _ = cache.get_or_build(key(0, v), || build(&b));
-        }
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.builds(), 3);
-        // v0 was evicted: requesting it again is a miss (a rebuild).
-        let _ = cache.get_or_build(key(0, 0), || build(&b));
-        assert_eq!(cache.builds(), 4);
-        // v2 was refreshed by nothing — v1 is now LRU and got evicted
-        // by v0's reinsertion; v2 is still a hit.
-        let _ = cache.get_or_build(key(0, 2), || build(&b));
-        assert_eq!((cache.builds(), cache.hits()), (4, 1));
-        // A hit refreshes recency: touch v0, insert a new version, and
-        // v2 (not v0) is the one gone.
-        let _ = cache.get_or_build(key(0, 0), || build(&b));
-        let _ = cache.get_or_build(key(0, 9), || build(&b));
-        assert_eq!(cache.len(), 2);
-        let _ = cache.get_or_build(key(0, 0), || build(&b));
-        assert_eq!(cache.builds(), 5, "v0 must still be resident");
-        // `insert` (the delta path) stores without counting a build and
-        // still respects the cap; re-inserting a key replaces it.
-        cache.insert(key(0, 50), Arc::new(build(&b)));
-        cache.insert(key(0, 50), Arc::new(build(&b)));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.builds(), 5);
-        let _ = cache.get_or_build(key(0, 50), || build(&b));
-        assert_eq!(cache.builds(), 5, "inserted version is a hit");
-        assert!(!cache.is_empty());
-        cache.invalidate();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn forest_cache_two_hot_datasets_do_not_thrash() {
-        // The multi-dataset LRU satellite: two datasets, each pinning
-        // two live versions, interleaved hard against a capacity-4
-        // cache — after the four initial builds every access is a hit;
-        // neither dataset can push the other's forests out.
-        let b = boxes(100, 27, 25.0);
-        let plan = plan2(3, 2);
-        let build =
-            |data: &[Rect<2>]| TileForest::build(&plan.partitioner, data, plan.tree, plan.clip, 2);
-        let cache: ForestCache<2> = ForestCache::with_capacity(4);
-        let hot = [key(0, 0), key(1, 0), key(0, 1), key(1, 1)];
-        for round in 0..6 {
-            // Vary the interleaving order per round: A,B,A,B then
-            // B,A,B,A — recency churn across datasets, same working set.
-            let order: Vec<ForestKey> = if round % 2 == 0 {
-                hot.to_vec()
-            } else {
-                hot.iter().rev().copied().collect()
-            };
-            for k in order {
-                let _ = cache.get_or_build(k, || build(&b));
-            }
-        }
-        assert_eq!(
-            (cache.builds(), cache.hits()),
-            (4, 20),
-            "a capacity-4 working set of 4 keys never rebuilds"
-        );
-        assert_eq!(cache.len(), 4);
-
-        // A fifth key evicts exactly the LRU entry. After the last
-        // round the access order (old→new) was (1,1),(0,1),(1,0),(0,0)
-        // — so (1,1) is the LRU victim.
-        let _ = cache.get_or_build(key(2, 0), || build(&b));
-        assert_eq!(cache.builds(), 5);
-        let _ = cache.get_or_build(key(1, 1), || build(&b));
-        assert_eq!(cache.builds(), 6, "(1,1) was the evicted LRU entry");
-        // ... which in turn displaced (0,1), the next-oldest; dataset
-        // 0's most recent version is still resident.
-        let _ = cache.get_or_build(key(0, 0), || build(&b));
-        assert_eq!(cache.builds(), 6, "(0,0) survived both evictions");
-        let _ = cache.get_or_build(key(0, 1), || build(&b));
-        assert_eq!(cache.builds(), 7, "(0,1) was displaced second");
-
-        // evict_dataset drops only that dataset's keys.
-        let before = cache.len();
-        cache.evict_dataset(DatasetId(0));
-        assert!(cache.len() < before);
-        let _ = cache.get_or_build(key(1, 1), || build(&b));
-        assert_eq!(cache.builds(), 7, "dataset 1 untouched by the eviction");
-        let _ = cache.get_or_build(key(0, 1), || build(&b));
-        assert_eq!(cache.builds(), 8, "dataset 0 keys are gone");
     }
 
     #[test]

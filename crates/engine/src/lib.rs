@@ -13,8 +13,8 @@
 //! * [`join`] — the partitioned parallel join ([`partitioned_join`]):
 //!   per-tile joins by STT over clipped R-trees, INLJ, or a plane sweep
 //!   over the columnar [`cbb_joins::TileColumns`] layout — chosen per
-//!   tile by [`JoinAlgo::Auto`] from tile cardinalities and forest-cache
-//!   presence — on the worker pool with dynamic tile scheduling,
+//!   tile by [`JoinAlgo::Auto`] from tile cardinalities and whether
+//!   each side comes from a prebuilt forest — on the worker pool with dynamic tile scheduling,
 //!   counters merged via `AddAssign` (after Tsitsigkos et al., *Parallel
 //!   In-Memory Evaluation of Spatial Joins*). Pair counts are exactly
 //!   those of a sequential join for every algorithm.
@@ -24,10 +24,10 @@
 //!   workload order, [`cbb_rtree::AccessStats`] merged.
 //! * [`update`] — the write side: [`Update`] batches applied through
 //!   [`DatasetStore::apply_updates`] route each object to its covering
-//!   tiles, maintain the per-tile clipped trees incrementally (§IV-D),
-//!   and share untouched tiles copy-on-write with the previous
-//!   [`TileForest`] — a versioned store instead of a rebuild-per-change
-//!   snapshot.
+//!   tiles, and maintain the per-tile clipped trees incrementally
+//!   (§IV-D) in place: a versioned store instead of a rebuild-per-change
+//!   snapshot. A tile is copied only while someone else still holds the
+//!   previous [`TileForest`].
 //! * [`catalog`] — the multi-dataset layer: the mutable versioned
 //!   [`DatasetStore`] (arena, liveness, free-slot compaction,
 //!   per-dataset [`DataVersion`]) and the [`Catalog`] mapping
@@ -91,7 +91,7 @@ pub use catalog::{
 };
 pub use join::{
     partitioned_join, partitioned_join_forests, partitioned_join_with, sequential_join, AutoPolicy,
-    ForestCache, ForestKey, JoinAlgo, JoinPlan, SplitPolicy, DEFAULT_FOREST_CACHE_CAPACITY,
+    JoinAlgo, JoinPlan, SplitPolicy,
 };
 pub use partition::{load_imbalance, AnyPartitioner, DataVersion, Partitioner, UniformGrid};
 pub use persist::{

@@ -24,11 +24,9 @@
 
 use cbb_geom::{Point, Rect};
 
-/// Monotone version counter of a dataset. Everything derived from the
-/// data — per-tile trees above all — is keyed by the version it was
-/// built from, so caches (see [`crate::join::ForestCache`]) can serve
-/// repeat requests without rebuilding and invalidate exactly when the
-/// data changes.
+/// Monotone version counter of a dataset: it advances exactly when the
+/// data changes, so anything derived from the data (WAL records,
+/// snapshots, answers reported to clients) can name the state it saw.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DataVersion(pub u64);
 

@@ -7,10 +7,10 @@
 //! [`crate::BatchExecutor::apply_updates`]: each object is routed to
 //! the tiles it overlaps (the same multi-assignment the bulk build
 //! uses), the affected per-tile clipped trees are maintained through
-//! `ClippedRTree::insert`/`delete` (§IV-D clip maintenance), and
-//! *untouched tiles are shared* with the previous forest — the
-//! copy-on-write delta that makes an update batch cost proportional to
-//! what changed instead of a wholesale rebuild.
+//! `ClippedRTree::insert`/`delete` (§IV-D clip maintenance) in place,
+//! so an update batch costs what changed instead of a wholesale
+//! rebuild. When a reader still holds the previous forest, only the
+//! touched tiles are copied and the untouched ones stay shared with it.
 //!
 //! Aji et al. (*Effective Spatial Data Partitioning for Scalable Query
 //! Processing*) and Tsitsigkos et al. (*Parallel In-Memory Evaluation
@@ -38,7 +38,8 @@ pub enum UpdateResult {
     /// The delete was applied (`true`) or the id was dead/unknown
     /// (`false`).
     Deleted(bool),
-    /// The insert was refused (non-finite rectangle) — nothing changed.
+    /// The insert was refused (non-finite or inverted rectangle) —
+    /// nothing changed.
     Rejected,
 }
 
@@ -47,9 +48,9 @@ pub enum UpdateResult {
 pub struct UpdateOutcome {
     /// Per-update results, in batch order.
     pub results: Vec<UpdateResult>,
-    /// Distinct tiles whose trees were touched (COW-cloned) by the
-    /// batch. Tiles outside every updated object's covering set stay
-    /// shared with the previous forest.
+    /// Distinct tiles whose trees were touched by the batch (mutated in
+    /// place, or copied first when an older forest still shared them).
+    /// Tiles outside every updated object's covering set are untouched.
     pub tiles_touched: usize,
     /// Tile trees created for previously empty tiles.
     pub trees_created: usize,

@@ -22,15 +22,14 @@
 //!    every `Insert`/`Delete`/`UpdateBatch` targeting dataset X is
 //!    coalesced into one ordered engine apply under X's write lock
 //!    with a *single* version bump of X (group commit for index
-//!    maintenance), and the delta-derived forest is installed into the
-//!    `(DatasetId, DataVersion)` cache without any rebuild. An admin
-//!    op (`CreateDataset` / `DropDataset` / `SwapData`) is a
-//!    **barrier**: pending write groups flush before it runs, so the
-//!    final state is exactly what strict queue-order execution would
-//!    produce (an insert enqueued before a swap is swapped away; one
-//!    enqueued after it survives). Locks are taken one dataset at a
-//!    time and released before the next — a write burst into A never
-//!    holds B.
+//!    maintenance); the store's forest is maintained in place, with no
+//!    rebuild. An admin op (`CreateDataset` / `DropDataset` /
+//!    `SwapData`) is a **barrier**: pending write groups flush before
+//!    it runs, so the final state is exactly what strict queue-order
+//!    execution would produce (an insert enqueued before a swap is
+//!    swapped away; one enqueued after it survives). Locks are taken
+//!    one dataset at a time and released before the next — a write
+//!    burst into A never holds B.
 //! 2. **Reads, grouped per dataset** under that dataset's read lock
 //!    (kind-grouped: clipped ranges, baseline ranges, kNN probes,
 //!    joins ride one executor call each), observing the batch's own
@@ -130,11 +129,11 @@ type WriteGroups<const D: usize> = BTreeMap<DatasetId, (Vec<Update<D>>, Vec<Writ
 type WriteSlot = (usize, usize, usize, WriteKind);
 
 /// Apply (and answer) every pending write group: per dataset, one
-/// write lock, one ordered engine apply, one version bump, one
-/// delta-derived forest installed into the cache (no rebuild). Locks
-/// are taken one dataset at a time and released before the next — a
-/// write burst into A never holds B. Called between admin-op barriers
-/// and once at the end of the mutation pass.
+/// write lock, one ordered engine apply (the forest is maintained in
+/// place, no rebuild), one version bump. Locks are taken one dataset
+/// at a time and released before the next — a write burst into A
+/// never holds B. Called between admin-op barriers and once at the end
+/// of the mutation pass.
 fn flush_writes<const D: usize, P>(
     shared: &SharedState<D, P>,
     groups: &mut WriteGroups<D>,
@@ -169,14 +168,10 @@ fn flush_writes<const D: usize, P>(
             let outcome = store.apply_updates(&ops, shared.tree, shared.clip);
             // A batch whose writes all turned out to be no-ops (dead-id
             // deletes, rejected inserts) changed nothing: the store
-            // bumped no version, so install nothing and account nothing
-            // — retry storms must not churn versions or evict cached
-            // forests.
+            // bumped no version, so log nothing and account nothing —
+            // retry storms must not churn versions.
             let applied = outcome.applied();
             if applied > 0 {
-                shared
-                    .cache
-                    .insert((dataset, store.version()), store.forest().clone());
                 // Durable group commit: the whole coalesced micro-batch
                 // is one WAL record, appended and fsynced *while the
                 // write lock still pins the version it produced* (WAL
@@ -482,10 +477,10 @@ pub(crate) fn run_batch<const D: usize, P>(
             }
         }
         for (slot, probes, algo, use_clips) in group.joins {
-            // Joins run per request against the store's forest — the
-            // version-keyed trees built once per data version — so
-            // repeat joins on an unchanged version rebuild nothing and
-            // touch no lock beyond the read lock already held.
+            // Joins run per request against the store's forest — built
+            // once per create or swap and maintained in place by writes —
+            // so repeat joins rebuild nothing and touch no lock beyond
+            // the read lock already held.
             let plan = JoinPlan {
                 partitioner: store.partitioner().clone(),
                 tree: shared.tree,
@@ -499,7 +494,6 @@ pub(crate) fn run_batch<const D: usize, P>(
             let t = Instant::now();
             let result = partitioned_join_with(&plan, &probes, store.objects(), store.forest());
             let d = t.elapsed();
-            shared.stats.forest_hits.inc();
             shared.stats.join_pairs.add(result.pairs);
             shared.stats.record_join_algos(&result);
             trace.spans[slot].record_duration(Phase::Execute, d);
@@ -612,12 +606,11 @@ where
         auto: shared.config.auto_policy,
     };
 
-    // Self-join: one read lock, the cached forest joined against
+    // Self-join: one read lock, the store's forest joined against
     // itself — no live-rect extraction, no probe re-partitioning.
     if left == right {
         let store = rentry.store().read().expect("dataset store poisoned");
         let plan = plan_for(store.partitioner().clone());
-        shared.stats.forest_hits.inc();
         return Response::Join(partitioned_join_forests(
             &plan,
             store.forest(),
@@ -643,15 +636,13 @@ where
 
     let plan = plan_for(rstore.partitioner().clone());
     let result = if lstore.partitioner() == rstore.partitioner() {
-        // Shared tiling: the probe side's cached forest IS the per-tile
-        // left side a fresh partitioned join would build — borrow both,
+        // Shared tiling: the probe side's forest IS the per-tile left
+        // side a fresh partitioned join would build — borrow both,
         // whatever the strategy.
-        shared.stats.forest_hits.add(2);
         partitioned_join_forests(&plan, lstore.forest(), rstore.objects(), rstore.forest())
     } else {
         // Different tilings: re-partition the probe side's live objects
         // onto the indexed side's tiles.
-        shared.stats.forest_hits.inc();
         shared.stats.probe_repartitions.inc();
         let probes = lstore.live_rects();
         partitioned_join_with(&plan, &probes, rstore.objects(), rstore.forest())

@@ -2,8 +2,8 @@
 //!
 //! `QueryService::start` / `start_catalog` grew positionally over five
 //! PRs; [`ServiceBuilder`] replaces both with named knobs — including
-//! the two that previously had no surface at all (shard count and
-//! [`cbb_engine::ForestCache`] capacity) — and always returns a
+//! the shard count, which previously had no surface at all — and
+//! always returns a
 //! [`ShardedService`]. One shard (the default) *is* the unsharded
 //! deployment: the router degrades to a pass-through over a single
 //! [`crate::QueryService`], so there is no separate single-store type
@@ -23,7 +23,6 @@
 //!     .shards(4)
 //!     .shard_fitting(ShardFitting::Fitted)
 //!     .batch_max(32)
-//!     .forest_cache_capacity(8)
 //!     .build(
 //!         partitioner,
 //!         objects,
@@ -163,13 +162,6 @@ impl ServiceBuilder {
     /// reproduces the previously hard-coded constants byte-for-byte).
     pub fn auto_policy(mut self, policy: AutoPolicy) -> Self {
         self.config.auto_policy = policy;
-        self
-    }
-
-    /// [`cbb_engine::ForestCache`] LRU capacity per shard (see
-    /// [`ServiceConfig::forest_cache_capacity`]).
-    pub fn forest_cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.forest_cache_capacity = capacity;
         self
     }
 

@@ -62,8 +62,8 @@ use std::time::Instant;
 use cbb_core::ClipConfig;
 use cbb_engine::{
     decode_update_batch, encode_update_batch, read_snapshot, replay_update_batch, restore_store,
-    write_snapshot, ByteReader, Catalog, DatasetId, DatasetStore, ForestCache, Partitioner,
-    PersistError, PersistPartitioner, Update,
+    write_snapshot, ByteReader, Catalog, DatasetId, DatasetStore, Partitioner, PersistError,
+    PersistPartitioner, Update,
 };
 use cbb_rtree::TreeConfig;
 use cbb_storage::{recover_wal, FilePageStore, PageStore, WalWriter};
@@ -221,7 +221,7 @@ pub(crate) struct Durability {
 }
 
 /// What [`Durability::recover`] found on disk, for the caller to prime
-/// caches and counters with.
+/// counters with.
 pub(crate) struct Recovery {
     /// `(id, name)` of every recovered dataset, ascending by id.
     pub(crate) datasets: Vec<(DatasetId, String)>,
@@ -233,16 +233,14 @@ pub(crate) struct Recovery {
 }
 
 impl Durability {
-    /// Recover everything under `config.root` into `catalog`/`cache`
-    /// and open the WAL writers for what comes next. Torn WAL tails
-    /// are truncated; orphan dataset files (from a crash between
-    /// snapshot write and `Create` record, or between `Drop` record
-    /// and file removal) are deleted.
-    #[allow(clippy::too_many_arguments)]
+    /// Recover everything under `config.root` into `catalog` and open
+    /// the WAL writers for what comes next. Torn WAL tails are
+    /// truncated; orphan dataset files (from a crash between snapshot
+    /// write and `Create` record, or between `Drop` record and file
+    /// removal) are deleted.
     pub(crate) fn recover<const D: usize, P>(
         config: &DurabilityConfig,
         catalog: &Catalog<D, P>,
-        cache: &ForestCache<D>,
         tree: TreeConfig<D>,
         clip: ClipConfig,
         workers: usize,
@@ -278,7 +276,6 @@ impl Durability {
                     recovery.records_replayed += 1;
                 }
             }
-            cache.insert((id, store.version()), store.forest().clone());
             catalog
                 .restore_dataset(id, name, store)
                 .map_err(|err| PersistError::Corrupt(format!("catalog restore failed: {err}")))?;

@@ -15,16 +15,15 @@
 //! side; Tsitsigkos & Mamoulis (*Parallel In-Memory Evaluation of
 //! Spatial Joins*) define the join across two independently indexed
 //! inputs — [`Request::CrossJoin`] is that join over two *served*
-//! datasets, both sides' tile forests reused from the
-//! `(DatasetId, DataVersion)`-keyed cache.
+//! datasets, both sides' tile forests borrowed from their stores.
 //!
 //! ```text
 //!  clients                     service                        catalog
 //!  ───────┐
 //!  submit ├─▶ bounded MPMC ─▶ dispatcher: micro-batch ─▶ "roads" store (v3)
 //!  submit │      queue         coalesced PER DATASET   ─▶ "pois"  store (v17)
-//!  submit ├─◀ completion ◀─── fulfil handles ◀────────── ForestCache keyed
-//!  ───────┘    handles                                   (DatasetId, version)
+//!  submit ├─◀ completion ◀─── fulfil handles ◀────────── each store owns its
+//!  ───────┘    handles                                   tile forest
 //! ```
 //!
 //! Properties the tests pin down:
@@ -33,19 +32,18 @@
 //!   the executor directly with the same request; batching changes
 //!   *when* work runs, never *what* it computes.
 //! * **Isolation** — writes to dataset A bump only A's version and
-//!   invalidate only A's cache keys; concurrent reads of dataset B
-//!   never block on them and observe no change.
+//!   touch only A's forest; concurrent reads of dataset B never block
+//!   on them and observe no change.
 //! * **Graceful shutdown** — [`QueryService::shutdown`] closes
 //!   admission, then answers everything already accepted (admin ops
 //!   included) before the dispatchers exit; no request is dropped, no
 //!   waiter hangs.
-//! * **Version-keyed reuse** — per-tile trees are built once per
-//!   `(dataset, version)` and served from the
-//!   [`cbb_engine::ForestCache`] across requests; repeated (cross-)
-//!   joins on unchanged data rebuild nothing.
+//! * **Forest reuse** — per-tile trees are built once per dataset
+//!   create or swap and served from the dataset's store across
+//!   requests; repeated (cross-) joins rebuild nothing.
 //! * **Mutability without rebuilds** — writes are coalesced per
 //!   dataset per micro-batch into one atomic delta-apply (a single
-//!   version bump, copy-on-write tile sharing, threshold-driven arena
+//!   version bump, tiles maintained in place, threshold-driven arena
 //!   compaction with stable live ids); answers afterwards equal a
 //!   wholesale swap with the same surviving objects, and a request
 //!   admitted after a write completes observes that write.

@@ -51,8 +51,7 @@ pub enum Request<const D: usize, P> {
     },
     /// Join `probes ⋈ dataset`: every intersecting (probe, object)
     /// pair, counted via the partitioned join with the dataset side's
-    /// per-tile trees served from the `(DatasetId, DataVersion)`-keyed
-    /// cache.
+    /// per-tile trees borrowed from its store's forest.
     Join {
         /// The indexed (right) dataset.
         dataset: DatasetId,
@@ -64,9 +63,9 @@ pub enum Request<const D: usize, P> {
         use_clips: bool,
     },
     /// Join two **served datasets**: every intersecting pair between
-    /// the live objects of `left` and `right`. The right side's cached
-    /// forest is always reused; when both datasets share a tiling and
-    /// the strategy is STT, the left side's cached forest is borrowed
+    /// the live objects of `left` and `right`. The right side's forest
+    /// is always reused; when both datasets share a tiling and
+    /// the strategy is STT, the left side's forest is borrowed
     /// too ([`cbb_engine::partitioned_join_forests`]) — otherwise the
     /// left side's live objects are re-partitioned onto the right
     /// side's tiling. `left == right` is the self-join.
@@ -111,8 +110,8 @@ pub enum Request<const D: usize, P> {
         updates: Vec<Update<D>>,
     },
     /// Register a new named dataset: partition `objects` under
-    /// `partitioner`, bulk-load its tile forest (one cache-counted
-    /// build), and answer the assigned [`DatasetId`]. Fails with
+    /// `partitioner`, bulk-load its tile forest (one counted build),
+    /// and answer the assigned [`DatasetId`]. Fails with
     /// [`RequestError::NameTaken`] when the name exists.
     CreateDataset {
         /// Catalog-unique dataset name.
@@ -122,14 +121,14 @@ pub enum Request<const D: usize, P> {
         /// Initial objects.
         objects: Vec<Rect<D>>,
     },
-    /// Remove a dataset and evict its cached forests. Answers whether
+    /// Remove a dataset and its forest. Answers whether
     /// the dataset existed; its id is never reused.
     DropDataset {
         /// The dataset to drop.
         dataset: DatasetId,
     },
-    /// Replace `dataset`'s objects wholesale: fresh id space, a forest
-    /// rebuild through the cache, one version bump. With a
+    /// Replace `dataset`'s objects wholesale: fresh id space, a counted
+    /// forest rebuild, one version bump. With a
     /// `partitioner`, the tiling is re-fitted at the same time (the
     /// churn-drift answer).
     SwapData {

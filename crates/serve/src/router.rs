@@ -80,8 +80,8 @@ use crate::stats::{names, ServiceReport};
 pub enum ShardFitting {
     /// Near-equal contiguous tile ranges ([`ShardMap::balanced`]).
     /// Datasets sharing a partitioner get identical ranges, so the
-    /// equal-tiling cross-join fast path (borrowing both cached
-    /// forests) keeps working shard-locally.
+    /// equal-tiling cross-join fast path (borrowing both forests)
+    /// keeps working shard-locally.
     #[default]
     Balanced,
     /// Ranges weighted by the dataset's per-tile assignment counts
@@ -822,7 +822,6 @@ fn merge_reports(reports: Vec<ServiceReport>) -> ServiceReport {
         mean_batch: 0.0,
         max_batch: 0,
         forest_builds: 0,
-        forest_hits: 0,
         cross_joins: 0,
         probe_repartitions: 0,
         write_batches: 0,
@@ -846,7 +845,6 @@ fn merge_reports(reports: Vec<ServiceReport>) -> ServiceReport {
         merged.batches += report.batches;
         merged.max_batch = merged.max_batch.max(report.max_batch);
         merged.forest_builds += report.forest_builds;
-        merged.forest_hits += report.forest_hits;
         merged.cross_joins += report.cross_joins;
         merged.probe_repartitions += report.probe_repartitions;
         merged.write_batches += report.write_batches;

@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 
 use cbb_core::ClipConfig;
 use cbb_engine::{
-    AutoPolicy, Catalog, CompactionPolicy, DataVersion, DatasetId, DatasetStore, ForestCache,
-    Partitioner, QueryAlgo, TileForest,
+    AutoPolicy, Catalog, CompactionPolicy, DataVersion, DatasetId, DatasetStore, Partitioner,
+    QueryAlgo, TileForest,
 };
 use cbb_geom::Rect;
 use cbb_rtree::TreeConfig;
@@ -56,12 +56,6 @@ pub struct ServiceConfig {
     /// no-op: answers are identical, [`QueryService::scrape`] is empty,
     /// and [`ServiceReport`] counters read zero.
     pub telemetry: TelemetryConfig,
-    /// [`ForestCache`] LRU capacity: how many `(dataset, version)`
-    /// forests stay resident (must be ≥ 1). Raise it when many
-    /// datasets are served concurrently or in-flight batches span more
-    /// versions than the default
-    /// [`cbb_engine::DEFAULT_FOREST_CACHE_CAPACITY`] keeps.
-    pub forest_cache_capacity: usize,
     /// Snapshot + write-ahead-log persistence (default `None`: the
     /// service is in-memory only). With a root configured, every
     /// applied write micro-batch is fsynced before its waiters wake,
@@ -91,7 +85,6 @@ impl Default for ServiceConfig {
             exec_workers: 4,
             compaction: CompactionPolicy::default(),
             telemetry: TelemetryConfig::default(),
-            forest_cache_capacity: cbb_engine::DEFAULT_FOREST_CACHE_CAPACITY,
             durability: None,
             query_algo: QueryAlgo::Auto,
             auto_policy: AutoPolicy::default(),
@@ -129,9 +122,6 @@ pub(crate) struct SharedState<const D: usize, P> {
     /// The catalog: per-dataset stores behind per-dataset locks, so
     /// writes to one dataset never serialize reads of another.
     pub(crate) catalog: Catalog<D, P>,
-    /// Tile forests keyed by `(DatasetId, DataVersion)`, shared across
-    /// all datasets.
-    pub(crate) cache: ForestCache<D>,
     pub(crate) stats: ServiceStats,
     pub(crate) tree: TreeConfig<D>,
     pub(crate) clip: ClipConfig,
@@ -144,9 +134,9 @@ impl<const D: usize, P> SharedState<D, P>
 where
     P: Partitioner<D> + PersistPartitioner,
 {
-    /// Build a dataset store (forest through the cache, so the build is
-    /// counted) and register it — the synchronous creation path shared
-    /// by `start` and the queued `CreateDataset` admin op.
+    /// Build a dataset store (the forest build is counted) and register
+    /// it — the synchronous creation path shared by `start` and the
+    /// queued `CreateDataset` admin op.
     pub(crate) fn create_dataset_now(
         &self,
         name: &str,
@@ -167,15 +157,11 @@ where
             self.clip,
             self.config.exec_workers,
         );
-        let store = DatasetStore::with_forest(partitioner, objects, Arc::new(forest.clone()))
+        let store = DatasetStore::with_forest(partitioner, objects, Arc::new(forest))
             .with_compaction(self.config.compaction);
-        let version = store.version();
         match self.catalog.create(name, store) {
             Ok(id) => {
-                // File the prebuilt forest under its key; the closure
-                // hands the already-built trees over, so the cache
-                // counts exactly one build per dataset creation.
-                let _ = self.cache.get_or_build((id, version), move || forest);
+                self.stats.forest_builds.inc();
                 if let Some(durability) = &self.durability {
                     let entry = self.catalog.get(id).expect("dataset was just created");
                     let store = entry.store().read().expect("dataset store poisoned");
@@ -194,11 +180,10 @@ where
         }
     }
 
-    /// Drop a dataset and evict its cached forests.
+    /// Drop a dataset (its forest goes with its store).
     pub(crate) fn drop_dataset_now(&self, id: DatasetId) -> bool {
         let existed = self.catalog.drop_dataset(id).is_some();
         if existed {
-            self.cache.evict_dataset(id);
             if let Some(durability) = &self.durability {
                 durability.record_drop(id);
             }
@@ -207,14 +192,13 @@ where
     }
 
     /// Replace one dataset's objects (and optionally its partitioner),
-    /// rebuilding the forest through the cache under the bumped
+    /// rebuilding the forest (a counted build) under the bumped
     /// version.
     ///
     /// The (expensive) forest build runs with **no lock held** — a swap
-    /// of a big dataset must not stall other datasets' writes on the
-    /// shared cache mutex, nor block this dataset's readers longer than
-    /// the install itself. The store's write lock is taken only to bump
-    /// and install; if a concurrent re-fit changed the tiling in that
+    /// of a big dataset must not block this dataset's readers longer
+    /// than the install itself. The store's write lock is taken only to
+    /// bump and install; if a concurrent re-fit changed the tiling in that
     /// window (an admin/admin race on one dataset), the forest is
     /// rebuilt under the lock against the tiling that won.
     pub(crate) fn swap_now(
@@ -258,10 +242,10 @@ where
             )
         };
         let next = store.version().next();
-        let forest = self.cache.get_or_build((id, next), move || built);
+        self.stats.forest_builds.inc();
         match partitioner {
-            Some(p) => store.swap_with(p, objects, forest),
-            None => store.swap(objects, forest),
+            Some(p) => store.swap_with(p, objects, Arc::new(built)),
+            None => store.swap(objects, Arc::new(built)),
         }
         debug_assert_eq!(store.version(), next);
         // Persist the swapped-in state while the write lock still
@@ -306,14 +290,11 @@ where
     }
 
     /// Refresh every **view-synced** metric from its source of truth:
-    /// the forest cache's build/hit counters and the per-dataset state
-    /// gauges. Called on scrape/report — these series update at read
-    /// time, not continuously. Gauges of a dropped dataset keep their
-    /// last value (series are never unregistered; the `dataset` label
-    /// identifies stale rows).
+    /// the per-dataset state gauges. Called on scrape/report — these
+    /// series update at read time, not continuously. Gauges of a dropped
+    /// dataset keep their last value (series are never unregistered;
+    /// the `dataset` label identifies stale rows).
     pub(crate) fn sync_views(&self) -> Vec<DatasetReport> {
-        self.stats.forest_builds.store(self.cache.builds());
-        self.stats.forest_cache_hits.store(self.cache.hits());
         let reports = self.dataset_reports();
         let registry = self.stats.registry();
         if registry.is_enabled() {
@@ -383,9 +364,8 @@ pub struct Scrape {
 ///  submit()/try_submit()          dispatchers               catalog
 ///  ───────────────────▶ bounded ─▶ micro-batch ─▶ ds A ─ RwLock<DatasetStore>
 ///        handles ◀──────  MPMC  ◀─  (size or   ─▶ ds B ─ RwLock<DatasetStore>
-///   (wait per request)   queue      backlog)         forests in one
-///                                                 (DatasetId, DataVersion)
-///                                                    keyed ForestCache
+///   (wait per request)   queue      backlog)      (each store owns
+///                                                  its tile forest)
 /// ```
 ///
 /// Every data request names its target dataset; the batcher groups a
@@ -396,7 +376,7 @@ pub struct Scrape {
 /// rebuild), datasets are created/dropped/swapped through queued admin
 /// requests with the same graceful-drain guarantee as everything else,
 /// and [`Request::CrossJoin`] joins two served datasets against each
-/// other re-using both sides' cached tile forests.
+/// other re-using both sides' tile forests.
 /// [`QueryService::shutdown`] closes admission, drains the queue —
 /// every accepted request is answered — and joins the dispatcher
 /// threads.
@@ -445,17 +425,17 @@ where
         assert!(config.dispatchers >= 1, "need at least one dispatcher");
         assert!(config.batch_max >= 1, "a batch holds at least one request");
         let catalog = Catalog::new();
-        let cache = ForestCache::with_capacity(config.forest_cache_capacity);
         let stats = ServiceStats::new(&config.telemetry);
         let durability = config.durability.as_ref().map(|cfg| {
             let (durability, recovery) =
-                Durability::recover(cfg, &catalog, &cache, tree, clip, config.exec_workers)
-                    .unwrap_or_else(|err| {
+                Durability::recover(cfg, &catalog, tree, clip, config.exec_workers).unwrap_or_else(
+                    |err| {
                         panic!(
                             "durability recovery failed under {}: {err}",
                             cfg.root.display()
                         )
-                    });
+                    },
+                );
             stats.record_recovery(
                 recovery.datasets.len() as u64,
                 recovery.records_replayed,
@@ -468,7 +448,6 @@ where
             config,
             queue,
             catalog,
-            cache,
             stats,
             tree,
             clip,
@@ -622,7 +601,7 @@ where
     }
 
     /// Drop a dataset through the queue; `true` if it existed. Its id
-    /// is never reused, and its cached forests are evicted.
+    /// is never reused.
     pub fn drop_dataset(&self, id: DatasetId) -> bool {
         self.submit(Request::DropDataset { dataset: id })
             .expect("service is open")
@@ -633,7 +612,7 @@ where
     }
 
     /// Replace one dataset's objects wholesale (fresh id space, forest
-    /// rebuild through the cache, one version bump), waiting for the
+    /// rebuild, one version bump), waiting for the
     /// installed version.
     pub fn swap_dataset(
         &self,

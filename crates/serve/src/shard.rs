@@ -2,7 +2,7 @@
 //! deployment.
 //!
 //! A [`Shard`] is a full query service — its own catalog, admission
-//! queue, dispatcher pool, forest cache, and telemetry registry — that
+//! queue, dispatcher pool, and telemetry registry — that
 //! happens to index only the tiles a
 //! [`cbb_engine::ShardMap`] assigned to it (its stores are built under
 //! a [`cbb_engine::ShardTiling`] view of each dataset's partitioner).
@@ -66,7 +66,7 @@ pub trait Shard<const D: usize, Q>: Send + Sync {
 
 /// The in-process [`Shard`]: a [`QueryService`] owned by the router in
 /// the same process. N in-process shards = N catalogs, N dispatcher
-/// pools, N forest caches — the deployment the oracle tests pin
+/// pools, N registries — the deployment the oracle tests pin
 /// byte-equal to a single-store service.
 pub struct InProcessShard<const D: usize, Q> {
     service: QueryService<D, Q>,

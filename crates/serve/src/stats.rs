@@ -45,12 +45,8 @@ pub(crate) mod names {
     pub const LATENCY_NS: &str = "cbb_request_latency_ns";
     /// Per-phase service time, by phase.
     pub const PHASE_NS: &str = "cbb_request_phase_ns";
-    /// Forest builds performed by the version-keyed cache.
+    /// Tile-forest builds (one per dataset create or swap).
     pub const FOREST_BUILDS: &str = "cbb_forest_builds_total";
-    /// Forest cache hits (requests served without a build).
-    pub const FOREST_CACHE_HITS: &str = "cbb_forest_cache_hits_total";
-    /// Join sides served straight from a cached forest.
-    pub const FOREST_HITS: &str = "cbb_forest_hits_total";
     /// Cross-dataset join requests served.
     pub const CROSS_JOINS: &str = "cbb_cross_joins_total";
     /// Tiles executed per join kernel (`algo` label: stt/inlj/sweep).
@@ -125,12 +121,8 @@ pub struct ServiceStats {
     pub(crate) batch_size: Histogram,
     pub(crate) latency: Vec<Histogram>,
     pub(crate) phase: Vec<Histogram>,
-    /// View-synced from [`cbb_engine::ForestCache::builds`] at
-    /// snapshot/scrape time (the cache owns the truth).
+    /// Bumped once per dataset create and once per swap.
     pub(crate) forest_builds: Counter,
-    /// View-synced from [`cbb_engine::ForestCache::hits`].
-    pub(crate) forest_cache_hits: Counter,
-    pub(crate) forest_hits: Counter,
     pub(crate) cross_joins: Counter,
     /// Tiles executed per kernel, indexed stt/inlj/sweep — how often
     /// [`cbb_engine::JoinAlgo::Auto`] (or an explicit plan) lands on
@@ -229,17 +221,7 @@ impl ServiceStats {
                 .collect(),
             forest_builds: registry.counter(
                 names::FOREST_BUILDS,
-                "Tile-forest builds performed by the version-keyed cache.",
-                &[],
-            ),
-            forest_cache_hits: registry.counter(
-                names::FOREST_CACHE_HITS,
-                "Forest-cache lookups served without a build.",
-                &[],
-            ),
-            forest_hits: registry.counter(
-                names::FOREST_HITS,
-                "Join sides served straight from a cached forest.",
+                "Tile-forest builds (one per dataset create or swap).",
                 &[],
             ),
             cross_joins: registry.counter(
@@ -468,7 +450,6 @@ impl ServiceStats {
             },
             max_batch: self.max_batch.get() as u64,
             forest_builds: self.forest_builds.get(),
-            forest_hits: self.forest_hits.get(),
             cross_joins: self.cross_joins.get(),
             probe_repartitions: self.probe_repartitions.get(),
             write_batches: self.write_batches.get(),
@@ -555,13 +536,10 @@ pub struct ServiceReport {
     pub mean_batch: f64,
     /// Largest batch executed.
     pub max_batch: u64,
-    /// Tile-forest builds performed by the `(dataset, version)`-keyed
-    /// cache. Only wholesale (re)builds count — versions produced by
-    /// delta-applied write batches install without one.
+    /// Tile-forest builds: one per dataset create and one per swap.
+    /// Only wholesale (re)builds count — write batches maintain the
+    /// forest in place without one.
     pub forest_builds: u64,
-    /// Join sides served from a cached forest without any rebuild
-    /// (cross-dataset joins count each borrowed side).
-    pub forest_hits: u64,
     /// Cross-dataset join requests served.
     pub cross_joins: u64,
     /// Cross-join probe sides re-partitioned instead of served from a

@@ -195,7 +195,6 @@ fn cross_join_equals_direct_partitioned_join_for_all_partitioners() {
         "no rebuild over the whole run"
     );
     assert!(report.cross_joins > 0);
-    assert!(report.forest_hits >= report.cross_joins);
     assert!(
         report.probe_repartitions > 0,
         "the mismatched-tiling legs above re-partition"

@@ -576,7 +576,6 @@ fn builder_defaults_equal_config_defaults() {
     assert_eq!(built.exec_workers, default.exec_workers);
     assert_eq!(built.compaction, default.compaction);
     assert_eq!(built.telemetry, default.telemetry);
-    assert_eq!(built.forest_cache_capacity, default.forest_cache_capacity);
     assert_eq!(built.durability, default.durability);
     assert_eq!(built.durability, None, "durability is opt-in");
 

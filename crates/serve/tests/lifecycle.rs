@@ -108,7 +108,7 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
         .into_join()
     };
 
-    // One forest build at service start; joins only hit the cache.
+    // One forest build at service start; joins reuse the store's forest.
     let first = join(JoinAlgo::Stt);
     let second = join(JoinAlgo::Stt);
     let third = join(JoinAlgo::Inlj);
@@ -119,7 +119,6 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
         report.forest_builds, 1,
         "trees must NOT be rebuilt per join"
     );
-    assert_eq!(report.forest_hits, 3, "every join hit the cached forest");
 
     // Same data under a bumped version: exactly one rebuild, same pairs.
     svc.swap_data(boxes.clone());
@@ -131,7 +130,6 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
         report.forest_builds, 2,
         "version bump invalidates the cache"
     );
-    assert_eq!(report.forest_hits, 4);
 
     // Different data actually changes answers (the version is not
     // cosmetic): drop half the boxes.

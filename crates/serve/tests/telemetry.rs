@@ -196,7 +196,7 @@ fn registry_access_counters_oracle(algo: QueryAlgo) {
         );
     }
 
-    // Cache counters are views over the ForestCache itself: the one
+    // The build counter ticks once per dataset create or swap: the one
     // initial build, zero read-path rebuilds.
     assert_eq!(
         scrape.snapshot.counter("cbb_forest_builds_total", &[]),
@@ -431,8 +431,6 @@ fn golden_scrape_format() {
         ("cbb_request_latency_ns", "histogram"),
         ("cbb_request_phase_ns", "histogram"),
         ("cbb_forest_builds_total", "counter"),
-        ("cbb_forest_cache_hits_total", "counter"),
-        ("cbb_forest_hits_total", "counter"),
         ("cbb_cross_joins_total", "counter"),
         ("cbb_join_algo_total", "counter"),
         ("cbb_query_algo_total", "counter"),

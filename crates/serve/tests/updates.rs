@@ -309,9 +309,9 @@ fn write_batches_bump_once_and_degenerates_answer() {
     assert!(empty.results.is_empty());
     assert_eq!(svc.data_version(), DataVersion(1));
 
-    // All-no-op write batches (a rejected insert, a dead delete) are
-    // answered but change nothing: no bump, no cache churn, no
-    // applied-update accounting — a retry storm cannot roll versions.
+    // All-no-op write batches (rejected inserts, a dead delete) are
+    // answered but change nothing: no bump, no applied-update
+    // accounting — a retry storm cannot roll versions.
     let none = svc
         .submit(Request::Insert {
             dataset: svc.default_dataset(),
@@ -323,6 +323,22 @@ fn write_batches_bump_once_and_degenerates_answer() {
         .response
         .into_inserted();
     assert_eq!(none, None);
+    // An inverted rectangle (lo > hi on x) is refused like a
+    // non-finite one: nothing is indexed.
+    let inverted = svc
+        .submit(Request::Insert {
+            dataset: svc.default_dataset(),
+            rect: Rect {
+                lo: Point([5.0, 5.0]),
+                hi: Point([4.0, 6.0]),
+            },
+        })
+        .unwrap()
+        .wait()
+        .unwrap()
+        .response
+        .into_inserted();
+    assert_eq!(inverted, None);
     let dead = svc
         .submit(Request::Delete {
             dataset: svc.default_dataset(),

@@ -1,7 +1,7 @@
 //! A catalog of named spatial layers served side by side: two
 //! co-located datasets with *different* partitioner kinds, per-dataset
-//! versioning, cross-dataset joins reusing both sides' cached tile
-//! forests, and per-dataset report rows (including the tile
+//! versioning, cross-dataset joins reusing both sides' tile forests,
+//! and per-dataset report rows (including the tile
 //! load-imbalance drift metric).
 //!
 //! ```text
@@ -83,7 +83,7 @@ fn main() {
     }
 
     // The cross-dataset join: every (road, poi) intersection, tiled by
-    // the indexed side's partitioner, BOTH cached forests reused —
+    // the indexed side's partitioner, BOTH stores' forests reused —
     // repeat joins rebuild nothing.
     let cross = |left, right, algo| {
         service
@@ -110,7 +110,7 @@ fn main() {
     );
 
     // Writes to one layer bump only that layer's version; the other
-    // keeps serving its cached trees untouched.
+    // keeps serving its trees untouched.
     let inserted = service
         .submit(Request::Insert {
             dataset: pois_id,
@@ -144,8 +144,8 @@ fn main() {
         "one build per layer, none per join"
     );
 
-    // Drop a layer: its id never comes back, its cache entries are
-    // evicted, in-flight work drains gracefully.
+    // Drop a layer: its id never comes back, its forest goes with its
+    // store, in-flight work drains gracefully.
     assert!(service.drop_dataset(roads_id));
     assert_eq!(service.dataset_id("roads"), None);
     let report = service.shutdown();

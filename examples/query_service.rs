@@ -1,8 +1,8 @@
 //! A long-running query service in front of the partitioned engine:
 //! clients submit range / kNN / join requests onto a bounded queue,
-//! dispatchers coalesce them into micro-batches, and the version-keyed
-//! tile-tree cache makes repeated joins free of rebuild cost until the
-//! data actually changes.
+//! dispatchers coalesce them into micro-batches, and the dataset's
+//! tile trees, built once, make repeated joins free of rebuild cost
+//! until the data is swapped.
 //!
 //! ```text
 //! cargo run --release --example query_service
@@ -70,7 +70,7 @@ fn main() {
             .expect("service is open")
     };
     let join1 = join(JoinAlgo::Stt);
-    let join2 = join(JoinAlgo::Stt); // identical request: cache hit
+    let join2 = join(JoinAlgo::Stt); // identical request: same trees
 
     let found = range.wait().unwrap();
     println!(
@@ -103,13 +103,8 @@ fn main() {
     let report = service.shutdown();
     println!(
         "report : {} requests, {} batches (mean {:.2}, max {}), \
-         {} tile-forest builds / {} cache hits",
-        report.completed,
-        report.batches,
-        report.mean_batch,
-        report.max_batch,
-        report.forest_builds,
-        report.forest_hits,
+         {} tile-forest builds",
+        report.completed, report.batches, report.mean_batch, report.max_batch, report.forest_builds,
     );
     assert_eq!(report.completed, report.submitted);
     assert_eq!(

@@ -69,9 +69,9 @@ pub mod prelude {
     pub use cbb_engine::{
         parallel_range_queries, partitioned_join, partitioned_join_forests, partitioned_join_with,
         AdaptiveGrid, AnyPartitioner, BatchExecutor, BatchOutcome, Catalog, CatalogError,
-        CompactionPolicy, DataVersion, DatasetId, DatasetStore, ForestCache, ForestKey, JoinAlgo,
-        JoinPlan, KnnOutcome, Partitioner, QuadtreePartitioner, SplitPolicy, TileForest,
-        UniformGrid, Update, UpdateOutcome, UpdateResult,
+        CompactionPolicy, DataVersion, DatasetId, DatasetStore, JoinAlgo, JoinPlan, KnnOutcome,
+        Partitioner, QuadtreePartitioner, SplitPolicy, TileForest, UniformGrid, Update,
+        UpdateOutcome, UpdateResult,
     };
     pub use cbb_geom::{CornerMask, Point, Rect};
     pub use cbb_joins::JoinResult;

@@ -32,7 +32,7 @@ use cbb_engine::{
     partitioned_join, AdaptiveGrid, AnyPartitioner, AutoPolicy, JoinAlgo, JoinPlan, SplitPolicy,
 };
 use cbb_rtree::{TreeConfig, Variant};
-use cbb_serve::{QueryService, Request, ServiceConfig};
+use cbb_serve::{Request, ServiceBuilder, ServiceConfig, ShardedService};
 
 fn main() {
     let (mut n, mut reps) = if smoke_mode() {
@@ -103,14 +103,12 @@ fn main() {
     assert!(expected_pairs > 0, "co-located layers must join pairs");
 
     // ── The served modes share one service holding both layers.
-    let service: QueryService<2, AnyPartitioner<2>> = QueryService::start_catalog(
-        ServiceConfig {
+    let service: ShardedService<2, AnyPartitioner<2>> =
+        ServiceBuilder::from_config(ServiceConfig {
             exec_workers: workers,
             ..ServiceConfig::default()
-        },
-        tree,
-        clip,
-    );
+        })
+        .build_catalog(tree, clip);
     let roads_id = service
         .create_dataset("roads", tiling.clone(), roads.boxes.clone())
         .expect("fresh name");

@@ -28,7 +28,9 @@ use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::UniformGrid;
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{DurabilityConfig, QueryService, Request, Response, ServiceConfig, Update};
+use cbb_serve::{
+    DurabilityConfig, Request, Response, ServiceBuilder, ServiceConfig, ShardedService, Update,
+};
 
 /// Ack counts at which the child is killed. Deliberately uneven: early
 /// (snapshot barely cold), mid-stream, and deep enough that replay has
@@ -69,12 +71,12 @@ fn start(
     root: &Path,
     objects: Vec<Rect<2>>,
     partitioner: UniformGrid<2>,
-) -> QueryService<2, UniformGrid<2>> {
-    QueryService::start(
-        ServiceConfig {
-            durability: Some(DurabilityConfig::new(root)),
-            ..ServiceConfig::default()
-        },
+) -> ShardedService<2, UniformGrid<2>> {
+    ServiceBuilder::from_config(ServiceConfig {
+        durability: Some(DurabilityConfig::new(root)),
+        ..ServiceConfig::default()
+    })
+    .build(
         partitioner,
         objects,
         TreeConfig::tiny(Variant::RStar),
@@ -85,9 +87,8 @@ fn start(
 fn start_reference(
     objects: Vec<Rect<2>>,
     partitioner: UniformGrid<2>,
-) -> QueryService<2, UniformGrid<2>> {
-    QueryService::start(
-        ServiceConfig::default(),
+) -> ShardedService<2, UniformGrid<2>> {
+    ServiceBuilder::new().build(
         partitioner,
         objects,
         TreeConfig::tiny(Variant::RStar),
@@ -129,7 +130,7 @@ fn read_progress(progress: &Path) -> usize {
 
 /// Range answers as sorted sets + kNN verbatim.
 fn answers(
-    service: &QueryService<2, UniformGrid<2>>,
+    service: &ShardedService<2, UniformGrid<2>>,
     dataset: cbb_serve::DatasetId,
 ) -> Vec<Response> {
     let mut rng = SplitMix64::new(777);

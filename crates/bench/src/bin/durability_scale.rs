@@ -24,7 +24,9 @@ use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::UniformGrid;
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{TreeConfig, Variant};
-use cbb_serve::{DurabilityConfig, QueryService, Request, Response, ServiceConfig, Update};
+use cbb_serve::{
+    DurabilityConfig, Request, Response, ServiceBuilder, ServiceConfig, ShardedService, Update,
+};
 
 fn scripted_batches(batches: usize, seed: u64, base: usize) -> Vec<Vec<Update<2>>> {
     let mut rng = SplitMix64::new(seed);
@@ -51,7 +53,7 @@ fn scripted_batches(batches: usize, seed: u64, base: usize) -> Vec<Vec<Update<2>
 }
 
 fn apply_stream(
-    service: &QueryService<2, UniformGrid<2>>,
+    service: &ShardedService<2, UniformGrid<2>>,
     dataset: cbb_serve::DatasetId,
     batches: &[Vec<Update<2>>],
 ) -> f64 {
@@ -71,7 +73,7 @@ fn apply_stream(
 
 /// Range answers in sorted-set form plus kNN answers verbatim.
 fn answers(
-    service: &QueryService<2, UniformGrid<2>>,
+    service: &ShardedService<2, UniformGrid<2>>,
     dataset: cbb_serve::DatasetId,
 ) -> Vec<Response> {
     let mut rng = SplitMix64::new(404);
@@ -170,27 +172,16 @@ fn main() {
         let _ = std::fs::remove_dir_all(&root);
 
         // In-memory reference: the never-restarted service.
-        let reference = QueryService::start(
-            ServiceConfig::default(),
-            partitioner,
-            data.boxes.clone(),
-            tree,
-            clip,
-        );
+        let reference = ServiceBuilder::new().build(partitioner, data.boxes.clone(), tree, clip);
         let ref_ds = reference.default_dataset();
         let mem_wall = apply_stream(&reference, ref_ds, &stream);
 
         // Durable run: same stream with a WAL fsync per batch.
-        let durable = QueryService::start(
-            ServiceConfig {
-                durability: Some(DurabilityConfig::new(&root)),
-                ..ServiceConfig::default()
-            },
-            partitioner,
-            data.boxes.clone(),
-            tree,
-            clip,
-        );
+        let durable = ServiceBuilder::from_config(ServiceConfig {
+            durability: Some(DurabilityConfig::new(&root)),
+            ..ServiceConfig::default()
+        })
+        .build(partitioner, data.boxes.clone(), tree, clip);
         let dur_ds = durable.default_dataset();
         let wal_wall = apply_stream(&durable, dur_ds, &stream);
         let write_report = durable.shutdown();
@@ -198,16 +189,11 @@ fn main() {
 
         // Recover and compare against the reference.
         let started = Instant::now();
-        let recovered = QueryService::start(
-            ServiceConfig {
-                durability: Some(DurabilityConfig::new(&root)),
-                ..ServiceConfig::default()
-            },
-            partitioner,
-            Vec::new(),
-            tree,
-            clip,
-        );
+        let recovered = ServiceBuilder::from_config(ServiceConfig {
+            durability: Some(DurabilityConfig::new(&root)),
+            ..ServiceConfig::default()
+        })
+        .build(partitioner, Vec::new(), tree, clip);
         let recover_wall = started.elapsed().as_secs_f64() * 1e3;
         let rec_ds = recovered.default_dataset();
         let identical = answers(&recovered, rec_ds) == answers(&reference, ref_ds)

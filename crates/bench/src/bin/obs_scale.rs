@@ -28,7 +28,9 @@ use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{AdaptiveGrid, DatasetStore};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{AccessStats, TreeConfig, Variant};
-use cbb_serve::{QueryService, Request, Response, ServiceConfig, TelemetryConfig, DEFAULT_DATASET};
+use cbb_serve::{
+    Request, Response, ServiceBuilder, ServiceConfig, TelemetryConfig, DEFAULT_DATASET,
+};
 
 const EXEC_WORKERS: usize = 4;
 
@@ -103,20 +105,15 @@ fn main() {
         .map(|(name, _)| *name)
         .collect();
     let run = |telemetry: TelemetryConfig| -> RunOutcome {
-        let service = QueryService::start(
-            ServiceConfig {
-                batch_max: 32,
-                batch_deadline: Duration::from_millis(1),
-                exec_workers: EXEC_WORKERS,
-                queue_capacity: requests.max(1),
-                telemetry,
-                ..ServiceConfig::default()
-            },
-            partitioner.clone(),
-            data.boxes.clone(),
-            tree,
-            clip,
-        );
+        let service = ServiceBuilder::from_config(ServiceConfig {
+            batch_max: 32,
+            batch_deadline: Duration::from_millis(1),
+            exec_workers: EXEC_WORKERS,
+            queue_capacity: requests.max(1),
+            telemetry,
+            ..ServiceConfig::default()
+        })
+        .build(partitioner.clone(), data.boxes.clone(), tree, clip);
         let dataset = service.default_dataset();
         let started = Instant::now();
         let handles: Vec<_> = workload
@@ -142,7 +139,8 @@ fn main() {
             .map(|h| h.wait().expect("request served").response)
             .collect();
         let wall_s = started.elapsed().as_secs_f64();
-        let scrape = service.scrape();
+        // The pipeline metrics live in the (only) shard's registry.
+        let scrape = service.shard_scrapes().remove(0);
         let slow_entries = service.slow_queries().len();
         let labels = [("dataset", DEFAULT_DATASET)];
         let access = access_fields

@@ -21,9 +21,9 @@ use cbb_bench::{header, row, smoke_mode};
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_datasets::stream::{query_stream, StreamKind, StreamProfile};
-use cbb_engine::{AdaptiveGrid, BatchExecutor, JoinAlgo};
+use cbb_engine::{AdaptiveGrid, DatasetStore, JoinAlgo};
 use cbb_rtree::{TreeConfig, Variant};
-use cbb_serve::{Completion, QueryService, Request, Response, ServiceConfig};
+use cbb_serve::{Completion, Request, Response, ServiceBuilder, ServiceConfig};
 use cbb_telemetry::Histogram;
 
 struct ConfigRow {
@@ -84,11 +84,10 @@ fn main() {
          (burstiness 4, 20% kNN), adaptive 6×6 grid, R*-tree + CSTA",
     );
 
-    // The pre-catalog single-store oracle: a direct `BatchExecutor`
-    // over the same data. The catalog-routed service must answer a
-    // sample of the stream identically, so the bench numbers stay
-    // comparable across the refactor.
-    let direct = BatchExecutor::build(partitioner.clone(), &data.boxes, tree, clip, 4);
+    // The engine oracle: a direct `DatasetStore` over the same data.
+    // The service must answer a sample of the stream identically, so
+    // the bench numbers measure scheduling, never different answers.
+    let direct = DatasetStore::build(partitioner.clone(), &data.boxes, tree, clip, 4);
     let verify = stream.len().min(64);
 
     let configs = [
@@ -130,8 +129,7 @@ fn main() {
             queue_capacity: requests.max(1),
             ..config
         };
-        let service = QueryService::start(
-            config.clone(),
+        let service = ServiceBuilder::from_config(config.clone()).build(
             partitioner.clone(),
             data.boxes.clone(),
             tree,
@@ -168,25 +166,21 @@ fn main() {
             .collect();
         let wall = started.elapsed().as_secs_f64();
 
-        // Catalog path ≡ pre-catalog single store: the sampled answers
-        // must be identical to the direct executor's.
+        // Service path ≡ the store called directly: the sampled answers
+        // must be identical.
         for (q, completion) in stream.iter().zip(&completions).take(verify) {
             match (&q.kind, &completion.response) {
                 (StreamKind::Range(rect), Response::Range(ids)) => {
                     let want = direct.run(&[*rect], 1, true).results.remove(0);
-                    assert_eq!(ids, &want, "catalog range diverged from single store");
+                    assert_eq!(ids, &want, "served range diverged from the direct store");
                 }
                 (StreamKind::Knn(center, k), Response::Knn(nn)) => {
                     let want = direct.run_knn(&[(*center, *k)], 1).results.remove(0);
-                    assert_eq!(nn, &want, "catalog kNN diverged from single store");
+                    assert_eq!(nn, &want, "served kNN diverged from the direct store");
                 }
                 (kind, response) => unreachable!("{kind:?} answered with {response:?}"),
             }
         }
-        assert_eq!(
-            service.data_version(),
-            service.dataset_version(dataset).unwrap()
-        );
 
         // Latency percentiles through the shared telemetry histogram
         // (log₂ buckets, capped at the true max) — the same estimator

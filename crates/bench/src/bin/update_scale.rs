@@ -25,10 +25,10 @@ use cbb_bench::{header, row, smoke_mode};
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_datasets::stream::{query_stream, StreamKind, StreamProfile};
-use cbb_engine::{AdaptiveGrid, BatchExecutor, CompactionPolicy, TileForest, Update};
+use cbb_engine::{AdaptiveGrid, CompactionPolicy, DatasetStore, TileForest, Update};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{QueryService, Request, ServiceConfig};
+use cbb_serve::{Request, ServiceBuilder, ServiceConfig};
 
 fn verification_queries(n: usize, seed: u64) -> Vec<Rect<2>> {
     let mut rng = SplitMix64::new(seed);
@@ -103,21 +103,21 @@ fn main() {
     // numbers stay directly comparable (slot reuse would not change
     // them, but determinism beats trusting that).
     let started = Instant::now();
-    let mut exec = BatchExecutor::build(partitioner.clone(), &data.boxes, tree, clip, workers);
-    exec.store_mut().set_compaction(CompactionPolicy::never());
-    let initial_build_nodes = exec.forest().nodes_allocated();
+    let mut store = DatasetStore::build(partitioner.clone(), &data.boxes, tree, clip, workers);
+    store.set_compaction(CompactionPolicy::never());
+    let initial_build_nodes = store.forest().nodes_allocated();
     let mut delta_nodes = 0u64;
     let mut delta_tiles = 0usize;
     for ops in script.chunks(ops_per_batch) {
-        let outcome = exec.apply_updates(ops, tree, clip);
+        let outcome = store.apply_updates(ops, tree, clip);
         delta_nodes += outcome.nodes_allocated;
         delta_tiles += outcome.tiles_touched;
     }
     let delta_wall = started.elapsed().as_secs_f64() * 1e3;
-    let delta_answers = exec.run(&queries, workers, true);
+    let delta_answers = store.run(&queries, workers, true);
 
     // ── Rebuild-per-batch: the same script absorbed by building a
-    // fresh forest after every batch (the `swap_data` discipline).
+    // fresh forest after every batch (the `swap_dataset` discipline).
     let started = Instant::now();
     let mut arena = data.boxes.clone();
     let mut live = vec![true; arena.len()];
@@ -139,7 +139,7 @@ fn main() {
         last_forest = Some(forest);
     }
     let rebuild_wall = started.elapsed().as_secs_f64() * 1e3;
-    let rebuilt = BatchExecutor::with_forest_where(
+    let rebuilt = DatasetStore::with_forest_where(
         partitioner.clone(),
         arena.clone(),
         live.clone(),
@@ -149,8 +149,8 @@ fn main() {
 
     // Counter-exactness: the maintained store answers exactly like the
     // rebuilt one (ids are shared — both use the same arena slots).
-    assert_eq!(exec.objects(), &arena[..], "arenas diverged");
-    assert_eq!(exec.live(), &live[..], "liveness diverged");
+    assert_eq!(store.objects(), &arena[..], "arenas diverged");
+    assert_eq!(store.live(), &live[..], "liveness diverged");
     for (i, (d, r)) in delta_answers
         .results
         .iter()
@@ -168,17 +168,12 @@ fn main() {
     // requests through the service queue (one version bump per batch,
     // zero rebuilds).
     let started = Instant::now();
-    let service = QueryService::start(
-        ServiceConfig {
-            exec_workers: workers,
-            compaction: CompactionPolicy::never(),
-            ..ServiceConfig::default()
-        },
-        partitioner.clone(),
-        data.boxes.clone(),
-        tree,
-        clip,
-    );
+    let service = ServiceBuilder::from_config(ServiceConfig {
+        exec_workers: workers,
+        compaction: CompactionPolicy::never(),
+        ..ServiceConfig::default()
+    })
+    .build(partitioner.clone(), data.boxes.clone(), tree, clip);
     let dataset = service.default_dataset();
     for ops in script.chunks(ops_per_batch) {
         let summary = service
@@ -194,15 +189,13 @@ fn main() {
         assert_eq!(summary.results.len(), ops.len());
     }
     let serve_wall = started.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(service.live_object_count(), exec.live_count());
-    assert_eq!(service.data_version().0, batches as u64);
     assert_eq!(
-        service.data_version(),
-        service.dataset_version(dataset).unwrap(),
-        "the single-store shim reads the default catalog dataset"
+        service.dataset_live_count(dataset),
+        Some(store.live_count())
     );
-    // Catalog path ≡ pre-catalog single store: the served answers must
-    // be identical to the directly maintained executor's.
+    assert_eq!(service.dataset_version(dataset).unwrap().0, batches as u64);
+    // Service path ≡ the store maintained directly: the served answers
+    // must be identical.
     for (i, q) in queries.iter().enumerate() {
         let served = service
             .submit(Request::Range {
@@ -218,7 +211,7 @@ fn main() {
         assert_eq!(
             sorted(served),
             sorted(delta_answers.results[i].clone()),
-            "catalog answer diverged from the single-store executor on query {i}"
+            "served answer diverged from the directly maintained store on query {i}"
         );
     }
     let report = service.shutdown();
@@ -284,7 +277,7 @@ fn main() {
             "{{\"mode\": \"{mode}\", \"batches\": {batches}, \"ops_per_batch\": {ops_per_batch}, \
              \"nodes_allocated\": {nodes}, \"initial_build_nodes\": {initial}, \
              \"wall_ms\": {wall:.2}, \"final_live\": {}}}",
-            exec.live_count(),
+            store.live_count(),
         ));
     }
     println!(

@@ -1,6 +1,6 @@
 //! Batched range/kNN-query execution: one shared clipped tree
-//! ([`parallel_range_queries`]) or a reusable partitioned executor
-//! ([`BatchExecutor`]) over a [`TileForest`].
+//! ([`parallel_range_queries`]) or a partitioned [`TileForest`] served
+//! by a [`crate::DatasetStore`].
 //!
 //! A query workload is split into contiguous shards, each shard runs on
 //! its own worker against read-only indexes (the index types are `Sync`),
@@ -10,24 +10,22 @@
 //!
 //! The [`TileForest`] — one clipped R-tree per non-empty tile of a
 //! [`Partitioner`] — is the unit a dataset store keeps across requests:
-//! an executor borrows a forest (`Arc`-shared), and the same forest
+//! the store owns a forest (`Arc`-shared), and the same forest
 //! doubles as the prebuilt indexed side of repeated joins
 //! ([`crate::join::partitioned_join_with`]).
 
 use std::sync::{Arc, OnceLock};
 
 use cbb_core::ClipConfig;
-use cbb_geom::{Point, Rect};
+use cbb_geom::Rect;
 use cbb_joins::TileColumns;
 use cbb_rtree::{AccessStats, ClippedRTree, DataId, Neighbor, RTree, TreeConfig};
 
-use crate::catalog::DatasetStore;
 use crate::partition::Partitioner;
 use crate::pool::map_chunked;
-use crate::update::{Update, UpdateOutcome};
 
 /// One clipped R-tree per non-empty tile of a partitioner — the shared
-/// index substrate of [`BatchExecutor`] and forest-reusing joins.
+/// index substrate of [`crate::DatasetStore`] and forest-reusing joins.
 ///
 /// Trees are always built *with* clip tables, so every consumer can
 /// choose clipped or unclipped probing per call (an unused clip table
@@ -217,7 +215,7 @@ impl<const D: usize> TileForest<D> {
     /// accounting.
     ///
     /// The caller owns the id space: `id` must be unique among live
-    /// objects (the [`BatchExecutor`] assigns arena slots).
+    /// objects (the [`crate::DatasetStore`] assigns arena slots).
     pub fn insert_object<P: Partitioner<D>>(
         &mut self,
         partitioner: &P,
@@ -401,190 +399,6 @@ pub struct KnnOutcome {
     pub per_query: Vec<AccessStats>,
 }
 
-/// A reusable partitioned batch executor: the dataset is multi-assigned
-/// to the tiles of any [`Partitioner`], one clipped R-tree is built per
-/// non-empty tile **once** (the [`TileForest`]), and query batches are
-/// then served against the per-tile trees for the lifetime of the
-/// executor (per-tile tree reuse — no rebuilding per batch). The forest
-/// is `Arc`-shared, so a serving layer can hand the *same* trees to the
-/// join path and to later executors for unchanged data.
-///
-/// Since the catalog refactor the executor is a thin façade over one
-/// [`DatasetStore`] — the arena / liveness / partitioner / forest state
-/// now lives there, where a [`crate::Catalog`] can own many of them
-/// side by side. The executor remains the convenient single-dataset
-/// handle (and the pre-catalog API surface the benches compare
-/// against); [`Self::store`] exposes the store for versioning,
-/// compaction policy, and catalog interop.
-///
-/// A range query is probed against every tile it covers; an object found
-/// in several tiles is reported once, by the tile owning the query/object
-/// reference point (the same duplicate-elimination rule the join uses).
-/// Results come back in workload order; each query's result list is
-/// sorted ascending by id (the canonical order of [`BatchOutcome`]),
-/// independent of the worker count, the partitioner's tile visit order,
-/// and the [`QueryAlgo`] execution path.
-pub struct BatchExecutor<const D: usize, P> {
-    store: DatasetStore<D, P>,
-}
-
-impl<const D: usize, P: Partitioner<D>> BatchExecutor<D, P> {
-    /// Partition `objects` and bulk-load the per-tile trees in
-    /// `workers` parallel chunks. Trees are always built with clip tables
-    /// so every batch can choose clipped or unclipped probing.
-    pub fn build(
-        partitioner: P,
-        objects: &[Rect<D>],
-        tree: TreeConfig<D>,
-        clip: ClipConfig,
-        workers: usize,
-    ) -> Self {
-        BatchExecutor {
-            store: DatasetStore::build(partitioner, objects, tree, clip, workers),
-        }
-    }
-
-    /// Wrap an existing (cached) forest instead of building one. The
-    /// forest must have been built from `objects` under `partitioner` —
-    /// the tile count is checked, the content correspondence is the
-    /// caller's contract. Every slot is taken as live; a forest built
-    /// over a tombstoned arena ([`TileForest::build_where`] with a
-    /// mask) must come through [`Self::with_forest_where`] instead, or
-    /// the executor's liveness bookkeeping disagrees with its trees.
-    pub fn with_forest(partitioner: P, objects: Vec<Rect<D>>, forest: Arc<TileForest<D>>) -> Self {
-        BatchExecutor {
-            store: DatasetStore::with_forest(partitioner, objects, forest),
-        }
-    }
-
-    /// [`Self::with_forest`] for a tombstoned arena: `live[i]` flags
-    /// slot `i`, and the forest must index exactly the live slots (a
-    /// [`TileForest::build_where`] over the same mask does).
-    pub fn with_forest_where(
-        partitioner: P,
-        objects: Vec<Rect<D>>,
-        live: Vec<bool>,
-        forest: Arc<TileForest<D>>,
-    ) -> Self {
-        BatchExecutor {
-            store: DatasetStore::with_forest_where(partitioner, objects, live, forest),
-        }
-    }
-
-    /// Wrap an existing store (the catalog interop path).
-    pub fn from_store(store: DatasetStore<D, P>) -> Self {
-        BatchExecutor { store }
-    }
-
-    /// The underlying dataset store.
-    pub fn store(&self) -> &DatasetStore<D, P> {
-        &self.store
-    }
-
-    /// Mutable access to the underlying store (version, compaction
-    /// policy, swaps).
-    pub fn store_mut(&mut self) -> &mut DatasetStore<D, P> {
-        &mut self.store
-    }
-
-    /// Unwrap into the dataset store (for handing to a catalog).
-    pub fn into_store(self) -> DatasetStore<D, P> {
-        self.store
-    }
-
-    /// The partitioner the executor was built over.
-    pub fn partitioner(&self) -> &P {
-        self.store.partitioner()
-    }
-
-    /// The objects the executor serves (global [`DataId`] id space,
-    /// including tombstoned slots of deleted objects).
-    pub fn objects(&self) -> &[Rect<D>] {
-        self.store.objects()
-    }
-
-    /// Liveness of every arena slot (parallel to [`Self::objects`]).
-    pub fn live(&self) -> &[bool] {
-        self.store.live()
-    }
-
-    /// Number of live (queryable) objects.
-    pub fn live_count(&self) -> usize {
-        self.store.live_count()
-    }
-
-    /// Apply an update batch *in order*, in place unless the forest is
-    /// shared — see
-    /// [`DatasetStore::apply_updates`], which this delegates to
-    /// (including the version bump per applied batch and the
-    /// threshold-driven compaction sweep).
-    pub fn apply_updates(
-        &mut self,
-        updates: &[Update<D>],
-        tree: TreeConfig<D>,
-        clip: ClipConfig,
-    ) -> UpdateOutcome {
-        self.store.apply_updates(updates, tree, clip)
-    }
-
-    /// The shared per-tile trees (clone the `Arc` to reuse them in a
-    /// join or a successor executor).
-    pub fn forest(&self) -> &Arc<TileForest<D>> {
-        self.store.forest()
-    }
-
-    /// Number of non-empty tiles (built trees).
-    pub fn tile_tree_count(&self) -> usize {
-        self.store.tile_tree_count()
-    }
-
-    /// Execute `queries` in `workers` parallel chunks. With `use_clips = false`
-    /// the probes run on the base trees (the unclipped baseline on the
-    /// same indexes). Shorthand for [`Self::run_with`] on the classic
-    /// per-query path ([`QueryAlgo::Descend`]).
-    pub fn run(&self, queries: &[Rect<D>], workers: usize, use_clips: bool) -> BatchOutcome {
-        self.store.run(queries, workers, use_clips)
-    }
-
-    /// Execute `queries` under an explicit [`QueryAlgo`],
-    /// [`crate::AutoPolicy`] and [`crate::SplitPolicy`] — see
-    /// [`DatasetStore::run_with`] for the fused shared-sweep execution
-    /// model and its byte-equality guarantee.
-    pub fn run_with(
-        &self,
-        queries: &[Rect<D>],
-        workers: usize,
-        use_clips: bool,
-        algo: QueryAlgo,
-        policy: &crate::AutoPolicy,
-        split: crate::SplitPolicy,
-    ) -> BatchOutcome {
-        self.store
-            .run_with(queries, workers, use_clips, algo, policy, split)
-    }
-
-    /// Execute the kNN probes `(center, k)` in `workers` parallel chunks.
-    /// Results come back in workload order and are independent of the
-    /// worker count. Per-tile searches run the clip-aware kNN
-    /// ([`ClippedRTree::knn_stats`]): clip points tighten node MINDISTs
-    /// for probes near clipped corners, with answers identical to the
-    /// base-tree search.
-    pub fn run_knn(&self, probes: &[(Point<D>, usize)], workers: usize) -> KnnOutcome {
-        self.store.run_knn(probes, workers)
-    }
-
-    /// [`Self::run_knn`] with an explicit choice of tile-ordering bound
-    /// — see [`DatasetStore::run_knn_with`].
-    pub fn run_knn_with(
-        &self,
-        probes: &[(Point<D>, usize)],
-        workers: usize,
-        clipped_prefilter: bool,
-    ) -> KnnOutcome {
-        self.store.run_knn_with(probes, workers, clipped_prefilter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,6 +491,7 @@ mod tests {
     mod executor {
         use super::*;
         use crate::adaptive::AdaptiveGrid;
+        use crate::catalog::DatasetStore;
         use crate::partition::UniformGrid;
         use crate::quadtree::QuadtreePartitioner;
         use cbb_rtree::{TreeConfig, Variant};
@@ -732,16 +547,15 @@ mod tests {
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
             let tree = TreeConfig::tiny(Variant::RStar);
-            let uniform =
-                BatchExecutor::build(UniformGrid::new(domain, 4), &objects, tree, clip, 2);
-            let adaptive = BatchExecutor::build(
+            let uniform = DatasetStore::build(UniformGrid::new(domain, 4), &objects, tree, clip, 2);
+            let adaptive = DatasetStore::build(
                 AdaptiveGrid::from_sample(domain, [4, 4], &objects),
                 &objects,
                 tree,
                 clip,
                 2,
             );
-            let quadtree = BatchExecutor::build(
+            let quadtree = DatasetStore::build(
                 QuadtreePartitioner::build(domain, &objects, 300),
                 &objects,
                 tree,
@@ -764,27 +578,27 @@ mod tests {
         fn executor_is_deterministic_across_workers_and_reusable() {
             let (objects, queries) = objects_and_queries();
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
-            let exec = BatchExecutor::build(
+            let store = DatasetStore::build(
                 AdaptiveGrid::from_sample(domain, [3, 5], &objects),
                 &objects,
                 TreeConfig::tiny(Variant::RRStar),
                 ClipConfig::paper_default::<2>(ClipMethod::Stairline),
                 2,
             );
-            assert!(exec.tile_tree_count() > 1);
-            assert_eq!(exec.partitioner().dims(), [3, 5]);
-            let base = exec.run(&queries, 1, true);
+            assert!(store.tile_tree_count() > 1);
+            assert_eq!(store.partitioner().dims(), [3, 5]);
+            let base = store.run(&queries, 1, true);
             for workers in [2, 5, 64] {
-                let out = exec.run(&queries, workers, true);
+                let out = store.run(&queries, workers, true);
                 assert_eq!(out.results, base.results, "workers = {workers}");
                 assert_eq!(out.stats, base.stats, "workers = {workers}");
             }
             // Second batch on the same executor: trees are reused, fresh
             // counters.
-            let again = exec.run(&queries, 3, true);
+            let again = store.run(&queries, 3, true);
             assert_eq!(again.results, base.results);
             // Unclipped probing answers identically with no prunes.
-            let unclipped = exec.run(&queries, 3, false);
+            let unclipped = store.run(&queries, 3, false);
             assert_eq!(unclipped.results.len(), base.results.len());
             for (b, u) in base.results.iter().zip(&unclipped.results) {
                 assert_eq!(sorted(b.clone()), sorted(u.clone()));
@@ -816,9 +630,8 @@ mod tests {
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
             let tree = TreeConfig::tiny(Variant::RStar);
-            let uniform =
-                BatchExecutor::build(UniformGrid::new(domain, 4), &objects, tree, clip, 2);
-            let quad = BatchExecutor::build(
+            let uniform = DatasetStore::build(UniformGrid::new(domain, 4), &objects, tree, clip, 2);
+            let quad = DatasetStore::build(
                 QuadtreePartitioner::build(domain, &objects, 300),
                 &objects,
                 tree,
@@ -862,7 +675,7 @@ mod tests {
             let (objects, queries) = objects_and_queries();
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
             let grid = UniformGrid::new(domain, 4);
-            let built = BatchExecutor::build(
+            let built = DatasetStore::build(
                 grid,
                 &objects,
                 TreeConfig::tiny(Variant::RStar),
@@ -874,7 +687,7 @@ mod tests {
             // A second executor over the same Arc answers identically
             // without building anything.
             let shared =
-                BatchExecutor::with_forest(grid, built.objects().to_vec(), built.forest().clone());
+                DatasetStore::with_forest(grid, built.objects().to_vec(), built.forest().clone());
             assert_eq!(
                 shared.run(&queries, 2, true).results,
                 built.run(&queries, 2, true).results
@@ -890,9 +703,9 @@ mod tests {
             let grid = UniformGrid::new(domain, 4);
             let tree = TreeConfig::tiny(Variant::RStar);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-            let mut exec = BatchExecutor::build(grid, &objects, tree, clip, 2);
-            let before_forest = exec.forest().clone();
-            let before_answers = exec.run(&queries, 2, true);
+            let mut store = DatasetStore::build(grid, &objects, tree, clip, 2);
+            let before_forest = store.forest().clone();
+            let before_answers = store.run(&queries, 2, true);
 
             // A mixed batch: deletes across the id range (including a
             // spanning-object-rich low range), fresh inserts (one
@@ -925,7 +738,7 @@ mod tests {
                 lo: Point([500.0, 500.0]),
                 hi: Point([400.0, 600.0]),
             }));
-            let outcome = exec.apply_updates(&updates, tree, clip);
+            let outcome = store.apply_updates(&updates, tree, clip);
             assert_eq!(outcome.results.len(), updates.len());
             assert!(outcome.nodes_allocated > 0);
             assert!(outcome.tiles_touched > 0);
@@ -942,26 +755,26 @@ mod tests {
                 [UpdateResult::Rejected, UpdateResult::Rejected]
             );
             // A rejected insert takes no arena slot.
-            assert_eq!(exec.objects().len(), objects.len() + 152);
+            assert_eq!(store.objects().len(), objects.len() + 152);
 
             // Oracle: a wholesale rebuild over the surviving arena
             // answers identically (kNN byte-equal, ranges as sets —
             // traversal order differs between built and grown trees).
             let rebuilt_forest = Arc::new(TileForest::build_where(
-                exec.partitioner(),
-                exec.objects(),
-                Some(exec.live()),
+                store.partitioner(),
+                store.objects(),
+                Some(store.live()),
                 tree,
                 clip,
                 2,
             ));
-            let rebuilt = BatchExecutor::with_forest_where(
-                *exec.partitioner(),
-                exec.objects().to_vec(),
-                exec.live().to_vec(),
+            let rebuilt = DatasetStore::with_forest_where(
+                *store.partitioner(),
+                store.objects().to_vec(),
+                store.live().to_vec(),
                 rebuilt_forest,
             );
-            let delta_out = exec.run(&queries, 2, true);
+            let delta_out = store.run(&queries, 2, true);
             let rebuilt_out = rebuilt.run(&queries, 2, true);
             for (i, (d, r)) in delta_out
                 .results
@@ -974,15 +787,15 @@ mod tests {
             let probes: Vec<(Point<2>, usize)> =
                 queries.iter().take(60).map(|q| (q.center(), 7)).collect();
             assert_eq!(
-                exec.run_knn(&probes, 2).results,
+                store.run_knn(&probes, 2).results,
                 rebuilt.run_knn(&probes, 2).results,
                 "kNN answers are canonical and must match exactly"
             );
 
             // Copy-on-write: the pre-update forest still answers the
             // original dataset — shared tiles were never disturbed.
-            let old = BatchExecutor::with_forest(
-                *exec.partitioner(),
+            let old = DatasetStore::with_forest(
+                *store.partitioner(),
                 objects.clone(),
                 before_forest.clone(),
             );
@@ -997,15 +810,15 @@ mod tests {
             let grid = UniformGrid::new(domain, 4);
             let tree = TreeConfig::tiny(Variant::RStar);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-            let mut exec = BatchExecutor::build(grid, &objects, tree, clip, 2);
-            let before = exec.forest().clone();
+            let mut store = DatasetStore::build(grid, &objects, tree, clip, 2);
+            let before = store.forest().clone();
             // One tiny insert confined to a single tile.
             let outcome =
-                exec.apply_updates(&[Update::Insert(r2(10.0, 10.0, 12.0, 12.0))], tree, clip);
+                store.apply_updates(&[Update::Insert(r2(10.0, 10.0, 12.0, 12.0))], tree, clip);
             assert_eq!(outcome.tiles_touched, 1);
             let shared = (0..before.tile_count())
                 .filter(
-                    |&t| match (before.trees[t].as_ref(), exec.forest().trees[t].as_ref()) {
+                    |&t| match (before.trees[t].as_ref(), store.forest().trees[t].as_ref()) {
                         (Some(a), Some(b)) => Arc::ptr_eq(a, b),
                         _ => false,
                     },
@@ -1021,10 +834,10 @@ mod tests {
             // batch mutates in place — every tile tree, touched or not,
             // keeps its address.
             drop(before);
-            let addrs: Vec<Option<*const ClippedRTree<2>>> = (0..exec.forest().tile_count())
-                .map(|t| exec.forest().tree(t).map(|tree| tree as *const _))
+            let addrs: Vec<Option<*const ClippedRTree<2>>> = (0..store.forest().tile_count())
+                .map(|t| store.forest().tree(t).map(|tree| tree as *const _))
                 .collect();
-            let outcome = exec.apply_updates(
+            let outcome = store.apply_updates(
                 &[
                     Update::Insert(r2(10.0, 10.0, 12.0, 12.0)),
                     Update::Insert(r2(600.0, 600.0, 700.0, 700.0)),
@@ -1036,7 +849,7 @@ mod tests {
             assert!(outcome.tiles_touched >= 2);
             assert_eq!((outcome.trees_created, outcome.trees_dropped), (0, 0));
             for (t, addr) in addrs.iter().enumerate() {
-                let now = exec.forest().tree(t).map(|tree| tree as *const _);
+                let now = store.forest().tree(t).map(|tree| tree as *const _);
                 match (addr, now) {
                     (Some(a), Some(b)) => assert!(std::ptr::eq(*a, b), "tile {t} was copied"),
                     (a, b) => assert_eq!(a.is_some(), b.is_some(), "tile {t}"),
@@ -1051,30 +864,30 @@ mod tests {
             let grid = UniformGrid::new(domain, 2);
             let tree = TreeConfig::tiny(Variant::Quadratic);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-            let mut exec = BatchExecutor::build(grid, &[], tree, clip, 1);
-            assert_eq!(exec.tile_tree_count(), 0);
+            let mut store = DatasetStore::build(grid, &[], tree, clip, 1);
+            assert_eq!(store.tile_tree_count(), 0);
             let updates: Vec<Update<2>> = (0..40)
                 .map(|i| {
                     let t = (i % 10) as f64 * 9.0;
                     Update::Insert(r2(t, t, t + 8.0, t + 8.0))
                 })
                 .collect();
-            let outcome = exec.apply_updates(&updates, tree, clip);
+            let outcome = store.apply_updates(&updates, tree, clip);
             assert_eq!(outcome.inserted_ids().len(), 40);
             assert!(outcome.trees_created >= 1);
-            assert_eq!(exec.live_count(), 40);
+            assert_eq!(store.live_count(), 40);
             let q = r2(0.0, 0.0, 100.0, 100.0);
-            assert_eq!(exec.run(&[q], 1, true).results[0].len(), 40);
+            assert_eq!(store.run(&[q], 1, true).results[0].len(), 40);
             // Delete everything again: trees drop, answers empty.
             let deletes: Vec<Update<2>> = (0..40).map(|i| Update::Delete(DataId(i))).collect();
-            let outcome = exec.apply_updates(&deletes, tree, clip);
+            let outcome = store.apply_updates(&deletes, tree, clip);
             assert_eq!(outcome.deletes_applied(), 40);
             assert!(outcome.trees_dropped >= 1);
-            assert_eq!(exec.live_count(), 0);
-            assert_eq!(exec.tile_tree_count(), 0);
-            assert!(exec.run(&[q], 1, true).results[0].is_empty());
+            assert_eq!(store.live_count(), 0);
+            assert_eq!(store.tile_tree_count(), 0);
+            assert!(store.run(&[q], 1, true).results[0].is_empty());
             // Double delete reports false.
-            let again = exec.apply_updates(&[Update::<2>::Delete(DataId(3))], tree, clip);
+            let again = store.apply_updates(&[Update::<2>::Delete(DataId(3))], tree, clip);
             assert_eq!(
                 again.results,
                 vec![crate::update::UpdateResult::Deleted(false)]
@@ -1089,8 +902,8 @@ mod tests {
             let grid = UniformGrid::new(domain, 4);
             let tree = TreeConfig::tiny(Variant::RStar);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-            let mut exec = BatchExecutor::build(grid, &objects, tree, clip, 2);
-            let before = exec.forest().clone();
+            let mut store = DatasetStore::build(grid, &objects, tree, clip, 2);
+            let before = store.forest().clone();
             let t = (0..before.tile_count())
                 .find(|&t| before.tree(t).is_some())
                 .unwrap();
@@ -1117,8 +930,8 @@ mod tests {
                 .first()
                 .map(|(r, _)| *r)
                 .unwrap();
-            exec.apply_updates(&[Update::Insert(touched)], tree, clip);
-            let after = exec.forest();
+            store.apply_updates(&[Update::Insert(touched)], tree, clip);
+            let after = store.forest();
             assert!(
                 !Arc::ptr_eq(&after.columns(t).unwrap(), &c1),
                 "touched tile must re-extract"
@@ -1145,14 +958,14 @@ mod tests {
         fn with_forest_rejects_mismatched_tiling() {
             let (objects, _) = objects_and_queries();
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
-            let built = BatchExecutor::build(
+            let built = DatasetStore::build(
                 UniformGrid::new(domain, 4),
                 &objects,
                 TreeConfig::tiny(Variant::RStar),
                 ClipConfig::paper_default::<2>(ClipMethod::Stairline),
                 2,
             );
-            let _ = BatchExecutor::with_forest(
+            let _ = DatasetStore::with_forest(
                 UniformGrid::new(domain, 5),
                 objects,
                 built.forest().clone(),

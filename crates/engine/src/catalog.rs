@@ -10,8 +10,7 @@
 //! Joins*). This module promotes the engine's single implicit dataset
 //! to that model:
 //!
-//! * [`DatasetStore`] — the mutable versioned store extracted from the
-//!   former `BatchExecutor` internals: object arena, liveness mask,
+//! * [`DatasetStore`] — the mutable versioned store: object arena, liveness mask,
 //!   free-slot list, partitioner, [`TileForest`], and a per-dataset
 //!   [`DataVersion`]. It owns the read path (range/kNN batches), the
 //!   write path ([`DatasetStore::apply_updates`], with threshold-driven
@@ -100,8 +99,7 @@ impl Default for CompactionPolicy {
 ///
 /// The store is the unit a [`Catalog`] maps a [`DatasetId`] to. It is
 /// deliberately lock-free itself — the catalog wraps each store in an
-/// `RwLock`, and a single-dataset [`crate::BatchExecutor`] owns one
-/// directly.
+/// `RwLock`, and a single-dataset caller owns one directly.
 ///
 /// Object ids ([`DataId`]) are arena slots: live ids are stable across
 /// every update *and* every compaction; deleted ids are recycled only

@@ -82,9 +82,7 @@ pub mod shard;
 pub mod update;
 
 pub use adaptive::AdaptiveGrid;
-pub use batch::{
-    parallel_range_queries, BatchExecutor, BatchOutcome, KnnOutcome, QueryAlgo, TileForest,
-};
+pub use batch::{parallel_range_queries, BatchOutcome, KnnOutcome, QueryAlgo, TileForest};
 pub use catalog::{
     Catalog, CatalogError, CompactionPolicy, Dataset, DatasetId, DatasetStore,
     DEFAULT_COMPACT_DEAD_FRACTION,

@@ -4,7 +4,7 @@
 //! The read path treats a dataset as an immutable snapshot; this module
 //! is what turns it into a *mutable versioned store*. A batch of
 //! [`Update`]s is applied through
-//! [`crate::BatchExecutor::apply_updates`]: each object is routed to
+//! [`crate::DatasetStore::apply_updates`]: each object is routed to
 //! the tiles it overlaps (the same multi-assignment the bulk build
 //! uses), the affected per-tile clipped trees are maintained through
 //! `ClippedRTree::insert`/`delete` (§IV-D clip maintenance) in place,

@@ -13,7 +13,7 @@
 
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_engine::{
-    partitioned_join_with, AdaptiveGrid, BatchExecutor, JoinPlan, Partitioner, QuadtreePartitioner,
+    partitioned_join_with, AdaptiveGrid, DatasetStore, JoinPlan, Partitioner, QuadtreePartitioner,
     TileForest, UniformGrid, Update,
 };
 use cbb_geom::{Point, Rect};
@@ -81,7 +81,7 @@ fn arb_script(max_len: usize) -> impl Strategy<Value = Vec<ScriptOp>> {
     prop::collection::vec(op, 1..max_len)
 }
 
-/// Apply a script through the executor in per-batch chunks, mirroring
+/// Apply a script through the store in per-batch chunks, mirroring
 /// the arena in plain vectors for the oracle — including the store's
 /// documented slot-reclamation semantics: deletes tombstone their slot,
 /// a post-batch sweep frees every dead slot once tombstones exceed
@@ -94,10 +94,10 @@ fn run_script<P: Partitioner<2> + Clone>(
     initial: &[Rect<2>],
     script: &[ScriptOp],
     chunk: usize,
-) -> (BatchExecutor<2, P>, Vec<Rect<2>>, Vec<bool>) {
+) -> (DatasetStore<2, P>, Vec<Rect<2>>, Vec<bool>) {
     let tree = TreeConfig::tiny(Variant::RStar);
     let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-    let mut exec = BatchExecutor::build(partitioner, initial, tree, clip, 2);
+    let mut store = DatasetStore::build(partitioner, initial, tree, clip, 2);
     let mut arena: Vec<Rect<2>> = initial.to_vec();
     let mut live = vec![true; initial.len()];
     // Free slots sorted descending: `pop()` reuses the smallest id,
@@ -142,31 +142,31 @@ fn run_script<P: Partitioner<2> + Clone>(
                 .collect();
             tombstones = 0;
         }
-        exec.apply_updates(&batch, tree, clip);
+        store.apply_updates(&batch, tree, clip);
     }
-    (exec, arena, live)
+    (store, arena, live)
 }
 
 fn check_against_rebuild<P: Partitioner<2> + Clone>(
-    exec: &BatchExecutor<2, P>,
+    store: &DatasetStore<2, P>,
     arena: &[Rect<2>],
     live: &[bool],
     queries: &[Rect<2>],
 ) -> Result<(), TestCaseError> {
     let tree = TreeConfig::tiny(Variant::RStar);
     let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-    prop_assert_eq!(exec.objects(), arena);
-    prop_assert_eq!(exec.live(), live);
+    prop_assert_eq!(store.objects(), arena);
+    prop_assert_eq!(store.live(), live);
     let rebuilt_forest = Arc::new(TileForest::build_where(
-        exec.partitioner(),
+        store.partitioner(),
         arena,
         Some(live),
         tree,
         clip,
         2,
     ));
-    let rebuilt = BatchExecutor::with_forest_where(
-        exec.partitioner().clone(),
+    let rebuilt = DatasetStore::with_forest_where(
+        store.partitioner().clone(),
         arena.to_vec(),
         live.to_vec(),
         rebuilt_forest.clone(),
@@ -174,7 +174,7 @@ fn check_against_rebuild<P: Partitioner<2> + Clone>(
 
     // Ranges: same id sets per query, against brute force over the
     // live arena.
-    let delta_out = exec.run(queries, 2, true);
+    let delta_out = store.run(queries, 2, true);
     let rebuilt_out = rebuilt.run(queries, 2, true);
     for (i, q) in queries.iter().enumerate() {
         let mut want: Vec<DataId> = arena
@@ -199,7 +199,7 @@ fn check_against_rebuild<P: Partitioner<2> + Clone>(
         .map(|(i, q)| (q.center(), [1, 3, 9][i % 3]))
         .collect();
     prop_assert_eq!(
-        exec.run_knn(&probes, 2).results,
+        store.run_knn(&probes, 2).results,
         rebuilt.run_knn(&probes, 2).results
     );
 
@@ -210,8 +210,8 @@ fn check_against_rebuild<P: Partitioner<2> + Clone>(
         .filter(|(_, l)| **l)
         .map(|(r, _)| *r)
         .collect();
-    let plan = JoinPlan::new(exec.partitioner().clone(), tree, clip, 2);
-    let joined = partitioned_join_with(&plan, queries, exec.objects(), exec.forest());
+    let plan = JoinPlan::new(store.partitioner().clone(), tree, clip, 2);
+    let joined = partitioned_join_with(&plan, queries, store.objects(), store.forest());
     prop_assert_eq!(joined.pairs, brute_force_pairs(queries, &live_rects));
     Ok(())
 }
@@ -227,8 +227,8 @@ proptest! {
         chunk in 1usize..20,
     ) {
         let grid = UniformGrid::new(DOMAIN, 4);
-        let (exec, arena, live) = run_script(grid, &initial, &script, chunk);
-        check_against_rebuild(&exec, &arena, &live, &queries)?;
+        let (store, arena, live) = run_script(grid, &initial, &script, chunk);
+        check_against_rebuild(&store, &arena, &live, &queries)?;
     }
 
     #[test]
@@ -240,8 +240,8 @@ proptest! {
         // Boundaries fitted to the initial data only: later inserts
         // cross cuts they never voted for.
         let grid = AdaptiveGrid::from_sample(DOMAIN, [3, 3], &initial);
-        let (exec, arena, live) = run_script(grid, &initial, &script, 7);
-        check_against_rebuild(&exec, &arena, &live, &queries)?;
+        let (store, arena, live) = run_script(grid, &initial, &script, 7);
+        check_against_rebuild(&store, &arena, &live, &queries)?;
     }
 
     #[test]
@@ -251,7 +251,7 @@ proptest! {
         queries in prop::collection::vec(arb_skewed_rect(), 1..10),
     ) {
         let qt = QuadtreePartitioner::build(DOMAIN, &initial, 16);
-        let (exec, arena, live) = run_script(qt, &initial, &script, 11);
-        check_against_rebuild(&exec, &arena, &live, &queries)?;
+        let (store, arena, live) = run_script(qt, &initial, &script, 11);
+        check_against_rebuild(&store, &arena, &live, &queries)?;
     }
 }

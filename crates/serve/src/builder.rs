@@ -1,13 +1,8 @@
-//! One fluent entry point for every way of starting a service.
-//!
-//! `QueryService::start` / `start_catalog` grew positionally over five
-//! PRs; [`ServiceBuilder`] replaces both with named knobs — including
-//! the shard count, which previously had no surface at all — and
-//! always returns a
-//! [`ShardedService`]. One shard (the default) *is* the unsharded
-//! deployment: the router degrades to a pass-through over a single
-//! [`crate::QueryService`], so there is no separate single-store type
-//! to migrate between.
+//! The one way to start a service: named knobs, then
+//! [`ServiceBuilder::build`] (one dataset) or
+//! [`ServiceBuilder::build_catalog`] (empty catalog). Both return a
+//! [`ShardedService`]; one shard (the default) *is* the unsharded
+//! deployment — the router is a pass-through to its single shard.
 //!
 //! ```no_run
 //! use cbb_serve::{ServiceBuilder, ShardFitting};
@@ -75,9 +70,9 @@ impl ServiceBuilder {
         }
     }
 
-    /// Number of shards (≥ 1; default 1). Every shard is a full
-    /// [`crate::QueryService`] — the queue/batching knobs below apply
-    /// *per shard*.
+    /// Number of shards (≥ 1; default 1). Every shard is a full query
+    /// service with its own catalog, queue and dispatchers — the
+    /// queue/batching knobs below apply *per shard*.
     pub fn shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         self.shards = shards;
@@ -192,8 +187,12 @@ impl ServiceBuilder {
         self.config.clone()
     }
 
-    /// Start with an **empty catalog** (the `start_catalog`
-    /// replacement).
+    /// Start with an **empty catalog**.
+    ///
+    /// With [`Self::durability`] set, shard `i` persists under
+    /// `<root>/shard_<i>/`, and a catalog a previous run left there is
+    /// recovered before the first request is admitted (see
+    /// [`crate::durability`]).
     pub fn build_catalog<const D: usize, P>(
         self,
         tree: TreeConfig<D>,
@@ -213,7 +212,8 @@ impl ServiceBuilder {
     }
 
     /// Start with one dataset named [`crate::DEFAULT_DATASET`] built
-    /// from `objects` (the `start` replacement).
+    /// from `objects`. A default dataset recovered from durable state
+    /// wins over `partitioner` and `objects`.
     pub fn build<const D: usize, P>(
         self,
         partitioner: P,

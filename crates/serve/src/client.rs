@@ -2,16 +2,13 @@
 //!
 //! Building a [`Request`] enum by hand spells out every field at every
 //! call site; [`DatasetClient`] binds a dataset once and offers one
-//! method per request shape. Both paths funnel through the same
-//! internal submit ([`SubmitRequest::submit_request`]), so a typed
-//! call and its enum spelling are *the same request* — same queueing,
-//! same batching, same [`CompletionHandle`] — and the two styles mix
-//! freely. The trait is implemented by [`crate::QueryService`]
-//! (unsharded) and [`crate::ShardedService`] (scatter-gather), so
-//! client code is deployment-agnostic:
+//! method per request shape. Every typed method funnels into
+//! [`ShardedService::submit`], so a typed call and its enum spelling
+//! are *the same request* — same queueing, same batching, same
+//! [`CompletionHandle`] — and the two styles mix freely:
 //!
 //! ```no_run
-//! # use cbb_serve::{ServiceBuilder, SubmitRequest};
+//! # use cbb_serve::ServiceBuilder;
 //! # use cbb_core::{ClipConfig, ClipMethod};
 //! # use cbb_engine::UniformGrid;
 //! # use cbb_geom::{Point, Rect};
@@ -26,48 +23,39 @@
 //! let near = roads.knn(Point([3.0, 4.0]), 5).unwrap().wait().unwrap();
 //! ```
 
-use cbb_engine::{DatasetId, JoinAlgo, Update};
+use cbb_engine::{DatasetId, JoinAlgo, Partitioner, PersistPartitioner, Update};
 use cbb_geom::{Point, Rect};
 use cbb_rtree::DataId;
 
 use crate::handle::CompletionHandle;
 use crate::queue::Closed;
 use crate::request::{Completion, Request};
+use crate::router::ShardedService;
 
-/// The one internal submit both API styles route through. Implemented
-/// by every service shape ([`crate::QueryService`],
-/// [`crate::ShardedService`]); bring it into scope to use
-/// [`Self::dataset`] / [`Self::client`] on either.
-pub trait SubmitRequest<const D: usize, P> {
-    /// Admit one request (the enum path; typed methods call this too).
-    fn submit_request(
-        &self,
-        request: Request<D, P>,
-    ) -> Result<CompletionHandle<Completion>, Closed<Request<D, P>>>;
-
-    /// Resolve a dataset name to its id.
-    fn resolve_dataset(&self, name: &str) -> Option<DatasetId>;
-
+impl<const D: usize, P> ShardedService<D, P>
+where
+    P: Partitioner<D>
+        + PersistPartitioner
+        + Clone
+        + PartialEq
+        + std::fmt::Debug
+        + Send
+        + Sync
+        + 'static,
+{
     /// A typed client bound to the named dataset (`None` for unknown
     /// names).
-    fn dataset(&self, name: &str) -> Option<DatasetClient<'_, D, P, Self>>
-    where
-        Self: Sized,
-    {
-        self.resolve_dataset(name).map(|id| self.client(id))
+    pub fn dataset(&self, name: &str) -> Option<DatasetClient<'_, D, P>> {
+        self.dataset_id(name).map(|id| self.client(id))
     }
 
     /// A typed client bound to a dataset id (not validated until a
     /// request is answered — an unknown id fails per request with
     /// [`crate::RequestError::UnknownDataset`]).
-    fn client(&self, id: DatasetId) -> DatasetClient<'_, D, P, Self>
-    where
-        Self: Sized,
-    {
+    pub fn client(&self, id: DatasetId) -> DatasetClient<'_, D, P> {
         DatasetClient {
             service: self,
             dataset: id,
-            _partitioner: std::marker::PhantomData,
         }
     }
 }
@@ -75,25 +63,34 @@ pub trait SubmitRequest<const D: usize, P> {
 /// A dataset-bound view of a service: one method per request shape,
 /// each returning the same [`CompletionHandle`] the enum path does.
 /// Cheap to copy; hold one per dataset you talk to.
-pub struct DatasetClient<'a, const D: usize, P, S: SubmitRequest<D, P>> {
-    service: &'a S,
+pub struct DatasetClient<'a, const D: usize, P> {
+    service: &'a ShardedService<D, P>,
     dataset: DatasetId,
-    _partitioner: std::marker::PhantomData<fn() -> P>,
 }
 
-impl<const D: usize, P, S: SubmitRequest<D, P>> Clone for DatasetClient<'_, D, P, S> {
+impl<const D: usize, P> Clone for DatasetClient<'_, D, P> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<const D: usize, P, S: SubmitRequest<D, P>> Copy for DatasetClient<'_, D, P, S> {}
+impl<const D: usize, P> Copy for DatasetClient<'_, D, P> {}
 
 /// The submit result every client method returns.
 pub type ClientResult<const D: usize, P> =
     Result<CompletionHandle<Completion>, Closed<Request<D, P>>>;
 
-impl<const D: usize, P, S: SubmitRequest<D, P>> DatasetClient<'_, D, P, S> {
+impl<const D: usize, P> DatasetClient<'_, D, P>
+where
+    P: Partitioner<D>
+        + PersistPartitioner
+        + Clone
+        + PartialEq
+        + std::fmt::Debug
+        + Send
+        + Sync
+        + 'static,
+{
     /// The bound dataset's id.
     pub fn id(&self) -> DatasetId {
         self.dataset
@@ -102,7 +99,7 @@ impl<const D: usize, P, S: SubmitRequest<D, P>> DatasetClient<'_, D, P, S> {
     /// All objects intersecting `query`, probed with clip points
     /// (paper Algorithm 2). Resolves to [`crate::Response::Range`].
     pub fn range(&self, query: Rect<D>) -> ClientResult<D, P> {
-        self.service.submit_request(Request::Range {
+        self.service.submit(Request::Range {
             dataset: self.dataset,
             query,
             use_clips: true,
@@ -112,7 +109,7 @@ impl<const D: usize, P, S: SubmitRequest<D, P>> DatasetClient<'_, D, P, S> {
     /// [`Self::range`] without clip-point pruning (the baseline the
     /// paper compares against).
     pub fn range_unclipped(&self, query: Rect<D>) -> ClientResult<D, P> {
-        self.service.submit_request(Request::Range {
+        self.service.submit(Request::Range {
             dataset: self.dataset,
             query,
             use_clips: false,
@@ -122,7 +119,7 @@ impl<const D: usize, P, S: SubmitRequest<D, P>> DatasetClient<'_, D, P, S> {
     /// The `k` objects nearest to `center` (MINDIST order, ties by
     /// id). Resolves to [`crate::Response::Knn`].
     pub fn knn(&self, center: Point<D>, k: usize) -> ClientResult<D, P> {
-        self.service.submit_request(Request::Knn {
+        self.service.submit(Request::Knn {
             dataset: self.dataset,
             center,
             k,
@@ -142,7 +139,7 @@ impl<const D: usize, P, S: SubmitRequest<D, P>> DatasetClient<'_, D, P, S> {
         algo: JoinAlgo,
         use_clips: bool,
     ) -> ClientResult<D, P> {
-        self.service.submit_request(Request::Join {
+        self.service.submit(Request::Join {
             dataset: self.dataset,
             probes,
             algo,
@@ -154,13 +151,13 @@ impl<const D: usize, P, S: SubmitRequest<D, P>> DatasetClient<'_, D, P, S> {
     /// dataset by name — `roads.join("parcels", algo)`. `None` when
     /// the name is unknown; resolves to [`crate::Response::Join`].
     pub fn join(&self, other: &str, algo: JoinAlgo) -> Option<ClientResult<D, P>> {
-        let right = self.service.resolve_dataset(other)?;
+        let right = self.service.dataset_id(other)?;
         Some(self.join_id(right, algo, true))
     }
 
     /// [`Self::join`] by id, with explicit clip-pruning selection.
     pub fn join_id(&self, right: DatasetId, algo: JoinAlgo, use_clips: bool) -> ClientResult<D, P> {
-        self.service.submit_request(Request::CrossJoin {
+        self.service.submit(Request::CrossJoin {
             left: self.dataset,
             right,
             algo,
@@ -171,7 +168,7 @@ impl<const D: usize, P, S: SubmitRequest<D, P>> DatasetClient<'_, D, P, S> {
     /// Insert one object; resolves to [`crate::Response::Inserted`]
     /// with the assigned id.
     pub fn insert(&self, rect: Rect<D>) -> ClientResult<D, P> {
-        self.service.submit_request(Request::Insert {
+        self.service.submit(Request::Insert {
             dataset: self.dataset,
             rect,
         })
@@ -180,7 +177,7 @@ impl<const D: usize, P, S: SubmitRequest<D, P>> DatasetClient<'_, D, P, S> {
     /// Delete one object by id; resolves to
     /// [`crate::Response::Deleted`].
     pub fn delete(&self, id: DataId) -> ClientResult<D, P> {
-        self.service.submit_request(Request::Delete {
+        self.service.submit(Request::Delete {
             dataset: self.dataset,
             id,
         })
@@ -189,55 +186,9 @@ impl<const D: usize, P, S: SubmitRequest<D, P>> DatasetClient<'_, D, P, S> {
     /// Apply a pre-grouped write batch atomically; resolves to
     /// [`crate::Response::Updated`].
     pub fn update(&self, updates: Vec<Update<D>>) -> ClientResult<D, P> {
-        self.service.submit_request(Request::UpdateBatch {
+        self.service.submit(Request::UpdateBatch {
             dataset: self.dataset,
             updates,
         })
-    }
-}
-
-impl<const D: usize, P> SubmitRequest<D, P> for crate::QueryService<D, P>
-where
-    P: cbb_engine::Partitioner<D>
-        + cbb_engine::PersistPartitioner
-        + Clone
-        + PartialEq
-        + std::fmt::Debug
-        + Send
-        + Sync
-        + 'static,
-{
-    fn submit_request(
-        &self,
-        request: Request<D, P>,
-    ) -> Result<CompletionHandle<Completion>, Closed<Request<D, P>>> {
-        self.submit(request)
-    }
-
-    fn resolve_dataset(&self, name: &str) -> Option<DatasetId> {
-        self.dataset_id(name)
-    }
-}
-
-impl<const D: usize, P> SubmitRequest<D, P> for crate::ShardedService<D, P>
-where
-    P: cbb_engine::Partitioner<D>
-        + cbb_engine::PersistPartitioner
-        + Clone
-        + PartialEq
-        + std::fmt::Debug
-        + Send
-        + Sync
-        + 'static,
-{
-    fn submit_request(
-        &self,
-        request: Request<D, P>,
-    ) -> Result<CompletionHandle<Completion>, Closed<Request<D, P>>> {
-        self.submit(request)
-    }
-
-    fn resolve_dataset(&self, name: &str) -> Option<DatasetId> {
-        self.dataset_id(name)
     }
 }

@@ -34,7 +34,7 @@
 //! * **Isolation** — writes to dataset A bump only A's version and
 //!   touch only A's forest; concurrent reads of dataset B never block
 //!   on them and observe no change.
-//! * **Graceful shutdown** — [`QueryService::shutdown`] closes
+//! * **Graceful shutdown** — [`ShardedService::shutdown`] closes
 //!   admission, then answers everything already accepted (admin ops
 //!   included) before the dispatchers exit; no request is dropped, no
 //!   waiter hangs.
@@ -69,7 +69,6 @@ pub mod queue;
 pub mod request;
 pub mod router;
 pub mod service;
-pub mod shard;
 pub mod stats;
 
 pub use builder::ServiceBuilder;
@@ -78,14 +77,13 @@ pub use cbb_engine::{
     Update, UpdateResult,
 };
 pub use cbb_telemetry::{HistogramSnapshot, SlowQuery, Span, TelemetryConfig, TelemetrySnapshot};
-pub use client::{ClientResult, DatasetClient, SubmitRequest};
+pub use client::{ClientResult, DatasetClient};
 pub use durability::{DurabilityConfig, DEFAULT_CHECKPOINT_BYTES};
 pub use handle::{Canceled, CompletionHandle};
-pub use queue::{Closed, TryPushError};
+pub use queue::Closed;
 pub use request::{Completion, Request, RequestError, RequestKind, Response, UpdateSummary};
 pub use router::{ShardFitting, ShardedService};
-pub use service::{QueryService, Scrape, ServiceConfig, DEFAULT_DATASET};
-pub use shard::{InProcessShard, Shard};
+pub use service::{Scrape, ServiceConfig, DEFAULT_DATASET};
 pub use stats::{DatasetReport, ServiceReport};
 
 #[cfg(test)]
@@ -100,8 +98,7 @@ mod tests {
     fn end_to_end_smoke() {
         let r = |x: f64, y: f64| Rect::new(Point([x, y]), Point([x + 2.0, y + 2.0]));
         let objects = vec![r(0.0, 0.0), r(5.0, 5.0), r(9.0, 9.0)];
-        let service = QueryService::start(
-            ServiceConfig::default(),
+        let service = ServiceBuilder::new().build(
             UniformGrid::new(Rect::new(Point([0.0, 0.0]), Point([12.0, 12.0])), 2),
             objects,
             TreeConfig::tiny(Variant::RStar),
@@ -129,8 +126,9 @@ mod tests {
         assert_eq!(nn.len(), 2);
         assert_eq!(nn[0].1, 0.0, "the query point is inside the nearest box");
         let report = service.shutdown();
-        assert_eq!(report.submitted, 2);
-        assert_eq!(report.completed, 2);
+        // The default dataset's create is the first admitted request.
+        assert_eq!(report.submitted, 3);
+        assert_eq!(report.completed, 3);
         assert_eq!(report.forest_builds, 1);
         assert_eq!(report.datasets.len(), 1);
         assert_eq!(report.datasets[0].name, DEFAULT_DATASET);

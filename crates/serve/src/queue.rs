@@ -1,8 +1,7 @@
 //! A bounded MPMC queue on `Mutex` + `Condvar` — the service's admission
 //! point.
 //!
-//! Any number of producers block (or fail fast with [`TryPushError`])
-//! when the queue is full — that is the service's backpressure — and any
+//! Any number of producers block when the queue is full — that is the service's backpressure — and any
 //! number of consumers block when it is empty. [`Bounded::close`] stops
 //! admission while letting consumers drain what was already accepted:
 //! the pop side keeps returning items until the queue is empty and only
@@ -17,15 +16,6 @@ use std::time::Instant;
 /// handed back.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Closed<T>(pub T);
-
-/// Non-blocking push failure.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TryPushError<T> {
-    /// The queue is at capacity; the item is handed back.
-    Full(T),
-    /// The queue is closed; the item is handed back.
-    Closed(T),
-}
 
 /// Outcome of a deadline-bounded pop.
 #[derive(Debug, PartialEq, Eq)]
@@ -83,21 +73,6 @@ impl<T> Bounded<T> {
             }
             state = self.not_full.wait(state).expect("queue poisoned");
         }
-    }
-
-    /// Push without blocking: full and closed are both immediate errors.
-    pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        if state.closed {
-            return Err(TryPushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(TryPushError::Full(item));
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
     }
 
     /// Pop, blocking while the queue is empty and open. `None` means the
@@ -216,25 +191,12 @@ mod tests {
     }
 
     #[test]
-    fn try_push_reports_full_then_recovers() {
-        let q = Bounded::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(TryPushError::Full(3)));
-        assert_eq!(q.pop(), Some(1));
-        q.try_push(3).unwrap();
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-    }
-
-    #[test]
     fn close_rejects_producers_but_drains_consumers() {
         let q = Bounded::new(4);
         q.push("a").unwrap();
         q.push("b").unwrap();
         q.close();
         assert_eq!(q.push("c"), Err(Closed("c")));
-        assert_eq!(q.try_push("d"), Err(TryPushError::Closed("d")));
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.pop(), Some("b"));
         assert_eq!(q.pop(), None);

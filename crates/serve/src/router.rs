@@ -1,10 +1,13 @@
-//! The scatter-gather router: one service surface over N [`Shard`]s.
+//! The scatter-gather router: the service, over N in-process shards.
 //!
-//! A [`ShardedService`] owns N shards, each a full [`QueryService`]
-//! whose stores are built under a [`ShardTiling`] view of every
-//! dataset's partitioner: the **object arena is fully mirrored** on
-//! every shard (identical rectangles, identical live masks, identical
-//! [`cbb_rtree::DataId`] assignment), while each shard's tile forest
+//! A [`ShardedService`] is the one public service type; start it with
+//! [`crate::ServiceBuilder`]. It owns N shards, each a full query
+//! service — its own catalog, admission queue, dispatcher pool and
+//! telemetry registry — whose stores are built under a [`ShardTiling`]
+//! view of every dataset's partitioner: the **object arena is fully
+//! mirrored** on every shard (identical rectangles, identical live
+//! masks, identical [`cbb_rtree::DataId`] assignment), while each
+//! shard's tile forest
 //! indexes only the contiguous global tile range its
 //! [`ShardMap`] assigned to it. Because the engine's reference-point
 //! rule attributes every result and join pair to exactly one owning
@@ -28,8 +31,10 @@
 //!   arenas must advance in lock-step); responses are identical
 //!   replicas and the first is returned.
 //!
-//! The oracle tests pin every one of these merges **byte-equal** to a
-//! single-store service on the same data.
+//! With one shard (the default) every request targets shard 0 and the
+//! router is a pass-through. The oracle tests pin every merge
+//! **byte-equal** to a one-shard service and to the engine called
+//! directly on the same data.
 //!
 //! ### Consistency fine print
 //!
@@ -49,7 +54,7 @@
 //! linearizable with *concurrent* reads of that dataset: admit reads
 //! after the swap's handle resolves.
 //!
-//! There is deliberately no `try_submit` here: shedding a fan-out
+//! There is deliberately no non-blocking submit: shedding a fan-out
 //! after some shards already accepted their copy would fork the
 //! replicas, so admission control stays at the per-shard queues
 //! (backpressure blocks the fan-out instead).
@@ -66,13 +71,12 @@ use cbb_engine::{
 use cbb_geom::Rect;
 use cbb_joins::JoinResult;
 use cbb_rtree::TreeConfig;
-use cbb_telemetry::{Counter, Histogram, Phase, Registry, TelemetrySnapshot};
+use cbb_telemetry::{Counter, Histogram, Phase, Registry, SlowQuery};
 
 use crate::handle::{completion_pair, CompletionHandle, Promise};
 use crate::queue::{Bounded, Closed};
 use crate::request::{Completion, Request, Response};
-use crate::service::{QueryService, Scrape, ServiceConfig, DEFAULT_DATASET};
-use crate::shard::{InProcessShard, Shard};
+use crate::service::{Scrape, ServiceConfig, Shard, DEFAULT_DATASET};
 use crate::stats::{names, ServiceReport};
 
 /// How a [`ShardedService`] cuts a dataset's tiles into shard ranges.
@@ -202,12 +206,12 @@ impl RouterStats {
     }
 }
 
-/// A sharded query service: the same request/response surface as
-/// [`QueryService`], served by N shards behind a scatter-gather
-/// router. See the [module docs](self) for the merge semantics and
-/// consistency contract.
+/// The query service: a catalog of named datasets served by N shards
+/// behind a scatter-gather router (N = 1 by default, a pass-through).
+/// Built by [`crate::ServiceBuilder`]. See the [module docs](self) for
+/// the merge semantics and consistency contract.
 pub struct ShardedService<const D: usize, P> {
-    shards: Vec<Box<dyn Shard<D, ShardTiling<P>>>>,
+    shards: Vec<Shard<D, ShardTiling<P>>>,
     routes: Arc<RwLock<HashMap<DatasetId, DatasetRoute<P>>>>,
     gather_queue: Arc<Bounded<GatherJob<P>>>,
     gather_workers: Vec<JoinHandle<()>>,
@@ -230,9 +234,8 @@ where
         + Sync
         + 'static,
 {
-    /// Start `shards` in-process shards (each a full [`QueryService`]
-    /// with `config`'s queue/batching/telemetry knobs) with an empty
-    /// catalog. Most callers want [`crate::ServiceBuilder`] instead.
+    /// Start `shards` in-process shards (each with `config`'s
+    /// queue/batching/telemetry knobs) with an empty catalog.
     ///
     /// With [`ServiceConfig::durability`] set, each shard persists
     /// under its own `shard_<i>` subdirectory of the configured root.
@@ -241,7 +244,7 @@ where
     /// land between two shards' commits of the same replicated batch
     /// — see the [`crate::durability`] module docs), and the route
     /// table is rebuilt from the recovered per-shard tilings.
-    pub fn start_catalog(
+    pub(crate) fn start_catalog(
         config: ServiceConfig,
         shards: usize,
         fitting: ShardFitting,
@@ -257,13 +260,13 @@ where
                 )
             });
         }
-        let services: Vec<QueryService<D, ShardTiling<P>>> = (0..shards)
+        let shards: Vec<Shard<D, ShardTiling<P>>> = (0..shards)
             .map(|i| {
                 let mut shard_config = config.clone();
                 if let Some(durable) = &mut shard_config.durability {
                     durable.root = durable.root.join(format!("shard_{i}"));
                 }
-                QueryService::start_catalog(shard_config, tree, clip)
+                Shard::start(shard_config, tree, clip)
             })
             .collect();
         // Rebuild the route table from recovered state: shard 0's
@@ -272,7 +275,7 @@ where
         let mut initial_routes = HashMap::new();
         if config.durability.is_some() {
             let per_shard: Vec<Vec<(DatasetId, String, ShardTiling<P>)>> =
-                services.iter().map(|s| s.dataset_partitioners()).collect();
+                shards.iter().map(|s| s.dataset_partitioners()).collect();
             for (row, (id, name, tiling)) in per_shard[0].iter().enumerate() {
                 let mut bounds = vec![tiling.tiles().start, tiling.tiles().end];
                 for shard_rows in &per_shard[1..] {
@@ -290,12 +293,6 @@ where
                 );
             }
         }
-        let shards: Vec<Box<dyn Shard<D, ShardTiling<P>>>> = services
-            .into_iter()
-            .map(|service| {
-                Box::new(InProcessShard::new(service)) as Box<dyn Shard<D, ShardTiling<P>>>
-            })
-            .collect();
         let stats = Arc::new(RouterStats::new(&config.telemetry, shards.len()));
         let routes = Arc::new(RwLock::new(initial_routes));
         let gather_queue = Arc::new(Bounded::new(config.queue_capacity));
@@ -323,9 +320,8 @@ where
     }
 
     /// [`Self::start_catalog`] plus one dataset named
-    /// [`DEFAULT_DATASET`] built from `objects` — the sharded
-    /// equivalent of [`QueryService::start`].
-    pub fn start(
+    /// [`DEFAULT_DATASET`] built from `objects`.
+    pub(crate) fn start(
         config: ServiceConfig,
         shards: usize,
         fitting: ShardFitting,
@@ -337,7 +333,8 @@ where
         let mut service = Self::start_catalog(config, shards, fitting, tree, clip);
         // With durability enabled, a previous run's default dataset may
         // have been recovered; its objects and partitioner win over the
-        // ones passed here (mirrors [`QueryService::start`]).
+        // ones passed here (the acknowledged writes it holds must not
+        // be shed by a restart).
         let id = match service.dataset_id(DEFAULT_DATASET) {
             Some(recovered) => recovered,
             None => service
@@ -602,7 +599,7 @@ where
         }
     }
 
-    // ── Catalog surface (mirrors `QueryService`'s) ─────────────────
+    // ── Catalog surface ────────────────────────────────────────────
 
     /// Create a named dataset on every shard and wait for its id. The
     /// dataset's tiles are cut into shard ranges per this service's
@@ -710,21 +707,24 @@ where
         routes.get(&id).map(|route| route.map.clone())
     }
 
-    /// The data version one dataset serves, as reported by shard 0
-    /// (replicas agree under the lock-step contract in the
-    /// [module docs](self)).
+    /// The data version one dataset serves (`None` for unknown ids),
+    /// read from shard 0's store (replicas agree under the lock-step
+    /// contract in the [module docs](self)). Advances by one per
+    /// applied write micro-batch and per swap of that dataset — other
+    /// datasets' writes never move it.
     pub fn dataset_version(&self, id: DatasetId) -> Option<DataVersion> {
-        self.shards[0].report().dataset(id).map(|d| d.version)
+        self.shards[0].dataset_version(id)
     }
 
     /// Number of live objects in one dataset (exact on every shard —
     /// arenas are mirrored; only the *indexes* are sharded).
     pub fn dataset_live_count(&self, id: DatasetId) -> Option<usize> {
-        self.shards[0].report().dataset(id).map(|d| d.live_objects)
+        self.shards[0].dataset_live_count(id)
     }
 
-    /// The dataset [`Self::start`] registered. Panics on a service
-    /// started via [`Self::start_catalog`].
+    /// The dataset [`crate::ServiceBuilder::build`] registered. Panics
+    /// on a service started by
+    /// [`crate::ServiceBuilder::build_catalog`].
     pub fn default_dataset(&self) -> DatasetId {
         self.default_dataset
             .expect("service was started with an empty catalog; name a dataset explicitly")
@@ -751,17 +751,26 @@ where
     /// scatter/gather phase histograms. Per-shard pipeline metrics
     /// live in [`Self::shard_scrapes`].
     pub fn scrape(&self) -> Scrape {
-        let snapshot: TelemetrySnapshot = self.stats.registry.snapshot();
-        Scrape {
-            text: snapshot.render_text(),
-            json: snapshot.to_json(),
-            snapshot,
-        }
+        Scrape::of(&self.stats.registry)
     }
 
-    /// Every shard's own telemetry exposition, in shard order.
+    /// Every shard's own telemetry exposition, in shard order: the
+    /// pipeline metrics (admission, batching, phases, per-dataset
+    /// access counters and gauges).
     pub fn shard_scrapes(&self) -> Vec<Scrape> {
         self.shards.iter().map(|s| s.scrape()).collect()
+    }
+
+    /// The slowest requests answered so far, every shard's slow ring
+    /// merged, slowest `total_ns` first; each entry carries its
+    /// per-phase breakdown and the work counters attributed to it.
+    /// A fanned-out request (kNN, joins, writes, admin ops, a range
+    /// spanning shards) was answered once per shard and can appear
+    /// once per shard fragment. Empty when telemetry is disabled.
+    pub fn slow_queries(&self) -> Vec<SlowQuery> {
+        let mut all: Vec<SlowQuery> = self.shards.iter().flat_map(|s| s.slow_queries()).collect();
+        all.sort_by_key(|q| std::cmp::Reverse(q.total_ns));
+        all
     }
 
     /// Graceful shutdown: close **all** shards first (no shard keeps
@@ -790,14 +799,13 @@ where
 
 impl<const D: usize, P> Drop for ShardedService<D, P> {
     fn drop(&mut self) {
-        // Dropping without `shutdown()` still drains and joins — same
-        // guarantee as `QueryService`'s Drop.
+        // Dropping without `shutdown()` still drains and joins — no
+        // detached threads, no abandoned (hanging) handles.
         for shard in &self.shards {
             shard.close();
         }
-        for shard in self.shards.drain(..) {
-            let _ = shard.shutdown();
-        }
+        // Each shard's own Drop drains and joins its dispatchers.
+        self.shards.clear();
         self.gather_queue.close();
         for worker in self.gather_workers.drain(..) {
             let _ = worker.join();
@@ -838,7 +846,6 @@ fn merge_reports(reports: Vec<ServiceReport>) -> ServiceReport {
     for (i, report) in reports.into_iter().enumerate() {
         merged.submitted += report.submitted;
         merged.rejected += report.rejected;
-        merged.shed += report.shed;
         merged.queue_depth += report.queue_depth;
         merged.completed += report.completed;
         batched_total += report.mean_batch * report.batches as f64;

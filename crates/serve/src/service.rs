@@ -1,5 +1,5 @@
-//! The long-running query service: admission queue, dispatcher pool,
-//! a catalog of independently versioned datasets, graceful shutdown.
+//! One shard of the service: admission queue, dispatcher pool, a
+//! catalog of independently versioned datasets, graceful shutdown.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -17,7 +17,7 @@ use cbb_telemetry::{Histogram, SlowQuery, TelemetryConfig, TelemetrySnapshot};
 use crate::batcher::{collect_batch, run_batch};
 use crate::durability::{Durability, DurabilityConfig};
 use crate::handle::{completion_pair, CompletionHandle, Promise};
-use crate::queue::{Bounded, Closed, TryPushError};
+use crate::queue::{Bounded, Closed};
 use crate::request::{Completion, Request, RequestError};
 use crate::stats::{names, DatasetReport, ServiceReport, ServiceStats};
 
@@ -26,8 +26,8 @@ use cbb_engine::PersistPartitioner;
 /// Service tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Admission bound: `submit` blocks (and `try_submit` fails) once
-    /// this many requests wait unserved.
+    /// Admission bound per shard: `submit` blocks once this many
+    /// requests wait unserved.
     pub queue_capacity: usize,
     /// Flush a micro-batch at this many requests.
     pub batch_max: usize,
@@ -53,7 +53,7 @@ pub struct ServiceConfig {
     pub compaction: CompactionPolicy,
     /// Telemetry collection (enabled by default). With
     /// [`TelemetryConfig::disabled`] every instrumentation point is a
-    /// no-op: answers are identical, [`QueryService::scrape`] is empty,
+    /// no-op: answers are identical, every scrape is empty,
     /// and [`ServiceReport`] counters read zero.
     pub telemetry: TelemetryConfig,
     /// Snapshot + write-ahead-log persistence (default `None`: the
@@ -104,8 +104,8 @@ impl ServiceConfig {
     }
 }
 
-/// The name [`QueryService::start`] registers its initial dataset
-/// under — the single-dataset convenience surface targets it.
+/// The name [`crate::ServiceBuilder::build`] registers its initial
+/// dataset under.
 pub const DEFAULT_DATASET: &str = "default";
 
 /// One queued request: payload, completion promise, admission stamp.
@@ -135,8 +135,7 @@ where
     P: Partitioner<D> + PersistPartitioner,
 {
     /// Build a dataset store (the forest build is counted) and register
-    /// it — the synchronous creation path shared by `start` and the
-    /// queued `CreateDataset` admin op.
+    /// it — the execution of a queued `CreateDataset` admin op.
     pub(crate) fn create_dataset_now(
         &self,
         name: &str,
@@ -344,9 +343,8 @@ where
     }
 }
 
-/// Everything [`QueryService::scrape`] returns: the rendered text and
-/// JSON expositions plus the structured snapshot they were rendered
-/// from.
+/// Everything a scrape returns: the rendered text and JSON expositions
+/// plus the structured snapshot they were rendered from.
 #[derive(Clone, Debug)]
 pub struct Scrape {
     /// Prometheus-style text exposition (`# HELP`/`# TYPE` + samples).
@@ -357,11 +355,24 @@ pub struct Scrape {
     pub snapshot: TelemetrySnapshot,
 }
 
-/// A multi-threaded query service over a **catalog of named spatial
-/// datasets**.
+impl Scrape {
+    /// Render `registry`'s current snapshot.
+    pub(crate) fn of(registry: &cbb_telemetry::Registry) -> Self {
+        let snapshot = registry.snapshot();
+        Scrape {
+            text: snapshot.render_text(),
+            json: snapshot.to_json(),
+            snapshot,
+        }
+    }
+}
+
+/// One shard of a [`crate::ShardedService`]: a catalog of named
+/// datasets behind its own admission queue, dispatcher pool and
+/// telemetry registry.
 ///
 /// ```text
-///  submit()/try_submit()          dispatchers               catalog
+///  submit()                       dispatchers               catalog
 ///  ───────────────────▶ bounded ─▶ micro-batch ─▶ ds A ─ RwLock<DatasetStore>
 ///        handles ◀──────  MPMC  ◀─  (size or   ─▶ ds B ─ RwLock<DatasetStore>
 ///   (wait per request)   queue      backlog)      (each store owns
@@ -377,24 +388,19 @@ pub struct Scrape {
 /// requests with the same graceful-drain guarantee as everything else,
 /// and [`Request::CrossJoin`] joins two served datasets against each
 /// other re-using both sides' tile forests.
-/// [`QueryService::shutdown`] closes admission, drains the queue —
-/// every accepted request is answered — and joins the dispatcher
-/// threads.
 ///
-/// [`QueryService::start`] preserves the pre-catalog single-dataset
-/// surface: it registers one dataset named
-/// [`DEFAULT_DATASET`] and the shim methods
-/// ([`QueryService::swap_data`], [`QueryService::data_version`],
-/// [`QueryService::live_object_count`]) target it.
-pub struct QueryService<const D: usize, P> {
+/// The contract the router relies on: `submit` returns a handle that
+/// resolves exactly once (or is canceled if the shard dies); requests
+/// are *applied* in admission order relative to each other (the queue
+/// is FIFO), which keeps write replicas in lock-step; `close` stops
+/// admission without discarding accepted work, and `shutdown` drains,
+/// joins and reports.
+pub(crate) struct Shard<const D: usize, P> {
     shared: Arc<SharedState<D, P>>,
     dispatchers: Vec<JoinHandle<()>>,
-    /// The id of the `start`-time dataset (`None` for a service started
-    /// with an empty catalog).
-    default_dataset: Option<DatasetId>,
 }
 
-impl<const D: usize, P> QueryService<D, P>
+impl<const D: usize, P> Shard<D, P>
 where
     P: Partitioner<D>
         + PersistPartitioner
@@ -405,10 +411,9 @@ where
         + Sync
         + 'static,
 {
-    /// Start with an **empty catalog**: no dataset exists until
-    /// [`Self::create_dataset`] (or a queued
-    /// [`Request::CreateDataset`]) registers one. `tree`/`clip`
-    /// configure every per-tile index the service will ever build.
+    /// Start with an **empty catalog**: no dataset exists until a
+    /// queued [`Request::CreateDataset`] registers one. `tree`/`clip`
+    /// configure every per-tile index the shard will ever build.
     ///
     /// With [`ServiceConfig::durability`] set, any catalog persisted
     /// by a previous incarnation under the same root is **recovered
@@ -416,12 +421,7 @@ where
     /// tails replayed (torn tails truncated), dataset ids preserved.
     /// Recovery failure panics — serving fresh over an undecipherable
     /// durable state would silently shed acknowledged writes.
-    ///
-    /// **Deprecated shim** — prefer
-    /// [`ServiceBuilder::build_catalog`](crate::ServiceBuilder), which
-    /// exposes the same knobs fluently plus the shard count, and
-    /// returns the sharded service a one-shard deployment degrades to.
-    pub fn start_catalog(config: ServiceConfig, tree: TreeConfig<D>, clip: ClipConfig) -> Self {
+    pub(crate) fn start(config: ServiceConfig, tree: TreeConfig<D>, clip: ClipConfig) -> Self {
         assert!(config.dispatchers >= 1, "need at least one dispatcher");
         assert!(config.batch_max >= 1, "a batch holds at least one request");
         let catalog = Catalog::new();
@@ -470,47 +470,16 @@ where
                     .expect("spawn dispatcher")
             })
             .collect();
-        QueryService {
+        Shard {
             shared,
             dispatchers,
-            default_dataset: None,
         }
-    }
-
-    /// Start the service with one dataset (named [`DEFAULT_DATASET`])
-    /// built from `objects` — the pre-catalog single-store surface.
-    /// Further datasets can be created alongside it at any time.
-    ///
-    /// With durability configured and a previous incarnation's state
-    /// on disk, the **recovered** default dataset wins: `objects` and
-    /// `partitioner` are ignored in favour of the durable state (the
-    /// acknowledged writes it holds must not be shed by a restart).
-    ///
-    /// **Deprecated shim** — prefer
-    /// [`ServiceBuilder::build`](crate::ServiceBuilder).
-    pub fn start(
-        config: ServiceConfig,
-        partitioner: P,
-        objects: Vec<Rect<D>>,
-        tree: TreeConfig<D>,
-        clip: ClipConfig,
-    ) -> Self {
-        let mut service = Self::start_catalog(config, tree, clip);
-        let id = match service.shared.catalog.resolve(DEFAULT_DATASET) {
-            Some(recovered) => recovered,
-            None => service
-                .shared
-                .create_dataset_now(DEFAULT_DATASET, partitioner, objects)
-                .expect("fresh catalog cannot have a name clash"),
-        };
-        service.default_dataset = Some(id);
-        service
     }
 
     /// Submit a request, blocking while the queue is full
     /// (backpressure). The handle resolves once a dispatcher has
     /// executed the batch carrying the request.
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         request: Request<D, P>,
     ) -> Result<CompletionHandle<Completion>, Closed<Request<D, P>>> {
@@ -537,149 +506,10 @@ where
         }
     }
 
-    /// Submit without blocking: a full queue is an immediate
-    /// [`TryPushError::Full`] — the caller sheds the load instead of
-    /// queueing behind it.
-    pub fn try_submit(
-        &self,
-        request: Request<D, P>,
-    ) -> Result<CompletionHandle<Completion>, TryPushError<Request<D, P>>> {
-        let (promise, handle) = completion_pair();
-        let envelope = Envelope {
-            request,
-            promise,
-            enqueued: Instant::now(),
-        };
-        // Same ordering as `submit`: never let completed race ahead.
-        self.shared.stats.submitted.inc();
-        self.shared.stats.queue_depth.inc();
-        match self.shared.queue.try_push(envelope) {
-            Ok(()) => Ok(handle),
-            Err(err) => {
-                self.shared.stats.submitted.sub(1);
-                self.shared.stats.queue_depth.dec();
-                self.shared.stats.rejected.inc();
-                Err(match err {
-                    TryPushError::Full(envelope) => {
-                        // A full-queue refusal is a load *shed* — the
-                        // signal the drop/shed counter makes visible.
-                        self.shared.stats.shed.inc();
-                        TryPushError::Full(envelope.request)
-                    }
-                    TryPushError::Closed(envelope) => TryPushError::Closed(envelope.request),
-                })
-            }
-        }
-    }
-
-    // ── Catalog surface ────────────────────────────────────────────
-
-    /// Create a named dataset through the queue and wait for its id.
-    /// The admin op rides the same micro-batches as data requests —
-    /// ordering relative to other queued work is the queue order.
-    pub fn create_dataset(
-        &self,
-        name: &str,
-        partitioner: P,
-        objects: Vec<Rect<D>>,
-    ) -> Result<DatasetId, RequestError> {
-        let response = self
-            .submit(Request::CreateDataset {
-                name: name.to_string(),
-                partitioner,
-                objects,
-            })
-            .expect("service is open")
-            .wait()
-            .expect("admitted requests are always answered")
-            .response;
-        match response {
-            crate::Response::Created(id) => Ok(id),
-            crate::Response::Failed(err) => Err(err),
-            other => unreachable!("create answered with {other:?}"),
-        }
-    }
-
-    /// Drop a dataset through the queue; `true` if it existed. Its id
-    /// is never reused.
-    pub fn drop_dataset(&self, id: DatasetId) -> bool {
-        self.submit(Request::DropDataset { dataset: id })
-            .expect("service is open")
-            .wait()
-            .expect("admitted requests are always answered")
-            .response
-            .into_dropped()
-    }
-
-    /// Replace one dataset's objects wholesale (fresh id space, forest
-    /// rebuild, one version bump), waiting for the
-    /// installed version.
-    pub fn swap_dataset(
-        &self,
-        id: DatasetId,
-        objects: Vec<Rect<D>>,
-    ) -> Result<DataVersion, RequestError> {
-        self.swap_request(id, objects, None)
-    }
-
-    /// [`Self::swap_dataset`] with a replacement partitioner — the
-    /// re-fit path for data whose distribution moved (watch
-    /// [`crate::DatasetReport::load_imbalance`] to know when).
-    pub fn swap_dataset_with(
-        &self,
-        id: DatasetId,
-        partitioner: P,
-        objects: Vec<Rect<D>>,
-    ) -> Result<DataVersion, RequestError> {
-        self.swap_request(id, objects, Some(partitioner))
-    }
-
-    fn swap_request(
-        &self,
-        id: DatasetId,
-        objects: Vec<Rect<D>>,
-        partitioner: Option<P>,
-    ) -> Result<DataVersion, RequestError> {
-        let response = self
-            .submit(Request::SwapData {
-                dataset: id,
-                objects,
-                partitioner,
-            })
-            .expect("service is open")
-            .wait()
-            .expect("admitted requests are always answered")
-            .response;
-        match response {
-            crate::Response::Swapped(version) => Ok(version),
-            crate::Response::Failed(err) => Err(err),
-            other => unreachable!("swap answered with {other:?}"),
-        }
-    }
-
-    /// Resolve a dataset name to its id (immediate catalog lookup; does
-    /// not ride the queue).
-    pub fn dataset_id(&self, name: &str) -> Option<DatasetId> {
-        self.shared.catalog.resolve(name)
-    }
-
-    /// `(id, name)` of every live dataset, ascending by id.
-    pub fn datasets(&self) -> Vec<(DatasetId, String)> {
-        self.shared
-            .catalog
-            .ids()
-            .into_iter()
-            .filter_map(|id| {
-                let entry = self.shared.catalog.get(id)?;
-                Some((id, entry.name().to_string()))
-            })
-            .collect()
-    }
-
     /// `(id, name, partitioner)` of every live dataset, ascending by
-    /// id (brief read lock per store). The sharded router uses this to
-    /// rebuild its route table from recovered shards.
-    pub fn dataset_partitioners(&self) -> Vec<(DatasetId, String, P)> {
+    /// id (brief read lock per store). The router uses this to rebuild
+    /// its route table from recovered shards.
+    pub(crate) fn dataset_partitioners(&self) -> Vec<(DatasetId, String, P)> {
         self.shared
             .catalog
             .ids()
@@ -698,9 +528,8 @@ where
     }
 
     /// The data version one dataset currently serves (`None` for
-    /// unknown ids). Advances by one per applied write micro-batch and
-    /// per swap of that dataset — other datasets' writes never move it.
-    pub fn dataset_version(&self, id: DatasetId) -> Option<DataVersion> {
+    /// unknown ids), read under the store's read lock.
+    pub(crate) fn dataset_version(&self, id: DatasetId) -> Option<DataVersion> {
         let entry = self.shared.catalog.get(id)?;
         let version = entry
             .store()
@@ -711,7 +540,7 @@ where
     }
 
     /// Number of live (queryable) objects in one dataset.
-    pub fn dataset_live_count(&self, id: DatasetId) -> Option<usize> {
+    pub(crate) fn dataset_live_count(&self, id: DatasetId) -> Option<usize> {
         let entry = self.shared.catalog.get(id)?;
         let count = entry
             .store()
@@ -721,101 +550,35 @@ where
         Some(count)
     }
 
-    // ── Single-dataset shims (the pre-catalog API surface) ─────────
-
-    /// The dataset [`Self::start`] registered. Panics on a service
-    /// started via [`Self::start_catalog`] (it has no default).
-    pub fn default_dataset(&self) -> DatasetId {
-        self.default_dataset
-            .expect("service was started with an empty catalog; name a dataset explicitly")
-    }
-
-    /// Replace the default dataset (see [`Self::swap_dataset`]).
-    ///
-    /// The existing partitioner is **kept as-is**. That is correct for
-    /// any tiling, but a data-fitted partitioner (an
-    /// [`cbb_engine::AdaptiveGrid`] sampled from the *old* data, say)
-    /// keeps its old boundaries — if the new data's distribution or
-    /// domain differs, load balance degrades silently even though
-    /// answers stay exact. Re-fit with [`Self::swap_data_with`] in that
-    /// case.
-    pub fn swap_data(&self, objects: Vec<Rect<D>>) {
-        self.swap_dataset(self.default_dataset(), objects)
-            .expect("default dataset exists");
-    }
-
-    /// [`Self::swap_data`] with a replacement partitioner.
-    pub fn swap_data_with(&self, partitioner: P, objects: Vec<Rect<D>>) {
-        self.swap_dataset_with(self.default_dataset(), partitioner, objects)
-            .expect("default dataset exists");
-    }
-
-    /// The default dataset's data version (see
-    /// [`Self::dataset_version`]).
-    pub fn data_version(&self) -> DataVersion {
-        self.dataset_version(self.default_dataset())
-            .expect("default dataset exists")
-    }
-
-    /// Number of live (queryable) objects in the default dataset.
-    pub fn live_object_count(&self) -> usize {
-        self.dataset_live_count(self.default_dataset())
-            .expect("default dataset exists")
-    }
-
-    // ── Lifecycle ──────────────────────────────────────────────────
-
-    /// Requests currently queued (admitted, not yet picked up).
-    pub fn queued_len(&self) -> usize {
-        self.shared.queue.len()
-    }
-
-    /// A snapshot of the service counters, including one
+    /// A snapshot of the shard's counters, including one
     /// [`crate::DatasetReport`] row per live dataset. This is a **view
-    /// over the telemetry registry** — the same cells
-    /// [`Self::scrape`] exposes. With telemetry disabled the
-    /// service-level counters read zero (dataset rows still reflect
-    /// store state, which is tracked by the stores themselves).
-    pub fn report(&self) -> ServiceReport {
+    /// over the telemetry registry** — the same cells [`Self::scrape`]
+    /// exposes. With telemetry disabled the service-level counters
+    /// read zero (dataset rows still reflect store state, which is
+    /// tracked by the stores themselves).
+    pub(crate) fn report(&self) -> ServiceReport {
         let datasets = self.shared.sync_views();
         self.shared.stats.snapshot(datasets)
     }
 
     /// Scrape the telemetry registry: view-synced metrics are
-    /// refreshed, then the whole registry is rendered as both a
-    /// Prometheus-style text exposition and a JSON document (plus the
-    /// structured snapshot). Empty when telemetry is disabled.
-    pub fn scrape(&self) -> Scrape {
+    /// refreshed, then the whole registry is rendered. Empty when
+    /// telemetry is disabled.
+    pub(crate) fn scrape(&self) -> Scrape {
         self.shared.sync_views();
-        let snapshot = self.shared.stats.registry().snapshot();
-        Scrape {
-            text: snapshot.render_text(),
-            json: snapshot.to_json(),
-            snapshot,
-        }
+        Scrape::of(self.shared.stats.registry())
     }
 
     /// The slowest requests answered so far (top-K by end-to-end
-    /// latency, slowest first), each with its per-phase breakdown and
-    /// the work counters attributed to it. Empty when telemetry is
-    /// disabled.
-    pub fn slow_queries(&self) -> Vec<SlowQuery> {
+    /// latency, slowest first). Empty when telemetry is disabled.
+    pub(crate) fn slow_queries(&self) -> Vec<SlowQuery> {
         self.shared.stats.slow().entries()
-    }
-
-    /// Close admission without joining the dispatchers: every
-    /// in-flight request still completes, later `submit`s fail with
-    /// [`Closed`]. Used by the sharded router to stop all shards
-    /// *before* draining any of them; [`Self::shutdown`] remains the
-    /// close-drain-join one-call form.
-    pub fn close(&self) {
-        self.shared.queue.close();
     }
 
     /// Graceful shutdown: stop admission, let the dispatchers drain the
     /// queue — every accepted request (admin ops included) is answered
     /// — and join them. The final counter snapshot is returned.
-    pub fn shutdown(mut self) -> ServiceReport {
+    pub(crate) fn shutdown(mut self) -> ServiceReport {
         self.shared.queue.close();
         for handle in self.dispatchers.drain(..) {
             handle.join().expect("dispatcher panicked");
@@ -824,7 +587,16 @@ where
     }
 }
 
-impl<const D: usize, P> Drop for QueryService<D, P> {
+impl<const D: usize, P> Shard<D, P> {
+    /// Close admission without joining the dispatchers: every
+    /// in-flight request still completes, later `submit`s fail with
+    /// [`Closed`]. The router closes every shard *before* draining any.
+    pub(crate) fn close(&self) {
+        self.shared.queue.close();
+    }
+}
+
+impl<const D: usize, P> Drop for Shard<D, P> {
     fn drop(&mut self) {
         // Dropping without `shutdown()` still drains and joins — no
         // detached threads, no abandoned (hanging) handles.

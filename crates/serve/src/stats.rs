@@ -23,10 +23,8 @@ use crate::request::RequestKind;
 pub(crate) mod names {
     /// Requests admitted to the queue.
     pub const SUBMITTED: &str = "cbb_requests_submitted_total";
-    /// Requests refused (backpressure or closed service).
+    /// Requests refused by a closed service.
     pub const REJECTED: &str = "cbb_requests_rejected_total";
-    /// `try_submit` refusals due to a full queue specifically.
-    pub const SHED: &str = "cbb_requests_shed_total";
     /// Requests answered (handles fulfilled).
     pub const COMPLETED: &str = "cbb_requests_completed_total";
     /// Requests answered, by request kind.
@@ -111,7 +109,6 @@ pub struct ServiceStats {
     slow: SlowQueryRing,
     pub(crate) submitted: Counter,
     pub(crate) rejected: Counter,
-    pub(crate) shed: Counter,
     pub(crate) completed: Counter,
     pub(crate) by_kind: Vec<Counter>,
     pub(crate) queue_depth: Gauge,
@@ -159,12 +156,7 @@ impl ServiceStats {
             submitted: registry.counter(names::SUBMITTED, "Requests admitted to the queue.", &[]),
             rejected: registry.counter(
                 names::REJECTED,
-                "Requests refused by backpressure or closure.",
-                &[],
-            ),
-            shed: registry.counter(
-                names::SHED,
-                "try_submit refusals due to a full queue (load shed).",
+                "Requests refused by a closed service.",
                 &[],
             ),
             completed: registry.counter(
@@ -439,7 +431,7 @@ impl ServiceStats {
         ServiceReport {
             submitted: self.submitted.get(),
             rejected: self.rejected.get(),
-            shed: self.shed.get(),
+            shed: 0,
             queue_depth: self.queue_depth.get(),
             completed: self.completed.get(),
             batches,
@@ -519,11 +511,10 @@ impl DatasetReport {
 pub struct ServiceReport {
     /// Requests admitted to the queue.
     pub submitted: u64,
-    /// Requests refused by `try_submit` backpressure or closure.
+    /// Requests refused because the service was closed.
     pub rejected: u64,
-    /// The subset of [`Self::rejected`] refused specifically because
-    /// the queue was full (`try_submit` load shedding) — closure
-    /// refusals are not sheds.
+    /// Always 0: admission never sheds load — a full queue blocks
+    /// `submit` instead. Kept only for readers that still name it.
     pub shed: u64,
     /// Requests admitted but not yet picked up by a dispatcher at
     /// snapshot time.

@@ -21,11 +21,11 @@ use cbb_engine::{
 use cbb_geom::{Point, Rect};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{QueryService, Request, RequestError, Response, ServiceConfig};
+use cbb_serve::{Request, RequestError, Response, ServiceBuilder, ServiceConfig, ShardedService};
 
 const EXEC_WORKERS: usize = 3;
 
-type Service = QueryService<2, AnyPartitioner<2>>;
+type Service = ShardedService<2, AnyPartitioner<2>>;
 
 fn tree() -> TreeConfig<2> {
     TreeConfig::tiny(Variant::RStar)
@@ -36,14 +36,11 @@ fn clip() -> ClipConfig {
 }
 
 fn catalog_service() -> Service {
-    QueryService::start_catalog(
-        ServiceConfig {
-            exec_workers: EXEC_WORKERS,
-            ..ServiceConfig::default()
-        },
-        tree(),
-        clip(),
-    )
+    ServiceBuilder::from_config(ServiceConfig {
+        exec_workers: EXEC_WORKERS,
+        ..ServiceConfig::default()
+    })
+    .build_catalog(tree(), clip())
 }
 
 fn cross_join(
@@ -481,17 +478,14 @@ fn writes_and_admin_ops_resolve_in_queue_order() {
     // submissions near-certainly share one micro-batch — and when they
     // happen not to, queue-order execution across batches produces the
     // same final state, so the assertions are timing-independent.
-    let svc: Service = QueryService::start_catalog(
-        ServiceConfig {
-            batch_max: 16,
-            batch_deadline: std::time::Duration::from_millis(100),
-            dispatchers: 1,
-            exec_workers: 2,
-            ..ServiceConfig::default()
-        },
-        tree(),
-        clip(),
-    );
+    let svc: Service = ServiceBuilder::from_config(ServiceConfig {
+        batch_max: 16,
+        batch_deadline: std::time::Duration::from_millis(100),
+        dispatchers: 1,
+        exec_workers: 2,
+        ..ServiceConfig::default()
+    })
+    .build_catalog(tree(), clip());
     let data = clustered_with_layout::<2>(50, 3, 40_000.0, 0.2, 13, 13);
     let dataset = svc
         .create_dataset(

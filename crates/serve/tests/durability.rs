@@ -1,6 +1,6 @@
 //! The recovery oracle: a service recovered from snapshot + WAL
 //! answers every request kind identically to a service that never
-//! restarted, at every simulated kill point, for both service shapes
+//! restarted, at every simulated kill point, for one and two shards
 //! and multiple partitioner kinds.
 //!
 //! Crash points are simulated by copying the durability directory
@@ -20,7 +20,7 @@ use cbb_engine::{AdaptiveGrid, JoinAlgo, UniformGrid};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
 use cbb_serve::{
-    DurabilityConfig, QueryService, Request, Response, ServiceBuilder, ServiceConfig, Update,
+    DurabilityConfig, Request, Response, ServiceBuilder, ServiceConfig, ShardedService, Update,
 };
 
 const KILL_POINTS: [usize; 3] = [1, 4, 9];
@@ -106,15 +106,22 @@ fn copy_dir(from: &Path, to: &Path) {
 }
 
 /// Answers for the full probe set, ranges sorted into set form.
-fn answers<S: cbb_serve::SubmitRequest<2, P>, P: std::fmt::Debug>(
-    service: &S,
-    dataset: cbb_serve::DatasetId,
-) -> Vec<Response> {
+fn answers<P>(service: &ShardedService<2, P>, dataset: cbb_serve::DatasetId) -> Vec<Response>
+where
+    P: cbb_engine::Partitioner<2>
+        + cbb_engine::PersistPartitioner
+        + Clone
+        + PartialEq
+        + std::fmt::Debug
+        + Send
+        + Sync
+        + 'static,
+{
     let (ranges, knns) = probes(99);
     let mut out = Vec::new();
     for query in ranges {
         let response = service
-            .submit_request(Request::Range {
+            .submit(Request::Range {
                 dataset,
                 query,
                 use_clips: true,
@@ -133,7 +140,7 @@ fn answers<S: cbb_serve::SubmitRequest<2, P>, P: std::fmt::Debug>(
     for (center, k) in knns {
         out.push(
             service
-                .submit_request(Request::Knn { dataset, center, k })
+                .submit(Request::Knn { dataset, center, k })
                 .unwrap()
                 .wait()
                 .unwrap()
@@ -146,7 +153,7 @@ fn answers<S: cbb_serve::SubmitRequest<2, P>, P: std::fmt::Debug>(
     let join_probes: Vec<Rect<2>> = probes(123).0;
     for algo in [JoinAlgo::Stt, JoinAlgo::Inlj] {
         let join = service
-            .submit_request(Request::Join {
+            .submit(Request::Join {
                 dataset,
                 probes: join_probes.clone(),
                 algo,
@@ -165,7 +172,7 @@ fn answers<S: cbb_serve::SubmitRequest<2, P>, P: std::fmt::Debug>(
     out
 }
 
-/// Run the scripted stream on a durable single service, copying the
+/// Run the scripted stream on a durable one-shard service, copying the
 /// durability root after each kill-point ack; then recover each copy
 /// and compare against a never-restarted reference with the same
 /// prefix applied.
@@ -188,7 +195,12 @@ where
         durability: Some(DurabilityConfig::new(&root)),
         ..ServiceConfig::default()
     };
-    let durable = QueryService::start(config, partitioner.clone(), objects.clone(), tree(), clip());
+    let durable = ServiceBuilder::from_config(config).build(
+        partitioner.clone(),
+        objects.clone(),
+        tree(),
+        clip(),
+    );
     let dataset = durable.default_dataset();
     for (i, ops) in batches.iter().enumerate() {
         let completion = durable
@@ -209,13 +221,8 @@ where
 
     for kill in KILL_POINTS {
         // The reference: never restarted, same prefix applied in memory.
-        let reference = QueryService::start(
-            ServiceConfig::default(),
-            partitioner.clone(),
-            objects.clone(),
-            tree(),
-            clip(),
-        );
+        let reference =
+            ServiceBuilder::new().build(partitioner.clone(), objects.clone(), tree(), clip());
         let ref_dataset = reference.default_dataset();
         for ops in &batches[..kill] {
             reference
@@ -228,13 +235,13 @@ where
                 .unwrap();
         }
 
-        let recovered = QueryService::start(
-            ServiceConfig {
-                durability: Some(DurabilityConfig::new(
-                    root.with_extension(format!("kill{kill}")),
-                )),
-                ..ServiceConfig::default()
-            },
+        let recovered = ServiceBuilder::from_config(ServiceConfig {
+            durability: Some(DurabilityConfig::new(
+                root.with_extension(format!("kill{kill}")),
+            )),
+            ..ServiceConfig::default()
+        })
+        .build(
             partitioner.clone(),
             Vec::new(), // recovery wins: these objects must be ignored
             tree(),
@@ -369,7 +376,12 @@ fn catalog_lifecycle_survives_restart() {
         ..ServiceConfig::default()
     };
 
-    let first = QueryService::start(config.clone(), partitioner, objects.clone(), tree(), clip());
+    let first = ServiceBuilder::from_config(config.clone()).build(
+        partitioner,
+        objects.clone(),
+        tree(),
+        clip(),
+    );
     let keep = first
         .create_dataset("keep", partitioner, objects[..100].to_vec())
         .unwrap();
@@ -379,7 +391,7 @@ fn catalog_lifecycle_survives_restart() {
     assert!(first.drop_dataset(doomed));
     first.shutdown();
 
-    let second = QueryService::start(config, partitioner, Vec::new(), tree(), clip());
+    let second = ServiceBuilder::from_config(config).build(partitioner, Vec::new(), tree(), clip());
     assert_eq!(second.dataset_id("keep"), Some(keep));
     assert_eq!(second.dataset_id("doomed"), None);
     assert_eq!(
@@ -413,7 +425,12 @@ fn checkpoint_rolls_wal_and_preserves_answers() {
         ..ServiceConfig::default()
     };
 
-    let durable = QueryService::start(config.clone(), partitioner, objects.clone(), tree(), clip());
+    let durable = ServiceBuilder::from_config(config.clone()).build(
+        partitioner,
+        objects.clone(),
+        tree(),
+        clip(),
+    );
     let dataset = durable.default_dataset();
     for ops in &batches {
         durable
@@ -432,13 +449,7 @@ fn checkpoint_rolls_wal_and_preserves_answers() {
         report.checkpoints
     );
 
-    let reference = QueryService::start(
-        ServiceConfig::default(),
-        partitioner,
-        objects.clone(),
-        tree(),
-        clip(),
-    );
+    let reference = ServiceBuilder::new().build(partitioner, objects.clone(), tree(), clip());
     let ref_dataset = reference.default_dataset();
     for ops in &batches {
         reference
@@ -451,7 +462,8 @@ fn checkpoint_rolls_wal_and_preserves_answers() {
             .unwrap();
     }
 
-    let recovered = QueryService::start(config, partitioner, Vec::new(), tree(), clip());
+    let recovered =
+        ServiceBuilder::from_config(config).build(partitioner, Vec::new(), tree(), clip());
     let rec_dataset = recovered.default_dataset();
     assert_eq!(
         answers(&recovered, rec_dataset),
@@ -474,18 +486,13 @@ fn waiter_wakes_only_after_wal_record_is_durable() {
     let (objects, domain) = fixture();
     let partitioner = UniformGrid::new(domain, 3);
     let root = tmp_root("commit_order");
-    let service = QueryService::start(
-        ServiceConfig {
-            durability: Some(DurabilityConfig::new(&root)),
-            ..ServiceConfig::default()
-        },
-        partitioner,
-        objects,
-        tree(),
-        clip(),
-    );
+    let service = ServiceBuilder::from_config(ServiceConfig {
+        durability: Some(DurabilityConfig::new(&root)),
+        ..ServiceConfig::default()
+    })
+    .build(partitioner, objects, tree(), clip());
     let dataset = service.default_dataset();
-    let wal = root.join(format!("ds_{}.wal", dataset.0));
+    let wal = root.join("shard_0").join(format!("ds_{}.wal", dataset.0));
 
     for i in 0..8u64 {
         let response = service
@@ -533,7 +540,12 @@ fn swap_survives_restart() {
         durability: Some(DurabilityConfig::new(&root)),
         ..ServiceConfig::default()
     };
-    let first = QueryService::start(config.clone(), partitioner, objects.clone(), tree(), clip());
+    let first = ServiceBuilder::from_config(config.clone()).build(
+        partitioner,
+        objects.clone(),
+        tree(),
+        clip(),
+    );
     let dataset = first.default_dataset();
     let replacement: Vec<Rect<2>> = objects[..64].to_vec();
     first.swap_dataset(dataset, replacement.clone()).unwrap();
@@ -553,7 +565,7 @@ fn swap_survives_restart() {
     let want_live = first.dataset_live_count(dataset);
     first.shutdown();
 
-    let second = QueryService::start(config, partitioner, Vec::new(), tree(), clip());
+    let second = ServiceBuilder::from_config(config).build(partitioner, Vec::new(), tree(), clip());
     assert_eq!(second.dataset_version(dataset), want_version);
     assert_eq!(second.dataset_live_count(dataset), want_live);
     assert_eq!(second.dataset_live_count(dataset), Some(65));
@@ -561,10 +573,10 @@ fn swap_survives_restart() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The builder's `config()` forwards every default unchanged — the
-/// `start`/`start_catalog` shims and `ServiceBuilder` start from the
-/// same configuration (`ServiceConfig` has no `PartialEq`; pinned
-/// field by field).
+/// The builder's `config()` forwards every default unchanged —
+/// `ServiceBuilder::new()` and `ServiceBuilder::from_config` over
+/// `ServiceConfig::default()` start from the same configuration
+/// (`ServiceConfig` has no `PartialEq`; pinned field by field).
 #[test]
 fn builder_defaults_equal_config_defaults() {
     let built = ServiceBuilder::new().config();

@@ -9,7 +9,9 @@ use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::UniformGrid;
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{DurabilityConfig, QueryService, Request, Response, ServiceConfig, Update};
+use cbb_serve::{
+    DurabilityConfig, Request, Response, ServiceBuilder, ServiceConfig, ShardedService, Update,
+};
 use cbb_storage::FaultyLog;
 
 const BATCHES: usize = 6;
@@ -29,6 +31,12 @@ fn tmp_root(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Where the (only) shard of a one-shard durable service keeps its
+/// files.
+fn shard_dir(root: &std::path::Path) -> std::path::PathBuf {
+    root.join("shard_0")
+}
+
 /// A durable service with `BATCHES` single-insert batches applied,
 /// shut down cleanly. Returns the root and the per-batch acked
 /// versions.
@@ -36,16 +44,11 @@ fn run_stream(tag: &str) -> (std::path::PathBuf, Vec<u64>) {
     let data = clustered_with_layout::<2>(600, 4, 30_000.0, 0.15, 5, 5);
     let partitioner = UniformGrid::new(data.domain, 3);
     let root = tmp_root(tag);
-    let service = QueryService::start(
-        ServiceConfig {
-            durability: Some(DurabilityConfig::new(&root)),
-            ..ServiceConfig::default()
-        },
-        partitioner,
-        data.boxes,
-        tree(),
-        clip(),
-    );
+    let service = ServiceBuilder::from_config(ServiceConfig {
+        durability: Some(DurabilityConfig::new(&root)),
+        ..ServiceConfig::default()
+    })
+    .build(partitioner, data.boxes, tree(), clip());
     let dataset = service.default_dataset();
     let mut rng = SplitMix64::new(5);
     let mut versions = Vec::new();
@@ -72,18 +75,13 @@ fn run_stream(tag: &str) -> (std::path::PathBuf, Vec<u64>) {
     (root, versions)
 }
 
-fn restart(root: &std::path::Path) -> QueryService<2, UniformGrid<2>> {
+fn restart(root: &std::path::Path) -> ShardedService<2, UniformGrid<2>> {
     let data = clustered_with_layout::<2>(600, 4, 30_000.0, 0.15, 5, 5);
-    QueryService::start(
-        ServiceConfig {
-            durability: Some(DurabilityConfig::new(root)),
-            ..ServiceConfig::default()
-        },
-        UniformGrid::new(data.domain, 3),
-        Vec::new(),
-        tree(),
-        clip(),
-    )
+    ServiceBuilder::from_config(ServiceConfig {
+        durability: Some(DurabilityConfig::new(root)),
+        ..ServiceConfig::default()
+    })
+    .build(UniformGrid::new(data.domain, 3), Vec::new(), tree(), clip())
 }
 
 /// A truncated tail (the classic torn write: the kill landed inside
@@ -92,7 +90,7 @@ fn restart(root: &std::path::Path) -> QueryService<2, UniformGrid<2>> {
 #[test]
 fn truncated_wal_tail_loses_only_the_last_batch() {
     let (root, versions) = run_stream("truncate");
-    let wal = root.join("ds_0.wal");
+    let wal = shard_dir(&root).join("ds_0.wal");
     // Chop 3 bytes off the final record: its length prefix now promises
     // more payload than the file holds.
     FaultyLog::new(&wal).truncate_tail(3).unwrap();
@@ -114,7 +112,7 @@ fn truncated_wal_tail_loses_only_the_last_batch() {
 #[test]
 fn bit_flip_in_wal_tail_is_detected_by_checksum() {
     let (root, versions) = run_stream("bitflip");
-    let wal = root.join("ds_0.wal");
+    let wal = shard_dir(&root).join("ds_0.wal");
     // Damage the payload of the final record (well past its 8-byte
     // frame, counted from the end).
     FaultyLog::new(&wal).flip_bit_from_end(4).unwrap();
@@ -138,7 +136,7 @@ fn bit_flip_in_wal_tail_is_detected_by_checksum() {
 #[test]
 fn bit_flip_mid_wal_recovers_the_valid_prefix() {
     let (root, versions) = run_stream("midflip");
-    let wal = root.join("ds_0.wal");
+    let wal = shard_dir(&root).join("ds_0.wal");
     let len = std::fs::metadata(&wal).unwrap().len();
     // Land inside one of the middle records' payloads.
     FaultyLog::new(&wal).flip_bit_at(len / 2).unwrap();
@@ -164,7 +162,7 @@ fn bit_flip_mid_wal_recovers_the_valid_prefix() {
 #[test]
 fn corrupt_snapshot_refuses_recovery() {
     let (root, _) = run_stream("snapcorrupt");
-    let snap = root.join("ds_0.snap");
+    let snap = shard_dir(&root).join("ds_0.snap");
     // Flip a bit inside the arena section, far from the header.
     let len = std::fs::metadata(&snap).unwrap().len();
     FaultyLog::new(&snap).flip_bit_at(len / 2).unwrap();
@@ -185,26 +183,21 @@ fn torn_catalog_wal_undoes_the_halfwritten_create() {
     let data = clustered_with_layout::<2>(400, 4, 30_000.0, 0.15, 5, 5);
     let partitioner = UniformGrid::new(data.domain, 3);
     let root = tmp_root("admin_torn");
-    let service = QueryService::start(
-        ServiceConfig {
-            durability: Some(DurabilityConfig::new(&root)),
-            ..ServiceConfig::default()
-        },
-        partitioner,
-        data.boxes.clone(),
-        tree(),
-        clip(),
-    );
+    let service = ServiceBuilder::from_config(ServiceConfig {
+        durability: Some(DurabilityConfig::new(&root)),
+        ..ServiceConfig::default()
+    })
+    .build(partitioner, data.boxes.clone(), tree(), clip());
     let extra = service
         .create_dataset("extra", partitioner, data.boxes[..32].to_vec())
         .unwrap();
     service.shutdown();
 
     // Tear the tail of catalog.wal inside the "extra" Create record.
-    FaultyLog::new(&root.join("catalog.wal"))
+    FaultyLog::new(&shard_dir(&root).join("catalog.wal"))
         .truncate_tail(2)
         .unwrap();
-    let snap = root.join(format!("ds_{}.snap", extra.0));
+    let snap = shard_dir(&root).join(format!("ds_{}.snap", extra.0));
     assert!(
         snap.exists(),
         "the orphan snapshot was written before the record"

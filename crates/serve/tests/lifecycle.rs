@@ -9,12 +9,11 @@ use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{DataVersion, JoinAlgo, UniformGrid};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{TreeConfig, Variant};
-use cbb_serve::{QueryService, Request, ServiceConfig};
+use cbb_serve::{Request, ServiceBuilder, ServiceConfig, ShardedService};
 
-fn service(config: ServiceConfig, n: usize) -> (QueryService<2, UniformGrid<2>>, Vec<Rect<2>>) {
+fn service(config: ServiceConfig, n: usize) -> (ShardedService<2, UniformGrid<2>>, Vec<Rect<2>>) {
     let data = clustered_with_layout::<2>(n, 5, 40_000.0, 0.2, 3, 3);
-    let svc = QueryService::start(
-        config,
+    let svc = ServiceBuilder::from_config(config).build(
         UniformGrid::new(data.domain, 4),
         data.boxes.clone(),
         TreeConfig::tiny(Variant::RStar),
@@ -54,8 +53,9 @@ fn shutdown_drains_queue() {
         .collect();
     // Close admission while most of the backlog is still queued.
     let report = svc.shutdown();
-    assert_eq!(report.submitted, 400);
-    assert_eq!(report.completed, 400, "drain must answer every request");
+    // 400 ranges plus the queued create of the default dataset.
+    assert_eq!(report.submitted, 401);
+    assert_eq!(report.completed, 401, "drain must answer every request");
     assert_eq!(report.rejected, 0);
     for (i, handle) in handles.into_iter().enumerate() {
         assert!(
@@ -88,11 +88,14 @@ fn drop_is_a_graceful_shutdown() {
 
 /// The ROADMAP cache item, end to end: repeated joins on one data
 /// version build the tile trees exactly once; bumping the version via
-/// `swap_data` rebuilds exactly once more; pair counts are stable.
+/// `swap_dataset` rebuilds exactly once more; pair counts are stable.
 #[test]
 fn join_tree_cache_skips_rebuilds_until_version_bump() {
     let (svc, boxes) = service(ServiceConfig::default(), 1_200);
-    assert_eq!(svc.data_version(), DataVersion(0));
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset()).unwrap(),
+        DataVersion(0)
+    );
     let probes: Vec<Rect<2>> = (0..300).map(|i| some_query(2_000 + i)).collect();
     let join = |algo| {
         svc.submit(Request::Join {
@@ -121,8 +124,12 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
     );
 
     // Same data under a bumped version: exactly one rebuild, same pairs.
-    svc.swap_data(boxes.clone());
-    assert_eq!(svc.data_version(), DataVersion(1));
+    svc.swap_dataset(svc.default_dataset(), boxes.clone())
+        .unwrap();
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset()).unwrap(),
+        DataVersion(1)
+    );
     let after_swap = join(JoinAlgo::Stt);
     assert_eq!(after_swap, first, "same data ⇒ same join, rebuilt trees");
     let report = svc.report();
@@ -133,8 +140,12 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
 
     // Different data actually changes answers (the version is not
     // cosmetic): drop half the boxes.
-    svc.swap_data(boxes[..boxes.len() / 2].to_vec());
-    assert_eq!(svc.data_version(), DataVersion(2));
+    svc.swap_dataset(svc.default_dataset(), boxes[..boxes.len() / 2].to_vec())
+        .unwrap();
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset()).unwrap(),
+        DataVersion(2)
+    );
     let shrunk = join(JoinAlgo::Stt);
     assert!(
         shrunk.pairs < first.pairs,
@@ -152,7 +163,7 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
 fn swap_data_changes_range_answers() {
     let (svc, boxes) = service(ServiceConfig::default(), 900);
     let q = Rect::new(Point([0.0, 0.0]), Point([1_000_000.0, 1_000_000.0]));
-    let all = |svc: &QueryService<2, UniformGrid<2>>| {
+    let all = |svc: &ShardedService<2, UniformGrid<2>>| {
         svc.submit(Request::Range {
             dataset: svc.default_dataset(),
             query: q,
@@ -166,19 +177,20 @@ fn swap_data_changes_range_answers() {
         .len()
     };
     assert_eq!(all(&svc), 900);
-    svc.swap_data(boxes[..100].to_vec());
+    svc.swap_dataset(svc.default_dataset(), boxes[..100].to_vec())
+        .unwrap();
     assert_eq!(all(&svc), 100);
     svc.shutdown();
 }
 
-/// `swap_data_with` re-fits the partitioner alongside the data: the new
+/// `swap_dataset_with` re-fits the partitioner alongside the data: the new
 /// tiling (different tile count) serves correct answers and counts as a
 /// normal version bump.
 #[test]
 fn swap_data_with_refits_the_partitioner() {
     let (svc, boxes) = service(ServiceConfig::default(), 700);
     let q = Rect::new(Point([0.0, 0.0]), Point([1_000_000.0, 1_000_000.0]));
-    let count_all = |svc: &QueryService<2, UniformGrid<2>>| {
+    let count_all = |svc: &ShardedService<2, UniformGrid<2>>| {
         svc.submit(Request::Range {
             dataset: svc.default_dataset(),
             query: q,
@@ -194,11 +206,19 @@ fn swap_data_with_refits_the_partitioner() {
     assert_eq!(count_all(&svc), 700);
     // Re-fit to a finer grid over the same data: answers unchanged.
     let domain = Rect::new(Point([0.0, 0.0]), Point([1_000_000.0, 1_000_000.0]));
-    svc.swap_data_with(UniformGrid::new(domain, 7), boxes.clone());
-    assert_eq!(svc.data_version(), DataVersion(1));
+    svc.swap_dataset_with(
+        svc.default_dataset(),
+        UniformGrid::new(domain, 7),
+        boxes.clone(),
+    )
+    .unwrap();
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset()).unwrap(),
+        DataVersion(1)
+    );
     assert_eq!(count_all(&svc), 700);
     let probes: Vec<Rect<2>> = (0..100).map(|i| some_query(9_000 + i)).collect();
-    let pairs = |svc: &QueryService<2, UniformGrid<2>>| {
+    let pairs = |svc: &ShardedService<2, UniformGrid<2>>| {
         svc.submit(Request::Join {
             dataset: svc.default_dataset(),
             probes: probes.clone(),
@@ -213,7 +233,8 @@ fn swap_data_with_refits_the_partitioner() {
         .pairs
     };
     let under_7 = pairs(&svc);
-    svc.swap_data_with(UniformGrid::new(domain, 3), boxes);
+    svc.swap_dataset_with(svc.default_dataset(), UniformGrid::new(domain, 3), boxes)
+        .unwrap();
     let under_3 = pairs(&svc);
     assert_eq!(under_7, under_3, "tiling never changes join answers");
     assert_eq!(svc.report().forest_builds, 3);
@@ -263,8 +284,9 @@ fn concurrent_producers_all_served_and_batched() {
     }
     let svc = std::sync::Arc::into_inner(svc).expect("all producers joined");
     let report = svc.shutdown();
-    assert_eq!(report.submitted, 320);
-    assert_eq!(report.completed, 320);
+    // 320 ranges plus the queued create of the default dataset.
+    assert_eq!(report.submitted, 321);
+    assert_eq!(report.completed, 321);
     assert!(
         report.mean_batch > 1.0,
         "4 concurrent producers against a 10 ms deadline must coalesce \

@@ -7,11 +7,11 @@ use std::time::Duration;
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{
-    partitioned_join, AdaptiveGrid, AutoPolicy, BatchExecutor, JoinAlgo, JoinPlan, SplitPolicy,
+    partitioned_join, AdaptiveGrid, AutoPolicy, DatasetStore, JoinAlgo, JoinPlan, SplitPolicy,
 };
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{TreeConfig, Variant};
-use cbb_serve::{QueryAlgo, QueryService, Request, ServiceBuilder, ServiceConfig};
+use cbb_serve::{QueryAlgo, Request, ServiceBuilder, ServiceConfig};
 
 const EXEC_WORKERS: usize = 3;
 
@@ -53,25 +53,20 @@ fn queries(n: usize, seed: u64) -> Vec<Rect<2>> {
 #[test]
 fn batched_answers_equal_direct_executor_answers() {
     let f = fixture();
-    let direct = BatchExecutor::build(
+    let direct = DatasetStore::build(
         f.partitioner.clone(),
         &f.objects,
         f.tree,
         f.clip,
         EXEC_WORKERS,
     );
-    let service = QueryService::start(
-        ServiceConfig {
-            batch_max: 16,
-            batch_deadline: Duration::from_millis(5),
-            exec_workers: EXEC_WORKERS,
-            ..ServiceConfig::default()
-        },
-        f.partitioner.clone(),
-        f.objects.clone(),
-        f.tree,
-        f.clip,
-    );
+    let service = ServiceBuilder::from_config(ServiceConfig {
+        batch_max: 16,
+        batch_deadline: Duration::from_millis(5),
+        exec_workers: EXEC_WORKERS,
+        ..ServiceConfig::default()
+    })
+    .build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
     let dataset = service.default_dataset();
 
     let range_qs = queries(60, 41);
@@ -180,8 +175,7 @@ fn batching_configuration_does_not_change_answers() {
     ];
     let mut all_answers: Vec<Vec<cbb_serve::Response>> = Vec::new();
     for config in configs {
-        let service = QueryService::start(
-            config,
+        let service = ServiceBuilder::from_config(config).build(
             f.partitioner.clone(),
             f.objects.clone(),
             f.tree,
@@ -217,13 +211,8 @@ fn batching_configuration_does_not_change_answers() {
 #[test]
 fn degenerate_requests_are_served() {
     let f = fixture();
-    let service = QueryService::start(
-        ServiceConfig::default(),
-        f.partitioner.clone(),
-        f.objects.clone(),
-        f.tree,
-        f.clip,
-    );
+    let service =
+        ServiceBuilder::new().build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
     let dataset = service.default_dataset();
     let knn = service
         .submit(Request::Knn {
@@ -255,8 +244,8 @@ fn degenerate_requests_are_served() {
 
 /// The `query_algo` knob moves work counters, never answers: the same
 /// range workload through `Descend`, `SharedSweep` and `Auto` services
-/// — in both service shapes (coalescing micro-batches and the
-/// unbatched per-request path), single-store and sharded — returns
+/// — coalescing micro-batches and the unbatched per-request path, on
+/// one shard and on three — returns
 /// byte-identical responses, all in the canonical ascending-id order.
 #[test]
 fn query_algo_never_changes_answers_in_any_service_shape() {

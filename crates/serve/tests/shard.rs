@@ -1,5 +1,5 @@
 //! Shard oracle: an N-shard [`ShardedService`] answers **byte-equal**
-//! to a single-store [`QueryService`] on the same seeded data, for
+//! to a one-shard service on the same seeded data, for
 //! every request kind, across shard counts, partitioner kinds, and
 //! both shard-fitting modes — plus the router edge cases (boundary
 //! straddling, empty shards, atomic admin fan-out, cross-join dedup).
@@ -14,8 +14,7 @@ use cbb_engine::{
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
 use cbb_serve::{
-    QueryService, Request, RequestError, Response, ServiceBuilder, ServiceConfig, ShardFitting,
-    ShardedService, SubmitRequest,
+    Request, RequestError, Response, ServiceBuilder, ServiceConfig, ShardFitting, ShardedService,
 };
 
 fn tree() -> TreeConfig<2> {
@@ -63,7 +62,7 @@ fn range_queries(domain: &Rect<2>, n: usize, seed: u64) -> Vec<Rect<2>> {
 /// Submit one request to both services and assert byte-equal
 /// responses.
 fn assert_same<P>(
-    single: &QueryService<2, P>,
+    single: &ShardedService<2, P>,
     sharded: &ShardedService<2, P>,
     request: Request<2, P>,
     what: &str,
@@ -90,7 +89,7 @@ where
 }
 
 /// The full mixed workload — every request kind, serially — against a
-/// single store and an N-shard service over the same partitioner.
+/// one-shard service and an N-shard service over the same partitioner.
 fn oracle_roundtrip<P>(
     partitioner: P,
     domain: Rect<2>,
@@ -107,8 +106,7 @@ fn oracle_roundtrip<P>(
         + Sync
         + 'static,
 {
-    let single = QueryService::start(
-        config(),
+    let single = ServiceBuilder::from_config(config()).build(
         partitioner.clone(),
         objects.clone(),
         tree(),
@@ -334,7 +332,7 @@ fn cross_join_oracle_two_datasets() {
     let p_roads = AdaptiveGrid::from_sample(domain, [3, 3], &roads);
     let p_parcels = AdaptiveGrid::from_sample(domain, [4, 2], &parcels);
     for (shards, fitting) in [(2, ShardFitting::Balanced), (3, ShardFitting::Fitted)] {
-        let single = QueryService::start_catalog(config(), tree(), clip());
+        let single = ServiceBuilder::from_config(config()).build_catalog(tree(), clip());
         let sharded = ServiceBuilder::from_config(config())
             .shards(shards)
             .shard_fitting(fitting)
@@ -467,7 +465,7 @@ fn admin_fanout_is_atomic() {
 }
 
 /// The typed client surface and the enum path are the same request:
-/// byte-equal answers through both, on both service shapes.
+/// byte-equal answers through both, on one and two shards.
 #[test]
 fn typed_client_equals_enum_path() {
     let (domain, objects) = dataset(800, 71);
@@ -550,9 +548,8 @@ fn typed_client_equals_enum_path() {
         .into_updated();
     assert_eq!(summary.results.len(), 1);
 
-    // The same trait drives the unsharded service.
-    let single = QueryService::start(
-        config(),
+    // The same client drives a one-shard service.
+    let single = ServiceBuilder::from_config(config()).build(
         UniformGrid::new(domain, 3),
         objects,
         tree(),
@@ -566,7 +563,7 @@ fn typed_client_equals_enum_path() {
 }
 
 fn typed_or_enum_range_reference(
-    service: &QueryService<2, UniformGrid<2>>,
+    service: &ShardedService<2, UniformGrid<2>>,
     q: Rect<2>,
 ) -> Response {
     service

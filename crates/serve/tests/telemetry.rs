@@ -12,7 +12,10 @@ use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{AdaptiveGrid, AutoPolicy, DatasetStore, JoinAlgo, QueryAlgo, SplitPolicy};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{AccessStats, TreeConfig, Variant};
-use cbb_serve::{QueryService, Request, Response, ServiceConfig, TelemetryConfig, DEFAULT_DATASET};
+use cbb_serve::{
+    Request, Response, ServiceBuilder, ServiceConfig, ShardedService, TelemetryConfig,
+    DEFAULT_DATASET,
+};
 
 const EXEC_WORKERS: usize = 2;
 
@@ -34,20 +37,15 @@ fn fixture() -> Fixture {
     }
 }
 
-fn service(f: &Fixture, telemetry: TelemetryConfig) -> QueryService<2, AdaptiveGrid<2>> {
-    QueryService::start(
-        ServiceConfig {
-            batch_max: 8,
-            batch_deadline: Duration::from_millis(2),
-            exec_workers: EXEC_WORKERS,
-            telemetry,
-            ..ServiceConfig::default()
-        },
-        f.partitioner.clone(),
-        f.objects.clone(),
-        f.tree,
-        f.clip,
-    )
+fn service(f: &Fixture, telemetry: TelemetryConfig) -> ShardedService<2, AdaptiveGrid<2>> {
+    ServiceBuilder::from_config(ServiceConfig {
+        batch_max: 8,
+        batch_deadline: Duration::from_millis(2),
+        exec_workers: EXEC_WORKERS,
+        telemetry,
+        ..ServiceConfig::default()
+    })
+    .build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip)
 }
 
 fn range_queries(n: usize, seed: u64) -> Vec<Rect<2>> {
@@ -97,19 +95,14 @@ fn registry_access_counters_match_direct_engine_oracle() {
 
 fn registry_access_counters_oracle(algo: QueryAlgo) {
     let f = fixture();
-    let svc = QueryService::start(
-        ServiceConfig {
-            batch_max: 8,
-            batch_deadline: Duration::from_millis(2),
-            exec_workers: EXEC_WORKERS,
-            query_algo: algo,
-            ..ServiceConfig::default()
-        },
-        f.partitioner.clone(),
-        f.objects.clone(),
-        f.tree,
-        f.clip,
-    );
+    let svc = ServiceBuilder::from_config(ServiceConfig {
+        batch_max: 8,
+        batch_deadline: Duration::from_millis(2),
+        exec_workers: EXEC_WORKERS,
+        query_algo: algo,
+        ..ServiceConfig::default()
+    })
+    .build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
     let dataset = svc.default_dataset();
 
     let clipped = range_queries(30, 9);
@@ -150,7 +143,7 @@ fn registry_access_counters_oracle(algo: QueryAlgo) {
     for h in handles {
         h.wait().unwrap();
     }
-    let scrape = svc.scrape();
+    let scrape = svc.shard_scrapes().remove(0);
     svc.shutdown();
 
     // The oracle: the same store built directly, probed with the same
@@ -202,9 +195,10 @@ fn registry_access_counters_oracle(algo: QueryAlgo) {
         scrape.snapshot.counter("cbb_forest_builds_total", &[]),
         Some(1)
     );
+    // Every read, plus the queued create of the default dataset.
     assert_eq!(
         scrape.snapshot.counter("cbb_requests_completed_total", &[]),
-        Some((clipped.len() + baseline.len() + probes.len()) as u64)
+        Some((clipped.len() + baseline.len() + probes.len() + 1) as u64)
     );
 }
 
@@ -240,15 +234,17 @@ fn concurrent_producers_record_exact_totals() {
     });
 
     let total = (THREADS * PER_THREAD) as u64;
-    let scrape = svc.scrape();
+    // The ranges plus the queued create of the default dataset.
+    let admitted = total + 1;
+    let scrape = svc.shard_scrapes().remove(0);
     let snap = &scrape.snapshot;
     assert_eq!(
         snap.counter("cbb_requests_submitted_total", &[]),
-        Some(total)
+        Some(admitted)
     );
     assert_eq!(
         snap.counter("cbb_requests_completed_total", &[]),
-        Some(total)
+        Some(admitted)
     );
     assert_eq!(
         snap.counter("cbb_requests_by_kind_total", &[("request_kind", "range")]),
@@ -258,7 +254,7 @@ fn concurrent_producers_record_exact_totals() {
     assert_eq!(snap.gauge("cbb_queue_depth", &[]), Some(0));
     assert_eq!(
         snap.counter("cbb_batched_requests_total", &[]),
-        Some(total),
+        Some(admitted),
         "batches carried every request exactly once"
     );
     let latency = snap
@@ -268,7 +264,7 @@ fn concurrent_producers_record_exact_totals() {
     let batch_size = snap
         .histogram("cbb_batch_size", &[])
         .expect("batch size histogram registered");
-    assert_eq!(batch_size.sum, total);
+    assert_eq!(batch_size.sum, admitted);
     assert_eq!(
         Some(batch_size.count),
         snap.counter("cbb_batches_total", &[])
@@ -286,7 +282,7 @@ fn disabled_telemetry_records_nothing_and_answers_identically() {
 
     let queries = range_queries(25, 77);
     let probes = knn_probes(10, 78);
-    let answers = |svc: &QueryService<2, AdaptiveGrid<2>>| {
+    let answers = |svc: &ShardedService<2, AdaptiveGrid<2>>| {
         let dataset = svc.default_dataset();
         let mut ranges = Vec::new();
         for q in &queries {
@@ -319,7 +315,7 @@ fn disabled_telemetry_records_nothing_and_answers_identically() {
         "telemetry must not change answers"
     );
 
-    let scrape = off.scrape();
+    let scrape = off.shard_scrapes().remove(0);
     assert_eq!(
         scrape.snapshot.total_recorded(),
         0,
@@ -327,6 +323,7 @@ fn disabled_telemetry_records_nothing_and_answers_identically() {
     );
     assert!(scrape.text.is_empty(), "disabled scrape renders no text");
     assert!(scrape.snapshot.families.is_empty());
+    assert!(off.scrape().text.is_empty(), "the router's registry too");
     assert!(off.slow_queries().is_empty(), "slow ring stays inert");
     assert!(
         !on.slow_queries().is_empty(),
@@ -413,14 +410,13 @@ fn golden_scrape_format() {
         .response;
     assert_eq!(deleted, Response::Deleted(true));
 
-    let scrape = svc.scrape();
+    let scrape = svc.shard_scrapes().remove(0);
     let text = &scrape.text;
 
     // ── Golden family catalog: names and kinds are API.
     let expected_types = [
         ("cbb_requests_submitted_total", "counter"),
         ("cbb_requests_rejected_total", "counter"),
-        ("cbb_requests_shed_total", "counter"),
         ("cbb_requests_completed_total", "counter"),
         ("cbb_requests_by_kind_total", "counter"),
         ("cbb_queue_depth", "gauge"),

@@ -2,7 +2,7 @@
 //! batcher → engine pipeline are atomic (one version bump per
 //! micro-batch), delta-applied (no forest rebuild), read-your-writes
 //! ordered, and — the oracle — answer-identical to a wholesale
-//! `swap_data` with the surviving objects.
+//! `swap_dataset` with the surviving objects.
 
 use std::time::Duration;
 
@@ -12,14 +12,13 @@ use cbb_engine::{DataVersion, JoinAlgo, UniformGrid, Update, UpdateResult};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{QueryService, Request, ServiceConfig};
+use cbb_serve::{Request, ServiceBuilder, ServiceConfig, ShardedService};
 
-type Service = QueryService<2, UniformGrid<2>>;
+type Service = ShardedService<2, UniformGrid<2>>;
 
 fn service(config: ServiceConfig, n: usize) -> (Service, Vec<Rect<2>>) {
     let data = clustered_with_layout::<2>(n, 5, 40_000.0, 0.2, 3, 3);
-    let svc = QueryService::start(
-        config,
+    let svc = ServiceBuilder::from_config(config).build(
         UniformGrid::new(data.domain, 4),
         data.boxes.clone(),
         TreeConfig::tiny(Variant::RStar),
@@ -57,7 +56,7 @@ fn range(svc: &Service, q: Rect<2>) -> Vec<DataId> {
 }
 
 /// The acceptance oracle: a batch of mixed updates yields exactly the
-/// same query/join answers as `swap_data` with the final dataset —
+/// same query/join answers as `swap_dataset` with the final dataset —
 /// without a single forest rebuild on the update path.
 #[test]
 fn update_batch_equals_swap_data_with_final_dataset() {
@@ -117,12 +116,17 @@ fn update_batch_equals_swap_data_with_final_dataset() {
         .filter(|(_, l)| **l)
         .map(|(r, _)| *r)
         .collect();
-    assert_eq!(svc.live_object_count(), live_rects.len());
+    assert_eq!(
+        svc.dataset_live_count(svc.default_dataset()).unwrap(),
+        live_rects.len()
+    );
 
     // Reference service: wholesale swap to the final dataset (fresh id
     // space, so compare by rectangle).
     let (reference, _) = service(ServiceConfig::default(), 1_200);
-    reference.swap_data(live_rects.clone());
+    reference
+        .swap_dataset(reference.default_dataset(), live_rects.clone())
+        .unwrap();
 
     for (qi, q) in queries(40, 42).into_iter().enumerate() {
         // Ranges: identical result rectangles; against brute force too.
@@ -262,7 +266,10 @@ fn read_your_writes_after_completion() {
 #[test]
 fn write_batches_bump_once_and_degenerates_answer() {
     let (svc, boxes) = service(ServiceConfig::default(), 400);
-    assert_eq!(svc.data_version(), DataVersion(0));
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset()).unwrap(),
+        DataVersion(0)
+    );
 
     // One multi-op batch: exactly one bump.
     let summary = svc
@@ -281,7 +288,10 @@ fn write_batches_bump_once_and_degenerates_answer() {
         .unwrap()
         .response
         .into_updated();
-    assert_eq!(svc.data_version(), DataVersion(1));
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset()).unwrap(),
+        DataVersion(1)
+    );
     assert_eq!(summary.version, DataVersion(1));
     assert_eq!(
         summary.results,
@@ -307,7 +317,10 @@ fn write_batches_bump_once_and_degenerates_answer() {
         .into_updated();
     assert_eq!(empty.version, DataVersion(1));
     assert!(empty.results.is_empty());
-    assert_eq!(svc.data_version(), DataVersion(1));
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset()).unwrap(),
+        DataVersion(1)
+    );
 
     // All-no-op write batches (rejected inserts, a dead delete) are
     // answered but change nothing: no bump, no applied-update
@@ -350,15 +363,20 @@ fn write_batches_bump_once_and_degenerates_answer() {
         .response
         .into_deleted();
     assert!(!dead, "id 0 was deleted above");
-    assert_eq!(svc.data_version(), DataVersion(1), "no-ops bump nothing");
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset()).unwrap(),
+        DataVersion(1),
+        "no-ops bump nothing"
+    );
     let report = svc.report();
     assert_eq!(report.write_batches, 1);
     assert_eq!(report.updates_applied, 2, "only the applied insert+delete");
 
-    // swap_data composes with the write path: wholesale replacement
+    // swap_dataset composes with the write path: wholesale replacement
     // re-keys ids, then updates keep working.
-    svc.swap_data(boxes[..100].to_vec());
-    let v = svc.data_version();
+    svc.swap_dataset(svc.default_dataset(), boxes[..100].to_vec())
+        .unwrap();
+    let v = svc.dataset_version(svc.default_dataset()).unwrap();
     let id = svc
         .submit(Request::Insert {
             dataset: svc.default_dataset(),
@@ -371,8 +389,11 @@ fn write_batches_bump_once_and_degenerates_answer() {
         .into_inserted()
         .unwrap();
     assert_eq!(id, DataId(100), "fresh arena after swap");
-    assert_eq!(svc.data_version(), v.next());
-    assert_eq!(svc.live_object_count(), 101);
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset()).unwrap(),
+        v.next()
+    );
+    assert_eq!(svc.dataset_live_count(svc.default_dataset()).unwrap(), 101);
     let report = svc.shutdown();
     assert_eq!(report.forest_builds, 2, "start + swap, never for writes");
 }
@@ -446,8 +467,14 @@ fn concurrent_writers_and_readers_drain_consistently() {
     }
     assert_eq!(inserted, 180);
     let svc = std::sync::Arc::into_inner(svc).expect("all threads joined");
-    assert_eq!(svc.live_object_count(), 500 + 180);
-    assert_eq!(svc.data_version().0, svc.report().write_batches);
+    assert_eq!(
+        svc.dataset_live_count(svc.default_dataset()).unwrap(),
+        500 + 180
+    );
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset()).unwrap().0,
+        svc.report().write_batches
+    );
     let report = svc.shutdown();
     assert_eq!(report.completed, report.submitted);
     assert_eq!(report.updates_applied, 180);

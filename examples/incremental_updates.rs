@@ -20,12 +20,12 @@ fn main() {
     let partitioner = AdaptiveGrid::from_sample(data.domain, [6, 6], &data.boxes);
     println!("dataset: {n} clustered boxes, adaptive 6×6 partitioning");
 
-    let service = QueryService::start(
-        ServiceConfig {
-            batch_max: 32,
-            batch_deadline: Duration::from_millis(2),
-            ..ServiceConfig::default()
-        },
+    let service = ServiceBuilder::from_config(ServiceConfig {
+        batch_max: 32,
+        batch_deadline: Duration::from_millis(2),
+        ..ServiceConfig::default()
+    })
+    .build(
         partitioner,
         data.boxes.clone(),
         TreeConfig::paper_default(Variant::RStar),
@@ -34,8 +34,8 @@ fn main() {
     let dataset = service.default_dataset();
     println!(
         "start  : version {:?}, {} live objects",
-        service.data_version(),
-        service.live_object_count()
+        service.dataset_version(dataset).unwrap(),
+        service.dataset_live_count(dataset).unwrap()
     );
 
     // A single insert: the store assigns the next arena id, and a read
@@ -94,7 +94,7 @@ fn main() {
     );
     println!(
         "store  : {} live objects after churn",
-        service.live_object_count()
+        service.dataset_live_count(dataset).unwrap()
     );
 
     // Reads interleave freely; delete the first insert again.

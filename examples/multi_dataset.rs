@@ -34,8 +34,7 @@ fn main() {
 
     // An empty catalog; each layer gets the partitioner that fits its
     // character — AnyPartitioner lets one service mix kinds.
-    let service: QueryService<2, AnyPartitioner<2>> = QueryService::start_catalog(
-        ServiceConfig::default(),
+    let service: ShardedService<2, AnyPartitioner<2>> = ServiceBuilder::new().build_catalog(
         TreeConfig::paper_default(Variant::RStar),
         ClipConfig::paper_default::<2>(ClipMethod::Stairline),
     );

@@ -24,12 +24,12 @@ fn main() {
 
     // Start the service: trees are partitioned and bulk-loaded ONCE,
     // then every request is served from them.
-    let service = QueryService::start(
-        ServiceConfig {
-            batch_max: 32,
-            batch_deadline: Duration::from_millis(2),
-            ..ServiceConfig::default()
-        },
+    let service = ServiceBuilder::from_config(ServiceConfig {
+        batch_max: 32,
+        batch_deadline: Duration::from_millis(2),
+        ..ServiceConfig::default()
+    })
+    .build(
         partitioner,
         data.boxes.clone(),
         TreeConfig::paper_default(Variant::RStar),
@@ -95,7 +95,9 @@ fn main() {
     );
 
     // Replace the dataset: the version bumps, the next request rebuilds.
-    service.swap_data(data.boxes[..n / 2].to_vec());
+    service
+        .swap_dataset(dataset, data.boxes[..n / 2].to_vec())
+        .unwrap();
     let shrunk = join(JoinAlgo::Stt).wait().unwrap().response.into_join();
     println!("swap   : half the data → {} pairs", shrunk.pairs);
     assert!(shrunk.pairs < j1.pairs);
@@ -109,6 +111,6 @@ fn main() {
     assert_eq!(report.completed, report.submitted);
     assert_eq!(
         report.forest_builds, 2,
-        "one build at start, one after swap_data — never per join"
+        "one build at start, one after swap_dataset — never per join"
     );
 }

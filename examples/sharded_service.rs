@@ -1,9 +1,10 @@
 //! A sharded scatter-gather service and the typed client API in front
-//! of it: the same catalog surface as `QueryService`, served by N
-//! in-process shards. Arenas are mirrored (every shard holds every
-//! object), forests are sharded (each shard indexes a contiguous tile
-//! range), and the reference-point rule makes each merge exact — a
-//! 4-shard answer is byte-identical to the single-store one.
+//! of it: the same catalog surface as the default one-shard service,
+//! served by N in-process shards. Arenas are mirrored (every shard
+//! holds every object), forests are sharded (each shard indexes a
+//! contiguous tile range), and the reference-point rule makes each
+//! merge exact — a 4-shard answer is byte-identical to the 1-shard
+//! one.
 //!
 //! ```text
 //! cargo run --release --example sharded_service
@@ -21,9 +22,9 @@ fn main() {
     let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
     println!("dataset: {n} clustered boxes, adaptive 6×6 partitioning");
 
-    // One builder call replaces QueryService::start: shard count and
-    // tile fitting are just knobs. Fitted ranges spread the clustered
-    // hot region across shards instead of landing it on one.
+    // Shard count and tile fitting are just builder knobs. Fitted
+    // ranges spread the clustered hot region across shards instead of
+    // landing it on one.
     let service = ServiceBuilder::new()
         .shards(4)
         .shard_fitting(ShardFitting::Fitted)
@@ -74,7 +75,7 @@ fn main() {
     let pairs = join.wait().unwrap().response.into_join().pairs;
     println!("join   : roads ⋈ parcels = {pairs} pairs, merged across 4 shards");
 
-    // The oracle property, demonstrated: a single-store service on the
+    // The oracle property, demonstrated: a one-shard service on the
     // same data answers every one of those requests identically.
     let single = ServiceBuilder::new().build(partitioner, data.boxes.clone(), tree, clip);
     let single_roads = single.dataset(DEFAULT_DATASET).expect("created at start");

@@ -84,20 +84,20 @@ fn main() {
         t.elapsed().as_secs_f64() * 1e3,
     );
 
-    // The partitioned batch executor reuses its per-tile trees across
-    // query batches — build once, serve many.
-    let exec = BatchExecutor::build(adaptive, &left.boxes, tree, clip, workers);
+    // A dataset store reuses its per-tile trees across query batches —
+    // build once, serve many.
+    let store = DatasetStore::build(adaptive, &left.boxes, tree, clip, workers);
     let queries: Vec<Rect<2>> = right.boxes.iter().take(2_000).copied().collect();
     let t = Instant::now();
-    let first = exec.run(&queries, workers, true);
+    let first = store.run(&queries, workers, true);
     let first_ms = t.elapsed().as_secs_f64() * 1e3;
     let t = Instant::now();
-    let second = exec.run(&queries, workers, true);
+    let second = store.run(&queries, workers, true);
     let second_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(first.results, second.results);
     println!(
-        "\nbatch executor ({} tile trees reused): {} results, {first_ms:.1} ms then {second_ms:.1} ms",
-        exec.tile_tree_count(),
+        "\ndataset store ({} tile trees reused): {} results, {first_ms:.1} ms then {second_ms:.1} ms",
+        store.tile_tree_count(),
         first.total_results(),
     );
 }

@@ -22,16 +22,16 @@ fn main() {
 
     // Telemetry is on by default; `TelemetryConfig::disabled()` turns
     // every handle into a no-op (same answers, empty scrapes).
-    let service = QueryService::start(
-        ServiceConfig {
-            batch_max: 32,
-            batch_deadline: Duration::from_millis(2),
-            telemetry: TelemetryConfig {
-                slow_query_capacity: 5,
-                ..TelemetryConfig::default()
-            },
-            ..ServiceConfig::default()
+    let service = ServiceBuilder::from_config(ServiceConfig {
+        batch_max: 32,
+        batch_deadline: Duration::from_millis(2),
+        telemetry: TelemetryConfig {
+            slow_query_capacity: 5,
+            ..TelemetryConfig::default()
         },
+        ..ServiceConfig::default()
+    })
+    .build(
         partitioner,
         data.boxes.clone(),
         TreeConfig::paper_default(Variant::RStar),
@@ -90,8 +90,10 @@ fn main() {
         h.wait().expect("request served");
     }
 
-    // ── Scrape: one registry, two renderings.
-    let scrape = service.scrape();
+    // ── Scrape: one registry, two renderings. The pipeline metrics
+    // live in each shard's registry (one shard here); `service.scrape()`
+    // is the router's own.
+    let scrape = service.shard_scrapes().remove(0);
     let families = scrape.snapshot.families.len();
     println!("\nscrape: {families} metric families, text + JSON expositions");
     for line in scrape

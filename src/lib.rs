@@ -68,10 +68,10 @@ pub mod prelude {
     pub use cbb_core::{Cbb, ClipConfig, ClipMethod, ClipPoint};
     pub use cbb_engine::{
         parallel_range_queries, partitioned_join, partitioned_join_forests, partitioned_join_with,
-        AdaptiveGrid, AnyPartitioner, BatchExecutor, BatchOutcome, Catalog, CatalogError,
-        CompactionPolicy, DataVersion, DatasetId, DatasetStore, JoinAlgo, JoinPlan, KnnOutcome,
-        Partitioner, QuadtreePartitioner, SplitPolicy, TileForest, UniformGrid, Update,
-        UpdateOutcome, UpdateResult,
+        AdaptiveGrid, AnyPartitioner, BatchOutcome, Catalog, CatalogError, CompactionPolicy,
+        DataVersion, DatasetId, DatasetStore, JoinAlgo, JoinPlan, KnnOutcome, Partitioner,
+        QuadtreePartitioner, SplitPolicy, TileForest, UniformGrid, Update, UpdateOutcome,
+        UpdateResult,
     };
     pub use cbb_geom::{CornerMask, Point, Rect};
     pub use cbb_joins::JoinResult;
@@ -79,10 +79,9 @@ pub mod prelude {
         AccessStats, ClippedRTree, DataId, Neighbor, NodeId, RTree, TreeConfig, Variant,
     };
     pub use cbb_serve::{
-        DatasetClient, DatasetReport, DurabilityConfig, InProcessShard, QueryService, Request,
-        RequestError, RequestKind, Response, Scrape, ServiceBuilder, ServiceConfig, ServiceReport,
-        Shard, ShardFitting, ShardMap, ShardTiling, ShardedService, SubmitRequest, UpdateSummary,
-        DEFAULT_DATASET,
+        DatasetClient, DatasetReport, DurabilityConfig, Request, RequestError, RequestKind,
+        Response, Scrape, ServiceBuilder, ServiceConfig, ServiceReport, ShardFitting, ShardMap,
+        ShardTiling, ShardedService, UpdateSummary, DEFAULT_DATASET,
     };
     pub use cbb_telemetry::{
         Histogram, HistogramSnapshot, Phase, PhaseTimer, Registry, SlowQuery, SlowQueryRing, Span,

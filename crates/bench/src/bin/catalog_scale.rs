@@ -3,14 +3,16 @@
 //! `roads ⋈ pois` join over two co-located layers:
 //!
 //! * `rebuild_per_call` — the engine baseline: `partitioned_join`
-//!   assigns and bulk-loads *both* sides on every call.
+//!   assigns *both* sides and sorts their tile columns on every call.
 //! * `same_dataset` — the pre-catalog serving shape: one dataset is
-//!   served (its forest built once and kept by its store), the probe
-//!   side is streamed by the client per request.
+//!   served (its forest built once and kept by its store, its tile
+//!   columns cached), the probe side is streamed by the client per
+//!   request.
 //! * `cross_dataset` — both layers served: `Request::CrossJoin` joins
-//!   the two stores, borrowing **both** sides' forests (the
-//!   layers share a tiling, so the STT fast path applies) — nothing is
-//!   assigned or bulk-loaded per call.
+//!   the two stores, borrowing **both** sides' cached columns (the
+//!   layers share a tiling) — nothing is assigned or sorted per call.
+//!
+//! Every mode sweeps every tile (the engine's one join kernel).
 //!
 //! Pair counts are asserted identical across all three modes, and the
 //! forest-build counter is asserted flat across every repetition —
@@ -28,9 +30,7 @@ use std::time::Instant;
 use cbb_bench::{header, row, smoke_mode};
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::multi::{layers, LayerSpec};
-use cbb_engine::{
-    partitioned_join, AdaptiveGrid, AnyPartitioner, AutoPolicy, JoinAlgo, JoinPlan, SplitPolicy,
-};
+use cbb_engine::{partitioned_join, AdaptiveGrid, AnyPartitioner, JoinAlgo, JoinPlan};
 use cbb_rtree::{TreeConfig, Variant};
 use cbb_serve::{Request, ServiceBuilder, ServiceConfig, ShardedService};
 
@@ -73,21 +73,12 @@ fn main() {
         AdaptiveGrid::from_sample(pois.domain, [6, 6], &pois.boxes).into();
     println!(
         "workload: 2 co-located clustered layers × {n} boxes, {reps} repeated \
-         roads ⋈ pois STT joins, shared adaptive 6×6 tiling, R*-tree + CSTA",
+         roads ⋈ pois swept joins, shared adaptive 6×6 tiling, R*-tree + CSTA",
     );
 
-    let plan = JoinPlan {
-        partitioner: tiling.clone(),
-        tree,
-        clip,
-        use_clips: true,
-        algo: JoinAlgo::Stt,
-        workers,
-        split: SplitPolicy::Auto,
-        auto: AutoPolicy::default(),
-    };
+    let plan = JoinPlan::new(tiling.clone(), tree, clip, workers);
 
-    // ── rebuild_per_call: both sides assigned + bulk-loaded per join.
+    // ── rebuild_per_call: both sides assigned + sorted per join.
     let started = Instant::now();
     let mut expected_pairs = None;
     for _ in 0..reps {
@@ -126,7 +117,7 @@ fn main() {
             .submit(Request::Join {
                 dataset: pois_id,
                 probes: roads.boxes.clone(),
-                algo: JoinAlgo::Stt,
+                algo: JoinAlgo::Auto,
                 use_clips: true,
             })
             .expect("service is open")
@@ -150,7 +141,7 @@ fn main() {
             .submit(Request::CrossJoin {
                 left: roads_id,
                 right: pois_id,
-                algo: JoinAlgo::Stt,
+                algo: JoinAlgo::Auto,
                 use_clips: true,
             })
             .expect("service is open")
@@ -210,7 +201,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"workload\": {{\"layers\": [\"roads\", \"pois\"], \"objects_per_layer\": {n}, \
-         \"reps\": {reps}, \"algo\": \"STT\", \"grid\": [6, 6], \
+         \"reps\": {reps}, \"algo\": \"sweep\", \"grid\": [6, 6], \
          \"variant\": \"R*-tree\", \"clip\": \"CSTA\"}},\n  \"rows\": [\n    {}\n  ]\n}}\n",
         json_rows.join(",\n    "),
     );

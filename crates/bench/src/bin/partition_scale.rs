@@ -15,10 +15,12 @@ use std::time::Instant;
 use cbb_bench::{header, row, smoke_mode};
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::{dataset2, generate_queries, QueryProfile, Scale};
+use cbb_engine::pool::fold_dynamic_tasks;
 use cbb_engine::{
-    parallel_range_queries, partitioned_join, partitioned_join_with, sequential_join, JoinAlgo,
-    JoinPlan, TileForest, UniformGrid,
+    parallel_range_queries, partitioned_join, partitioned_join_with, sequential_join, JoinPlan,
+    TileForest, UniformGrid,
 };
+use cbb_joins::{inlj_filtered, reference_point, stt_filtered, JoinResult};
 use cbb_rtree::{ClippedRTree, RTree, TreeConfig, Variant};
 
 const GRID_PER_DIM: usize = 8;
@@ -67,11 +69,11 @@ fn main() {
 
     // ---- partitioned parallel join vs sequential -------------------
     let t = Instant::now();
-    let seq = sequential_join(&base_plan, &streets.boxes, &parcels.boxes);
+    let seq = sequential_join(&streets.boxes, &parcels.boxes);
     let seq_join_ms = t.elapsed().as_secs_f64() * 1e3;
 
     header(
-        "partitioned parallel STT join (build + join per run)",
+        "partitioned parallel swept join (sort + sweep per run)",
         "configuration",
         &["pairs", "wall ms", "speedup"],
     );
@@ -119,6 +121,12 @@ fn main() {
     // The serving-layer shape: the indexed side's forest is cached,
     // the probe side arrives per call. Work counters are machine-
     // independent — the currency of the sweep-vs-INLJ comparison.
+    // `sweep` and `auto` are the engine's join (every tile swept); the
+    // paper's index kernels run per tile over the same cached forest
+    // with the same reference-point owner filter, so all four rows
+    // compare like with like: STT joins each tile's probe tree (bulk-
+    // loaded per call) against the cached tree, INLJ probes the cached
+    // tree with the tile's probe rectangles.
     const ALGO_WORKERS: usize = 4;
     let algo_plan = JoinPlan {
         workers: ALGO_WORKERS,
@@ -131,6 +139,19 @@ fn main() {
         algo_plan.clip,
         ALGO_WORKERS,
     );
+    let grid = &algo_plan.partitioner;
+    // Tiles where both sides are populated, as the engine schedules them.
+    let probe_tiles = grid.assign(&streets.boxes);
+    let tiles: Vec<usize> = (0..grid.tile_count())
+        .filter(|&t| !probe_tiles[t].is_empty() && forest.tree(t).is_some())
+        .collect();
+    let per_tile = |kernel: &(dyn Fn(usize) -> JoinResult + Sync)| -> JoinResult {
+        fold_dynamic_tasks(ALGO_WORKERS, &tiles, JoinResult::default, |&t, acc| {
+            *acc += kernel(t)
+        })
+        .into_iter()
+        .sum()
+    };
     header(
         &format!("join algorithms, {ALGO_WORKERS} thr (right forest cached)"),
         "algorithm",
@@ -143,15 +164,42 @@ fn main() {
         ],
     );
     let mut algo_rows = Vec::new();
-    for (name, algo) in [
-        ("stt", JoinAlgo::Stt),
-        ("inlj", JoinAlgo::Inlj),
-        ("sweep", JoinAlgo::Sweep),
-        ("auto", JoinAlgo::Auto),
-    ] {
-        let plan = algo_plan.with_algo(algo);
+    for name in ["stt", "inlj", "sweep", "auto"] {
         let t = Instant::now();
-        let res = partitioned_join_with(&plan, &streets.boxes, &parcels.boxes, &forest);
+        let res = match name {
+            "stt" => {
+                let probe_forest = TileForest::build(
+                    grid,
+                    &streets.boxes,
+                    algo_plan.tree,
+                    algo_plan.clip,
+                    ALGO_WORKERS,
+                );
+                per_tile(&|t| {
+                    let mut r = stt_filtered(
+                        probe_forest.tree(t).expect("populated probe tile"),
+                        forest.tree(t).expect("populated tile"),
+                        true,
+                        |a, b| grid.owns(t, &reference_point(a, b)),
+                    );
+                    r.tiles_stt = 1;
+                    r
+                })
+            }
+            "inlj" => per_tile(&|t| {
+                let probes: Vec<_> = probe_tiles[t]
+                    .iter()
+                    .map(|&i| streets.boxes[i as usize])
+                    .collect();
+                let tree = forest.tree(t).expect("populated tile");
+                let mut r = inlj_filtered(&probes, tree, true, |probe, id| {
+                    grid.owns(t, &reference_point(probe, &parcels.boxes[id.0 as usize]))
+                });
+                r.tiles_inlj = 1;
+                r
+            }),
+            _ => partitioned_join_with(&algo_plan, &streets.boxes, &parcels.boxes, &forest),
+        };
         let ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(res.pairs, seq.pairs, "{name} changed the pair count");
         println!(

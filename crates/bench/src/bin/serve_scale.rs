@@ -199,7 +199,7 @@ fn main() {
                 .submit(Request::Join {
                     dataset,
                     probes: join_probes.clone(),
-                    algo: JoinAlgo::Stt,
+                    algo: JoinAlgo::Auto,
                     use_clips: true,
                 })
                 .expect("service is open")

@@ -63,7 +63,7 @@ fn main() {
     let probes = range_queries(&data.domain, ranges / 2, seed ^ 0x1017);
     println!(
         "workload: {n} clustered boxes, adaptive 6x6 tiling, {ranges} ranges + \
-         {knns} kNN(k=10) + streamed STT probe join + self cross-join, \
+         {knns} kNN(k=10) + streamed probe join + self cross-join (swept), \
          R*-tree + CSTA",
     );
 
@@ -160,7 +160,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"workload\": {{\"objects\": {n}, \"ranges\": {ranges}, \"knn\": {knns}, \
-         \"k\": 10, \"grid\": [6, 6], \"algo\": \"STT\", \
+         \"k\": 10, \"grid\": [6, 6], \"algo\": \"sweep\", \
          \"variant\": \"R*-tree\", \"clip\": \"CSTA\"}},\n  \"rows\": [\n    {}\n  ]\n}}\n",
         json_rows.join(",\n    "),
     );
@@ -215,7 +215,7 @@ fn run_workload(
         Request::Join {
             dataset,
             probes: probes.to_vec(),
-            algo: JoinAlgo::Stt,
+            algo: JoinAlgo::Auto,
             use_clips: true,
         },
     )
@@ -226,7 +226,7 @@ fn run_workload(
         Request::CrossJoin {
             left: dataset,
             right: dataset,
-            algo: JoinAlgo::Stt,
+            algo: JoinAlgo::Auto,
             use_clips: true,
         },
     )

@@ -1,7 +1,7 @@
 //! Skew experiment: uniform vs adaptive vs quadtree partitioning of a
-//! clustered spatial join, across all four R-tree variants. Emits
-//! `BENCH_skew.json` with per-partitioner load imbalance (max-tile /
-//! mean-tile estimated work) and per-run wall-clock.
+//! clustered spatial join, every tile swept by the engine's one join
+//! kernel. Emits `BENCH_skew.json` with per-partitioner load imbalance
+//! (max-tile / mean-tile estimated work), overlap tests and wall-clock.
 //!
 //! ```text
 //! cargo run --release -p cbb-bench --bin skew_scale \
@@ -96,59 +96,63 @@ fn main() {
         "adaptive imbalance {imb_adaptive:.2} did not improve on uniform {imb_uniform:.2}"
     );
 
+    // The sweep builds no tree, so one plan per partitioner covers every
+    // R-tree variant; the plan's tree template is never read.
+    let tree = TreeConfig::paper_default(Variant::RStar);
     let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
     let mut runs = Vec::new();
     let mut expected: Option<u64> = None;
-    for variant in Variant::ALL {
-        header(
-            &format!("partitioned STT join, {variant:?}"),
-            "partitioner",
-            &["pairs", "wall ms"],
+    header(
+        "partitioned swept join",
+        "partitioner",
+        &["pairs", "overlap tests", "wall ms"],
+    );
+    let mut timed = |name: &str, result: cbb_joins::JoinResult, ms: f64| {
+        println!(
+            "{}",
+            row(
+                name,
+                &[
+                    result.pairs.to_string(),
+                    result.overlap_tests.to_string(),
+                    format!("{ms:.1}")
+                ]
+            )
         );
-        let tree = TreeConfig::paper_default(variant);
-        let mut timed = |name: &str, result: cbb_joins::JoinResult, ms: f64| {
-            println!(
-                "{}",
-                row(name, &[result.pairs.to_string(), format!("{ms:.1}")])
-            );
-            match expected {
-                None => expected = Some(result.pairs),
-                Some(e) => assert_eq!(
-                    result.pairs, e,
-                    "{variant:?}/{name}: partitioning changed the pair count"
-                ),
-            }
-            runs.push(format!(
-                "{{\"variant\": \"{variant:?}\", \"partitioner\": \"{name}\", \
-                 \"wall_ms\": {ms:.3}, \"pairs\": {}, \"leaf_accesses\": {}, \
-                 \"clip_prunes\": {}}}",
-                result.pairs,
-                result.leaf_accesses(),
-                result.clip_prunes,
-            ));
-        };
-        let t = Instant::now();
-        let r = partitioned_join(
-            &JoinPlan::new(uniform, tree, clip, workers),
-            &left.boxes,
-            &right.boxes,
-        );
-        timed("uniform", r, t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        let r = partitioned_join(
-            &JoinPlan::new(adaptive.clone(), tree, clip, workers),
-            &left.boxes,
-            &right.boxes,
-        );
-        timed("adaptive", r, t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        let r = partitioned_join(
-            &JoinPlan::new(quadtree.clone(), tree, clip, workers),
-            &left.boxes,
-            &right.boxes,
-        );
-        timed("quadtree", r, t.elapsed().as_secs_f64() * 1e3);
-    }
+        match expected {
+            None => expected = Some(result.pairs),
+            Some(e) => assert_eq!(
+                result.pairs, e,
+                "{name}: partitioning changed the pair count"
+            ),
+        }
+        runs.push(format!(
+            "{{\"partitioner\": \"{name}\", \"wall_ms\": {ms:.3}, \"pairs\": {}, \
+             \"overlap_tests\": {}}}",
+            result.pairs, result.overlap_tests,
+        ));
+    };
+    let t = Instant::now();
+    let r = partitioned_join(
+        &JoinPlan::new(uniform, tree, clip, workers),
+        &left.boxes,
+        &right.boxes,
+    );
+    timed("uniform", r, t.elapsed().as_secs_f64() * 1e3);
+    let t = Instant::now();
+    let r = partitioned_join(
+        &JoinPlan::new(adaptive.clone(), tree, clip, workers),
+        &left.boxes,
+        &right.boxes,
+    );
+    timed("adaptive", r, t.elapsed().as_secs_f64() * 1e3);
+    let t = Instant::now();
+    let r = partitioned_join(
+        &JoinPlan::new(quadtree.clone(), tree, clip, workers),
+        &left.boxes,
+        &right.boxes,
+    );
+    timed("quadtree", r, t.elapsed().as_secs_f64() * 1e3);
 
     let json = format!(
         "{{\n  \"workload\": {{\"dataset\": \"clu02\", \"objects_per_side\": {n}, \

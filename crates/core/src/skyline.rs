@@ -17,17 +17,18 @@ use cbb_geom::{dominates, CornerMask, Point, Rect};
 /// dimensionality.
 pub fn oriented_skyline<const D: usize>(points: &[Point<D>], b: CornerMask) -> Vec<Point<D>> {
     let mut out: Vec<Point<D>> = Vec::new();
-    'cand: for (i, p) in points.iter().enumerate() {
-        // Skip exact duplicates of an earlier point.
-        if points[..i].contains(p) {
-            continue;
-        }
+    'cand: for p in points {
         for q in points {
             if dominates(q, p, b) {
                 continue 'cand;
             }
         }
-        out.push(*p);
+        // Dedupe against the survivors only: a duplicate of a dominated
+        // point is dominated too, and a duplicate of a survivor finds
+        // its first occurrence already in `out`.
+        if !out.contains(p) {
+            out.push(*p);
+        }
     }
     out
 }
@@ -43,6 +44,68 @@ pub fn skyline_of_children<const D: usize>(children: &[Rect<D>], b: CornerMask) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The previous implementation, kept as the oracle: it skipped exact
+    /// duplicates of earlier input points *before* the dominance scan.
+    fn oriented_skyline_prescan<const D: usize>(
+        points: &[Point<D>],
+        b: CornerMask,
+    ) -> Vec<Point<D>> {
+        let mut out: Vec<Point<D>> = Vec::new();
+        'cand: for (i, p) in points.iter().enumerate() {
+            if points[..i].contains(p) {
+                continue;
+            }
+            for q in points {
+                if dominates(q, p, b) {
+                    continue 'cand;
+                }
+            }
+            out.push(*p);
+        }
+        out
+    }
+
+    /// Points on a coarse 6-per-axis grid, so exact duplicates and
+    /// per-axis ties are common.
+    fn gridded2(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point<2>>> {
+        prop::collection::vec(
+            (0u8..6, 0u8..6).prop_map(|(x, y)| Point([x, y].map(f64::from))),
+            n,
+        )
+    }
+
+    fn gridded3(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point<3>>> {
+        prop::collection::vec(
+            (0u8..6, 0u8..6, 0u8..6).prop_map(|(x, y, z)| Point([x, y, z].map(f64::from))),
+            n,
+        )
+    }
+
+    proptest! {
+        /// Same set, same first-occurrence order as the pre-scan
+        /// version, for every corner.
+        #[test]
+        fn dedupe_against_output_matches_prescan_2d(points in gridded2(0..40)) {
+            for b in CornerMask::all::<2>() {
+                prop_assert_eq!(
+                    oriented_skyline(&points, b),
+                    oriented_skyline_prescan(&points, b)
+                );
+            }
+        }
+
+        #[test]
+        fn dedupe_against_output_matches_prescan_3d(points in gridded3(0..40)) {
+            for b in CornerMask::all::<3>() {
+                prop_assert_eq!(
+                    oriented_skyline(&points, b),
+                    oriented_skyline_prescan(&points, b)
+                );
+            }
+        }
+    }
 
     const B00: CornerMask = CornerMask::new(0b00);
     const B11: CornerMask = CornerMask::new(0b11);

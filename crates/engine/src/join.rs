@@ -1,132 +1,84 @@
 //! Partition-parallel spatial join with two-level dynamic scheduling.
 //!
 //! The input rectangle sets are multi-assigned to the tiles of a
-//! [`Partitioner`], a clipped R-tree is bulk-loaded per tile and side,
-//! and the per-tile joins (STT or INLJ, clipped or not) run on the
-//! worker pool ([`crate::pool`]) pulling from one shared dynamic queue.
-//! Duplicate pairs from spanning objects are eliminated with the
-//! reference-point rule
-//! (see [`crate::partition`]), so the merged [`JoinResult`] reports
-//! **exactly** the global pair count of a sequential join — verified
-//! against `brute_force_pairs` and sequential `stt`/`inlj` in the tests.
+//! [`Partitioner`], and every tile is joined by one kernel: the
+//! forward-scan plane sweep over the columnar [`TileColumns`] layout
+//! (the kernel of Tsitsigkos et al., *Parallel In-Memory Evaluation of
+//! Spatial Joins*). The per-tile sweeps run on the worker pool
+//! ([`crate::pool`]) pulling from one shared dynamic queue. Duplicate
+//! pairs from spanning objects are eliminated with the reference-point
+//! rule (see [`crate::partition`]), so the merged [`JoinResult`]
+//! reports **exactly** the global pair count of a sequential join —
+//! verified against `brute_force_pairs` in the tests.
+//!
+//! The paper's index joins (STT and INLJ over clipped R-trees) stay in
+//! `cbb-joins` as the reference the `join_experiment` and `fig*` bins
+//! reproduce; the engine does not run them. The §IV clip filter still
+//! composes at tile granularity: a forest-backed side's root CBB prunes
+//! the tile's sweep window before any scan runs ([`sweep_precheck`]).
 //!
 //! **Two-level scheduling.** Per-tile tasks alone cannot balance skewed
 //! data: one dense tile can hold most of the work and straggle the run
 //! no matter how the remaining tiles are stolen. Tiles whose estimated
 //! work exceeds the [`SplitPolicy`] threshold are therefore *decomposed*
-//! — STT tiles into root-level node-pair subtasks
-//! ([`cbb_joins::stt_tasks`]), INLJ tiles into probe chunks — and the
-//! subtasks are fed to the same dynamic queue as the remaining whole
+//! into x-range chunks of both sides' scans ([`sweep_scan`]), and the
+//! chunks are fed to the same dynamic queue as the remaining whole
 //! tiles, heaviest first. The decomposition is counter-exact: every
 //! [`JoinResult`] field, not just `pairs`, matches the undecomposed run.
 //!
-//! I/O counters are summed over tiles. They are comparable across runs of
-//! the same plan (the paper's join I/O metric per tile), but not directly
-//! to a single global-tree join: per-tile trees are smaller and shallower.
-//!
-//! **Tree reuse across joins.** [`partitioned_join`] builds the per-tile
-//! trees of *both* sides per call. A serving layer joining many probe
-//! sets against one slowly-changing dataset should instead build a
-//! [`TileForest`] over the indexed side once and call
+//! **Column reuse across joins.** [`partitioned_join`] sorts the
+//! per-tile columns of *both* sides per call. A serving layer joining
+//! many probe sets against one slowly-changing dataset should instead
+//! keep a [`TileForest`] over the indexed side and call
 //! [`partitioned_join_with`] per request — only the probe side is
-//! (re)built. A [`crate::DatasetStore`] keeps its forest current under
-//! writes, so the forest it hands out always matches its arena.
-//! Counters and pair counts are identical to the build-per-call path:
-//! the same `bulk_load` runs over the same per-tile id lists, and a clip
-//! table that is present but unused changes no traversal.
+//! sorted; [`partitioned_join_forests`] borrows both sides. A
+//! [`crate::DatasetStore`] keeps its forest (and the columns it caches)
+//! current under writes. Pair counts are identical on every path; with
+//! `use_clips` off every counter is too, since cached and per-call
+//! columns share one canonical sort.
 
 use std::sync::Arc;
 
 use cbb_core::{ClipConfig, ClipPoint};
 use cbb_geom::Rect;
-use cbb_joins::{
-    inlj_filtered, reference_point, stt_filtered, stt_filtered_from, stt_tasks, sweep_precheck,
-    sweep_scan, JoinResult, SweepSide, TileColumns,
-};
-use cbb_rtree::{ClippedRTree, DataId, NodeId, RTree, TreeConfig};
+use cbb_joins::{reference_point, sweep_precheck, sweep_scan, JoinResult, SweepSide, TileColumns};
+use cbb_rtree::{DataId, TreeConfig};
 
 use crate::batch::TileForest;
 use crate::partition::{Partitioner, UniformGrid};
 use crate::pool::{fold_dynamic_tasks, map_chunked};
 
-/// Which per-tile join strategy to run.
+/// The join strategy a plan or request names. Every tile is swept, so
+/// this has one variant; it stays only because `benchmark/src/layers.rs`
+/// names it (with `Request::{Join, CrossJoin}::algo`), and ROADMAP item
+/// F retires it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JoinAlgo {
-    /// Synchronised tree traversal: both tile sides are indexed.
-    Stt,
-    /// Index nested loops: the right tile side is indexed, the left tile
-    /// side streamed as probes.
-    Inlj,
-    /// Plane sweep over the columnar SoA layout ([`TileColumns`]):
-    /// neither side is indexed — both are sorted by x-min (extracted
-    /// from a cached forest, or sorted for this call) and swept with
-    /// forward scans. The fast path for dense index-less tiles, where
-    /// one sort beats bulk-loading two trees.
-    ///
-    /// The §IV clip filter composes at tile granularity: when a side is
-    /// forest-backed, its root CBB prunes the tile's sweep window
-    /// before any scan runs ([`sweep_precheck`]). An assignment-sourced
-    /// side has no tree and therefore no clip points — pair counts are
-    /// unaffected (clipping only removes dead space), but `clip_prunes`
-    /// and pruned-tile work can differ between the cached and the
-    /// build-per-call path, unlike the index algorithms.
-    Sweep,
-    /// Choose per tile from data already in hand — tile cardinalities
-    /// and whether each side's forest (trees + columns) is cached:
-    ///
-    /// * both sides cached → [`JoinAlgo::Stt`] (the trees exist; the
-    ///   lock-step descent does the least work),
-    /// * right side cached and the probe side at most 1/8 of it →
-    ///   [`JoinAlgo::Inlj`] (few probes against a prebuilt index),
-    /// * otherwise → [`JoinAlgo::Sweep`] (building indexes for one
-    ///   dense index-less join costs more than one sort).
-    ///
-    /// The choice is deterministic per tile and recorded in the
-    /// [`JoinResult`] `tiles_*` counters; pair counts are identical for
-    /// every choice (the oracle tests pin this).
+    /// Plane sweep over [`TileColumns`] on every tile.
     Auto,
 }
 
-/// The concrete kernel a tile runs after [`JoinAlgo::Auto`] resolution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TileAlgo {
-    Stt,
-    Inlj,
-    Sweep,
-}
-
-/// The thresholds every per-tile `Auto` resolution reads — for joins
-/// ([`JoinAlgo::Auto`]) and for fused batched range execution
-/// ([`crate::QueryAlgo::Auto`]).
-///
-/// The defaults reproduce the previous hard-coded constants exactly (a
-/// regression test pins this), so a plan or service that never touches
-/// the policy behaves byte-identically. Tuning is exposed because the
-/// right cut-overs are workload- and hardware-dependent: the defaults
-/// were chosen on a 1-core container from machine-independent counters.
+/// The thresholds of [`crate::QueryAlgo::Auto`]'s per-tile range-fusion
+/// choice ([`Self::fuse_tile`]). Joins read none of it; the
+/// [`JoinPlan::auto`] field that carries it is kept only because
+/// `benchmark/src/layers.rs` names it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AutoPolicy {
-    /// [`JoinAlgo::Auto`]: a probe side at most `1/ratio` of a cached
-    /// indexed side is "small" enough that per-probe index descents
-    /// beat sorting both sides (INLJ over Sweep). Default 8.
-    pub inlj_probe_ratio: usize,
-    /// [`crate::QueryAlgo::Auto`]: a tile is fused only when at least
-    /// this many of the batch's queries cover it — below that, the
-    /// shared scan cannot amortise anything over per-query descents.
-    /// Default 4.
+    /// A tile is fused only when at least this many of the batch's
+    /// queries cover it — below that, the shared scan cannot amortise
+    /// anything over per-query descents. Default 4.
     pub fuse_min_queries: usize,
-    /// [`crate::QueryAlgo::Auto`], cold tile (columns not yet
-    /// extracted): fuse only when the tile holds at most
-    /// `queries × ratio` objects, so the one-off `O(n log n)`
-    /// column extraction is amortised by the batch that forces it.
-    /// A cached tile fuses on `fuse_min_queries` alone. Default 8.
+    /// Cold tile (columns not yet extracted): fuse only when the tile
+    /// holds at most `queries × ratio` objects, so the one-off
+    /// `O(n log n)` column extraction is amortised by the batch that
+    /// forces it. A cached tile fuses on `fuse_min_queries` alone.
+    /// Default 8.
     pub fuse_cold_ratio: usize,
 }
 
 impl Default for AutoPolicy {
     fn default() -> Self {
         AutoPolicy {
-            inlj_probe_ratio: 8,
             fuse_min_queries: 4,
             fuse_cold_ratio: 8,
         }
@@ -145,43 +97,13 @@ impl AutoPolicy {
     }
 }
 
-/// Resolve the per-tile kernel from the plan and the data in hand: the
-/// sides' cachedness (forest-backed or assigned for this call) and the
-/// tile populations. Deterministic — the hot and cold paths of one run
-/// resolve identically.
-fn resolve_tile_algo(
-    algo: JoinAlgo,
-    policy: &AutoPolicy,
-    left_cached: bool,
-    right_cached: bool,
-    left_count: usize,
-    right_count: usize,
-) -> TileAlgo {
-    match algo {
-        JoinAlgo::Stt => TileAlgo::Stt,
-        JoinAlgo::Inlj => TileAlgo::Inlj,
-        JoinAlgo::Sweep => TileAlgo::Sweep,
-        JoinAlgo::Auto => {
-            if left_cached && right_cached {
-                TileAlgo::Stt
-            } else if right_cached
-                && left_count.saturating_mul(policy.inlj_probe_ratio) <= right_count
-            {
-                TileAlgo::Inlj
-            } else {
-                TileAlgo::Sweep
-            }
-        }
-    }
-}
-
 /// When to decompose a tile into intra-tile subtasks (the second
 /// scheduling level). Estimated tile work is `|left| × |right|`, the
 /// candidate cross product.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SplitPolicy {
-    /// Per-tile tasks only (the PR 1 behaviour): a hot tile serialises
-    /// its whole work on one worker.
+    /// Per-tile tasks only: a hot tile serialises its whole sweep on
+    /// one worker.
     Never,
     /// Decompose tiles holding more than `1/(2·workers)` of the total
     /// estimated work — a tile light enough to fit its fair share twice
@@ -206,58 +128,53 @@ impl SplitPolicy {
     }
 }
 
-/// A complete partitioned-join plan: partitioning, per-tile index and
-/// clipping configuration, strategy, parallelism, and the intra-tile
-/// decomposition policy.
+/// A complete partitioned-join plan: partitioning, clip pre-check,
+/// parallelism, and the intra-tile decomposition policy.
+///
+/// `tree`, `clip`, `algo` and `auto` are read by no join: the sweep
+/// builds no tree and has no kernel to choose. They stay only because
+/// `benchmark/src/layers.rs` builds a `JoinPlan` literal naming them;
+/// ROADMAP item F retires them.
 #[derive(Clone, Copy, Debug)]
 pub struct JoinPlan<const D: usize, P = UniformGrid<D>> {
     /// Spatial partitioning of the workload (any [`Partitioner`]).
     pub partitioner: P,
-    /// Template for every per-tile tree (world bounds are taken from the
-    /// template as-is; leave `world` unset to derive them per tile).
+    /// Ignored (see the type docs).
     pub tree: TreeConfig<D>,
-    /// Clip-point parameters for the per-tile trees.
+    /// Ignored (see the type docs).
     pub clip: ClipConfig,
-    /// Run Algorithm 2 dominance pruning inside each tile join.
+    /// Prune a tile's sweep with the root clip points of each
+    /// forest-backed side ([`sweep_precheck`]). Clips never change
+    /// pairs.
     pub use_clips: bool,
-    /// Per-tile strategy.
+    /// Ignored (see the type docs).
     pub algo: JoinAlgo,
     /// Parallel slots on the worker pool (clamped to the number of
     /// scheduled tasks).
     pub workers: usize,
     /// When to decompose hot tiles into subtasks.
     pub split: SplitPolicy,
-    /// Thresholds [`JoinAlgo::Auto`] resolves against (defaults
-    /// reproduce the previous hard-coded constants).
+    /// Ignored (see the type docs).
     pub auto: AutoPolicy,
 }
 
 impl<const D: usize, P> JoinPlan<D, P> {
-    /// A plan joining with STT over `partitioner` using `workers`
-    /// threads, paper-default clipping, automatic hot-tile decomposition,
-    /// and the given tree template.
+    /// A plan sweeping over `partitioner` with `workers` threads, the
+    /// clip pre-check on, and automatic hot-tile decomposition.
     pub fn new(partitioner: P, tree: TreeConfig<D>, clip: ClipConfig, workers: usize) -> Self {
         JoinPlan {
             partitioner,
             tree,
             clip,
             use_clips: true,
-            algo: JoinAlgo::Stt,
+            algo: JoinAlgo::Auto,
             workers,
             split: SplitPolicy::Auto,
             auto: AutoPolicy::default(),
         }
     }
 
-    /// Switch the per-tile strategy.
-    pub fn with_algo(mut self, algo: JoinAlgo) -> Self {
-        self.algo = algo;
-        self
-    }
-
-    /// Enable/disable clip-point pruning (the tile trees are built
-    /// without clip tables when disabled, so the baseline pays no
-    /// Algorithm 1 cost either).
+    /// Enable/disable the root clip pre-check of forest-backed sides.
     pub fn with_clips(mut self, use_clips: bool) -> Self {
         self.use_clips = use_clips;
         self
@@ -268,101 +185,28 @@ impl<const D: usize, P> JoinPlan<D, P> {
         self.split = split;
         self
     }
-
-    /// Replace the [`JoinAlgo::Auto`] resolution thresholds.
-    pub fn with_auto(mut self, auto: AutoPolicy) -> Self {
-        self.auto = auto;
-        self
-    }
 }
 
-/// Bulk-load one side of a tile: `ids` index into `objects` and are kept
-/// as global [`DataId`]s so cross-tile dedup reasons about global pairs.
-fn build_tile_tree<const D: usize>(
-    objects: &[Rect<D>],
-    ids: &[u32],
-    tree: TreeConfig<D>,
-    clip: ClipConfig,
-    use_clips: bool,
-) -> ClippedRTree<D> {
-    let items: Vec<(Rect<D>, DataId)> = ids
-        .iter()
-        .map(|&i| (objects[i as usize], DataId(i)))
-        .collect();
-    let base = RTree::bulk_load(tree, &items);
-    if use_clips {
-        ClippedRTree::from_tree(base, clip)
-    } else {
-        ClippedRTree::unclipped(base)
-    }
-}
-
-/// Where a tile's tree (either side) comes from: built for this call,
-/// or borrowed from a cached [`TileForest`].
-enum TileTree<'f, const D: usize> {
-    Owned(ClippedRTree<D>),
-    Cached(&'f ClippedRTree<D>),
-}
-
-impl<const D: usize> TileTree<'_, D> {
-    fn get(&self) -> &ClippedRTree<D> {
-        match self {
-            TileTree::Owned(t) => t,
-            TileTree::Cached(t) => t,
-        }
-    }
-}
-
-/// The right-side tree source of one tile (kept as a named alias — the
-/// setup paths below read better with the side spelled out).
-type RightTile<'f, const D: usize> = TileTree<'f, D>;
-
-/// A decomposed (hot) tile: its trees are built (or borrowed) once up
-/// front, then its subtasks interleave with whole tiles on the shared
-/// queue.
-enum HotWork<'f, const D: usize> {
-    /// STT: both sides indexed; `seeds` are the root-level node pairs
-    /// from [`stt_tasks`].
-    Stt {
-        left: TileTree<'f, D>,
-        right: RightTile<'f, D>,
-        seeds: Vec<(NodeId, NodeId)>,
-    },
-    /// INLJ: the right side indexed, the probe list cut into `chunk`-size
-    /// subtasks.
-    Inlj {
-        right: RightTile<'f, D>,
-        probes: Vec<Rect<D>>,
-        chunk: usize,
-    },
-    /// Sweep: both sides columnar, the element scans of each side cut
-    /// into x-range chunks ([`sweep_scan`] is counter-exact over any
-    /// partition of the element ranges). `chunks` is empty when the
-    /// tile pre-check pruned the whole sweep.
-    Sweep {
-        left: Arc<TileColumns<D>>,
-        right: Arc<TileColumns<D>>,
-        chunks: Vec<(SweepSide, usize, usize)>,
-    },
-}
-
-struct HotTile<'f, const D: usize> {
+/// A decomposed (hot) tile: both sides' columns are sourced once up
+/// front, then the element scans of each side, cut into x-range
+/// `chunks` ([`sweep_scan`] is counter-exact over any partition of the
+/// element ranges), interleave with whole tiles on the shared queue.
+/// `chunks` is empty when the tile pre-check pruned the whole sweep.
+struct HotTile<const D: usize> {
     tile: usize,
-    /// Root-level counters of the decomposition (directory accesses and
-    /// clip prunes the subtasks must not re-count).
+    /// The pre-check's counters (and the tile's `tiles_sweep` tick),
+    /// which the chunks must not re-count.
     base: JoinResult,
-    work: HotWork<'f, D>,
+    left: Arc<TileColumns<D>>,
+    right: Arc<TileColumns<D>>,
+    chunks: Vec<(SweepSide, usize, usize)>,
 }
 
 /// One unit on the shared dynamic queue.
 enum Task {
-    /// A whole (cold) tile: build trees and join, as in PR 1.
+    /// A whole (cold) tile: source both sides' columns and sweep.
     Tile(usize),
-    /// One STT node-pair seed of a hot tile.
-    SttSeed { hot: usize, seed: usize },
-    /// One probe chunk of a hot INLJ tile.
-    InljChunk { hot: usize, lo: usize, hi: usize },
-    /// One element-range chunk of a hot sweep tile.
+    /// One element-range chunk of a hot tile.
     SweepChunk { hot: usize, chunk: usize },
 }
 
@@ -378,98 +222,64 @@ fn sweep_chunks(side: SweepSide, len: usize, chunk: usize) -> Vec<(SweepSide, us
     out
 }
 
-/// Build the decomposed form of one hot tile. The tile's kernel is
-/// resolved here with the same inputs as [`join_tile`], so hot and cold
-/// tiles of one run always agree.
-fn build_hot<'f, const D: usize, P: Partitioner<D>>(
+/// Source both sides of `tile` and run the sweep's tile pre-check:
+/// the two columns, the pre-check's counters (with the tile's
+/// `tiles_sweep` tick) and whether any scan should run.
+fn open_tile<const D: usize, P: Partitioner<D>>(
     plan: &JoinPlan<D, P>,
     tile: usize,
     left: &[Rect<D>],
-    lsource: &'f LeftSource<'f, D>,
+    lsource: &TileSource<'_, D>,
     right: &[Rect<D>],
-    rsource: &'f RightSource<'f, D>,
-) -> HotTile<'f, D> {
-    let algo = resolve_tile_algo(
-        plan.algo,
-        &plan.auto,
-        lsource.is_forest(),
-        rsource.is_forest(),
-        lsource.count(tile),
-        rsource.count(tile),
-    );
-    match algo {
-        TileAlgo::Stt => {
-            let ltree = lsource.tile(plan, left, tile);
-            let rtree = rsource.tile(plan, right, tile);
-            let (mut base, seeds) = stt_tasks(ltree.get(), rtree.get(), plan.use_clips);
-            base.tiles_stt += 1;
-            HotTile {
-                tile,
-                base,
-                work: HotWork::Stt {
-                    left: ltree,
-                    right: rtree,
-                    seeds,
-                },
-            }
-        }
-        TileAlgo::Inlj => {
-            let probes = lsource.probes(left, tile);
-            let rtree = rsource.tile(plan, right, tile);
-            // Aim for a few chunks per worker so the queue can rebalance.
-            let chunk = probes.len().div_ceil((plan.workers * 4).max(1)).max(1);
-            HotTile {
-                tile,
-                base: JoinResult {
-                    tiles_inlj: 1,
-                    ..JoinResult::default()
-                },
-                work: HotWork::Inlj {
-                    right: rtree,
-                    probes,
-                    chunk,
-                },
-            }
-        }
-        TileAlgo::Sweep => {
-            let lcols = lsource.columns(left, tile);
-            let rcols = rsource.columns(right, tile);
-            let (lclips, rclips) = if plan.use_clips {
-                (lsource.root_clips(tile), rsource.root_clips(tile))
-            } else {
-                (&[][..], &[][..])
-            };
-            let (mut base, live) = sweep_precheck(&lcols, lclips, &rcols, rclips);
-            base.tiles_sweep += 1;
-            // Aim for a few chunks per worker across both sides' scans.
-            let chunk = (lcols.len() + rcols.len())
-                .div_ceil((plan.workers * 4).max(1))
-                .max(1);
-            let chunks = if live {
-                let mut chunks = sweep_chunks(SweepSide::Left, lcols.len(), chunk);
-                chunks.extend(sweep_chunks(SweepSide::Right, rcols.len(), chunk));
-                chunks
-            } else {
-                Vec::new()
-            };
-            HotTile {
-                tile,
-                base,
-                work: HotWork::Sweep {
-                    left: lcols,
-                    right: rcols,
-                    chunks,
-                },
-            }
-        }
+    rsource: &TileSource<'_, D>,
+) -> (Arc<TileColumns<D>>, Arc<TileColumns<D>>, JoinResult, bool) {
+    let lcols = lsource.columns(left, tile);
+    let rcols = rsource.columns(right, tile);
+    let (lclips, rclips) = if plan.use_clips {
+        (lsource.root_clips(tile), rsource.root_clips(tile))
+    } else {
+        (&[][..], &[][..])
+    };
+    let (mut base, live) = sweep_precheck(&lcols, lclips, &rcols, rclips);
+    base.tiles_sweep += 1;
+    (lcols, rcols, base, live)
+}
+
+/// Build the decomposed form of one hot tile.
+fn build_hot<const D: usize, P: Partitioner<D>>(
+    plan: &JoinPlan<D, P>,
+    tile: usize,
+    left: &[Rect<D>],
+    lsource: &TileSource<'_, D>,
+    right: &[Rect<D>],
+    rsource: &TileSource<'_, D>,
+) -> HotTile<D> {
+    let (lcols, rcols, base, live) = open_tile(plan, tile, left, lsource, right, rsource);
+    // Aim for a few chunks per worker across both sides' scans.
+    let chunk = (lcols.len() + rcols.len())
+        .div_ceil((plan.workers * 4).max(1))
+        .max(1);
+    let chunks = if live {
+        let mut chunks = sweep_chunks(SweepSide::Left, lcols.len(), chunk);
+        chunks.extend(sweep_chunks(SweepSide::Right, rcols.len(), chunk));
+        chunks
+    } else {
+        Vec::new()
+    };
+    HotTile {
+        tile,
+        base,
+        left: lcols,
+        right: rcols,
+        chunks,
     }
 }
 
 /// Run the partitioned parallel join of `left ⋈ right` under `plan`.
 ///
-/// Returns the merged counters; `pairs` equals the sequential
-/// `stt`/`inlj` (and brute-force) pair count exactly, for every
-/// partitioner and split policy.
+/// Returns the merged counters; `pairs` equals the sequential (and
+/// brute-force) pair count exactly, for every partitioner and split
+/// policy.
 pub fn partitioned_join<const D: usize, P: Partitioner<D>>(
     plan: &JoinPlan<D, P>,
     left: &[Rect<D>],
@@ -478,16 +288,16 @@ pub fn partitioned_join<const D: usize, P: Partitioner<D>>(
     partitioned_join_impl(plan, left, right, None, None)
 }
 
-/// [`partitioned_join`] with the right (indexed) side's per-tile trees
-/// taken from a prebuilt [`TileForest`] instead of being rebuilt — the
-/// repeat-join fast path. The forest must have been built over `right`
-/// under `plan.partitioner` with `plan.tree`/`plan.clip` (tile counts
-/// are checked; content correspondence is the caller's contract — a
+/// [`partitioned_join`] with the right (indexed) side's per-tile
+/// columns taken from a prebuilt [`TileForest`] instead of being
+/// sorted per call — the repeat-join fast path. The forest must have
+/// been built over `right` under `plan.partitioner` (tile counts are
+/// checked; content correspondence is the caller's contract — a
 /// [`crate::DatasetStore`]'s own forest and arena satisfy it).
 ///
-/// Every counter of the returned [`JoinResult`] equals the build-per-call
-/// path exactly; only the right-side build work (assignment + bulk
-/// loading) is skipped.
+/// Pairs equal the build-per-call path exactly; with `use_clips` off,
+/// so does every counter. With clips on, the forest side's root clip
+/// points may prune tiles the per-call path sweeps.
 pub fn partitioned_join_with<const D: usize, P: Partitioner<D>>(
     plan: &JoinPlan<D, P>,
     left: &[Rect<D>],
@@ -502,27 +312,17 @@ pub fn partitioned_join_with<const D: usize, P: Partitioner<D>>(
     partitioned_join_impl(plan, left, right, None, Some(forest))
 }
 
-/// The cross-dataset fast path: **both** sides come from prebuilt
-/// [`TileForest`]s — nothing is assigned, nothing is bulk loaded. This
-/// is what a catalog-serving layer runs for a cross-dataset join of two
-/// datasets that share a tiling: the probe dataset's cached forest *is*
-/// the per-tile left side a [`partitioned_join`] would have built, so
-/// every counter of the returned [`JoinResult`] equals the
-/// build-per-call path exactly (rect-identical trees traverse
-/// identically; id values play no part in traversal or reference-point
-/// dedup).
-///
-/// Every [`JoinAlgo`] is supported: STT borrows both trees, INLJ reads
-/// its probe list from the probe forest's cached columns, the sweep
-/// borrows both sides' cached [`TileColumns`], and [`JoinAlgo::Auto`]
-/// sees two cached sides and resolves to STT. Both forests must be
-/// tiled by `plan.partitioner` (tile counts are checked; content
-/// correspondence is the caller's contract — each side's
-/// [`crate::DatasetStore`] satisfies it for its own forest).
+/// The cross-dataset fast path: **both** sides' columns come from
+/// prebuilt [`TileForest`]s — nothing is assigned, nothing is sorted
+/// beyond each forest's once-per-tile-version column cache. This is
+/// what a catalog-serving layer runs for a cross-dataset join of two
+/// datasets that share a tiling. Both forests must be tiled by
+/// `plan.partitioner` (tile counts are checked; content correspondence
+/// is the caller's contract — each side's [`crate::DatasetStore`]
+/// satisfies it for its own forest).
 ///
 /// `right` is the indexed side's object arena (tombstoned slots
-/// included — only ids present in the forest's trees are ever looked
-/// up).
+/// included — only ids present in the forest are ever looked up).
 pub fn partitioned_join_forests<const D: usize, P: Partitioner<D>>(
     plan: &JoinPlan<D, P>,
     left_forest: &TileForest<D>,
@@ -539,27 +339,16 @@ pub fn partitioned_join_forests<const D: usize, P: Partitioner<D>>(
     partitioned_join_impl(plan, &[], right, Some(left_forest), Some(right_forest))
 }
 
-/// Where a join side's per-tile trees come from: a prebuilt (cached)
-/// forest, or a fresh per-call assignment to build tile trees from. The
-/// enum carries exactly one source, so per-tile lookups cannot
-/// desynchronise from the setup path.
+/// Where a join side's per-tile columns come from: a prebuilt (cached)
+/// forest, or a fresh per-call assignment to sort them from. The enum
+/// carries exactly one source, so per-tile lookups cannot desynchronise
+/// from the setup path.
 enum TileSource<'f, const D: usize> {
     Forest(&'f TileForest<D>),
     Assign(Vec<Vec<u32>>),
 }
 
-/// The two sides read the same source type; the aliases keep the setup
-/// paths legible.
-type LeftSource<'f, const D: usize> = TileSource<'f, D>;
-type RightSource<'f, const D: usize> = TileSource<'f, D>;
-
 impl<const D: usize> TileSource<'_, D> {
-    /// Whether this side is forest-backed (trees and columns cached) —
-    /// the cachedness input of [`JoinAlgo::Auto`] resolution.
-    fn is_forest(&self) -> bool {
-        matches!(self, TileSource::Forest(_))
-    }
-
     /// Population of tile `t` on this side (0 for empty tiles).
     fn count(&self, t: usize) -> usize {
         match self {
@@ -568,43 +357,9 @@ impl<const D: usize> TileSource<'_, D> {
         }
     }
 
-    /// The tree of a populated tile `t`: borrowed from the forest, or
-    /// built from the assignment for this call.
-    fn tile<'s, P: Partitioner<D>>(
-        &'s self,
-        plan: &JoinPlan<D, P>,
-        objects: &[Rect<D>],
-        t: usize,
-    ) -> TileTree<'s, D> {
-        match self {
-            TileSource::Forest(f) => {
-                TileTree::Cached(f.tree(t).expect("populated tile has a tree"))
-            }
-            TileSource::Assign(assign) => TileTree::Owned(build_tile_tree(
-                objects,
-                &assign[t],
-                plan.tree,
-                plan.clip,
-                plan.use_clips,
-            )),
-        }
-    }
-
-    /// The raw probe rectangles of tile `t` (INLJ left side). A
-    /// forest-backed side reads them from its cached columns (x-sorted
-    /// order — INLJ's counters are order-independent sums, so this is
-    /// indistinguishable from assignment order); an assigned side
-    /// gathers them from the arena.
-    fn probes(&self, objects: &[Rect<D>], t: usize) -> Vec<Rect<D>> {
-        match self {
-            TileSource::Forest(f) => f.columns(t).map(|c| c.rects()).unwrap_or_default(),
-            TileSource::Assign(assign) => assign[t].iter().map(|&i| objects[i as usize]).collect(),
-        }
-    }
-
-    /// The columnar SoA layout of tile `t` (sweep sides): shared from
-    /// the forest's version-exact cache, or sorted from the assignment
-    /// for this call. Both produce the identical canonical layout —
+    /// The columnar SoA layout of tile `t`: shared from the forest's
+    /// version-exact cache, or sorted from the assignment for this
+    /// call. Both produce the identical canonical layout —
     /// [`TileColumns::from_items`] sorts by `(x-min, id)` regardless of
     /// input order.
     fn columns(&self, objects: &[Rect<D>], t: usize) -> Arc<TileColumns<D>> {
@@ -622,8 +377,7 @@ impl<const D: usize> TileSource<'_, D> {
 
     /// The root clip points of tile `t`'s tree, for the sweep's tile
     /// pre-check. Only a forest-backed side has a tree to read them
-    /// from; an assigned sweep side is index-less by design and prunes
-    /// on the plain window only.
+    /// from; an assigned side prunes on the plain window only.
     fn root_clips(&self, t: usize) -> &[ClipPoint<D>] {
         match self {
             TileSource::Forest(f) => f
@@ -646,18 +400,18 @@ fn partitioned_join_impl<const D: usize, P: Partitioner<D>>(
     // (the trees hold exactly the assigned ids), otherwise from
     // assigning now.
     let lsource = match left_forest {
-        Some(f) => LeftSource::Forest(f),
-        None => LeftSource::Assign(plan.partitioner.assign(left)),
+        Some(f) => TileSource::Forest(f),
+        None => TileSource::Assign(plan.partitioner.assign(left)),
     };
-    let source = match right_forest {
-        Some(f) => RightSource::Forest(f),
-        None => RightSource::Assign(plan.partitioner.assign(right)),
+    let rsource = match right_forest {
+        Some(f) => TileSource::Forest(f),
+        None => TileSource::Assign(plan.partitioner.assign(right)),
     };
     // Only tiles where both sides are populated can produce pairs.
     let mut tiles: Vec<usize> = (0..plan.partitioner.tile_count())
-        .filter(|&t| lsource.count(t) > 0 && source.count(t) > 0)
+        .filter(|&t| lsource.count(t) > 0 && rsource.count(t) > 0)
         .collect();
-    let weight = |t: usize| (lsource.count(t) as u64).saturating_mul(source.count(t) as u64);
+    let weight = |t: usize| (lsource.count(t) as u64).saturating_mul(rsource.count(t) as u64);
     let total = tiles
         .iter()
         .fold(0u64, |acc, &t| acc.saturating_add(weight(t)));
@@ -669,38 +423,23 @@ fn partitioned_join_impl<const D: usize, P: Partitioner<D>>(
             None => (Vec::new(), tiles),
         };
 
-    // Level 1: build hot tiles' trees/columns in parallel and decompose
-    // them.
+    // Level 1: source hot tiles' columns in parallel and cut them into
+    // chunks.
     let hot: Vec<HotTile<D>> = map_chunked(plan.workers, &hot_tiles, |_, chunk| {
         chunk
             .iter()
-            .map(|&t| build_hot(plan, t, left, &lsource, right, &source))
+            .map(|&t| build_hot(plan, t, left, &lsource, right, &rsource))
             .collect::<Vec<_>>()
     })
     .into_iter()
     .flatten()
     .collect();
 
-    // Level 2: one shared dynamic queue over hot subtasks (first — they
+    // Level 2: one shared dynamic queue over hot chunks (first — they
     // belong to the heaviest tiles) and whole cold tiles.
     let mut tasks: Vec<Task> = Vec::new();
     for (h, ht) in hot.iter().enumerate() {
-        match &ht.work {
-            HotWork::Stt { seeds, .. } => {
-                tasks.extend((0..seeds.len()).map(|seed| Task::SttSeed { hot: h, seed }));
-            }
-            HotWork::Inlj { probes, chunk, .. } => {
-                let mut lo = 0;
-                while lo < probes.len() {
-                    let hi = (lo + chunk).min(probes.len());
-                    tasks.push(Task::InljChunk { hot: h, lo, hi });
-                    lo = hi;
-                }
-            }
-            HotWork::Sweep { chunks, .. } => {
-                tasks.extend((0..chunks.len()).map(|chunk| Task::SweepChunk { hot: h, chunk }));
-            }
-        }
+        tasks.extend((0..ht.chunks.len()).map(|chunk| Task::SweepChunk { hot: h, chunk }));
     }
     tasks.extend(cold_tiles.iter().map(|&t| Task::Tile(t)));
 
@@ -710,55 +449,12 @@ fn partitioned_join_impl<const D: usize, P: Partitioner<D>>(
         JoinResult::default,
         |task, acc: &mut JoinResult| match *task {
             Task::Tile(t) => {
-                *acc += join_tile(plan, t, left, &lsource, right, &source);
-            }
-            Task::SttSeed { hot: h, seed } => {
-                let ht = &hot[h];
-                let HotWork::Stt {
-                    left: ltree,
-                    right: rtree,
-                    seeds,
-                } = &ht.work
-                else {
-                    unreachable!("STT seed on a non-STT tile");
-                };
-                let (lid, rid) = seeds[seed];
-                *acc += stt_filtered_from(
-                    ltree.get(),
-                    lid,
-                    rtree.get(),
-                    rid,
-                    plan.use_clips,
-                    |a, b| plan.partitioner.owns(ht.tile, &reference_point(a, b)),
-                );
-            }
-            Task::InljChunk { hot: h, lo, hi } => {
-                let ht = &hot[h];
-                let HotWork::Inlj {
-                    right: rtree,
-                    probes,
-                    ..
-                } = &ht.work
-                else {
-                    unreachable!("INLJ chunk on a non-INLJ tile");
-                };
-                *acc += inlj_filtered(&probes[lo..hi], rtree.get(), plan.use_clips, |probe, id| {
-                    plan.partitioner
-                        .owns(ht.tile, &reference_point(probe, &right[id.0 as usize]))
-                });
+                *acc += join_tile(plan, t, left, &lsource, right, &rsource);
             }
             Task::SweepChunk { hot: h, chunk } => {
                 let ht = &hot[h];
-                let HotWork::Sweep {
-                    left: lcols,
-                    right: rcols,
-                    chunks,
-                } = &ht.work
-                else {
-                    unreachable!("sweep chunk on a non-sweep tile");
-                };
-                let (side, lo, hi) = chunks[chunk];
-                *acc += sweep_scan(lcols, rcols, side, lo, hi, |a, b| {
+                let (side, lo, hi) = ht.chunks[chunk];
+                *acc += sweep_scan(&ht.left, &ht.right, side, lo, hi, |a, b| {
                     plan.partitioner.owns(ht.tile, &reference_point(a, b))
                 });
             }
@@ -771,112 +467,45 @@ fn partitioned_join_impl<const D: usize, P: Partitioner<D>>(
     result
 }
 
-/// Join one whole tile: resolve the kernel ([`resolve_tile_algo`] —
-/// identical inputs to [`build_hot`], so hot and cold tiles of one run
-/// agree), source only what that kernel needs (trees, probe list, or
-/// columns), and run it with the reference-point ownership filter.
+/// Sweep one whole tile with the reference-point ownership filter.
 fn join_tile<const D: usize, P: Partitioner<D>>(
     plan: &JoinPlan<D, P>,
     tile: usize,
     left: &[Rect<D>],
-    lsource: &LeftSource<'_, D>,
+    lsource: &TileSource<'_, D>,
     right: &[Rect<D>],
-    rsource: &RightSource<'_, D>,
+    rsource: &TileSource<'_, D>,
 ) -> JoinResult {
-    let algo = resolve_tile_algo(
-        plan.algo,
-        &plan.auto,
-        lsource.is_forest(),
-        rsource.is_forest(),
-        lsource.count(tile),
-        rsource.count(tile),
-    );
-    match algo {
-        TileAlgo::Stt => {
-            let ltree = lsource.tile(plan, left, tile);
-            let rtree = rsource.tile(plan, right, tile);
-            let mut result = stt_filtered(ltree.get(), rtree.get(), plan.use_clips, |a, b| {
-                plan.partitioner.owns(tile, &reference_point(a, b))
-            });
-            result.tiles_stt += 1;
-            result
-        }
-        TileAlgo::Inlj => {
-            let probes = lsource.probes(left, tile);
-            let rtree = rsource.tile(plan, right, tile);
-            let mut result = inlj_filtered(&probes, rtree.get(), plan.use_clips, |probe, id| {
-                plan.partitioner
-                    .owns(tile, &reference_point(probe, &right[id.0 as usize]))
-            });
-            result.tiles_inlj += 1;
-            result
-        }
-        TileAlgo::Sweep => {
-            let lcols = lsource.columns(left, tile);
-            let rcols = rsource.columns(right, tile);
-            let (lclips, rclips) = if plan.use_clips {
-                (lsource.root_clips(tile), rsource.root_clips(tile))
-            } else {
-                (&[][..], &[][..])
-            };
-            let (mut result, live) = sweep_precheck(&lcols, lclips, &rcols, rclips);
-            result.tiles_sweep += 1;
-            if live {
-                let keep =
-                    |a: &Rect<D>, b: &Rect<D>| plan.partitioner.owns(tile, &reference_point(a, b));
-                result += sweep_scan(&lcols, &rcols, SweepSide::Left, 0, lcols.len(), keep);
-                result += sweep_scan(&lcols, &rcols, SweepSide::Right, 0, rcols.len(), keep);
-            }
-            result
-        }
+    let (lcols, rcols, mut result, live) = open_tile(plan, tile, left, lsource, right, rsource);
+    if live {
+        let keep = |a: &Rect<D>, b: &Rect<D>| plan.partitioner.owns(tile, &reference_point(a, b));
+        result += sweep_scan(&lcols, &rcols, SweepSide::Left, 0, lcols.len(), keep);
+        result += sweep_scan(&lcols, &rcols, SweepSide::Right, 0, rcols.len(), keep);
     }
+    result
 }
 
-/// Sequential baseline with the same per-tile index configuration: one
-/// global tree per side, one thread, no partitioning. Used by benches and
-/// tests as the ground truth the partitioned join must reproduce.
-pub fn sequential_join<const D: usize, P>(
-    plan: &JoinPlan<D, P>,
-    left: &[Rect<D>],
-    right: &[Rect<D>],
-) -> JoinResult {
-    let all_left: Vec<u32> = (0..left.len() as u32).collect();
-    let all_right: Vec<u32> = (0..right.len() as u32).collect();
+/// Sequential baseline: one global sweep of both sides, one thread, no
+/// partitioning and no clip tables. Used by benches and tests as the
+/// ground truth the partitioned join must reproduce.
+pub fn sequential_join<const D: usize>(left: &[Rect<D>], right: &[Rect<D>]) -> JoinResult {
+    let columns = |objects: &[Rect<D>]| {
+        let items: Vec<(Rect<D>, DataId)> = objects
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (*r, DataId(i as u32)))
+            .collect();
+        TileColumns::from_items(&items)
+    };
+    let (lcols, rcols) = (columns(left), columns(right));
     // The whole input is one logical tile, so the run reports one
-    // `tiles_*` tick — a 1×1-grid partitioned join is byte-identical.
-    match plan.algo {
-        JoinAlgo::Stt => {
-            let ltree = build_tile_tree(left, &all_left, plan.tree, plan.clip, plan.use_clips);
-            let rtree = build_tile_tree(right, &all_right, plan.tree, plan.clip, plan.use_clips);
-            let mut result = cbb_joins::stt(&ltree, &rtree, plan.use_clips);
-            result.tiles_stt += 1;
-            result
-        }
-        JoinAlgo::Inlj => {
-            let rtree = build_tile_tree(right, &all_right, plan.tree, plan.clip, plan.use_clips);
-            let mut result = cbb_joins::inlj(left, &rtree, plan.use_clips);
-            result.tiles_inlj += 1;
-            result
-        }
-        // Sequentially nothing is cached, which is precisely the state
-        // Auto resolves to a sweep for — so both run the one global
-        // sweep, index-less (no trees means no clip tables either).
-        JoinAlgo::Sweep | JoinAlgo::Auto => {
-            let to_items = |objects: &[Rect<D>], ids: &[u32]| -> Vec<(Rect<D>, DataId)> {
-                ids.iter()
-                    .map(|&i| (objects[i as usize], DataId(i)))
-                    .collect()
-            };
-            let lcols = TileColumns::from_items(&to_items(left, &all_left));
-            let rcols = TileColumns::from_items(&to_items(right, &all_right));
-            let (mut result, live) = sweep_precheck(&lcols, &[], &rcols, &[]);
-            result.tiles_sweep += 1;
-            if live {
-                result += cbb_joins::sweep(&lcols, &rcols);
-            }
-            result
-        }
+    // `tiles_sweep` tick — a 1×1-grid partitioned join is byte-identical.
+    let (mut result, live) = sweep_precheck(&lcols, &[], &rcols, &[]);
+    result.tiles_sweep += 1;
+    if live {
+        result += cbb_joins::sweep(&lcols, &rcols);
     }
+    result
 }
 
 #[cfg(test)]
@@ -937,27 +566,30 @@ mod tests {
         )
     }
 
-    const ALL_ALGOS: [JoinAlgo; 4] = [
-        JoinAlgo::Stt,
-        JoinAlgo::Inlj,
-        JoinAlgo::Sweep,
-        JoinAlgo::Auto,
-    ];
+    fn forest(plan: &JoinPlan<2>, objects: &[Rect<2>]) -> TileForest<2> {
+        TileForest::build(&plan.partitioner, objects, plan.tree, plan.clip, 2)
+    }
+
+    /// Tiles where both sides hold at least one object.
+    fn populated(plan: &JoinPlan<2>, a: &[Rect<2>], b: &[Rect<2>]) -> u64 {
+        let (la, lb) = (plan.partitioner.assign(a), plan.partitioner.assign(b));
+        (0..plan.partitioner.tile_count())
+            .filter(|&t| !la[t].is_empty() && !lb[t].is_empty())
+            .count() as u64
+    }
 
     #[test]
     fn matches_brute_force_for_every_algo() {
         let a = boxes(250, 1, 20.0);
         let b = boxes(300, 2, 20.0);
         let expected = brute_force_pairs(&a, &b);
-        for algo in ALL_ALGOS {
-            for workers in [1, 4] {
-                let plan = plan2(4, workers).with_algo(algo);
-                assert_eq!(
-                    partitioned_join(&plan, &a, &b).pairs,
-                    expected,
-                    "{algo:?} workers={workers}"
-                );
-            }
+        for workers in [1, 4] {
+            let plan = plan2(4, workers);
+            assert_eq!(
+                partitioned_join(&plan, &a, &b).pairs,
+                expected,
+                "workers={workers}"
+            );
         }
     }
 
@@ -966,11 +598,11 @@ mod tests {
         // Sides up to 150 over 125-wide tiles: most objects span tiles.
         let a = boxes(120, 3, 150.0);
         let b = boxes(140, 4, 150.0);
-        let expected = brute_force_pairs(&a, &b);
-        for algo in ALL_ALGOS {
-            let plan = plan2(4, 3).with_algo(algo);
-            assert_eq!(partitioned_join(&plan, &a, &b).pairs, expected, "{algo:?}");
-        }
+        let plan = plan2(4, 3);
+        assert_eq!(
+            partitioned_join(&plan, &a, &b).pairs,
+            brute_force_pairs(&a, &b)
+        );
     }
 
     #[test]
@@ -979,7 +611,7 @@ mod tests {
         let b = boxes(200, 6, 25.0);
         let expected = brute_force_pairs(&a, &b);
         let plan = plan2(3, 2).with_clips(false);
-        let res = partitioned_join(&plan, &a, &b);
+        let res = partitioned_join_forests(&plan, &forest(&plan, &a), &b, &forest(&plan, &b));
         assert_eq!(res.pairs, expected);
         assert_eq!(res.clip_prunes, 0, "no clips, no prunes");
     }
@@ -997,36 +629,32 @@ mod tests {
     fn sequential_baseline_agrees() {
         let a = boxes(180, 8, 30.0);
         let b = boxes(220, 9, 30.0);
-        for algo in ALL_ALGOS {
-            let plan = plan2(4, 4).with_algo(algo);
-            assert_eq!(
-                sequential_join(&plan, &a, &b).pairs,
-                partitioned_join(&plan, &a, &b).pairs,
-                "{algo:?}"
-            );
-        }
+        let plan = plan2(4, 4);
+        assert_eq!(
+            sequential_join(&a, &b).pairs,
+            partitioned_join(&plan, &a, &b).pairs
+        );
     }
 
     #[test]
     fn decomposition_is_counter_exact() {
         // The two-level scheduler must not change *any* counter relative
-        // to whole-tile execution — same trees/columns, same traversals
-        // and scans, only the work order differs. Auto qualifies too:
-        // resolution reads only per-tile facts, so hot and cold paths
-        // pick the same kernel.
+        // to whole-tile execution — same columns, same scans, only the
+        // work order differs.
         let a = clustered_boxes(500, 10);
         let b = clustered_boxes(550, 11);
-        for algo in ALL_ALGOS {
-            for workers in [2, 4] {
-                let never = plan2(4, workers)
-                    .with_algo(algo)
-                    .with_split(SplitPolicy::Never);
-                let auto = never.with_split(SplitPolicy::Auto);
-                let eager = never.with_split(SplitPolicy::Above(0));
-                let base = partitioned_join(&never, &a, &b);
-                assert_eq!(partitioned_join(&auto, &a, &b), base, "{algo:?} auto");
-                assert_eq!(partitioned_join(&eager, &a, &b), base, "{algo:?} eager");
-            }
+        for workers in [2, 4] {
+            let never = plan2(4, workers).with_split(SplitPolicy::Never);
+            let auto = never.with_split(SplitPolicy::Auto);
+            let eager = never.with_split(SplitPolicy::Above(0));
+            let base = partitioned_join(&never, &a, &b);
+            assert_eq!(partitioned_join(&auto, &a, &b), base, "auto");
+            assert_eq!(partitioned_join(&eager, &a, &b), base, "eager");
+            // The forest-backed path decomposes counter-exactly too.
+            let (fa, fb) = (forest(&never, &a), forest(&never, &b));
+            let base = partitioned_join_forests(&never, &fa, &b, &fb);
+            assert_eq!(partitioned_join_forests(&auto, &fa, &b, &fb), base);
+            assert_eq!(partitioned_join_forests(&eager, &fa, &b, &fb), base);
         }
     }
 
@@ -1036,13 +664,11 @@ mod tests {
         // path; pair counts must still be exact.
         let a = boxes(200, 12, 40.0);
         let b = boxes(200, 13, 40.0);
-        let expected = brute_force_pairs(&a, &b);
-        for algo in ALL_ALGOS {
-            let plan = plan2(3, 4)
-                .with_algo(algo)
-                .with_split(SplitPolicy::Above(0));
-            assert_eq!(partitioned_join(&plan, &a, &b).pairs, expected, "{algo:?}");
-        }
+        let plan = plan2(3, 4).with_split(SplitPolicy::Above(0));
+        assert_eq!(
+            partitioned_join(&plan, &a, &b).pairs,
+            brute_force_pairs(&a, &b)
+        );
     }
 
     #[test]
@@ -1053,100 +679,47 @@ mod tests {
         let domain = r2(0.0, 0.0, 500.0, 500.0);
         let adaptive = AdaptiveGrid::from_sample(domain, [4, 4], &a);
         let quadtree = QuadtreePartitioner::build(domain, &a, 120);
-        for algo in ALL_ALGOS {
-            let plan = JoinPlan::new(
-                adaptive.clone(),
-                TreeConfig::tiny(Variant::RStar),
-                ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-                3,
-            )
-            .with_algo(algo);
-            assert_eq!(
-                partitioned_join(&plan, &a, &b).pairs,
-                expected,
-                "adaptive {algo:?}"
-            );
-            let plan = JoinPlan::new(
-                quadtree.clone(),
-                TreeConfig::tiny(Variant::RStar),
-                ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-                3,
-            )
-            .with_algo(algo);
-            assert_eq!(
-                partitioned_join(&plan, &a, &b).pairs,
-                expected,
-                "quadtree {algo:?}"
-            );
-        }
+        let tree = TreeConfig::tiny(Variant::RStar);
+        let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
+        let plan = JoinPlan::new(adaptive, tree, clip, 3);
+        assert_eq!(partitioned_join(&plan, &a, &b).pairs, expected, "adaptive");
+        let plan = JoinPlan::new(quadtree, tree, clip, 3);
+        assert_eq!(partitioned_join(&plan, &a, &b).pairs, expected, "quadtree");
     }
 
     #[test]
     fn forest_join_is_counter_exact() {
-        // Joining against a prebuilt forest must reproduce EVERY counter
-        // of the build-per-call path, for both algorithms, clipped and
-        // not, across split policies — same trees, same traversals.
+        // Cached columns and per-call columns share one canonical sort,
+        // so with clips off a forest-backed join reproduces EVERY
+        // counter of the build-per-call path, across split policies.
+        // With clips on, only the forest side has root clip points to
+        // pre-check with, so pruned-tile work may differ — never pairs.
         let a = clustered_boxes(400, 20);
         let b = clustered_boxes(450, 21);
         let base_plan = plan2(4, 3);
-        let forest = TileForest::build(
-            &base_plan.partitioner,
-            &b,
-            base_plan.tree,
-            base_plan.clip,
-            3,
-        );
-        for algo in [JoinAlgo::Stt, JoinAlgo::Inlj] {
-            for use_clips in [true, false] {
-                for split in [SplitPolicy::Never, SplitPolicy::Auto, SplitPolicy::Above(0)] {
-                    let plan = base_plan
-                        .with_algo(algo)
-                        .with_clips(use_clips)
-                        .with_split(split);
-                    let direct = partitioned_join(&plan, &a, &b);
-                    let cached = partitioned_join_with(&plan, &a, &b, &forest);
-                    assert_eq!(cached, direct, "{algo:?} clips={use_clips} {split:?}");
-                }
-            }
-        }
-        // The sweep is byte-equal too when clips are off (cached columns
-        // and per-call columns share one canonical sort). With clips on,
-        // only the forest-backed side has a tree to read root clip
-        // points from, so pruned-tile work may differ — but never pairs.
+        let forest = forest(&base_plan, &b);
         for split in [SplitPolicy::Never, SplitPolicy::Auto, SplitPolicy::Above(0)] {
-            let plan = base_plan
-                .with_algo(JoinAlgo::Sweep)
-                .with_clips(false)
-                .with_split(split);
+            let plan = base_plan.with_clips(false).with_split(split);
             assert_eq!(
                 partitioned_join_with(&plan, &a, &b, &forest),
                 partitioned_join(&plan, &a, &b),
-                "sweep unclipped {split:?}"
+                "unclipped {split:?}"
             );
             let clipped = plan.with_clips(true);
             assert_eq!(
                 partitioned_join_with(&clipped, &a, &b, &forest).pairs,
                 partitioned_join(&clipped, &a, &b).pairs,
-                "sweep clipped {split:?}"
+                "clipped {split:?}"
             );
         }
-        // Auto may resolve differently depending on which sides are
-        // cached — the pair set must not notice.
-        let auto_plan = base_plan.with_algo(JoinAlgo::Auto);
-        assert_eq!(
-            partitioned_join_with(&auto_plan, &a, &b, &forest).pairs,
-            partitioned_join(&auto_plan, &a, &b).pairs,
-            "auto cached vs direct"
-        );
     }
 
     #[test]
     fn forest_join_handles_empty_probe_side() {
         let b = boxes(120, 22, 25.0);
         let plan = plan2(3, 2);
-        let forest = TileForest::build(&plan.partitioner, &b, plan.tree, plan.clip, 2);
         assert_eq!(
-            partitioned_join_with(&plan, &[], &b, &forest),
+            partitioned_join_with(&plan, &[], &b, &forest(&plan, &b)),
             JoinResult::default()
         );
     }
@@ -1156,177 +729,115 @@ mod tests {
     fn forest_join_rejects_mismatched_tiling() {
         let b = boxes(50, 23, 20.0);
         let plan = plan2(4, 2);
-        let forest = TileForest::build(&plan.partitioner, &b, plan.tree, plan.clip, 2);
+        let forest = forest(&plan, &b);
         let other = plan2(5, 2);
         let _ = partitioned_join_with(&other, &b, &b, &forest);
     }
 
     #[test]
     fn forests_join_is_counter_exact_for_both_sides_cached() {
-        // The cross-dataset STT fast path: BOTH sides served from
-        // prebuilt forests must reproduce EVERY counter of the
-        // build-per-call join, clipped and not, across split policies.
+        // The cross-dataset fast path: BOTH sides served from prebuilt
+        // forests reproduce every counter of the build-per-call join
+        // with clips off, and its pairs with clips on.
         let a = clustered_boxes(380, 30);
         let b = clustered_boxes(420, 31);
         let base_plan = plan2(4, 3);
-        let left_forest = TileForest::build(
-            &base_plan.partitioner,
-            &a,
-            base_plan.tree,
-            base_plan.clip,
-            3,
-        );
-        let right_forest = TileForest::build(
-            &base_plan.partitioner,
-            &b,
-            base_plan.tree,
-            base_plan.clip,
-            3,
-        );
-        for use_clips in [true, false] {
-            for split in [SplitPolicy::Never, SplitPolicy::Auto, SplitPolicy::Above(0)] {
-                let plan = base_plan.with_clips(use_clips).with_split(split);
-                let direct = partitioned_join(&plan, &a, &b);
-                let cached = partitioned_join_forests(&plan, &left_forest, &b, &right_forest);
-                assert_eq!(cached, direct, "clips={use_clips} {split:?}");
-            }
+        let (left_forest, right_forest) = (forest(&base_plan, &a), forest(&base_plan, &b));
+        for split in [SplitPolicy::Never, SplitPolicy::Auto, SplitPolicy::Above(0)] {
+            let plan = base_plan.with_clips(false).with_split(split);
+            assert_eq!(
+                partitioned_join_forests(&plan, &left_forest, &b, &right_forest),
+                partitioned_join(&plan, &a, &b),
+                "unclipped {split:?}"
+            );
+            let clipped = plan.with_clips(true);
+            assert_eq!(
+                partitioned_join_forests(&clipped, &left_forest, &b, &right_forest).pairs,
+                brute_force_pairs(&a, &b),
+                "clipped {split:?}"
+            );
         }
-        assert_eq!(
-            partitioned_join_forests(&base_plan, &left_forest, &b, &right_forest).pairs,
-            brute_force_pairs(&a, &b)
-        );
     }
 
     #[test]
     fn forests_join_supports_every_algo() {
-        // PR 5 left INLJ (and now the sweep) off the both-sides-cached
-        // path; every algorithm now runs forest-native. INLJ reads its
-        // probes from the probe forest's columns (x-sorted — its
-        // counters are order-independent sums, so still byte-equal to
-        // the build-per-call run); Auto sees two cached sides and
-        // resolves to STT.
+        // `JoinAlgo::Auto` is the one strategy: with both sides cached
+        // it sweeps every populated tile — no tree kernel runs.
         let a = clustered_boxes(300, 32);
         let b = clustered_boxes(340, 33);
-        let base_plan = plan2(4, 2);
-        let lf = TileForest::build(
-            &base_plan.partitioner,
-            &a,
-            base_plan.tree,
-            base_plan.clip,
-            2,
-        );
-        let rf = TileForest::build(
-            &base_plan.partitioner,
-            &b,
-            base_plan.tree,
-            base_plan.clip,
-            2,
-        );
-        let expected = brute_force_pairs(&a, &b);
-        for algo in [JoinAlgo::Stt, JoinAlgo::Inlj] {
-            let plan = base_plan.with_algo(algo);
-            let direct = partitioned_join(&plan, &a, &b);
-            let cached = partitioned_join_forests(&plan, &lf, &b, &rf);
-            assert_eq!(cached, direct, "{algo:?}");
-            assert_eq!(cached.pairs, expected, "{algo:?}");
-        }
-        let sweep_plan = base_plan.with_algo(JoinAlgo::Sweep).with_clips(false);
-        assert_eq!(
-            partitioned_join_forests(&sweep_plan, &lf, &b, &rf),
-            partitioned_join(&sweep_plan, &a, &b),
-            "sweep unclipped"
-        );
-        for algo in [JoinAlgo::Sweep, JoinAlgo::Auto] {
-            let plan = base_plan.with_algo(algo);
-            let cached = partitioned_join_forests(&plan, &lf, &b, &rf);
-            assert_eq!(cached.pairs, expected, "{algo:?}");
-        }
-        // Auto with both sides cached is STT on every populated tile.
-        let auto = partitioned_join_forests(&base_plan.with_algo(JoinAlgo::Auto), &lf, &b, &rf);
-        assert!(auto.tiles_stt > 0);
-        assert_eq!(auto.tiles_inlj + auto.tiles_sweep, 0);
+        let plan = plan2(4, 2);
+        let (lf, rf) = (forest(&plan, &a), forest(&plan, &b));
+        let cached = partitioned_join_forests(&plan, &lf, &b, &rf);
+        assert_eq!(cached.pairs, brute_force_pairs(&a, &b));
+        assert_eq!(cached.tiles_sweep, populated(&plan, &a, &b));
+        assert_eq!(cached.tiles_stt + cached.tiles_inlj, 0);
+        assert_eq!(cached.leaf_accesses() + cached.internal_accesses, 0);
     }
 
     #[test]
-    fn auto_resolution_follows_cachedness_and_cardinality() {
-        // Direct join: nothing cached → every tile sweeps.
+    fn auto_sweeps_every_tile_whatever_is_cached() {
+        // Every side shape the service produces — nothing cached, only
+        // the indexed side cached (balanced or a tiny probe set), both
+        // cached, a self-join — sweeps every populated tile, and pairs
+        // equal brute force.
         let a = boxes(200, 34, 25.0);
         let b = boxes(240, 35, 25.0);
-        let plan = plan2(4, 2).with_algo(JoinAlgo::Auto);
-        let direct = partitioned_join(&plan, &a, &b);
-        assert!(direct.tiles_sweep > 0);
-        assert_eq!(direct.tiles_stt + direct.tiles_inlj, 0);
-
-        // Tiny probe set against a cached forest → INLJ tiles (1/8
-        // ratio met wherever the probe tile is small enough).
         let probe = boxes(8, 36, 25.0);
-        let forest = TileForest::build(&plan.partitioner, &b, plan.tree, plan.clip, 2);
-        let asym = partitioned_join_with(&plan, &probe, &b, &forest);
-        assert!(asym.tiles_inlj > 0, "small probes should index-probe");
-        assert_eq!(asym.tiles_stt, 0, "one cached side is never STT");
-
-        // Balanced sides with only the right cached → the ratio fails
-        // and the sweep takes over.
-        let balanced = partitioned_join_with(&plan, &a, &b, &forest);
-        assert!(balanced.tiles_sweep > 0);
-        assert_eq!(balanced.pairs, brute_force_pairs(&a, &b));
+        let plan = plan2(4, 2);
+        let (fa, fb) = (forest(&plan, &a), forest(&plan, &b));
+        let runs = [
+            ("direct", partitioned_join(&plan, &a, &b), &a, &b),
+            (
+                "balanced",
+                partitioned_join_with(&plan, &a, &b, &fb),
+                &a,
+                &b,
+            ),
+            (
+                "tiny probe",
+                partitioned_join_with(&plan, &probe, &b, &fb),
+                &probe,
+                &b,
+            ),
+            (
+                "both",
+                partitioned_join_forests(&plan, &fa, &b, &fb),
+                &a,
+                &b,
+            ),
+            (
+                "self",
+                partitioned_join_forests(&plan, &fa, &a, &fa),
+                &a,
+                &a,
+            ),
+        ];
+        for (name, res, l, r) in runs {
+            assert_eq!(res.pairs, brute_force_pairs(l, r), "{name}");
+            assert_eq!(res.tiles_sweep, populated(&plan, l, r), "{name}");
+            assert_eq!(res.tiles_stt + res.tiles_inlj, 0, "{name}");
+        }
     }
 
-    /// The named [`AutoPolicy`] replaced hard-coded `Auto` thresholds;
-    /// the default must reproduce them byte-for-byte, and a plan built
-    /// without [`JoinPlan::with_auto`] must behave identically to one
-    /// carrying an explicit default policy.
+    /// The default `AutoPolicy` pins the range-fusion thresholds that
+    /// were hard-coded constants before the policy was named.
     #[test]
     fn default_auto_policy_reproduces_legacy_thresholds() {
         assert_eq!(
             AutoPolicy::default(),
             AutoPolicy {
-                inlj_probe_ratio: 8,
                 fuse_min_queries: 4,
                 fuse_cold_ratio: 8,
             }
         );
-        // The INLJ resolution table of the previous hard-coded 8×
-        // ratio, spelled out: probes × 8 ≤ tile cardinality.
-        let p = AutoPolicy::default();
-        for (probes, tile, expect_inlj) in
-            [(1, 8, true), (1, 7, false), (10, 80, true), (10, 79, false)]
-        {
-            assert_eq!(
-                probes * p.inlj_probe_ratio <= tile,
-                expect_inlj,
-                "probes={probes} tile={tile}"
-            );
-        }
         // Fusion gate: width below the minimum never fuses; at the
         // minimum, cold tiles need the 8× cardinality bound and warm
         // tiles always fuse.
+        let p = AutoPolicy::default();
         assert!(!p.fuse_tile(3, 0, true));
         assert!(p.fuse_tile(4, 1_000_000, true));
         assert!(p.fuse_tile(4, 32, false));
         assert!(!p.fuse_tile(4, 33, false));
-
-        let a = boxes(200, 34, 25.0);
-        let b = boxes(240, 35, 25.0);
-        let plan = plan2(4, 2).with_algo(JoinAlgo::Auto);
-        let explicit = plan.with_auto(AutoPolicy::default());
-        let forest = TileForest::build(&plan.partitioner, &b, plan.tree, plan.clip, 2);
-        let default_run = partitioned_join_with(&plan, &a, &b, &forest);
-        let explicit_run = partitioned_join_with(&explicit, &a, &b, &forest);
-        assert_eq!(default_run, explicit_run);
-        // A policy with a stricter ratio moves tiles off INLJ — the
-        // knob is live, not decorative.
-        let strict = plan.with_auto(AutoPolicy {
-            inlj_probe_ratio: usize::MAX,
-            ..AutoPolicy::default()
-        });
-        let probe = boxes(8, 36, 25.0);
-        let strict_run = partitioned_join_with(&strict, &probe, &b, &forest);
-        assert_eq!(strict_run.tiles_inlj, 0, "MAX ratio must disable INLJ");
-        assert_eq!(
-            strict_run.pairs,
-            partitioned_join_with(&plan, &probe, &b, &forest).pairs
-        );
     }
 
     #[test]
@@ -1334,20 +845,11 @@ mod tests {
         let a = clustered_boxes(300, 37);
         let b = clustered_boxes(320, 38);
         let base_plan = plan2(4, 3);
-        let la = base_plan.partitioner.assign(&a);
-        let lb = base_plan.partitioner.assign(&b);
-        let populated = (0..base_plan.partitioner.tile_count())
-            .filter(|&t| !la[t].is_empty() && !lb[t].is_empty())
-            .count() as u64;
-        for algo in ALL_ALGOS {
-            for split in [SplitPolicy::Never, SplitPolicy::Above(0)] {
-                let res = partitioned_join(&base_plan.with_algo(algo).with_split(split), &a, &b);
-                assert_eq!(
-                    res.tiles_stt + res.tiles_inlj + res.tiles_sweep,
-                    populated,
-                    "{algo:?} {split:?}"
-                );
-            }
+        let populated = populated(&base_plan, &a, &b);
+        for split in [SplitPolicy::Never, SplitPolicy::Above(0)] {
+            let res = partitioned_join(&base_plan.with_split(split), &a, &b);
+            assert_eq!(res.tiles_sweep, populated, "{split:?}");
+            assert_eq!(res.tiles_stt + res.tiles_inlj, 0, "{split:?}");
         }
     }
 
@@ -1355,7 +857,7 @@ mod tests {
     fn degenerate_inputs_join_exactly_for_every_algo() {
         // Zero-extent rectangles, exact duplicates, x-min ties, and
         // tile-spanning giants — the sweep's tie-breaks and the dedup
-        // filter must agree with brute force for every kernel.
+        // filter must agree with brute force, per call and cached.
         let mut a = boxes(60, 39, 150.0);
         a.push(r2(100.0, 100.0, 100.0, 100.0)); // zero extent
         a.push(r2(100.0, 100.0, 100.0, 100.0)); // duplicate of it
@@ -1366,15 +868,16 @@ mod tests {
         b.push(r2(100.0, 100.0, 100.0, 100.0));
         b.push(r2(250.0, 0.0, 250.0, 500.0)); // zero-width full-height sliver
         let expected = brute_force_pairs(&a, &b);
-        for algo in ALL_ALGOS {
-            for use_clips in [true, false] {
-                let plan = plan2(4, 2).with_algo(algo).with_clips(use_clips);
-                assert_eq!(
-                    partitioned_join(&plan, &a, &b).pairs,
-                    expected,
-                    "{algo:?} clips={use_clips}"
-                );
-            }
+        for use_clips in [true, false] {
+            let plan = plan2(4, 2).with_clips(use_clips);
+            assert_eq!(
+                partitioned_join(&plan, &a, &b).pairs,
+                expected,
+                "clips={use_clips}"
+            );
+            let cached =
+                partitioned_join_forests(&plan, &forest(&plan, &a), &b, &forest(&plan, &b));
+            assert_eq!(cached.pairs, expected, "cached clips={use_clips}");
         }
     }
 

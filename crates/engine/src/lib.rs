@@ -11,13 +11,12 @@
 //!   al., *Effective Spatial Data Partitioning for Scalable Query
 //!   Processing*).
 //! * [`join`] — the partitioned parallel join ([`partitioned_join`]):
-//!   per-tile joins by STT over clipped R-trees, INLJ, or a plane sweep
-//!   over the columnar [`cbb_joins::TileColumns`] layout — chosen per
-//!   tile by [`JoinAlgo::Auto`] from tile cardinalities and whether
-//!   each side comes from a prebuilt forest — on the worker pool with dynamic tile scheduling,
-//!   counters merged via `AddAssign` (after Tsitsigkos et al., *Parallel
-//!   In-Memory Evaluation of Spatial Joins*). Pair counts are exactly
-//!   those of a sequential join for every algorithm.
+//!   every tile is joined by one kernel, a plane sweep over the
+//!   columnar [`cbb_joins::TileColumns`] layout (cached per tile on a
+//!   prebuilt forest), on the worker pool with dynamic tile
+//!   scheduling, counters merged via `AddAssign` (after Tsitsigkos et
+//!   al., *Parallel In-Memory Evaluation of Spatial Joins*). Pair
+//!   counts are exactly those of a sequential join.
 //! * [`batch`] — the batched range-query executor
 //!   ([`parallel_range_queries`]): a query workload sharded across
 //!   workers against one shared [`cbb_rtree::ClippedRTree`], answers in

@@ -1,26 +1,24 @@
-//! Oracle tests for the partitioned parallel executor: for every R-tree
-//! variant and both per-tile strategies, the partitioned join must return
-//! *exactly* the pair count of `brute_force_pairs` and of the sequential
-//! `stt`/`inlj` — including workloads engineered so that most objects span
-//! tile boundaries (the duplicate-elimination edge case) and the
-//! degenerate 1×1 grid (pure overhead, no partitioning effect).
+//! Oracle tests for the partitioned parallel executor: for every
+//! partitioner, every R-tree variant behind a cached forest, and every
+//! side shape the service produces — same tiling (both forests
+//! borrowed), cross tiling (the probe side re-partitioned onto the
+//! indexed forest), self-join, an empty side — the partitioned join
+//! sweeps every populated tile and returns *exactly* the pair count of
+//! `brute_force_pairs` (and of the paper's global `stt`/`inlj`),
+//! including workloads engineered so that most objects span tile
+//! boundaries (the duplicate-elimination edge case) and the degenerate
+//! 1×1 grid (pure overhead, no partitioning effect).
 
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{
-    load_imbalance, parallel_range_queries, partitioned_join, sequential_join, AdaptiveGrid,
-    JoinAlgo, JoinPlan, QuadtreePartitioner, SplitPolicy, UniformGrid,
+    load_imbalance, parallel_range_queries, partitioned_join, partitioned_join_forests,
+    partitioned_join_with, sequential_join, AdaptiveGrid, DatasetStore, JoinPlan, Partitioner,
+    QuadtreePartitioner, SplitPolicy, TileForest, UniformGrid,
 };
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::{brute_force_pairs, inlj, stt, JoinResult};
 use cbb_rtree::{AccessStats, ClippedRTree, DataId, RTree, TreeConfig, Variant};
-
-const ALL_ALGOS: [JoinAlgo; 4] = [
-    JoinAlgo::Stt,
-    JoinAlgo::Inlj,
-    JoinAlgo::Sweep,
-    JoinAlgo::Auto,
-];
 
 fn r2(lx: f64, ly: f64, hx: f64, hy: f64) -> Rect<2> {
     Rect::new(Point([lx, ly]), Point([hx, hy]))
@@ -65,6 +63,53 @@ fn global_clipped(objects: &[Rect<2>], variant: Variant) -> ClippedRTree<2> {
     )
 }
 
+fn forest<P: Partitioner<2>>(plan: &JoinPlan<2, P>, objects: &[Rect<2>]) -> TileForest<2> {
+    TileForest::build(&plan.partitioner, objects, plan.tree, plan.clip, 2)
+}
+
+/// Join `a ⋈ b` in every side shape the service produces and assert
+/// each sweeps every populated tile with pairs equal to brute force:
+/// per call, the probe side re-partitioned onto a cached forest (the
+/// cross-tiling path), both forests borrowed (the same-tiling path),
+/// the self-join `a ⋈ a` and an empty probe side.
+fn assert_every_shape_sweeps_exactly<P: Partitioner<2>>(
+    plan: &JoinPlan<2, P>,
+    a: &[Rect<2>],
+    b: &[Rect<2>],
+    label: &str,
+) {
+    let (fa, fb) = (forest(plan, a), forest(plan, b));
+    let shapes = [
+        ("per call", partitioned_join(plan, a, b), a, b),
+        ("cross tiling", partitioned_join_with(plan, a, b, &fb), a, b),
+        (
+            "same tiling",
+            partitioned_join_forests(plan, &fa, b, &fb),
+            a,
+            b,
+        ),
+        ("self", partitioned_join_forests(plan, &fa, a, &fa), a, a),
+        (
+            "empty side",
+            partitioned_join_with(plan, &[], b, &fb),
+            &[][..],
+            b,
+        ),
+    ];
+    for (shape, res, l, r) in shapes {
+        assert_eq!(res.pairs, brute_force_pairs(l, r), "{label} {shape}");
+        let (ll, lr) = (plan.partitioner.assign(l), plan.partitioner.assign(r));
+        let populated = (0..plan.partitioner.tile_count())
+            .filter(|&t| !ll[t].is_empty() && !lr[t].is_empty())
+            .count() as u64;
+        assert_eq!(
+            res.tiles_sweep, populated,
+            "{label} {shape}: every tile sweeps"
+        );
+        assert_eq!(res.tiles_stt + res.tiles_inlj, 0, "{label} {shape}");
+    }
+}
+
 #[test]
 fn partitioned_join_matches_oracles_on_all_variants() {
     let a = boxes(220, 31, 25.0);
@@ -75,15 +120,13 @@ fn partitioned_join_matches_oracles_on_all_variants() {
         let right = global_clipped(&b, variant);
         assert_eq!(stt(&left, &right, true).pairs, expected, "{variant:?} stt");
         assert_eq!(inlj(&a, &right, true).pairs, expected, "{variant:?} inlj");
-        for algo in ALL_ALGOS {
-            for workers in [1, 3] {
-                let p = plan(variant, 4, workers).with_algo(algo);
-                assert_eq!(
-                    partitioned_join(&p, &a, &b).pairs,
-                    expected,
-                    "{variant:?}/{algo:?} workers={workers}"
-                );
-            }
+        for workers in [1, 3] {
+            assert_every_shape_sweeps_exactly(
+                &plan(variant, 4, workers),
+                &a,
+                &b,
+                &format!("{variant:?} workers={workers}"),
+            );
         }
     }
 }
@@ -94,16 +137,8 @@ fn tile_spanning_objects_are_counted_exactly_once() {
     // multiple tiles and many pairs intersect inside several tiles.
     let a = boxes(100, 33, 180.0);
     let b = boxes(120, 34, 180.0);
-    let expected = brute_force_pairs(&a, &b);
     for variant in Variant::ALL {
-        for algo in ALL_ALGOS {
-            let p = plan(variant, 4, 4).with_algo(algo);
-            assert_eq!(
-                partitioned_join(&p, &a, &b).pairs,
-                expected,
-                "{variant:?}/{algo:?}"
-            );
-        }
+        assert_every_shape_sweeps_exactly(&plan(variant, 4, 4), &a, &b, &format!("{variant:?}"));
     }
 }
 
@@ -112,14 +147,14 @@ fn degenerate_1x1_grid_equals_sequential_exactly() {
     let a = boxes(150, 35, 30.0);
     let b = boxes(170, 36, 30.0);
     for variant in [Variant::Quadratic, Variant::RRStar] {
-        for algo in ALL_ALGOS {
-            let p = plan(variant, 1, 2).with_algo(algo);
-            let par = partitioned_join(&p, &a, &b);
-            let seq = sequential_join(&p, &a, &b);
-            // One tile holding everything: identical trees, identical
-            // traversal, so *all* counters match, not just pairs.
-            assert_eq!(par, seq, "{variant:?}/{algo:?}");
-        }
+        let p = plan(variant, 1, 2);
+        // One tile holding everything: identical columns, identical
+        // sweep, so *all* counters match, not just pairs.
+        assert_eq!(
+            partitioned_join(&p, &a, &b),
+            sequential_join(&a, &b),
+            "{variant:?}"
+        );
     }
 }
 
@@ -129,10 +164,11 @@ fn partitioned_counters_merge_consistently() {
     let b = boxes(200, 38, 40.0);
     let p = plan(Variant::RStar, 4, 3);
     let r: JoinResult = partitioned_join(&p, &a, &b);
-    // Merged counters come from real per-tile work.
+    // Merged counters come from real per-tile work; the sweep reads
+    // no index, so its work is overlap tests, not leaf accesses.
     assert!(r.pairs > 0);
-    assert!(r.leaf_accesses() > 0);
-    assert!(r.leaf_accesses() == r.leaf_accesses_left + r.leaf_accesses_right);
+    assert!(r.overlap_tests > 0);
+    assert_eq!(r.leaf_accesses(), 0);
     // JoinResult::sum agrees with operator merging.
     let halves = [r, JoinResult::default()];
     assert_eq!(JoinResult::sum(halves.iter()), r);
@@ -145,17 +181,21 @@ fn partitioned_counters_merge_consistently() {
 #[test]
 fn clipping_helps_inside_tiles() {
     // The whole point of the subsystem: per-tile probes still benefit
-    // from clip pruning. Compare clipped vs unclipped partitioned INLJ.
+    // from clip pruning. The served probes are the range descents of a
+    // dataset store's forest; compare them clipped vs unclipped.
     let a = boxes(400, 39, 12.0);
     let b = boxes(500, 40, 12.0);
-    let clipped = plan(Variant::RStar, 4, 4).with_algo(JoinAlgo::Inlj);
-    let unclipped = clipped.with_clips(false);
-    let rc = partitioned_join(&clipped, &a, &b);
-    let ru = partitioned_join(&unclipped, &a, &b);
-    assert_eq!(rc.pairs, ru.pairs);
-    assert!(rc.clip_prunes > 0, "clip points never pruned anything");
+    let p = plan(Variant::RStar, 4, 4);
+    let store = DatasetStore::build(p.partitioner, &b, p.tree, p.clip, 4);
+    let clipped = store.run(&a, 4, true);
+    let unclipped = store.run(&a, 4, false);
+    assert_eq!(clipped.results, unclipped.results);
     assert!(
-        rc.leaf_accesses_right <= ru.leaf_accesses_right,
+        clipped.stats.clip_prunes > 0,
+        "clip points never pruned anything"
+    );
+    assert!(
+        clipped.stats.leaf_accesses <= unclipped.stats.leaf_accesses,
         "clipping increased per-tile I/O"
     );
 }
@@ -172,67 +212,42 @@ fn skewed_sides(n: usize, seed: u64) -> (Vec<Rect<2>>, Vec<Rect<2>>, Rect<2>) {
 #[test]
 fn adaptive_partitioner_matches_oracles_on_all_variants() {
     let (a, b, domain) = skewed_sides(320, 51);
-    let expected = brute_force_pairs(&a, &b);
     let mut sample = a.clone();
     sample.extend_from_slice(&b);
     let adaptive = AdaptiveGrid::from_sample(domain, [4, 4], &sample);
+    assert_eq!(sequential_join(&a, &b).pairs, brute_force_pairs(&a, &b));
     for variant in Variant::ALL {
-        for algo in ALL_ALGOS {
-            let p = JoinPlan::new(
-                adaptive.clone(),
-                TreeConfig::tiny(variant),
-                ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-                3,
-            )
-            .with_algo(algo);
-            assert_eq!(
-                partitioned_join(&p, &a, &b).pairs,
-                expected,
-                "{variant:?}/{algo:?} adaptive"
-            );
-            assert_eq!(
-                sequential_join(&p, &a, &b).pairs,
-                expected,
-                "{variant:?}/{algo:?} sequential baseline"
-            );
-        }
+        let p = JoinPlan::new(
+            adaptive.clone(),
+            TreeConfig::tiny(variant),
+            ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+            3,
+        );
+        assert_every_shape_sweeps_exactly(&p, &a, &b, &format!("{variant:?} adaptive"));
     }
 }
 
 #[test]
 fn quadtree_partitioner_matches_oracles_on_all_variants() {
     let (a, b, domain) = skewed_sides(320, 52);
-    let expected = brute_force_pairs(&a, &b);
     let mut sample = a.clone();
     sample.extend_from_slice(&b);
     let quadtree = QuadtreePartitioner::build(domain, &sample, 80);
     for variant in Variant::ALL {
-        for algo in ALL_ALGOS {
-            let p = JoinPlan::new(
-                quadtree.clone(),
-                TreeConfig::tiny(variant),
-                ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-                3,
-            )
-            .with_algo(algo);
-            assert_eq!(
-                partitioned_join(&p, &a, &b).pairs,
-                expected,
-                "{variant:?}/{algo:?} quadtree"
-            );
-            assert_eq!(
-                sequential_join(&p, &a, &b).pairs,
-                expected,
-                "{variant:?}/{algo:?} sequential baseline"
-            );
-        }
+        let p = JoinPlan::new(
+            quadtree.clone(),
+            TreeConfig::tiny(variant),
+            ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+            3,
+        );
+        assert_every_shape_sweeps_exactly(&p, &a, &b, &format!("{variant:?} quadtree"));
     }
 }
 
 #[test]
 fn two_level_scheduling_stays_exact_under_skew() {
-    // The intra-tile decomposition (hot tiles → node-pair / probe-chunk
-    // subtasks) must not change any counter for any partitioner.
+    // The intra-tile decomposition (hot tiles → x-range sweep chunks)
+    // must not change any counter for any partitioner.
     let (a, b, domain) = skewed_sides(400, 53);
     let mut sample = a.clone();
     sample.extend_from_slice(&b);
@@ -240,26 +255,20 @@ fn two_level_scheduling_stays_exact_under_skew() {
     let adaptive = AdaptiveGrid::from_sample(domain, [4, 4], &sample);
     let tree = TreeConfig::tiny(Variant::RStar);
     let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-    for algo in ALL_ALGOS {
-        let base = JoinPlan::new(uniform, tree, clip, 3)
-            .with_algo(algo)
-            .with_split(SplitPolicy::Never);
-        let split = base.with_split(SplitPolicy::Above(0));
-        assert_eq!(
-            partitioned_join(&base, &a, &b),
-            partitioned_join(&split, &a, &b),
-            "uniform {algo:?}"
-        );
-        let base = JoinPlan::new(adaptive.clone(), tree, clip, 3)
-            .with_algo(algo)
-            .with_split(SplitPolicy::Never);
-        let split = base.clone().with_split(SplitPolicy::Above(0));
-        assert_eq!(
-            partitioned_join(&base, &a, &b),
-            partitioned_join(&split, &a, &b),
-            "adaptive {algo:?}"
-        );
-    }
+    let base = JoinPlan::new(uniform, tree, clip, 3).with_split(SplitPolicy::Never);
+    let split = base.with_split(SplitPolicy::Above(0));
+    assert_eq!(
+        partitioned_join(&base, &a, &b),
+        partitioned_join(&split, &a, &b),
+        "uniform"
+    );
+    let base = JoinPlan::new(adaptive.clone(), tree, clip, 3).with_split(SplitPolicy::Never);
+    let split = base.clone().with_split(SplitPolicy::Above(0));
+    assert_eq!(
+        partitioned_join(&base, &a, &b),
+        partitioned_join(&split, &a, &b),
+        "adaptive"
+    );
 }
 
 #[test]

@@ -17,6 +17,10 @@
 //!   slices. Clipping still composes: a tile-level CBB pre-check
 //!   ([`sweep_precheck`]) can discard the whole sweep before it starts.
 //!
+//! The engine (`cbb-engine`) joins every tile with the sweep; STT and
+//! INLJ are the paper's reference, which the `join_experiment` and
+//! `fig*` bins reproduce.
+//!
 //! All kernels report per-side leaf accesses (raw, unbuffered — the
 //! paper's join I/O metric), the machine-independent `overlap_tests`
 //! work counter, and the number of result pairs, which is invariant
@@ -51,13 +55,14 @@ pub struct JoinResult {
     /// tested, INLJ counts every entry MBB tested during its probes, and
     /// the sweep counts every candidate its scans advance over.
     pub overlap_tests: u64,
-    /// Tiles resolved to STT by a partitioned executor (0 for the bare
-    /// kernels in this crate; filled in by the engine's per-tile
-    /// dispatch so `Auto` mixes are observable downstream).
+    /// Tiles joined by STT. The engine never sets it (it sweeps every
+    /// tile); the field stays only because `benchmark/src/layers.rs`
+    /// reads it, and ROADMAP item F retires it.
     pub tiles_stt: u64,
-    /// Tiles resolved to INLJ (see [`JoinResult::tiles_stt`]).
+    /// Tiles joined by INLJ (see [`JoinResult::tiles_stt`]).
     pub tiles_inlj: u64,
-    /// Tiles resolved to the plane sweep (see [`JoinResult::tiles_stt`]).
+    /// Tiles a partitioned executor swept (0 for the bare kernels in
+    /// this crate; the engine ticks it once per swept tile).
     pub tiles_sweep: u64,
 }
 
@@ -189,120 +194,6 @@ where
         return result;
     }
     stt_rec(left, lroot, right, rroot, use_clips, &keep, &mut result);
-    result
-}
-
-/// One level of STT decomposition for parallel executors: replicate the
-/// root visit of [`stt_filtered`] — window + clip pre-checks and the
-/// root's directory access — and return the node-pair *subtasks* the
-/// recursion would descend into, instead of descending.
-///
-/// Running [`stt_filtered_from`] on every returned pair and summing the
-/// results together with the returned base counters reproduces
-/// [`stt_filtered`] **exactly** (all counters, not just pairs), in any
-/// order — which is what lets a partitioned join feed one hot tile's node
-/// pairs to a shared dynamic work queue without perturbing its metrics.
-///
-/// When a root is a leaf the decomposition is the trivial `(root, root)`
-/// pair; callers gain no parallelism but stay correct.
-pub fn stt_tasks<const D: usize>(
-    left: &ClippedRTree<D>,
-    right: &ClippedRTree<D>,
-    use_clips: bool,
-) -> (JoinResult, Vec<(NodeId, NodeId)>) {
-    let mut base = JoinResult::default();
-    let mut tasks = Vec::new();
-    if left.tree.is_empty() || right.tree.is_empty() {
-        return (base, tasks);
-    }
-    let lroot = left.tree.root_id();
-    let rroot = right.tree.root_id();
-    let lnode = left.tree.node(lroot);
-    let rnode = right.tree.node(rroot);
-    base.overlap_tests += 1;
-    let Some(w) = lnode.mbb.intersection(&rnode.mbb) else {
-        return (base, tasks);
-    };
-    if use_clips
-        && !pair_survives_clips(
-            left, lroot, &lnode.mbb, right, rroot, &rnode.mbb, &w, &mut base,
-        )
-    {
-        return (base, tasks);
-    }
-    match (lnode.is_leaf(), rnode.is_leaf()) {
-        (true, true) => tasks.push((lroot, rroot)),
-        (false, true) => {
-            base.internal_accesses += 1;
-            base.overlap_tests += lnode.entries.len() as u64;
-            for e1 in &lnode.entries {
-                let Some(w) = e1.mbb.intersection(&rnode.mbb) else {
-                    continue;
-                };
-                let c1 = e1.child.node_id();
-                if use_clips && !query_intersects_cbb(&e1.mbb, left.clips_of(c1), &w) {
-                    base.clip_prunes += 1;
-                    continue;
-                }
-                tasks.push((c1, rroot));
-            }
-        }
-        (true, false) => {
-            base.internal_accesses += 1;
-            base.overlap_tests += rnode.entries.len() as u64;
-            for e2 in &rnode.entries {
-                let Some(w) = e2.mbb.intersection(&lnode.mbb) else {
-                    continue;
-                };
-                let c2 = e2.child.node_id();
-                if use_clips && !query_intersects_cbb(&e2.mbb, right.clips_of(c2), &w) {
-                    base.clip_prunes += 1;
-                    continue;
-                }
-                tasks.push((lroot, c2));
-            }
-        }
-        (false, false) => {
-            base.internal_accesses += 2;
-            base.overlap_tests += (lnode.entries.len() * rnode.entries.len()) as u64;
-            for e1 in &lnode.entries {
-                for e2 in &rnode.entries {
-                    let Some(w) = e1.mbb.intersection(&e2.mbb) else {
-                        continue;
-                    };
-                    let c1 = e1.child.node_id();
-                    let c2 = e2.child.node_id();
-                    if use_clips
-                        && !pair_survives_clips(
-                            left, c1, &e1.mbb, right, c2, &e2.mbb, &w, &mut base,
-                        )
-                    {
-                        continue;
-                    }
-                    tasks.push((c1, c2));
-                }
-            }
-        }
-    }
-    (base, tasks)
-}
-
-/// Run the STT recursion from one node pair — a subtask produced by
-/// [`stt_tasks`]. All pre-checks for the pair itself were already done
-/// (and counted) by the decomposition, so this starts recursing directly.
-pub fn stt_filtered_from<const D: usize, F>(
-    left: &ClippedRTree<D>,
-    lid: NodeId,
-    right: &ClippedRTree<D>,
-    rid: NodeId,
-    use_clips: bool,
-    keep: F,
-) -> JoinResult
-where
-    F: Fn(&Rect<D>, &Rect<D>) -> bool,
-{
-    let mut result = JoinResult::default();
-    stt_rec(left, lid, right, rid, use_clips, &keep, &mut result);
     result
 }
 
@@ -895,76 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn stt_tasks_sum_reproduces_stt_exactly() {
-        // The decomposition contract: base counters + per-task results sum
-        // to the monolithic traversal, counter for counter.
-        let a = boxes(350, 9);
-        let b = boxes(400, 10);
-        for variant in Variant::ALL {
-            let left = clipped(&a, variant);
-            let right = clipped(&b, variant);
-            for use_clips in [false, true] {
-                let whole = stt(&left, &right, use_clips);
-                let (mut sum, tasks) = stt_tasks(&left, &right, use_clips);
-                assert!(tasks.len() > 1, "{variant:?}: root never decomposed");
-                for (lid, rid) in tasks {
-                    sum += stt_filtered_from(&left, lid, &right, rid, use_clips, |_, _| true);
-                }
-                assert_eq!(sum, whole, "{variant:?} use_clips={use_clips}");
-            }
-        }
-    }
-
-    #[test]
-    fn stt_tasks_respects_filters_and_leaf_roots() {
-        // Tiny inputs: both roots are leaves, so the only task is the
-        // root pair and filtering happens inside the task.
-        let a = boxes(4, 11);
-        let left = clipped(&a, Variant::RStar);
-        assert!(left.tree.node(left.tree.root_id()).is_leaf());
-        let (base, tasks) = stt_tasks(&left, &left, true);
-        // The root window check is the decomposition's only work here.
-        assert_eq!(
-            base,
-            JoinResult {
-                overlap_tests: 1,
-                ..JoinResult::default()
-            }
-        );
-        assert_eq!(tasks, vec![(left.tree.root_id(), left.tree.root_id())]);
-        let all = stt_filtered_from(&left, tasks[0].0, &left, tasks[0].1, true, |_, _| true);
-        let none = stt_filtered_from(&left, tasks[0].0, &left, tasks[0].1, true, |_, _| false);
-        assert_eq!(all.pairs, brute_force_pairs(&a, &a));
-        assert_eq!(none.pairs, 0);
-        // I/O counters are filter-independent.
-        assert_eq!(all.leaf_accesses(), none.leaf_accesses());
-    }
-
-    #[test]
-    fn stt_tasks_disjoint_and_empty() {
-        let a = vec![r2(0.0, 0.0, 10.0, 10.0)];
-        let b = vec![r2(400.0, 400.0, 410.0, 410.0)];
-        let left = clipped(&a, Variant::RStar);
-        let right = clipped(&b, Variant::RStar);
-        let (base, tasks) = stt_tasks(&left, &right, true);
-        // Disjoint roots still cost the one window test that proves it.
-        assert_eq!(
-            base,
-            JoinResult {
-                overlap_tests: 1,
-                ..JoinResult::default()
-            }
-        );
-        assert!(tasks.is_empty());
-        let empty = ClippedRTree::from_tree(
-            RTree::new(TreeConfig::tiny(Variant::RStar)),
-            ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-        );
-        let (base, tasks) = stt_tasks(&left, &empty, true);
-        assert_eq!((base, tasks), (JoinResult::default(), vec![]));
-    }
-
-    #[test]
     fn self_join_counts_all_pairs_including_self() {
         let a = boxes(100, 8);
         let t = clipped(&a, Variant::RStar);
@@ -1034,9 +855,9 @@ mod tests {
 
     #[test]
     fn sweep_scan_chunks_sum_to_whole_exactly() {
-        // The decomposition contract, as for stt_tasks: any chunking of
-        // both sides' scan ranges sums to the monolithic sweep, counter
-        // for counter.
+        // The decomposition contract the engine's hot-tile chunks rely
+        // on: any chunking of both sides' scan ranges sums to the
+        // monolithic sweep, counter for counter.
         let a = boxes(300, 17);
         let b = boxes(250, 18);
         let (ca, cb) = (columns(&a), columns(&b));

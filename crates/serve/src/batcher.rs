@@ -31,19 +31,24 @@
 //!    one dataset at a time and released before the next — a write
 //!    burst into A never holds B.
 //! 2. **Reads, grouped per dataset** under that dataset's read lock
-//!    (kind-grouped: clipped ranges, baseline ranges, kNN probes,
-//!    joins ride one executor call each), observing the batch's own
-//!    writes. Cross-dataset joins acquire their two read locks in
-//!    ascending id order — the global lock-ordering rule that keeps
-//!    the dispatcher pool deadlock-free.
+//!    (kind-grouped: clipped ranges, baseline ranges and kNN probes
+//!    ride one executor call each, joins run per request), observing
+//!    the batch's own writes. Every range group is answered by clipped
+//!    tree descents per (query, covering tile) — the same calls
+//!    [`cbb_engine::DatasetStore::run`] makes, so served access
+//!    counters equal a direct `run` on the same queries whatever the
+//!    grouping and whatever the forest has cached — and every join
+//!    sweeps each tile. Cross-dataset joins acquire their two read
+//!    locks in ascending id order — the global lock-ordering rule that
+//!    keeps the dispatcher pool deadlock-free.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cbb_engine::{
-    partitioned_join_forests, partitioned_join_with, Dataset, DatasetId, JoinAlgo, JoinPlan,
-    Partitioner, SplitPolicy, Update, UpdateResult,
+    partitioned_join_forests, partitioned_join_with, Dataset, DatasetId, JoinPlan, Partitioner,
+    Update, UpdateResult,
 };
 use cbb_geom::{Point, Rect};
 use cbb_joins::JoinResult;
@@ -111,7 +116,7 @@ struct ReadGroup<const D: usize> {
     clipped: Vec<(usize, Rect<D>)>,
     baseline: Vec<(usize, Rect<D>)>,
     knns: Vec<(usize, (Point<D>, usize))>,
-    joins: Vec<(usize, Vec<Rect<D>>, JoinAlgo, bool)>,
+    joins: Vec<(usize, Vec<Rect<D>>, bool)>,
 }
 
 /// Which write request a coalesced slot came from (decides its
@@ -349,7 +354,7 @@ pub(crate) fn run_batch<const D: usize, P>(
     // dataset's read lock, acquired after its writes: the batch's reads
     // observe the batch's writes.
     let mut read_groups: BTreeMap<DatasetId, ReadGroup<D>> = BTreeMap::new();
-    let mut cross_joins: Vec<(usize, DatasetId, DatasetId, JoinAlgo, bool)> = Vec::new();
+    let mut cross_joins: Vec<(usize, DatasetId, DatasetId, bool)> = Vec::new();
     for (slot, env) in batch.iter_mut().enumerate() {
         match &mut env.request {
             Request::Range {
@@ -374,22 +379,21 @@ pub(crate) fn run_batch<const D: usize, P>(
             Request::Join {
                 dataset,
                 probes,
-                algo,
                 use_clips,
+                ..
             } => {
                 read_groups.entry(*dataset).or_default().joins.push((
                     slot,
                     std::mem::take(probes),
-                    *algo,
                     *use_clips,
                 ));
             }
             Request::CrossJoin {
                 left,
                 right,
-                algo,
                 use_clips,
-            } => cross_joins.push((slot, *left, *right, *algo, *use_clips)),
+                ..
+            } => cross_joins.push((slot, *left, *right, *use_clips)),
             // Writes and admin ops were already applied and answered.
             _ => {}
         }
@@ -430,20 +434,8 @@ pub(crate) fn run_batch<const D: usize, P>(
             }
             let queries: Vec<Rect<D>> = group.iter().map(|(_, q)| *q).collect();
             let t = Instant::now();
-            // The whole coalesced read group goes down as ONE fused
-            // call: the engine groups it per tile and answers hot tiles
-            // with a single shared sweep (per the configured
-            // [`cbb_engine::QueryAlgo`]) instead of per-query descents.
-            let outcome = store.run_with(
-                &queries,
-                workers,
-                use_clips,
-                shared.config.query_algo,
-                &shared.config.auto_policy,
-                cbb_engine::SplitPolicy::Auto,
-            );
+            let outcome = store.run(&queries, workers, use_clips);
             let d = t.elapsed();
-            shared.stats.record_query_algos(&outcome);
             for (counter, (_, n)) in access.iter().zip(outcome.stats.fields()) {
                 counter.add(n);
             }
@@ -476,35 +468,32 @@ pub(crate) fn run_batch<const D: usize, P>(
                 trace.counters[*slot].extend(stats.fields());
             }
         }
-        for (slot, probes, algo, use_clips) in group.joins {
+        for (slot, probes, use_clips) in group.joins {
             // Joins run per request against the store's forest — built
-            // once per create or swap and maintained in place by writes —
-            // so repeat joins rebuild nothing and touch no lock beyond
-            // the read lock already held.
-            let plan = JoinPlan {
-                partitioner: store.partitioner().clone(),
-                tree: shared.tree,
-                clip: shared.clip,
-                use_clips,
-                algo,
+            // once per create or swap and maintained in place by writes,
+            // its columns cached per tile version — so repeat joins sort
+            // only the probe side and touch no lock beyond the read lock
+            // already held.
+            let plan = JoinPlan::new(
+                store.partitioner().clone(),
+                shared.tree,
+                shared.clip,
                 workers,
-                split: SplitPolicy::Auto,
-                auto: shared.config.auto_policy,
-            };
+            )
+            .with_clips(use_clips);
             let t = Instant::now();
             let result = partitioned_join_with(&plan, &probes, store.objects(), store.forest());
             let d = t.elapsed();
             shared.stats.join_pairs.add(result.pairs);
-            shared.stats.record_join_algos(&result);
             trace.spans[slot].record_duration(Phase::Execute, d);
             trace.spans[slot].record_duration(Phase::Probe, d);
             trace.counters[slot].extend(join_counters(&result));
             responses[slot] = Some(Response::Join(result));
         }
     }
-    for (slot, left, right, algo, use_clips) in cross_joins {
+    for (slot, left, right, use_clips) in cross_joins {
         let t = Instant::now();
-        let response = run_cross_join(shared, left, right, algo, use_clips);
+        let response = run_cross_join(shared, left, right, use_clips);
         let d = t.elapsed();
         // The cross join resolves, locks and probes inside one call;
         // its span carries the whole thing as Execute + Probe.
@@ -512,7 +501,6 @@ pub(crate) fn run_batch<const D: usize, P>(
         trace.spans[slot].record_duration(Phase::Probe, d);
         if let Response::Join(result) = &response {
             shared.stats.join_pairs.add(result.pairs);
-            shared.stats.record_join_algos(result);
             trace.counters[slot].extend(join_counters(result));
         }
         responses[slot] = Some(response);
@@ -560,20 +548,18 @@ fn join_counters(result: &JoinResult) -> [(&'static str, u64); 6] {
 }
 
 /// Join the live objects of two served datasets: `left ⋈ right`, tiled
-/// by the **right** (indexed) side's partitioner. The right forest is
-/// always served from its store; when the tilings are equal the left
-/// forest is borrowed too, for **every** strategy
-/// ([`partitioned_join_forests`] — STT borrows both trees, INLJ reads
-/// its probes from the probe forest's cached columns, the sweep borrows
-/// both sides' columns; nothing is assigned or bulk-loaded at all).
-/// Only a partitioner mismatch re-partitions the probe side's live
-/// rectangles onto the right tiling ([`partitioned_join_with`]) — the
+/// by the **right** (indexed) side's partitioner and swept per tile.
+/// The right side's columns always come from its store's forest; when
+/// the tilings are equal the left side's are borrowed too
+/// ([`partitioned_join_forests`] — nothing is assigned or sorted beyond
+/// each forest's once-per-tile-version column cache). Only a
+/// partitioner mismatch re-partitions the probe side's live rectangles
+/// onto the right tiling ([`partitioned_join_with`]) — the
 /// `cbb_probe_repartitions_total` counter tracks exactly those.
 fn run_cross_join<const D: usize, P>(
     shared: &SharedState<D, P>,
     left: DatasetId,
     right: DatasetId,
-    algo: JoinAlgo,
     use_clips: bool,
 ) -> Response
 where
@@ -595,15 +581,14 @@ where
     };
     shared.stats.cross_joins.inc();
 
-    let plan_for = |partitioner: P| JoinPlan {
-        partitioner,
-        tree: shared.tree,
-        clip: shared.clip,
-        use_clips,
-        algo,
-        workers: shared.config.exec_workers,
-        split: SplitPolicy::Auto,
-        auto: shared.config.auto_policy,
+    let plan_for = |partitioner: P| {
+        JoinPlan::new(
+            partitioner,
+            shared.tree,
+            shared.clip,
+            shared.config.exec_workers,
+        )
+        .with_clips(use_clips)
     };
 
     // Self-join: one read lock, the store's forest joined against
@@ -637,8 +622,7 @@ where
     let plan = plan_for(rstore.partitioner().clone());
     let result = if lstore.partitioner() == rstore.partitioner() {
         // Shared tiling: the probe side's forest IS the per-tile left
-        // side a fresh partitioned join would build — borrow both,
-        // whatever the strategy.
+        // side a fresh partitioned join would sort — borrow both.
         partitioned_join_forests(&plan, lstore.forest(), rstore.objects(), rstore.forest())
     } else {
         // Different tilings: re-partition the probe side's live objects

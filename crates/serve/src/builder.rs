@@ -4,6 +4,11 @@
 //! [`ShardedService`]; one shard (the default) *is* the unsharded
 //! deployment — the router is a pass-through to its single shard.
 //!
+//! The knobs size and place work — shards, queue, batching,
+//! dispatchers, workers, compaction, telemetry, durability. None picks
+//! an algorithm: every range batch is answered by clipped descents and
+//! every join tile is swept.
+//!
 //! ```no_run
 //! use cbb_serve::{ServiceBuilder, ShardFitting};
 //! # use cbb_core::{ClipConfig, ClipMethod};
@@ -30,7 +35,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use cbb_core::ClipConfig;
-use cbb_engine::{AutoPolicy, CompactionPolicy, Partitioner, QueryAlgo};
+use cbb_engine::{CompactionPolicy, Partitioner};
 use cbb_geom::Rect;
 use cbb_rtree::TreeConfig;
 use cbb_telemetry::TelemetryConfig;
@@ -140,23 +145,6 @@ impl ServiceBuilder {
     /// Telemetry collection (see [`ServiceConfig::telemetry`]).
     pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.config.telemetry = telemetry;
-        self
-    }
-
-    /// Range micro-batch execution path (see
-    /// [`ServiceConfig::query_algo`]; default
-    /// [`cbb_engine::QueryAlgo::Auto`]). Answers are byte-equal across
-    /// all variants — the knob moves work counters and wall-clock only.
-    pub fn query_algo(mut self, algo: QueryAlgo) -> Self {
-        self.config.query_algo = algo;
-        self
-    }
-
-    /// Thresholds behind `Auto` join-kernel selection and `Auto` range
-    /// fusion (see [`ServiceConfig::auto_policy`]; the default
-    /// reproduces the previously hard-coded constants byte-for-byte).
-    pub fn auto_policy(mut self, policy: AutoPolicy) -> Self {
-        self.config.auto_policy = policy;
         self
     }
 

@@ -128,39 +128,34 @@ where
 
     /// Join client-streamed `probes` against this dataset with clip
     /// pruning. Resolves to [`crate::Response::Join`].
-    pub fn probe_join(&self, probes: Vec<Rect<D>>, algo: JoinAlgo) -> ClientResult<D, P> {
-        self.probe_join_with(probes, algo, true)
+    pub fn probe_join(&self, probes: Vec<Rect<D>>) -> ClientResult<D, P> {
+        self.probe_join_with(probes, true)
     }
 
     /// [`Self::probe_join`] with explicit clip-pruning selection.
-    pub fn probe_join_with(
-        &self,
-        probes: Vec<Rect<D>>,
-        algo: JoinAlgo,
-        use_clips: bool,
-    ) -> ClientResult<D, P> {
+    pub fn probe_join_with(&self, probes: Vec<Rect<D>>, use_clips: bool) -> ClientResult<D, P> {
         self.service.submit(Request::Join {
             dataset: self.dataset,
             probes,
-            algo,
+            algo: JoinAlgo::Auto,
             use_clips,
         })
     }
 
     /// Join this dataset (probe side) against another **served**
-    /// dataset by name — `roads.join("parcels", algo)`. `None` when
-    /// the name is unknown; resolves to [`crate::Response::Join`].
-    pub fn join(&self, other: &str, algo: JoinAlgo) -> Option<ClientResult<D, P>> {
+    /// dataset by name — `roads.join("parcels")`. `None` when the name
+    /// is unknown; resolves to [`crate::Response::Join`].
+    pub fn join(&self, other: &str) -> Option<ClientResult<D, P>> {
         let right = self.service.dataset_id(other)?;
-        Some(self.join_id(right, algo, true))
+        Some(self.join_id(right, true))
     }
 
     /// [`Self::join`] by id, with explicit clip-pruning selection.
-    pub fn join_id(&self, right: DatasetId, algo: JoinAlgo, use_clips: bool) -> ClientResult<D, P> {
+    pub fn join_id(&self, right: DatasetId, use_clips: bool) -> ClientResult<D, P> {
         self.service.submit(Request::CrossJoin {
             left: self.dataset,
             right,
-            algo,
+            algo: JoinAlgo::Auto,
             use_clips,
         })
     }

@@ -73,8 +73,7 @@ pub mod stats;
 
 pub use builder::ServiceBuilder;
 pub use cbb_engine::{
-    AnyPartitioner, AutoPolicy, CompactionPolicy, DatasetId, QueryAlgo, ShardMap, ShardTiling,
-    Update, UpdateResult,
+    AnyPartitioner, CompactionPolicy, DatasetId, ShardMap, ShardTiling, Update, UpdateResult,
 };
 pub use cbb_telemetry::{HistogramSnapshot, SlowQuery, Span, TelemetryConfig, TelemetrySnapshot};
 pub use client::{ClientResult, DatasetClient};

@@ -50,33 +50,35 @@ pub enum Request<const D: usize, P> {
         k: usize,
     },
     /// Join `probes ⋈ dataset`: every intersecting (probe, object)
-    /// pair, counted via the partitioned join with the dataset side's
-    /// per-tile trees borrowed from its store's forest.
+    /// pair, counted via the partitioned join, each tile swept with the
+    /// dataset side's columns borrowed from its store's forest.
     Join {
         /// The indexed (right) dataset.
         dataset: DatasetId,
         /// Client-streamed probe rectangles.
         probes: Vec<Rect<D>>,
-        /// Per-tile join strategy.
+        /// Ignored: every tile is swept. Kept only because
+        /// `benchmark/src/layers.rs` names it; ROADMAP item F retires
+        /// it.
         algo: JoinAlgo,
-        /// Clip-point pruning inside each tile join.
+        /// Root clip-point pre-check of each tile's sweep.
         use_clips: bool,
     },
     /// Join two **served datasets**: every intersecting pair between
-    /// the live objects of `left` and `right`. The right side's forest
-    /// is always reused; when both datasets share a tiling and
-    /// the strategy is STT, the left side's forest is borrowed
-    /// too ([`cbb_engine::partitioned_join_forests`]) — otherwise the
-    /// left side's live objects are re-partitioned onto the right
-    /// side's tiling. `left == right` is the self-join.
+    /// the live objects of `left` and `right`, swept per tile. The
+    /// right side's forest is always reused; when both datasets share a
+    /// tiling the left side's forest is borrowed too
+    /// ([`cbb_engine::partitioned_join_forests`]) — otherwise the left
+    /// side's live objects are re-partitioned onto the right side's
+    /// tiling. `left == right` is the self-join.
     CrossJoin {
         /// The probe-side dataset.
         left: DatasetId,
         /// The indexed-side dataset (its partitioner tiles the join).
         right: DatasetId,
-        /// Per-tile join strategy.
+        /// Ignored, as [`Request::Join`]'s `algo` is.
         algo: JoinAlgo,
-        /// Clip-point pruning inside each tile join.
+        /// Root clip-point pre-check of each tile's sweep.
         use_clips: bool,
     },
     /// Insert one object into `dataset`; the store assigns and returns
@@ -291,8 +293,8 @@ pub struct UpdateSummary {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// Ids of matching objects, **sorted ascending by id** — the
-    /// canonical order, independent of the tile visit order, the shard
-    /// layout, and the [`cbb_engine::QueryAlgo`] execution path.
+    /// canonical order, independent of the tile visit order and the
+    /// shard layout.
     Range(Vec<DataId>),
     /// Neighbours sorted by `(squared distance, id)`.
     Knn(Vec<Neighbor>),

@@ -94,9 +94,9 @@ pub enum ShardFitting {
     /// Processing*: a data-fitted partitioner's hot region is spread
     /// across shards instead of landing on one. Trade-off: two
     /// datasets over the same partitioner may get different ranges,
-    /// demoting their cross-joins from the forest-borrowing STT fast
-    /// path to the re-partitioning path (answers identical, left
-    /// forest not reused).
+    /// demoting their cross-joins from the forest-borrowing fast path
+    /// to the re-partitioning path (answers identical, left forest not
+    /// reused).
     Fitted,
 }
 

@@ -7,8 +7,7 @@ use std::time::{Duration, Instant};
 
 use cbb_core::ClipConfig;
 use cbb_engine::{
-    AutoPolicy, Catalog, CompactionPolicy, DataVersion, DatasetId, DatasetStore, Partitioner,
-    QueryAlgo, TileForest,
+    Catalog, CompactionPolicy, DataVersion, DatasetId, DatasetStore, Partitioner, TileForest,
 };
 use cbb_geom::Rect;
 use cbb_rtree::TreeConfig;
@@ -62,17 +61,6 @@ pub struct ServiceConfig {
     /// and a restarted service recovers the whole catalog — see
     /// [`crate::durability`].
     pub durability: Option<DurabilityConfig>,
-    /// How coalesced range micro-batches execute against each covered
-    /// tile: per-query tree descents, one fused shared sweep, or a
-    /// per-tile choice (the default, [`QueryAlgo::Auto`]). Answers are
-    /// byte-equal across all three — this knob only moves work counters
-    /// and wall-clock.
-    pub query_algo: QueryAlgo,
-    /// Thresholds behind every `Auto` resolution — join algorithm
-    /// selection per tile ([`cbb_engine::JoinAlgo::Auto`]) and range
-    /// fusion ([`QueryAlgo::Auto`]). The default reproduces the
-    /// previously hard-coded constants byte-for-byte.
-    pub auto_policy: AutoPolicy,
 }
 
 impl Default for ServiceConfig {
@@ -86,8 +74,6 @@ impl Default for ServiceConfig {
             compaction: CompactionPolicy::default(),
             telemetry: TelemetryConfig::default(),
             durability: None,
-            query_algo: QueryAlgo::Auto,
-            auto_policy: AutoPolicy::default(),
         }
     }
 }

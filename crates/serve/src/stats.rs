@@ -47,18 +47,6 @@ pub(crate) mod names {
     pub const FOREST_BUILDS: &str = "cbb_forest_builds_total";
     /// Cross-dataset join requests served.
     pub const CROSS_JOINS: &str = "cbb_cross_joins_total";
-    /// Tiles executed per join kernel (`algo` label: stt/inlj/sweep).
-    pub const JOIN_ALGO: &str = "cbb_join_algo_total";
-    /// Populated tiles executed per range-batch path (`algo` label:
-    /// descend/sweep) — how often [`cbb_engine::QueryAlgo::Auto`] (or
-    /// an explicit config) fuses a tile's batch slice into one shared
-    /// sweep vs classic per-query descents.
-    pub const QUERY_ALGO: &str = "cbb_query_algo_total";
-    /// Range micro-batches that fused ≥ 1 tile into a shared sweep.
-    pub const FUSED_BATCHES: &str = "cbb_fused_batches_total";
-    /// Queries riding each fused tile sweep (the fused-width
-    /// distribution).
-    pub const FUSED_WIDTH: &str = "cbb_fused_width";
     /// Cross-join probe sides re-partitioned instead of served from a
     /// cached forest (the fallback the forest-native path avoids).
     pub const PROBE_REPARTITIONS: &str = "cbb_probe_repartitions_total";
@@ -121,16 +109,6 @@ pub struct ServiceStats {
     /// Bumped once per dataset create and once per swap.
     pub(crate) forest_builds: Counter,
     pub(crate) cross_joins: Counter,
-    /// Tiles executed per kernel, indexed stt/inlj/sweep — how often
-    /// [`cbb_engine::JoinAlgo::Auto`] (or an explicit plan) lands on
-    /// each algorithm.
-    pub(crate) join_algo: [Counter; 3],
-    /// Populated tiles executed per range-batch path, indexed
-    /// descend/sweep — how often [`cbb_engine::QueryAlgo::Auto`] (or an
-    /// explicit config) lands on each execution path.
-    pub(crate) query_algo: [Counter; 2],
-    pub(crate) fused_batches: Counter,
-    pub(crate) fused_width: Histogram,
     pub(crate) probe_repartitions: Counter,
     pub(crate) write_batches: Counter,
     pub(crate) updates_applied: Counter,
@@ -221,30 +199,6 @@ impl ServiceStats {
                 "Cross-dataset join requests served.",
                 &[],
             ),
-            join_algo: ["stt", "inlj", "sweep"].map(|algo| {
-                registry.counter(
-                    names::JOIN_ALGO,
-                    "Tiles executed per join kernel.",
-                    &[("algo", algo)],
-                )
-            }),
-            query_algo: ["descend", "sweep"].map(|algo| {
-                registry.counter(
-                    names::QUERY_ALGO,
-                    "Populated tiles executed per range-batch path.",
-                    &[("algo", algo)],
-                )
-            }),
-            fused_batches: registry.counter(
-                names::FUSED_BATCHES,
-                "Range micro-batches that fused at least one tile into a shared sweep.",
-                &[],
-            ),
-            fused_width: registry.histogram(
-                names::FUSED_WIDTH,
-                "Queries riding each fused tile sweep.",
-                &[],
-            ),
             probe_repartitions: registry.counter(
                 names::PROBE_REPARTITIONS,
                 "Cross-join probe sides re-partitioned instead of served from a cached forest.",
@@ -318,25 +272,6 @@ impl ServiceStats {
     /// The slow-query ring.
     pub(crate) fn slow(&self) -> &SlowQueryRing {
         &self.slow
-    }
-
-    /// Record the per-tile kernel mix of one executed join.
-    pub(crate) fn record_join_algos(&self, result: &cbb_joins::JoinResult) {
-        self.join_algo[0].add(result.tiles_stt);
-        self.join_algo[1].add(result.tiles_inlj);
-        self.join_algo[2].add(result.tiles_sweep);
-    }
-
-    /// Record the per-tile execution-path mix of one fused range batch.
-    pub(crate) fn record_query_algos(&self, outcome: &cbb_engine::BatchOutcome) {
-        self.query_algo[0].add(outcome.tiles_descend);
-        self.query_algo[1].add(outcome.tiles_fused);
-        if outcome.tiles_fused > 0 {
-            self.fused_batches.inc();
-        }
-        for &width in &outcome.fused_widths {
-            self.fused_width.observe(width);
-        }
     }
 
     /// Per-dataset traversal-counter handles (the seven `AccessStats`

@@ -2,9 +2,10 @@
 //!
 //! * **Cross-join oracle** — `CrossJoin` over two served datasets is
 //!   byte-equal (every `JoinResult` counter, not just pairs) to a
-//!   direct `partitioned_join` over the same two object sets, for both
-//!   algorithms × all three partitioner kinds on the indexed side, with
-//!   the indexed side's forest served from the cache — the build
+//!   direct engine join over the same two object sets — per call with
+//!   clips off, over forests built from them with clips on — for all
+//!   three partitioner kinds on the indexed side plus a shared tiling,
+//!   with the indexed side's forest served from the cache — the build
 //!   counter proves zero rebuilds on repeat joins.
 //! * **Isolation** — concurrent write batches to dataset A bump only
 //!   A's `DataVersion`; reads of B observe no version change and no
@@ -15,8 +16,9 @@
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::{clustered_with_layout, zipfian};
 use cbb_engine::{
-    partitioned_join, AdaptiveGrid, AnyPartitioner, AutoPolicy, DataVersion, DatasetId, JoinAlgo,
-    JoinPlan, QuadtreePartitioner, SplitPolicy, UniformGrid,
+    partitioned_join, partitioned_join_forests, partitioned_join_with, AdaptiveGrid,
+    AnyPartitioner, DataVersion, DatasetId, JoinAlgo, JoinPlan, QuadtreePartitioner, TileForest,
+    UniformGrid,
 };
 use cbb_geom::{Point, Rect};
 use cbb_joins::brute_force_pairs;
@@ -43,17 +45,11 @@ fn catalog_service() -> Service {
     .build_catalog(tree(), clip())
 }
 
-fn cross_join(
-    svc: &Service,
-    left: DatasetId,
-    right: DatasetId,
-    algo: JoinAlgo,
-    use_clips: bool,
-) -> Response {
+fn cross_join(svc: &Service, left: DatasetId, right: DatasetId, use_clips: bool) -> Response {
     svc.submit(Request::CrossJoin {
         left,
         right,
-        algo,
+        algo: JoinAlgo::Auto,
         use_clips,
     })
     .unwrap()
@@ -63,9 +59,9 @@ fn cross_join(
 }
 
 /// The acceptance oracle: cross-dataset joins through the service equal
-/// direct engine joins over the same object sets — byte-for-byte — for
-/// STT and INLJ across uniform / adaptive / quadtree indexed sides, and
-/// repeat joins rebuild nothing.
+/// direct engine joins over the same object sets — byte-for-byte —
+/// across uniform / adaptive / quadtree indexed sides and a shared
+/// tiling, every tile swept, and repeat joins rebuild nothing.
 #[test]
 fn cross_join_equals_direct_partitioned_join_for_all_partitioners() {
     let svc = catalog_service();
@@ -78,6 +74,9 @@ fn cross_join_equals_direct_partitioned_join_for_all_partitioners() {
     let left = svc
         .create_dataset("probes", left_part.clone(), left_data.boxes.clone())
         .unwrap();
+    let forest = |part: &AnyPartitioner<2>, boxes: &[Rect<2>]| {
+        TileForest::build(part, boxes, tree(), clip(), EXEC_WORKERS)
+    };
 
     let rights: Vec<(&str, AnyPartitioner<2>)> = vec![
         ("uniform", UniformGrid::new(domain, 4).into()),
@@ -89,8 +88,8 @@ fn cross_join_equals_direct_partitioned_join_for_all_partitioners() {
             "quadtree",
             QuadtreePartitioner::build(domain, &right_data.boxes, 250).into(),
         ),
-        // Shares the probe dataset's exact tiling: the STT fast path
-        // that borrows BOTH cached forests.
+        // Shares the probe dataset's exact tiling: the fast path that
+        // borrows BOTH cached forests.
         ("same-tiling", left_part.clone()),
     ];
     let mut created = 1u64; // the probe dataset
@@ -100,65 +99,32 @@ fn cross_join_equals_direct_partitioned_join_for_all_partitioners() {
             .create_dataset(name, partitioner.clone(), right_data.boxes.clone())
             .unwrap();
         created += 1;
-        for algo in [JoinAlgo::Stt, JoinAlgo::Inlj] {
-            for use_clips in [true, false] {
-                let plan = JoinPlan {
-                    partitioner: partitioner.clone(),
-                    tree: tree(),
-                    clip: clip(),
-                    use_clips,
-                    algo,
-                    workers: EXEC_WORKERS,
-                    split: SplitPolicy::Auto,
-                    auto: AutoPolicy::default(),
-                };
-                let direct = partitioned_join(&plan, &left_data.boxes, &right_data.boxes);
-                assert_eq!(
-                    direct.pairs, expected_pairs,
-                    "{name} {algo:?} oracle sanity"
-                );
-                let served = cross_join(&svc, left, right, algo, use_clips).into_join();
-                assert_eq!(
-                    served, direct,
-                    "{name} {algo:?} clips={use_clips}: served cross-join must be byte-equal"
-                );
-                // Repeat: identical answer, still no rebuild.
-                let again = cross_join(&svc, left, right, algo, use_clips).into_join();
-                assert_eq!(again, direct, "{name} {algo:?} repeat");
-            }
-        }
-        // The sweep is byte-equal when clips are off (no trees, no
-        // clip tables, one canonical column sort on both paths); with
-        // clips on only the forest-backed sides have root CBBs to
-        // prune with, so work counters may differ — pairs never do.
-        // Auto resolves per tile from cache presence, which the direct
-        // join lacks — pair sets are pinned, kernel mix is not.
-        {
-            let plan = JoinPlan {
-                partitioner: partitioner.clone(),
-                tree: tree(),
-                clip: clip(),
-                use_clips: false,
-                algo: JoinAlgo::Sweep,
-                workers: EXEC_WORKERS,
-                split: SplitPolicy::Auto,
-                auto: AutoPolicy::default(),
+        let right_forest = forest(&partitioner, &right_data.boxes);
+        for use_clips in [true, false] {
+            let plan = JoinPlan::new(partitioner.clone(), tree(), clip(), EXEC_WORKERS)
+                .with_clips(use_clips);
+            // Clips off: the per-call join is byte-equal (one canonical
+            // column sort on both paths). Clips on: the forest-backed
+            // sides' root CBBs may prune tiles, so the oracle is the
+            // same engine call over forests built from the same sets.
+            let direct = if !use_clips {
+                partitioned_join(&plan, &left_data.boxes, &right_data.boxes)
+            } else if partitioner == left_part {
+                let left_forest = forest(&left_part, &left_data.boxes);
+                partitioned_join_forests(&plan, &left_forest, &right_data.boxes, &right_forest)
+            } else {
+                partitioned_join_with(&plan, &left_data.boxes, &right_data.boxes, &right_forest)
             };
-            let direct = partitioned_join(&plan, &left_data.boxes, &right_data.boxes);
+            assert_eq!(direct.pairs, expected_pairs, "{name} oracle sanity");
+            assert_eq!(direct.tiles_stt + direct.tiles_inlj, 0, "{name} sweeps");
+            let served = cross_join(&svc, left, right, use_clips).into_join();
             assert_eq!(
-                cross_join(&svc, left, right, JoinAlgo::Sweep, false).into_join(),
-                direct,
-                "{name} sweep unclipped byte-equal"
+                served, direct,
+                "{name} clips={use_clips}: served cross-join must be byte-equal"
             );
-        }
-        for algo in [JoinAlgo::Sweep, JoinAlgo::Auto] {
-            for use_clips in [true, false] {
-                let served = cross_join(&svc, left, right, algo, use_clips).into_join();
-                assert_eq!(
-                    served.pairs, expected_pairs,
-                    "{name} {algo:?} clips={use_clips} pair oracle"
-                );
-            }
+            // Repeat: identical answer, still no rebuild.
+            let again = cross_join(&svc, left, right, use_clips).into_join();
+            assert_eq!(again, direct, "{name} repeat");
         }
         assert_eq!(
             svc.report().forest_builds,
@@ -169,22 +135,15 @@ fn cross_join_equals_direct_partitioned_join_for_all_partitioners() {
 
     // Self-join: left ⋈ left through one store.
     let self_direct = {
-        let plan = JoinPlan {
-            partitioner: left_part,
-            tree: tree(),
-            clip: clip(),
-            use_clips: true,
-            algo: JoinAlgo::Stt,
-            workers: EXEC_WORKERS,
-            split: SplitPolicy::Auto,
-            auto: AutoPolicy::default(),
-        };
-        partitioned_join(&plan, &left_data.boxes, &left_data.boxes)
+        let plan = JoinPlan::new(left_part.clone(), tree(), clip(), EXEC_WORKERS);
+        let left_forest = forest(&left_part, &left_data.boxes);
+        partitioned_join_forests(&plan, &left_forest, &left_data.boxes, &left_forest)
     };
     assert_eq!(
-        cross_join(&svc, left, left, JoinAlgo::Stt, true).into_join(),
-        self_direct
+        self_direct.pairs,
+        brute_force_pairs(&left_data.boxes, &left_data.boxes)
     );
+    assert_eq!(cross_join(&svc, left, left, true).into_join(), self_direct);
 
     let report = svc.shutdown();
     assert_eq!(
@@ -198,10 +157,10 @@ fn cross_join_equals_direct_partitioned_join_for_all_partitioners() {
     );
 }
 
-/// The PR 5 follow-up, closed: on a shared tiling the probe side is
-/// served forest-native for EVERY algorithm — repeated cross-joins
-/// (self-joins included) extract no live rectangles and re-partition
-/// nothing. Only a genuine partitioner mismatch moves the counter.
+/// On a shared tiling the probe side is served forest-native —
+/// repeated cross-joins (self-joins included) extract no live
+/// rectangles and re-partition nothing. Only a genuine partitioner
+/// mismatch moves the counter.
 #[test]
 fn same_tiling_cross_joins_never_repartition_probes() {
     let svc = catalog_service();
@@ -218,21 +177,16 @@ fn same_tiling_cross_joins_never_repartition_probes() {
     let cross_pairs = brute_force_pairs(&data_a.boxes, &data_b.boxes);
     let self_pairs = brute_force_pairs(&data_a.boxes, &data_a.boxes);
     for round in 0..3 {
-        for algo in [
-            JoinAlgo::Stt,
-            JoinAlgo::Inlj,
-            JoinAlgo::Sweep,
-            JoinAlgo::Auto,
-        ] {
+        for use_clips in [true, false] {
             assert_eq!(
-                cross_join(&svc, a, b, algo, true).into_join().pairs,
+                cross_join(&svc, a, b, use_clips).into_join().pairs,
                 cross_pairs,
-                "{algo:?} round {round}"
+                "clips={use_clips} round {round}"
             );
             assert_eq!(
-                cross_join(&svc, a, a, algo, true).into_join().pairs,
+                cross_join(&svc, a, a, use_clips).into_join().pairs,
                 self_pairs,
-                "{algo:?} self round {round}"
+                "clips={use_clips} self round {round}"
             );
         }
     }
@@ -250,7 +204,7 @@ fn same_tiling_cross_joins_never_repartition_probes() {
     let c = svc
         .create_dataset("c", other, data_b.boxes.clone())
         .unwrap();
-    let mismatched = cross_join(&svc, a, c, JoinAlgo::Auto, true).into_join();
+    let mismatched = cross_join(&svc, a, c, true).into_join();
     assert_eq!(mismatched.pairs, cross_pairs);
     let report = svc.shutdown();
     assert_eq!(report.probe_repartitions, 1);
@@ -437,7 +391,7 @@ fn admin_ops_ride_the_queue_and_fail_cleanly() {
         .unwrap()
         .response;
     assert_eq!(failed.error(), Some(&RequestError::UnknownDataset(ghost)));
-    let failed = cross_join(&svc, id, ghost, JoinAlgo::Stt, true);
+    let failed = cross_join(&svc, id, ghost, true);
     assert_eq!(failed.error(), Some(&RequestError::UnknownDataset(ghost)));
     assert_eq!(
         svc.swap_dataset(ghost, Vec::new()),

@@ -151,13 +151,13 @@ where
     // shape, which legitimately differs between grown and rebuilt
     // forests.
     let join_probes: Vec<Rect<2>> = probes(123).0;
-    for algo in [JoinAlgo::Stt, JoinAlgo::Inlj] {
+    for use_clips in [true, false] {
         let join = service
             .submit(Request::Join {
                 dataset,
                 probes: join_probes.clone(),
-                algo,
-                use_clips: true,
+                algo: JoinAlgo::Auto,
+                use_clips,
             })
             .unwrap()
             .wait()

@@ -8,6 +8,7 @@ use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{DataVersion, JoinAlgo, UniformGrid};
 use cbb_geom::{Point, Rect, SplitMix64};
+use cbb_joins::brute_force_pairs;
 use cbb_rtree::{TreeConfig, Variant};
 use cbb_serve::{Request, ServiceBuilder, ServiceConfig, ShardedService};
 
@@ -97,11 +98,11 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
         DataVersion(0)
     );
     let probes: Vec<Rect<2>> = (0..300).map(|i| some_query(2_000 + i)).collect();
-    let join = |algo| {
+    let join = || {
         svc.submit(Request::Join {
             dataset: svc.default_dataset(),
             probes: probes.clone(),
-            algo,
+            algo: JoinAlgo::Auto,
             use_clips: true,
         })
         .unwrap()
@@ -112,11 +113,10 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
     };
 
     // One forest build at service start; joins reuse the store's forest.
-    let first = join(JoinAlgo::Stt);
-    let second = join(JoinAlgo::Stt);
-    let third = join(JoinAlgo::Inlj);
+    let first = join();
+    let second = join();
     assert_eq!(first, second, "identical requests, identical counters");
-    assert_eq!(first.pairs, third.pairs, "STT and INLJ agree on pairs");
+    assert_eq!(first.pairs, brute_force_pairs(&probes, &boxes));
     let report = svc.report();
     assert_eq!(
         report.forest_builds, 1,
@@ -130,7 +130,7 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
         svc.dataset_version(svc.default_dataset()).unwrap(),
         DataVersion(1)
     );
-    let after_swap = join(JoinAlgo::Stt);
+    let after_swap = join();
     assert_eq!(after_swap, first, "same data ⇒ same join, rebuilt trees");
     let report = svc.report();
     assert_eq!(
@@ -146,7 +146,7 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
         svc.dataset_version(svc.default_dataset()).unwrap(),
         DataVersion(2)
     );
-    let shrunk = join(JoinAlgo::Stt);
+    let shrunk = join();
     assert!(
         shrunk.pairs < first.pairs,
         "half the data must join fewer pairs ({} vs {})",
@@ -222,7 +222,7 @@ fn swap_data_with_refits_the_partitioner() {
         svc.submit(Request::Join {
             dataset: svc.default_dataset(),
             probes: probes.clone(),
-            algo: JoinAlgo::Stt,
+            algo: JoinAlgo::Auto,
             use_clips: true,
         })
         .unwrap()

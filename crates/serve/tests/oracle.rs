@@ -7,11 +7,13 @@ use std::time::Duration;
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{
-    partitioned_join, AdaptiveGrid, AutoPolicy, DatasetStore, JoinAlgo, JoinPlan, SplitPolicy,
+    partitioned_join_with, AdaptiveGrid, AutoPolicy, DatasetStore, JoinAlgo, JoinPlan, QueryAlgo,
+    SplitPolicy,
 };
 use cbb_geom::{Point, Rect, SplitMix64};
+use cbb_joins::brute_force_pairs;
 use cbb_rtree::{TreeConfig, Variant};
-use cbb_serve::{QueryAlgo, Request, ServiceBuilder, ServiceConfig};
+use cbb_serve::{Request, ServiceBuilder, ServiceConfig};
 
 const EXEC_WORKERS: usize = 3;
 
@@ -108,29 +110,20 @@ fn batched_answers_equal_direct_executor_answers() {
             handles.push(service.submit(Request::Knn { dataset, center, k }).unwrap());
         }
         if i % 20 == 0 {
-            for algo in [JoinAlgo::Stt, JoinAlgo::Inlj] {
-                let plan = JoinPlan {
-                    partitioner: f.partitioner.clone(),
-                    tree: f.tree,
-                    clip: f.clip,
-                    use_clips: true,
-                    algo,
-                    workers: EXEC_WORKERS,
-                    split: SplitPolicy::Auto,
-                    auto: AutoPolicy::default(),
-                };
-                expected.push(cbb_serve::Response::Join(partitioned_join(
-                    &plan,
-                    &join_probes,
-                    &f.objects,
-                )));
+            for use_clips in [true, false] {
+                let plan = JoinPlan::new(f.partitioner.clone(), f.tree, f.clip, EXEC_WORKERS)
+                    .with_clips(use_clips);
+                let joined =
+                    partitioned_join_with(&plan, &join_probes, direct.objects(), direct.forest());
+                assert_eq!(joined.pairs, brute_force_pairs(&join_probes, &f.objects));
+                expected.push(cbb_serve::Response::Join(joined));
                 handles.push(
                     service
                         .submit(Request::Join {
                             dataset,
                             probes: join_probes.clone(),
-                            algo,
-                            use_clips: true,
+                            algo: JoinAlgo::Auto,
+                            use_clips,
                         })
                         .unwrap(),
                 );
@@ -225,7 +218,7 @@ fn degenerate_requests_are_served() {
         .submit(Request::Join {
             dataset,
             probes: Vec::new(),
-            algo: JoinAlgo::Stt,
+            algo: JoinAlgo::Auto,
             use_clips: true,
         })
         .unwrap();
@@ -242,63 +235,84 @@ fn degenerate_requests_are_served() {
     service.shutdown();
 }
 
-/// The `query_algo` knob moves work counters, never answers: the same
-/// range workload through `Descend`, `SharedSweep` and `Auto` services
-/// — coalescing micro-batches and the unbatched per-request path, on
-/// one shard and on three — returns
-/// byte-identical responses, all in the canonical ascending-id order.
+/// The engine's range paths (`QueryAlgo`) move work counters, never
+/// answers, and the service — which always descends — returns the same
+/// byte-identical responses in every shape: coalescing micro-batches
+/// and the unbatched per-request path, on one shard and on three, all
+/// in the canonical ascending-id order.
 #[test]
 fn query_algo_never_changes_answers_in_any_service_shape() {
     let f = fixture();
     let range_qs = queries(48, 97);
-    let algos = [QueryAlgo::Descend, QueryAlgo::SharedSweep, QueryAlgo::Auto];
+    let direct = DatasetStore::build(
+        f.partitioner.clone(),
+        &f.objects,
+        f.tree,
+        f.clip,
+        EXEC_WORKERS,
+    );
+    let engine = |use_clips: bool, algo: QueryAlgo| {
+        direct
+            .run_with(
+                &range_qs,
+                EXEC_WORKERS,
+                use_clips,
+                algo,
+                &AutoPolicy::default(),
+                SplitPolicy::Auto,
+            )
+            .results
+    };
+    let expected: Vec<Vec<cbb_rtree::DataId>> = (0..range_qs.len())
+        .map(|i| engine(i % 3 != 0, QueryAlgo::Descend)[i].clone())
+        .collect();
+    for algo in [QueryAlgo::SharedSweep, QueryAlgo::Auto] {
+        for use_clips in [true, false] {
+            assert_eq!(
+                engine(use_clips, algo),
+                engine(use_clips, QueryAlgo::Descend),
+                "{algo:?} clips={use_clips}"
+            );
+        }
+    }
 
-    let mut baseline: Option<Vec<Vec<cbb_rtree::DataId>>> = None;
     for shards in [1, 3] {
         for unbatched in [false, true] {
-            for algo in algos {
-                let mut builder = ServiceBuilder::new()
-                    .shards(shards)
-                    .batch_max(16)
-                    .batch_deadline(Duration::from_millis(3))
-                    .exec_workers(EXEC_WORKERS)
-                    .query_algo(algo);
-                if unbatched {
-                    builder = builder.unbatched();
-                }
-                let service =
-                    builder.build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
-                let dataset = service.default_dataset();
-                let handles: Vec<_> = range_qs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, q)| {
-                        service
-                            .submit(Request::Range {
-                                dataset,
-                                query: *q,
-                                use_clips: i % 3 != 0,
-                            })
-                            .unwrap()
-                    })
-                    .collect();
-                let answers: Vec<Vec<cbb_rtree::DataId>> = handles
-                    .into_iter()
-                    .map(|h| h.wait().unwrap().response.into_range())
-                    .collect();
-                service.shutdown();
-                for ids in &answers {
-                    assert!(ids.is_sorted(), "canonical order is ascending by id");
-                }
-                match &baseline {
-                    None => baseline = Some(answers),
-                    Some(expected) => assert_eq!(
-                        &answers, expected,
-                        "shards={shards} unbatched={unbatched} {algo:?} \
-                         must answer byte-equal to the baseline"
-                    ),
-                }
+            let mut builder = ServiceBuilder::new()
+                .shards(shards)
+                .batch_max(16)
+                .batch_deadline(Duration::from_millis(3))
+                .exec_workers(EXEC_WORKERS);
+            if unbatched {
+                builder = builder.unbatched();
             }
+            let service = builder.build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
+            let dataset = service.default_dataset();
+            let handles: Vec<_> = range_qs
+                .iter()
+                .enumerate()
+                .map(|(i, q)| {
+                    service
+                        .submit(Request::Range {
+                            dataset,
+                            query: *q,
+                            use_clips: i % 3 != 0,
+                        })
+                        .unwrap()
+                })
+                .collect();
+            let answers: Vec<Vec<cbb_rtree::DataId>> = handles
+                .into_iter()
+                .map(|h| h.wait().unwrap().response.into_range())
+                .collect();
+            service.shutdown();
+            for ids in &answers {
+                assert!(ids.is_sorted(), "canonical order is ascending by id");
+            }
+            assert_eq!(
+                answers, expected,
+                "shards={shards} unbatched={unbatched} must answer byte-equal to the engine"
+            );
         }
     }
 }

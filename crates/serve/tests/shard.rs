@@ -152,32 +152,32 @@ fn oracle_roundtrip<P>(
         );
     }
     let probes = range_queries(&domain, 40, 0x1017);
-    for algo in [JoinAlgo::Stt, JoinAlgo::Inlj] {
+    for use_clips in [true, false] {
         assert_same(
             &single,
             &sharded,
             Request::Join {
                 dataset: ds,
                 probes: probes.clone(),
-                algo,
-                use_clips: true,
+                algo: JoinAlgo::Auto,
+                use_clips,
             },
-            &format!("probe join {algo:?} ({shards} shards)"),
+            &format!("probe join clips={use_clips} ({shards} shards)"),
         );
     }
 
     // Self cross-join: boundary pairs must be counted exactly once.
-    for algo in [JoinAlgo::Stt, JoinAlgo::Inlj] {
+    for use_clips in [true, false] {
         assert_same(
             &single,
             &sharded,
             Request::CrossJoin {
                 left: ds,
                 right: ds,
-                algo,
-                use_clips: true,
+                algo: JoinAlgo::Auto,
+                use_clips,
             },
-            &format!("self cross join {algo:?} ({shards} shards)"),
+            &format!("self cross join clips={use_clips} ({shards} shards)"),
         );
     }
 
@@ -351,7 +351,7 @@ fn cross_join_oracle_two_datasets() {
             .create_dataset("parcels", p_parcels.clone(), parcels.clone())
             .unwrap();
         assert_eq!(l1, l2);
-        for algo in [JoinAlgo::Stt, JoinAlgo::Inlj] {
+        for use_clips in [true, false] {
             for (left, right) in [(l1, r1), (r1, l1)] {
                 assert_same(
                     &single,
@@ -359,11 +359,11 @@ fn cross_join_oracle_two_datasets() {
                     Request::CrossJoin {
                         left,
                         right,
-                        algo,
-                        use_clips: true,
+                        algo: JoinAlgo::Auto,
+                        use_clips,
                     },
                     &format!(
-                        "cross join {algo:?} {left:?}⋈{right:?} ({shards} shards, {fitting:?})"
+                        "cross join clips={use_clips} {left:?}⋈{right:?} ({shards} shards, {fitting:?})"
                     ),
                 );
             }
@@ -512,13 +512,13 @@ fn typed_client_equals_enum_path() {
     assert_eq!(typed, enum_path);
 
     // join-by-name resolves through the same route table.
-    let self_join = client.join("default", JoinAlgo::Stt).unwrap().unwrap();
+    let self_join = client.join("default").unwrap().unwrap();
     let pairs = self_join.wait().unwrap().response.into_join().pairs;
     assert!(
         pairs >= objects.len() as u64,
         "self join sees every live object at least once"
     );
-    assert!(client.join("nope", JoinAlgo::Stt).is_none());
+    assert!(client.join("nope").is_none());
 
     // Typed writes flow through the same fan-out.
     let id = client

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
-use cbb_engine::{AdaptiveGrid, AutoPolicy, DatasetStore, JoinAlgo, QueryAlgo, SplitPolicy};
+use cbb_engine::{AdaptiveGrid, DatasetStore, JoinAlgo, UniformGrid};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{AccessStats, TreeConfig, Variant};
 use cbb_serve::{
@@ -78,28 +78,17 @@ fn knn_probes(n: usize, seed: u64) -> Vec<(Point<2>, usize)> {
 /// workload against a directly-built [`DatasetStore`] must reproduce
 /// every field byte-for-byte.
 ///
-/// Pinned for both fixed execution paths: per-query counters are a
-/// pure function of the (query, tile) pair under `Descend` *and* under
-/// `SharedSweep` (the sweep charges each query exactly the candidate
-/// pairs its own x-interval admits), so the totals are independent of
-/// how the service cut the workload into micro-batches. (`Auto` is
-/// deliberately absent here: its per-tile decision depends on how many
-/// batch queries land on the tile, so its totals vary with micro-batch
-/// composition.)
+/// The service answers every range with clipped descents, whose
+/// per-query counters are a pure function of the (query, tile) pair,
+/// so the totals are independent of how the service cut the workload
+/// into micro-batches.
 #[test]
 fn registry_access_counters_match_direct_engine_oracle() {
-    for algo in [QueryAlgo::Descend, QueryAlgo::SharedSweep] {
-        registry_access_counters_oracle(algo);
-    }
-}
-
-fn registry_access_counters_oracle(algo: QueryAlgo) {
     let f = fixture();
     let svc = ServiceBuilder::from_config(ServiceConfig {
         batch_max: 8,
         batch_deadline: Duration::from_millis(2),
         exec_workers: EXEC_WORKERS,
-        query_algo: algo,
         ..ServiceConfig::default()
     })
     .build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
@@ -155,28 +144,9 @@ fn registry_access_counters_oracle(algo: QueryAlgo) {
         f.clip,
         EXEC_WORKERS,
     );
-    let policy = AutoPolicy::default();
     let mut oracle = AccessStats::new();
-    oracle += &store
-        .run_with(
-            &clipped,
-            EXEC_WORKERS,
-            true,
-            algo,
-            &policy,
-            SplitPolicy::Auto,
-        )
-        .stats;
-    oracle += &store
-        .run_with(
-            &baseline,
-            EXEC_WORKERS,
-            false,
-            algo,
-            &policy,
-            SplitPolicy::Auto,
-        )
-        .stats;
+    oracle += &store.run(&clipped, EXEC_WORKERS, true).stats;
+    oracle += &store.run(&baseline, EXEC_WORKERS, false).stats;
     oracle += &store.run_knn(&probes, EXEC_WORKERS).stats;
 
     let labels = [("dataset", DEFAULT_DATASET)];
@@ -185,7 +155,7 @@ fn registry_access_counters_oracle(algo: QueryAlgo) {
         assert_eq!(
             scrape.snapshot.counter(&name, &labels),
             Some(expected),
-            "{name} must equal the direct-engine AccessStats oracle under {algo:?}"
+            "{name} must equal the direct-engine AccessStats oracle"
         );
     }
 
@@ -200,6 +170,95 @@ fn registry_access_counters_oracle(algo: QueryAlgo) {
         scrape.snapshot.counter("cbb_requests_completed_total", &[]),
         Some((clipped.len() + baseline.len() + probes.len() + 1) as u64)
     );
+}
+
+/// Reads stay clipped descents whatever the forest has cached: cross
+/// joins sweep the dataset's tiles and cache their columns, and a
+/// following micro-batch of ranges all landing in one tile still moves
+/// the `cbb_access_*` counters by exactly what a direct
+/// `DatasetStore::run` of the same queries counts — no shared sweep
+/// replaces the descents.
+#[test]
+fn reads_stay_descents_whatever_the_forest_has_cached() {
+    const RANGES: usize = 16;
+    let f = fixture();
+    let domain = Rect::mbb_of(&f.objects).expect("non-empty fixture");
+    let grid = UniformGrid::new(domain, 4);
+    let svc = ServiceBuilder::new()
+        .batch_max(64)
+        .batch_deadline(Duration::from_millis(200))
+        .exec_workers(EXEC_WORKERS)
+        .build(grid, f.objects.clone(), f.tree, f.clip);
+    let dataset = svc.default_dataset();
+    // A self-join, and a join from a differently tiled copy whose live
+    // objects are re-partitioned onto this dataset's tiles.
+    let other = svc
+        .create_dataset("other", UniformGrid::new(domain, 3), f.objects.clone())
+        .unwrap();
+    for left in [dataset, other] {
+        let joined = svc
+            .submit(Request::CrossJoin {
+                left,
+                right: dataset,
+                algo: JoinAlgo::Auto,
+                use_clips: true,
+            })
+            .unwrap()
+            .wait()
+            .unwrap()
+            .response
+            .into_join();
+        assert!(joined.pairs >= f.objects.len() as u64);
+    }
+
+    // Small windows inside the middle half of the busiest tile.
+    let loads = grid.assign(&f.objects);
+    let busiest = (0..grid.tile_count())
+        .max_by_key(|&t| loads[t].len())
+        .expect("tiles exist");
+    let tile = grid.tile_rect(busiest);
+    let (w, h) = (tile.hi.0[0] - tile.lo.0[0], tile.hi.0[1] - tile.lo.0[1]);
+    let mut rng = SplitMix64::new(21);
+    let queries: Vec<Rect<2>> = (0..RANGES)
+        .map(|_| {
+            let x = tile.lo.0[0] + w * rng.gen_range(0.25, 0.625);
+            let y = tile.lo.0[1] + h * rng.gen_range(0.25, 0.625);
+            Rect::new(Point([x, y]), Point([x + w / 8.0, y + h / 8.0]))
+        })
+        .collect();
+    for q in &queries {
+        assert_eq!(grid.covering_tiles(q), vec![busiest], "one tile per query");
+    }
+
+    let before = svc.shard_scrapes().remove(0).snapshot;
+    let handles: Vec<_> = queries
+        .iter()
+        .map(|q| {
+            svc.submit(Request::Range {
+                dataset,
+                query: *q,
+                use_clips: true,
+            })
+            .unwrap()
+        })
+        .collect();
+    for h in handles {
+        let done = h.wait().unwrap();
+        assert_eq!(done.batch_size, RANGES, "the ranges ride one micro-batch");
+    }
+    let after = svc.shard_scrapes().remove(0).snapshot;
+    svc.shutdown();
+
+    let store = DatasetStore::build(grid, &f.objects, f.tree, f.clip, EXEC_WORKERS);
+    let oracle = store.run(&queries, EXEC_WORKERS, true).stats;
+    assert!(oracle.leaf_accesses > 0, "the descents read leaves");
+    let labels = [("dataset", DEFAULT_DATASET)];
+    for (field, expected) in oracle.fields() {
+        let name = format!("cbb_access_{field}_total");
+        let delta = after.counter(&name, &labels).unwrap_or(0)
+            - before.counter(&name, &labels).unwrap_or(0);
+        assert_eq!(delta, expected, "{name} delta must equal DatasetStore::run");
+    }
 }
 
 /// N producer threads hammering the queue: every admission-side and
@@ -374,7 +433,7 @@ fn golden_scrape_format() {
         svc.submit(Request::Join {
             dataset,
             probes: range_queries(5, 6),
-            algo: JoinAlgo::Stt,
+            algo: JoinAlgo::Auto,
             use_clips: true,
         })
         .unwrap(),
@@ -383,7 +442,7 @@ fn golden_scrape_format() {
         svc.submit(Request::CrossJoin {
             left: dataset,
             right: dataset,
-            algo: JoinAlgo::Stt,
+            algo: JoinAlgo::Auto,
             use_clips: true,
         })
         .unwrap(),
@@ -428,10 +487,6 @@ fn golden_scrape_format() {
         ("cbb_request_phase_ns", "histogram"),
         ("cbb_forest_builds_total", "counter"),
         ("cbb_cross_joins_total", "counter"),
-        ("cbb_join_algo_total", "counter"),
-        ("cbb_query_algo_total", "counter"),
-        ("cbb_fused_batches_total", "counter"),
-        ("cbb_fused_width", "histogram"),
         ("cbb_probe_repartitions_total", "counter"),
         ("cbb_write_batches_total", "counter"),
         ("cbb_updates_applied_total", "counter"),
@@ -472,8 +527,10 @@ fn golden_scrape_format() {
     )));
     assert!(text.contains("request_kind=\"range\""));
     assert!(text.contains("phase=\"execute\""));
-    // The STT joins above ran tiles through the STT kernel.
-    assert!(text.contains("cbb_join_algo_total{algo=\"stt\"}"));
+    // Each served job has one kernel, so no series reports a kernel mix.
+    for gone in ["cbb_join_algo", "cbb_query_algo", "cbb_fused"] {
+        assert!(!text.contains(gone), "{gone}* series must not be exposed");
+    }
 
     // ── Histogram expansion invariants: every series' +Inf bucket
     // equals its _count, and _sum exists alongside.

@@ -175,12 +175,12 @@ fn update_batch_equals_swap_data_with_final_dataset() {
 
     // Joins: exact pair counts, equal to brute force over survivors.
     let probes = queries(120, 43);
-    let pairs = |svc: &Service, algo| {
+    let pairs = |svc: &Service, use_clips| {
         svc.submit(Request::Join {
             dataset: svc.default_dataset(),
             probes: probes.clone(),
-            algo,
-            use_clips: true,
+            algo: JoinAlgo::Auto,
+            use_clips,
         })
         .unwrap()
         .wait()
@@ -190,9 +190,13 @@ fn update_batch_equals_swap_data_with_final_dataset() {
         .pairs
     };
     let expected = brute_force_pairs(&probes, &live_rects);
-    for algo in [JoinAlgo::Stt, JoinAlgo::Inlj] {
-        assert_eq!(pairs(&svc, algo), expected, "delta {algo:?}");
-        assert_eq!(pairs(&reference, algo), expected, "rebuilt {algo:?}");
+    for use_clips in [true, false] {
+        assert_eq!(pairs(&svc, use_clips), expected, "delta clips={use_clips}");
+        assert_eq!(
+            pairs(&reference, use_clips),
+            expected,
+            "rebuilt clips={use_clips}"
+        );
     }
 
     // The delta service never rebuilt: still the single start-time

@@ -111,7 +111,7 @@ fn main() {
         .submit(Request::Join {
             dataset,
             probes: probes.clone(),
-            algo: JoinAlgo::Stt,
+            algo: JoinAlgo::Auto,
             use_clips: true,
         })
         .expect("service is open")

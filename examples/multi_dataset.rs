@@ -82,14 +82,14 @@ fn main() {
     }
 
     // The cross-dataset join: every (road, poi) intersection, tiled by
-    // the indexed side's partitioner, BOTH stores' forests reused —
-    // repeat joins rebuild nothing.
-    let cross = |left, right, algo| {
+    // the indexed side's partitioner and swept per tile, BOTH stores'
+    // cached columns reused — repeat joins rebuild nothing.
+    let cross = |left, right| {
         service
             .submit(Request::CrossJoin {
                 left,
                 right,
-                algo,
+                algo: JoinAlgo::Auto,
                 use_clips: true,
             })
             .expect("service is open")
@@ -98,15 +98,10 @@ fn main() {
             .response
             .into_join()
     };
-    let stt = cross(roads_id, pois_id, JoinAlgo::Stt);
-    let stt_again = cross(roads_id, pois_id, JoinAlgo::Stt);
-    let inlj = cross(roads_id, pois_id, JoinAlgo::Inlj);
-    assert_eq!(stt, stt_again, "repeat cross joins answer identically");
-    assert_eq!(stt.pairs, inlj.pairs, "STT and INLJ agree on pairs");
-    println!(
-        "cross  : roads ⋈ pois = {} pairs (×2 STT, ×1 INLJ)",
-        stt.pairs
-    );
+    let joined = cross(roads_id, pois_id);
+    let again = cross(roads_id, pois_id);
+    assert_eq!(joined, again, "repeat cross joins answer identically");
+    println!("cross  : roads ⋈ pois = {} pairs (×2)", joined.pairs);
 
     // Writes to one layer bump only that layer's version; the other
     // keeps serving its trees untouched.

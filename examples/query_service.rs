@@ -59,18 +59,18 @@ fn main() {
         })
         .expect("service is open");
     let probes: Vec<Rect<2>> = data.boxes.iter().step_by(50).copied().collect();
-    let join = |algo| {
+    let join = || {
         service
             .submit(Request::Join {
                 dataset,
                 probes: probes.clone(),
-                algo,
+                algo: JoinAlgo::Auto,
                 use_clips: true,
             })
             .expect("service is open")
     };
-    let join1 = join(JoinAlgo::Stt);
-    let join2 = join(JoinAlgo::Stt); // identical request: same trees
+    let join1 = join();
+    let join2 = join(); // identical request: same cached columns
 
     let found = range.wait().unwrap();
     println!(
@@ -98,7 +98,7 @@ fn main() {
     service
         .swap_dataset(dataset, data.boxes[..n / 2].to_vec())
         .unwrap();
-    let shrunk = join(JoinAlgo::Stt).wait().unwrap().response.into_join();
+    let shrunk = join().wait().unwrap().response.into_join();
     println!("swap   : half the data → {} pairs", shrunk.pairs);
     assert!(shrunk.pairs < j1.pairs);
 

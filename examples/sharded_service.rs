@@ -60,7 +60,7 @@ fn main() {
         .create_dataset("parcels", parcels_p, parcels_boxes.clone())
         .expect("fresh name");
     let join = roads
-        .join("parcels", JoinAlgo::Stt)
+        .join("parcels")
         .expect("parcels exists")
         .expect("service is open");
 

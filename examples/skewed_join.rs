@@ -1,6 +1,7 @@
 //! Choosing a partitioner for skewed data: a clustered join runs under
 //! the uniform grid, the sample-based adaptive grid, and the quadtree
-//! region split — same exact pair count, very different load balance.
+//! region split, every tile swept by the plane-sweep kernel — same
+//! exact pair count, very different load balance.
 //!
 //! ```text
 //! cargo run --release --example skewed_join

@@ -73,7 +73,7 @@ fn main() {
             .submit(Request::Join {
                 dataset,
                 probes: data.boxes.iter().step_by(100).copied().collect(),
-                algo: JoinAlgo::Stt,
+                algo: JoinAlgo::Auto,
                 use_clips: true,
             })
             .expect("service is open"),

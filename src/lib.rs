@@ -45,7 +45,7 @@
 //! | [`storage`] | `cbb-storage` | pages, codecs, buffer pool, disk trees |
 //! | [`datasets`] | `cbb-datasets` | the seven benchmark dataset stand-ins + queries |
 //! | [`bounding`] | `cbb-bounding` | MBC / RMBB / k-corner / hull comparisons |
-//! | [`joins`] | `cbb-joins` | INLJ and STT spatial joins |
+//! | [`joins`] | `cbb-joins` | INLJ, STT and plane-sweep spatial joins |
 //! | [`engine`] | `cbb-engine` | parallel partitioned join + batched query execution |
 //! | [`serve`] | `cbb-serve` | async query service: request queue → micro-batched executor |
 //! | [`telemetry`] | `cbb-telemetry` | metrics registry, phase tracing, slow-query ring, scrape exposition |

@@ -1,9 +1,13 @@
 //! # cbb-bench — shared harness for the per-figure experiment binaries
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §3 for the index). This library holds what they share:
-//! CLI parsing, paper-faithful tree construction, query execution, and
-//! plain-text table rendering.
+//! The `fig*`, `ablation_*` and `join_experiment` binaries in `src/bin/`
+//! regenerate the paper's tables and figures. Three more exercise the
+//! system around it: `crash_recovery` (the SIGKILL recovery gauntlet),
+//! and `skew_scale` and `catalog_scale` (which write `BENCH_skew.json`
+//! and `BENCH_catalog.json`). Performance of the served system is
+//! measured by the separate `benchmark/` harness. This library holds
+//! what the binaries share: CLI parsing, paper-faithful tree
+//! construction, query execution, and plain-text table rendering.
 
 #![forbid(unsafe_code)]
 

@@ -32,11 +32,9 @@ pub mod queries;
 pub mod rea;
 pub mod registry;
 pub mod skew;
-pub mod stream;
 
 pub use dataset::Dataset;
 pub use multi::{layers, LayerKind, LayerSpec, NamedLayer};
 pub use queries::{generate_queries, QueryProfile};
 pub use registry::{dataset2, dataset3, Scale, DATASETS_2D, DATASETS_3D};
 pub use skew::{clustered, clustered_with_layout, zipfian};
-pub use stream::{query_stream, StreamKind, StreamProfile, TimedQuery};

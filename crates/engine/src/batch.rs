@@ -1,12 +1,12 @@
-//! Batched range/kNN-query execution: one shared clipped tree
-//! ([`parallel_range_queries`]) or a partitioned [`TileForest`] served
-//! by a [`crate::DatasetStore`].
+//! Batched range/kNN-query execution over a partitioned [`TileForest`]
+//! served by a [`crate::DatasetStore`].
 //!
-//! A query workload is split into contiguous shards, each shard runs on
-//! its own worker against read-only indexes (the index types are `Sync`),
-//! and the per-worker [`AccessStats`] are merged. Results come back **in
-//! workload order** regardless of the worker count, so callers can line
-//! answers up with their queries.
+//! A query workload is grouped per covered tile, the (query, tile) work
+//! is cut into chunks that run on the worker pool against read-only
+//! indexes (the index types are `Sync`), and the per-chunk
+//! [`AccessStats`] are merged. Results come back **in workload order**
+//! regardless of the worker count, so callers can line answers up with
+//! their queries.
 //!
 //! The [`TileForest`] — one clipped R-tree per non-empty tile of a
 //! [`Partitioner`] — is the unit a dataset store keeps across requests:
@@ -70,7 +70,7 @@ impl<const D: usize> TileForest<D> {
     /// [`Self::build`] over the live subset of a tombstoned object
     /// arena: slot `i` is indexed iff `live[i]` (when a mask is given).
     /// This is the wholesale-rebuild twin of the delta maintenance path
-    /// — the oracle tests and `update_scale` compare the two.
+    /// — the oracle and update property tests compare the two.
     pub fn build_where<P: Partitioner<D>>(
         partitioner: &P,
         objects: &[Rect<D>],
@@ -160,7 +160,8 @@ impl<const D: usize> TileForest<D> {
     }
 
     /// Cumulative R-tree node constructions over all tile trees (the
-    /// structural build-work counter `BENCH_update.json` compares).
+    /// structural build-work counter the update tests compare between
+    /// delta-apply and rebuild-per-batch).
     pub fn nodes_allocated(&self) -> u64 {
         self.trees
             .iter()
@@ -351,41 +352,6 @@ impl BatchOutcome {
     }
 }
 
-/// Execute `queries` against `tree` in `workers` parallel chunks. With
-/// `use_clips = false` the probes run on the base tree (the unclipped
-/// baseline on the same index).
-pub fn parallel_range_queries<const D: usize>(
-    tree: &ClippedRTree<D>,
-    queries: &[Rect<D>],
-    workers: usize,
-    use_clips: bool,
-) -> BatchOutcome {
-    let shards = map_chunked(workers, queries, |_offset, chunk| {
-        let mut per_query = Vec::with_capacity(chunk.len());
-        let results: Vec<Vec<DataId>> = chunk
-            .iter()
-            .map(|q| {
-                let mut stats = AccessStats::new();
-                let ids = if use_clips {
-                    tree.range_query_stats(q, &mut stats)
-                } else {
-                    tree.tree.range_query_stats(q, &mut stats)
-                };
-                per_query.push(stats);
-                ids
-            })
-            .collect();
-        (results, per_query)
-    });
-    let mut outcome = BatchOutcome::default();
-    for (results, per_query) in shards {
-        outcome.results.extend(results);
-        outcome.stats += AccessStats::sum(&per_query);
-        outcome.per_query.extend(per_query);
-    }
-    outcome
-}
-
 /// Merged outcome of a batched kNN run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct KnnOutcome {
@@ -402,37 +368,40 @@ pub struct KnnOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::DatasetStore;
+    use crate::partition::UniformGrid;
     use cbb_core::{ClipConfig, ClipMethod};
     use cbb_geom::{Point, SplitMix64};
-    use cbb_rtree::{RTree, TreeConfig, Variant};
+    use cbb_rtree::{TreeConfig, Variant};
 
     fn r2(lx: f64, ly: f64, hx: f64, hy: f64) -> Rect<2> {
         Rect::new(Point([lx, ly]), Point([hx, hy]))
     }
 
-    fn setup(n: usize) -> (ClippedRTree<2>, Vec<Rect<2>>) {
+    /// A one-tile store: its batch executor answers the workload from
+    /// one shared clipped tree, so a plain per-query loop over that
+    /// tree is the reference.
+    fn setup(n: usize) -> (DatasetStore<2, UniformGrid<2>>, Vec<Rect<2>>) {
         let mut rng = SplitMix64::new(21);
-        let items: Vec<(Rect<2>, cbb_rtree::DataId)> = (0..n)
-            .map(|i| {
+        let objects: Vec<Rect<2>> = (0..n)
+            .map(|_| {
                 let x = rng.gen_range(0.0, 950.0);
                 let y = rng.gen_range(0.0, 950.0);
-                (
-                    r2(
-                        x,
-                        y,
-                        x + rng.gen_range(0.5, 20.0),
-                        y + rng.gen_range(0.5, 20.0),
-                    ),
-                    cbb_rtree::DataId(i as u32),
+                r2(
+                    x,
+                    y,
+                    x + rng.gen_range(0.5, 20.0),
+                    y + rng.gen_range(0.5, 20.0),
                 )
             })
             .collect();
-        let tree = RTree::bulk_load(
-            TreeConfig::tiny(Variant::RStar).with_world(r2(0.0, 0.0, 1000.0, 1000.0)),
-            &items,
+        let store = DatasetStore::build(
+            UniformGrid::new(r2(0.0, 0.0, 1000.0, 1000.0), 1),
+            &objects,
+            TreeConfig::tiny(Variant::RStar),
+            ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+            2,
         );
-        let clipped =
-            ClippedRTree::from_tree(tree, ClipConfig::paper_default::<2>(ClipMethod::Stairline));
         let queries: Vec<Rect<2>> = (0..200)
             .map(|_| {
                 let x = rng.gen_range(0.0, 960.0);
@@ -441,40 +410,41 @@ mod tests {
                 r2(x, y, x + s, y + s)
             })
             .collect();
-        (clipped, queries)
+        (store, queries)
     }
 
     #[test]
     fn parallel_equals_sequential_for_any_worker_count() {
-        let (tree, queries) = setup(800);
-        let baseline = parallel_range_queries(&tree, &queries, 1, true);
-        // Sequential reference computed directly.
+        let (store, queries) = setup(800);
+        let tree = store.forest().tree(0).expect("the one tile is populated");
+        // Sequential reference computed directly on the tile's tree.
         let mut stats = AccessStats::new();
         let expected: Vec<Vec<DataId>> = queries
             .iter()
-            .map(|q| tree.range_query_stats(q, &mut stats))
+            .map(|q| {
+                let mut ids = tree.range_query_stats(q, &mut stats);
+                ids.sort_unstable();
+                ids
+            })
             .collect();
-        assert_eq!(baseline.results, expected);
-        assert_eq!(baseline.stats, stats);
-        for workers in [2, 3, 8, 200] {
-            let out = parallel_range_queries(&tree, &queries, workers, true);
+        for workers in [1, 2, 3, 8, 200] {
+            let out = store.run(&queries, workers, true);
             assert_eq!(out.results, expected, "workers = {workers}");
             assert_eq!(out.stats, stats, "workers = {workers}");
+            assert_eq!(
+                AccessStats::sum(&out.per_query),
+                stats,
+                "workers = {workers}"
+            );
         }
     }
 
     #[test]
     fn clipped_batch_saves_io_but_returns_identical_results() {
-        let (tree, queries) = setup(1_000);
-        let base = parallel_range_queries(&tree, &queries, 4, false);
-        let clip = parallel_range_queries(&tree, &queries, 4, true);
-        let sort = |mut v: Vec<DataId>| {
-            v.sort();
-            v
-        };
-        for (b, c) in base.results.iter().zip(&clip.results) {
-            assert_eq!(sort(b.clone()), sort(c.clone()));
-        }
+        let (store, queries) = setup(1_000);
+        let base = store.run(&queries, 4, false);
+        let clip = store.run(&queries, 4, true);
+        assert_eq!(clip.results, base.results);
         assert!(clip.stats.leaf_accesses <= base.stats.leaf_accesses);
         assert!(clip.stats.clip_prunes > 0);
         assert_eq!(clip.total_results(), base.total_results());
@@ -482,8 +452,8 @@ mod tests {
 
     #[test]
     fn empty_workload() {
-        let (tree, _) = setup(100);
-        let out = parallel_range_queries(&tree, &[], 4, true);
+        let (store, _) = setup(100);
+        let out = store.run(&[], 4, true);
         assert!(out.results.is_empty());
         assert_eq!(out.stats, AccessStats::new());
     }

@@ -262,11 +262,6 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
         self
     }
 
-    /// Change the slot-reclamation policy in place.
-    pub fn set_compaction(&mut self, policy: CompactionPolicy) {
-        self.compaction = policy;
-    }
-
     /// The partitioner the store was built over.
     pub fn partitioner(&self) -> &P {
         &self.partitioner

@@ -3,7 +3,7 @@
 //! The paper's clipping cuts leaf I/O per *probe*; this crate adds the
 //! throughput layer above it: spatial partitioning and multi-threaded
 //! execution, with every per-tile probe still benefiting from clip-point
-//! pruning. Three pieces:
+//! pruning. Its modules:
 //!
 //! * [`partition`] — a PBSM-style uniform grid ([`UniformGrid`]):
 //!   rectangles are multi-assigned to every tile they overlap, and
@@ -17,10 +17,10 @@
 //!   scheduling, counters merged via `AddAssign` (after Tsitsigkos et
 //!   al., *Parallel In-Memory Evaluation of Spatial Joins*). Pair
 //!   counts are exactly those of a sequential join.
-//! * [`batch`] — the batched range-query executor
-//!   ([`parallel_range_queries`]): a query workload sharded across
-//!   workers against one shared [`cbb_rtree::ClippedRTree`], answers in
-//!   workload order, [`cbb_rtree::AccessStats`] merged.
+//! * [`batch`] — the [`TileForest`] (one clipped R-tree per non-empty
+//!   tile) and the outcomes of batched range and kNN queries, which
+//!   [`DatasetStore::run`] answers across workers in workload order,
+//!   [`cbb_rtree::AccessStats`] merged.
 //! * [`update`] — the write side: [`Update`] batches applied through
 //!   [`DatasetStore::apply_updates`] route each object to its covering
 //!   tiles, and maintain the per-tile clipped trees incrementally
@@ -81,7 +81,7 @@ pub mod shard;
 pub mod update;
 
 pub use adaptive::AdaptiveGrid;
-pub use batch::{parallel_range_queries, BatchOutcome, KnnOutcome, QueryAlgo, TileForest};
+pub use batch::{BatchOutcome, KnnOutcome, QueryAlgo, TileForest};
 pub use catalog::{
     Catalog, CatalogError, CompactionPolicy, Dataset, DatasetId, DatasetStore,
     DEFAULT_COMPACT_DEAD_FRACTION,

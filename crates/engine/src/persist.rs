@@ -601,7 +601,10 @@ pub fn decode_update_batch<const D: usize>(
     let mut r = ByteReader::new(buf);
     let version = DataVersion(r.u64()?);
     let count = r.u32()? as usize;
-    let mut ops = Vec::with_capacity(count);
+    // The count is untrusted until the ops decode: reserve no more than
+    // the payload can hold at the smallest encoded op (a 5-byte delete),
+    // so a corrupt count fails as `Corrupt` instead of a huge allocation.
+    let mut ops = Vec::with_capacity(count.min(r.remaining() / 5));
     for _ in 0..count {
         ops.push(match r.u8()? {
             0 => Update::Insert(r.rect::<D>()?),
@@ -788,6 +791,17 @@ mod tests {
         assert_eq!(v, DataVersion(42));
         assert_eq!(back, ops);
         assert!(decode_update_batch::<2>(&payload[..payload.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn wal_batch_with_huge_op_count_is_corrupt_not_an_abort() {
+        // Version, then `count = u32::MAX` and no ops: 12 bytes.
+        let mut payload = 7u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_update_batch::<2>(&payload),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]

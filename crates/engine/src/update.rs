@@ -58,7 +58,8 @@ pub struct UpdateOutcome {
     pub trees_dropped: usize,
     /// R-tree nodes constructed while applying the batch (splits, new
     /// roots, fresh tile roots). Machine-independent: the delta-apply
-    /// vs rebuild-per-batch comparison `BENCH_update.json` reports.
+    /// vs rebuild-per-batch comparison the update property tests pin,
+    /// and the benchmark's `engine.apply_nodes_allocated_per_update`.
     pub nodes_allocated: u64,
     /// Tombstoned arena slots swept into the free list by the
     /// compaction pass that ran after this batch (0 when the

@@ -8,12 +8,13 @@
 //! node accesses than the plain root-MBB ordering.
 
 use cbb_core::{ClipConfig, ClipMethod};
+use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{
     AdaptiveGrid, AutoPolicy, DatasetStore, Partitioner, QuadtreePartitioner, QueryAlgo,
     SplitPolicy, UniformGrid,
 };
 use cbb_geom::{Point, Rect, SplitMix64};
-use cbb_rtree::{TreeConfig, Variant};
+use cbb_rtree::{AccessStats, TreeConfig, Variant};
 
 fn r2(lx: f64, ly: f64, hx: f64, hy: f64) -> Rect<2> {
     Rect::new(Point([lx, ly]), Point([hx, hy]))
@@ -287,5 +288,57 @@ fn knn_clipped_prefilter_is_exact_and_cheaper() {
         );
         // The default path IS the prefiltered one.
         assert_eq!(store.run_knn(&probes, workers), clipped);
+    }
+}
+
+/// The counted-work claim behind `SharedSweep`, on the shape a
+/// coalescing batcher hands the engine: small selective rects around a
+/// few hot spots of clustered data, over tiles of a few hundred
+/// objects. A fused tile never touches a tree node, at every batch
+/// width; once the batch is wide (≥ 32) the shared scans also do
+/// strictly less counted work (node accesses + overlap tests) than the
+/// per-query descents, with byte-equal answers.
+#[test]
+fn shared_sweep_does_no_node_accesses_and_less_work_when_wide() {
+    let n = 6_000;
+    let seed = 0xCBB;
+    let data = clustered_with_layout::<2>(n, 8, 20_000.0, 0.1, seed, seed);
+    let store = DatasetStore::build(
+        AdaptiveGrid::from_sample(data.domain, [6, 6], &data.boxes),
+        &data.boxes,
+        TreeConfig::paper_default(Variant::RStar),
+        ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+        4,
+    );
+    let nodes = |s: &AccessStats| s.leaf_accesses + s.internal_accesses;
+    let work = |s: &AccessStats| nodes(s) + s.overlap_tests;
+    let mut rng = SplitMix64::new(seed ^ 0xF05E);
+    let (lo, hi) = (data.domain.lo.0, data.domain.hi.0);
+    let extent = hi[0] - lo[0];
+    let policy = AutoPolicy::default();
+    for batch in [1usize, 4, 8, 32, 128] {
+        let qs: Vec<Rect<2>> = (0..batch)
+            .map(|i| {
+                let anchor = data.boxes[((i % 4) * 9973) % n];
+                let s = rng.gen_range(extent * 0.0005, extent * 0.005);
+                let x = (anchor.lo[0] + rng.gen_range(-s, s)).clamp(lo[0], hi[0] - s);
+                let y = (anchor.lo[1] + rng.gen_range(-s, s)).clamp(lo[1], hi[1] - s);
+                r2(x, y, x + s, y + s)
+            })
+            .collect();
+        let run = |algo| store.run_with(&qs, 4, true, algo, &policy, SplitPolicy::Auto);
+        let descend = run(QueryAlgo::Descend);
+        let fused = run(QueryAlgo::SharedSweep);
+        assert_eq!(fused.results, descend.results, "batch {batch}: answers");
+        assert_eq!(fused.tiles_descend, 0, "batch {batch}: every tile fuses");
+        assert_eq!(nodes(&fused.stats), 0, "batch {batch}: fused node accesses");
+        if batch >= 32 {
+            assert!(
+                work(&fused.stats) < work(&descend.stats),
+                "batch {batch}: fused work {} !< descend work {}",
+                work(&fused.stats),
+                work(&descend.stats)
+            );
+        }
     }
 }

@@ -12,9 +12,9 @@
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{
-    load_imbalance, parallel_range_queries, partitioned_join, partitioned_join_forests,
-    partitioned_join_with, sequential_join, AdaptiveGrid, DatasetStore, JoinPlan, Partitioner,
-    QuadtreePartitioner, SplitPolicy, TileForest, UniformGrid,
+    load_imbalance, partitioned_join, partitioned_join_forests, partitioned_join_with,
+    sequential_join, AdaptiveGrid, DatasetStore, JoinPlan, Partitioner, QuadtreePartitioner,
+    SplitPolicy, TileForest, UniformGrid,
 };
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::{brute_force_pairs, inlj, stt, JoinResult};
@@ -291,7 +291,13 @@ fn adaptive_partitioners_reduce_imbalance_on_clustered_data() {
 #[test]
 fn batched_queries_match_sequential_and_merge_stats() {
     let objects = boxes(1_200, 41, 15.0);
-    let tree = global_clipped(&objects, Variant::RRStar);
+    let store = DatasetStore::build(
+        UniformGrid::new(WORLD, 4),
+        &objects,
+        TreeConfig::tiny(Variant::RRStar),
+        ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+        2,
+    );
     let mut rng = SplitMix64::new(42);
     let queries: Vec<Rect<2>> = (0..300)
         .map(|_| {
@@ -302,19 +308,30 @@ fn batched_queries_match_sequential_and_merge_stats() {
         })
         .collect();
 
-    let mut seq_stats = AccessStats::new();
+    // Sequential reference: brute force, ids ascending.
     let seq: Vec<Vec<DataId>> = queries
         .iter()
-        .map(|q| tree.range_query_stats(q, &mut seq_stats))
+        .map(|q| {
+            (0..objects.len() as u32)
+                .filter(|&i| objects[i as usize].intersects(q))
+                .map(DataId)
+                .collect()
+        })
         .collect();
 
+    let one = store.run(&queries, 1, true);
     for workers in [1, 2, 7] {
-        let out = parallel_range_queries(&tree, &queries, workers, true);
+        let out = store.run(&queries, workers, true);
         assert_eq!(out.results, seq, "workers = {workers}");
-        assert_eq!(out.stats, seq_stats, "workers = {workers}");
+        assert_eq!(out.stats, one.stats, "workers = {workers}");
+        assert_eq!(
+            AccessStats::sum(&out.per_query),
+            out.stats,
+            "workers = {workers}: per-query counters merge to the total"
+        );
     }
 
     // AccessStats::sum helper merges like repeated absorb.
-    let merged = AccessStats::sum([seq_stats, AccessStats::new()].iter());
-    assert_eq!(merged, seq_stats);
+    let merged = AccessStats::sum([one.stats, AccessStats::new()].iter());
+    assert_eq!(merged, one.stats);
 }

@@ -9,14 +9,17 @@
 //! between bulk-loaded and incrementally grown trees); joins must agree
 //! on the exact global pair count. Inputs are adversarially skewed the
 //! same way the partitioner property tests are: clustered blobs,
-//! tile-spanning rects, and degenerate point-extent rects.
+//! tile-spanning rects, and degenerate point-extent rects. One
+//! deterministic churn test also pins what delta maintenance saves over
+//! rebuilding: R-tree node allocations.
 
 use cbb_core::{ClipConfig, ClipMethod};
+use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{
-    partitioned_join_with, AdaptiveGrid, DatasetStore, JoinPlan, Partitioner, QuadtreePartitioner,
-    TileForest, UniformGrid, Update,
+    partitioned_join_with, AdaptiveGrid, CompactionPolicy, DatasetStore, JoinPlan, Partitioner,
+    QuadtreePartitioner, TileForest, UniformGrid, Update,
 };
-use cbb_geom::{Point, Rect};
+use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{DataId, TreeConfig, Variant};
 use proptest::prelude::*;
@@ -254,4 +257,90 @@ proptest! {
         let (store, arena, live) = run_script(qt, &initial, &script, 11);
         check_against_rebuild(&store, &arena, &live, &queries)?;
     }
+}
+
+/// Delta maintenance pays for itself: a churn stream (60 % inserts
+/// shaped like the data and dropped near it, 40 % deletes of distinct
+/// base objects) absorbed batch by batch allocates fewer R-tree nodes
+/// than rebuilding the forest after every batch, and the maintained
+/// store answers exactly like the last rebuild. Compaction is off so
+/// both sides keep the same append-only id space.
+#[test]
+fn delta_apply_allocates_fewer_nodes_than_rebuild_per_batch() {
+    let (n, batches, ops_per_batch) = (4_000, 8, 150);
+    let data = clustered_with_layout::<2>(n, 8, 20_000.0, 0.1, 0xCBB, 0xCBB);
+    let partitioner = AdaptiveGrid::from_sample(data.domain, [6, 6], &data.boxes);
+    let tree = TreeConfig::paper_default(Variant::RStar);
+    let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
+
+    let mut rng = SplitMix64::new(0x5EED);
+    let mut deletable: Vec<u32> = (0..n as u32).collect();
+    let jig = data.domain.extent(0) * 0.02;
+    let script: Vec<Update<2>> = (0..batches * ops_per_batch)
+        .map(|_| {
+            if rng.gen_range(0.0, 1.0) < 0.4 {
+                let pick = rng.gen_index(deletable.len());
+                Update::Delete(DataId(deletable.swap_remove(pick)))
+            } else {
+                let anchor = data.boxes[rng.gen_index(n)].center();
+                let template = data.boxes[rng.gen_index(n)];
+                let x = anchor[0] + rng.gen_range(-jig, jig);
+                let y = anchor[1] + rng.gen_range(-jig, jig);
+                Update::Insert(r2(x, y, x + template.extent(0), y + template.extent(1)))
+            }
+        })
+        .collect();
+
+    let mut store = DatasetStore::build(partitioner.clone(), &data.boxes, tree, clip, 2)
+        .with_compaction(CompactionPolicy::never());
+    let mut delta_nodes = 0;
+    let mut arena = data.boxes.clone();
+    let mut live = vec![true; n];
+    let mut rebuild_nodes = 0;
+    let mut rebuilt = None;
+    for ops in script.chunks(ops_per_batch) {
+        delta_nodes += store.apply_updates(ops, tree, clip).nodes_allocated;
+        for op in ops {
+            match op {
+                Update::Insert(r) => {
+                    arena.push(*r);
+                    live.push(true);
+                }
+                Update::Delete(id) => live[id.0 as usize] = false,
+            }
+        }
+        let forest = TileForest::build_where(&partitioner, &arena, Some(&live), tree, clip, 2);
+        rebuild_nodes += forest.nodes_allocated();
+        rebuilt = Some(forest);
+    }
+    assert!(
+        delta_nodes < rebuild_nodes,
+        "delta-apply allocated {delta_nodes} nodes, rebuild-per-batch {rebuild_nodes}"
+    );
+
+    assert_eq!(store.objects(), &arena[..]);
+    assert_eq!(store.live(), &live[..]);
+    let rebuilt = DatasetStore::with_forest_where(
+        partitioner,
+        arena,
+        live,
+        Arc::new(rebuilt.expect("at least one batch")),
+    );
+    let queries: Vec<Rect<2>> = (0..60)
+        .map(|_| {
+            let anchor = data.boxes[rng.gen_index(n)].center();
+            let s = rng.gen_range(5_000.0, 60_000.0);
+            r2(
+                anchor[0] - s / 2.0,
+                anchor[1] - s / 2.0,
+                anchor[0] + s / 2.0,
+                anchor[1] + s / 2.0,
+            )
+        })
+        .collect();
+    // Each per-query list is sorted by id, so the lists compare directly.
+    assert_eq!(
+        store.run(&queries, 2, true).results,
+        rebuilt.run(&queries, 2, true).results
+    );
 }

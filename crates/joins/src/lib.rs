@@ -818,6 +818,39 @@ mod tests {
         );
     }
 
+    /// The claim the sweep kernel exists to make, machine-independently:
+    /// on the same pair of inputs, at the paper's node capacity, the
+    /// forward scans do strictly fewer overlap tests than probing one
+    /// side's clipped tree with every rectangle of the other, and find
+    /// exactly the same pairs.
+    #[test]
+    fn sweep_does_fewer_overlap_tests_than_inlj_with_equal_pairs() {
+        let a = boxes(2_000, 26);
+        let b = boxes(2_000, 27);
+        let items: Vec<(Rect<2>, DataId)> = b
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (*r, DataId(i as u32)))
+            .collect();
+        let tree = ClippedRTree::from_tree(
+            RTree::bulk_load(
+                TreeConfig::paper_default(Variant::RStar).with_world(r2(0.0, 0.0, 500.0, 500.0)),
+                &items,
+            ),
+            ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+        );
+        let swept = sweep(&columns(&a), &columns(&b));
+        let probed = inlj(&a, &tree, true);
+        assert_eq!(swept.pairs, brute_force_pairs(&a, &b));
+        assert_eq!(swept.pairs, probed.pairs);
+        assert!(
+            swept.overlap_tests < probed.overlap_tests,
+            "sweep {} overlap tests, INLJ {}",
+            swept.overlap_tests,
+            probed.overlap_tests
+        );
+    }
+
     #[test]
     fn sweep_self_join_and_degenerate_inputs() {
         // Self-join: (i, i) and both orders of (i, j), like STT.

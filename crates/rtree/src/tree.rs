@@ -102,8 +102,8 @@ impl<const D: usize> RTree<D> {
     /// Cumulative count of node constructions over the tree's lifetime
     /// (bulk-load packing, splits, new roots — recycled arena slots
     /// included). Never decreases; the difference across an update batch
-    /// is a machine-independent measure of structural build work, which
-    /// is what `BENCH_update.json` compares between delta-apply and
+    /// is a machine-independent measure of structural build work — what
+    /// the engine's update tests compare between delta-apply and
     /// rebuild-per-batch.
     pub fn nodes_allocated(&self) -> u64 {
         self.allocated

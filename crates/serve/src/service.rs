@@ -79,8 +79,8 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Per-request execution: every batch holds exactly one request.
-    /// The no-batching baseline `serve_scale` measures against.
+    /// Per-request execution: every batch holds exactly one request —
+    /// the no-batching baseline.
     pub fn unbatched() -> Self {
         ServiceConfig {
             batch_max: 1,

@@ -269,6 +269,10 @@ where
             report.recovered_records, kill as u64,
             "one WAL record per batch"
         );
+        assert!(
+            report.recovered_pages > 0,
+            "kill point {kill}: recovery must read the snapshot's pages"
+        );
         reference.shutdown();
     }
     let _ = std::fs::remove_dir_all(&root);

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
-use cbb_engine::{DataVersion, JoinAlgo, UniformGrid, Update, UpdateResult};
+use cbb_engine::{DataVersion, DatasetStore, JoinAlgo, UniformGrid, Update, UpdateResult};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{DataId, TreeConfig, Variant};
@@ -16,15 +16,25 @@ use cbb_serve::{Request, ServiceBuilder, ServiceConfig, ShardedService};
 
 type Service = ShardedService<2, UniformGrid<2>>;
 
-fn service(config: ServiceConfig, n: usize) -> (Service, Vec<Rect<2>>) {
+fn tree() -> TreeConfig<2> {
+    TreeConfig::tiny(Variant::RStar)
+}
+
+fn clip() -> ClipConfig {
+    ClipConfig::paper_default::<2>(ClipMethod::Stairline)
+}
+
+/// The layer every service here serves: `n` clustered boxes over a
+/// 4 × 4 uniform grid.
+fn layer(n: usize) -> (UniformGrid<2>, Vec<Rect<2>>) {
     let data = clustered_with_layout::<2>(n, 5, 40_000.0, 0.2, 3, 3);
-    let svc = ServiceBuilder::from_config(config).build(
-        UniformGrid::new(data.domain, 4),
-        data.boxes.clone(),
-        TreeConfig::tiny(Variant::RStar),
-        ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-    );
-    (svc, data.boxes)
+    (UniformGrid::new(data.domain, 4), data.boxes)
+}
+
+fn service(config: ServiceConfig, n: usize) -> (Service, Vec<Rect<2>>) {
+    let (grid, boxes) = layer(n);
+    let svc = ServiceBuilder::from_config(config).build(grid, boxes.clone(), tree(), clip());
+    (svc, boxes)
 }
 
 fn queries(n: usize, seed: u64) -> Vec<Rect<2>> {
@@ -200,12 +210,18 @@ fn update_batch_equals_swap_data_with_final_dataset() {
     }
 
     // The delta service never rebuilt: still the single start-time
-    // forest build, with the whole script in one write batch.
+    // forest build, with the whole script in one write batch, and it
+    // allocated exactly the nodes the same batch costs a direct store.
     let report = svc.shutdown();
     assert_eq!(report.forest_builds, 1, "updates must not rebuild");
     assert_eq!(report.write_batches, 1);
     assert_eq!(report.updates_applied, updates.len() as u64);
-    assert!(report.delta_nodes_allocated > 0);
+    let (grid, _) = layer(1_200);
+    let direct_nodes = DatasetStore::build(grid, &boxes, tree(), clip(), 1)
+        .apply_updates(&updates, tree(), clip())
+        .nodes_allocated;
+    assert!(direct_nodes > 0);
+    assert_eq!(report.delta_nodes_allocated, direct_nodes);
 }
 
 /// A request admitted after a write's completion observes the write —

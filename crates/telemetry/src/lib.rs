@@ -22,8 +22,8 @@
 //!
 //! Everything is **no-op capable**: a [`TelemetryConfig::disabled`]
 //! registry hands out handles that record nothing, so instrumented code
-//! runs unchanged (and measurably unslowed — see the `obs_scale` bench)
-//! with zero samples retained.
+//! runs unchanged with zero samples retained (the benchmark's
+//! `telemetry.overhead_frac` prices the enabled registry).
 //!
 //! This crate is a leaf: it depends on nothing in the workspace, and
 //! `serve`/`engine`/`bench` depend on it.

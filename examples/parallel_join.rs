@@ -2,8 +2,9 @@
 //! spatial join out over a uniform grid and a worker pool, sweeping
 //! every tile with the forward-scan plane sweep. Pair counts are
 //! bit-identical to the sequential (one global sweep) join; the
-//! clipped trees show up in the batched range queries below, whose
-//! descents prune with clip points.
+//! clipped trees show up in the batched range queries below, answered
+//! by a `DatasetStore`'s per-tile descents, which prune with clip
+//! points.
 //!
 //! ```text
 //! cargo run --release --example parallel_join
@@ -59,16 +60,16 @@ fn main() {
         );
     }
 
-    // Batched range queries against one shared clipped tree.
-    let items = streets.items();
-    let tree = ClippedRTree::from_tree(
-        RTree::bulk_load(
-            TreeConfig::paper_default(Variant::RStar).with_world(streets.domain),
-            &items,
-        ),
+    // Batched range queries against the streets' tile forest: one
+    // clipped tree per tile, the store the service answers reads from.
+    let store = DatasetStore::build(
+        base_plan.partitioner,
+        &streets.boxes,
+        TreeConfig::paper_default(Variant::RStar),
         ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+        4,
     );
-    let mut counter = |q: &Rect<2>| tree.tree.range_query(q).len();
+    let mut counter = |q: &Rect<2>| store.run(&[*q], 1, true).results[0].len();
     let queries = datasets::generate_queries(
         &streets,
         datasets::QueryProfile::QR1,
@@ -78,11 +79,11 @@ fn main() {
     );
     println!("\nbatched range queries ({} queries):", queries.len());
     let t = Instant::now();
-    let base = parallel_range_queries(&tree, &queries, 1, true);
+    let base = store.run(&queries, 1, true);
     let base_ms = t.elapsed().as_secs_f64() * 1e3;
     for workers in [2, 4, 8] {
         let t = Instant::now();
-        let out = parallel_range_queries(&tree, &queries, workers, true);
+        let out = store.run(&queries, workers, true);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(out.results, base.results);
         println!(
@@ -93,4 +94,10 @@ fn main() {
             out.stats.leaf_accesses,
         );
     }
+    let unclipped = store.run(&queries, 4, false);
+    assert_eq!(unclipped.results, base.results);
+    println!(
+        "  clip points: {} leaf accesses vs {} unclipped",
+        base.stats.leaf_accesses, unclipped.stats.leaf_accesses,
+    );
 }

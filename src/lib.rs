@@ -67,11 +67,10 @@ pub use cbb_telemetry as telemetry;
 pub mod prelude {
     pub use cbb_core::{Cbb, ClipConfig, ClipMethod, ClipPoint};
     pub use cbb_engine::{
-        parallel_range_queries, partitioned_join, partitioned_join_forests, partitioned_join_with,
-        AdaptiveGrid, AnyPartitioner, BatchOutcome, Catalog, CatalogError, CompactionPolicy,
-        DataVersion, DatasetId, DatasetStore, JoinAlgo, JoinPlan, KnnOutcome, Partitioner,
-        QuadtreePartitioner, SplitPolicy, TileForest, UniformGrid, Update, UpdateOutcome,
-        UpdateResult,
+        partitioned_join, partitioned_join_forests, partitioned_join_with, AdaptiveGrid,
+        AnyPartitioner, BatchOutcome, Catalog, CatalogError, CompactionPolicy, DataVersion,
+        DatasetId, DatasetStore, JoinAlgo, JoinPlan, KnnOutcome, Partitioner, QuadtreePartitioner,
+        SplitPolicy, TileForest, UniformGrid, Update, UpdateOutcome, UpdateResult,
     };
     pub use cbb_geom::{CornerMask, Point, Rect};
     pub use cbb_joins::JoinResult;

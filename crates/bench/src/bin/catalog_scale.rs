@@ -32,7 +32,7 @@ use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::multi::{layers, LayerSpec};
 use cbb_engine::{partitioned_join, AdaptiveGrid, AnyPartitioner, JoinAlgo, JoinPlan};
 use cbb_rtree::{TreeConfig, Variant};
-use cbb_serve::{Request, ServiceBuilder, ServiceConfig, ShardedService};
+use cbb_serve::{Request, ServiceBuilder, ShardedService};
 
 fn main() {
     let (mut n, mut reps) = if smoke_mode() {
@@ -94,11 +94,8 @@ fn main() {
     assert!(expected_pairs > 0, "co-located layers must join pairs");
 
     // ── The served modes share one service holding both layers.
-    let service: ShardedService<2, AnyPartitioner<2>> =
-        ServiceBuilder::from_config(ServiceConfig {
-            exec_workers: workers,
-            ..ServiceConfig::default()
-        })
+    let service: ShardedService<2, AnyPartitioner<2>> = ServiceBuilder::new()
+        .exec_workers(workers)
         .build_catalog(tree, clip);
     let roads_id = service
         .create_dataset("roads", tiling.clone(), roads.boxes.clone())

@@ -28,9 +28,7 @@ use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::UniformGrid;
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{
-    DurabilityConfig, Request, Response, ServiceBuilder, ServiceConfig, ShardedService, Update,
-};
+use cbb_serve::{Request, Response, ServiceBuilder, ShardedService, Update};
 
 /// Ack counts at which the child is killed. Deliberately uneven: early
 /// (snapshot barely cold), mid-stream, and deep enough that replay has
@@ -72,11 +70,7 @@ fn start(
     objects: Vec<Rect<2>>,
     partitioner: UniformGrid<2>,
 ) -> ShardedService<2, UniformGrid<2>> {
-    ServiceBuilder::from_config(ServiceConfig {
-        durability: Some(DurabilityConfig::new(root)),
-        ..ServiceConfig::default()
-    })
-    .build(
+    ServiceBuilder::new().durability(root).build(
         partitioner,
         objects,
         TreeConfig::tiny(Variant::RStar),

@@ -647,7 +647,7 @@ mod tests {
         }
         let (batch, _) = collect_batch(&q, 4, Duration::from_millis(50)).unwrap();
         assert_eq!(batch, vec![0, 1, 2, 3]);
-        assert_eq!(q.len(), 6);
+        assert_eq!(q.pop_many(64), Some(vec![4, 5, 6, 7, 8, 9]));
     }
 
     #[test]
@@ -664,7 +664,7 @@ mod tests {
 
     #[test]
     fn default_config_takes_the_backlog_and_goes() {
-        let config = crate::ServiceConfig::default();
+        let config = crate::service::ServiceConfig::default();
         let collect = |q: &Bounded<u32>| {
             collect_batch(q, config.batch_max, config.batch_deadline).map(|(batch, _)| batch)
         };

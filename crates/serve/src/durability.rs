@@ -1,56 +1,6 @@
 //! The durability tier: per-dataset snapshot + write-ahead log under
-//! the catalog.
-//!
-//! With [`DurabilityConfig`] set, a service persists every dataset as
-//! two files under its root directory:
-//!
-//! * `ds_<id>.snap` — a full-store snapshot in the `cbb-storage` page
-//!   format ([`cbb_engine::write_snapshot`]), rewritten atomically
-//!   (temp file + rename) on creation, on `SwapData`, and on
-//!   checkpoint.
-//! * `ds_<id>.wal` — a checksummed, length-prefixed log
-//!   ([`cbb_storage::WalWriter`]) of coalesced update micro-batches:
-//!   **one applied batch = one version bump = one WAL record**,
-//!   appended and fsynced *before* any waiter of that batch is woken
-//!   (group commit — the batch that amortises index maintenance also
-//!   amortises the fsync).
-//!
-//! A third file, `catalog.wal`, logs dataset lifecycle (`Create` /
-//! `Drop`) so recovery knows which ids are live and under what names.
-//! Creation persists the dataset's snapshot *before* its `Create`
-//! record — a crash in between leaves an orphan snapshot that recovery
-//! deletes, never a live dataset without bytes.
-//!
-//! ## Recovery
-//!
-//! On start, a durable service replays `catalog.wal`'s valid prefix,
-//! then for each live dataset: loads the snapshot, rebuilds the tile
-//! forest, and replays the WAL tail. Replay is **idempotent by
-//! version** ([`cbb_engine::replay_update_batch`]): records at or
-//! below the snapshot's version are skipped, a gap is corruption. A
-//! torn tail (partial append at the kill point) is detected by
-//! checksum and truncated — committed batches survive, the half-written
-//! one vanishes, exactly as if the crash had hit before its fsync.
-//!
-//! ## Checkpoints
-//!
-//! When a dataset's WAL grows past
-//! [`DurabilityConfig::checkpoint_bytes`], the commit path rolls it
-//! into a fresh snapshot and resets the log. The order (snapshot
-//! rename, then WAL reset) is crash-safe: a crash in between leaves
-//! old records the version check skips.
-//!
-//! ## What is NOT guaranteed
-//!
-//! * Durability I/O errors at commit time **panic** the dispatcher: a
-//!   service that cannot persist a write must not acknowledge it.
-//! * Across the shards of a [`crate::ShardedService`], `SwapData` is
-//!   not crash-atomic: each shard checkpoints its own snapshot, so a
-//!   kill while a swap is mid-flight across shards can leave replicas
-//!   on either side of the swap with no WAL records to roll the
-//!   laggards forward. `reconcile_shard_dirs` detects this and
-//!   refuses to start; restore from a fresh `SwapData` after recovery
-//!   of a pre-swap state, or snapshot externally before swapping.
+//! the catalog. The file layout, recovery, checkpoint and failure
+//! contract is documented on [`crate::ServiceBuilder::durability`].
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -71,37 +21,17 @@ use cbb_storage::{recover_wal, FilePageStore, PageStore, WalWriter};
 use crate::stats::ServiceStats;
 
 /// Default WAL size that triggers a checkpoint (4 MiB).
-pub const DEFAULT_CHECKPOINT_BYTES: u64 = 4 << 20;
+pub(crate) const DEFAULT_CHECKPOINT_BYTES: u64 = 4 << 20;
 
-/// Where and how a service persists its catalog. See the
-/// [module docs](self) for the file layout and recovery semantics.
+/// Where and how one shard persists its catalog.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DurabilityConfig {
+pub(crate) struct DurabilityConfig {
     /// Directory holding `catalog.wal` and the per-dataset
-    /// snapshot/WAL pairs. Created if missing. A
-    /// [`crate::ShardedService`] nests one `shard_<i>` subdirectory
-    /// per shard under it.
-    pub root: PathBuf,
+    /// snapshot/WAL pairs. Created if missing.
+    pub(crate) root: PathBuf,
     /// Roll a dataset's WAL into a fresh snapshot once it exceeds this
-    /// many bytes (default [`DEFAULT_CHECKPOINT_BYTES`]).
-    pub checkpoint_bytes: u64,
-}
-
-impl DurabilityConfig {
-    /// Durability rooted at `root` with the default checkpoint
-    /// threshold.
-    pub fn new(root: impl Into<PathBuf>) -> Self {
-        DurabilityConfig {
-            root: root.into(),
-            checkpoint_bytes: DEFAULT_CHECKPOINT_BYTES,
-        }
-    }
-
-    /// Override the checkpoint threshold.
-    pub fn checkpoint_bytes(mut self, bytes: u64) -> Self {
-        self.checkpoint_bytes = bytes;
-        self
-    }
+    /// many bytes.
+    pub(crate) checkpoint_bytes: u64,
 }
 
 /// One `catalog.wal` record: a dataset lifecycle event.
@@ -212,7 +142,7 @@ where
 
 /// The running write side of the durability tier: the open WAL
 /// writers. All I/O errors panic — a service that cannot persist must
-/// not acknowledge (see the [module docs](self)).
+/// not acknowledge (see [`crate::ServiceBuilder::durability`]).
 pub(crate) struct Durability {
     root: PathBuf,
     checkpoint_bytes: u64,
@@ -485,7 +415,7 @@ fn peek_record_version(payload: &[u8]) -> Result<u64, PersistError> {
 ///   encode identically on every shard.
 /// * Divergence that crosses a checkpoint or `SwapData` boundary
 ///   cannot be rolled forward from WAL records and is an error — see
-///   the [module docs](self) fine print.
+///   the fine print on [`crate::ServiceBuilder::durability`].
 pub(crate) fn reconcile_shard_dirs(root: &Path, shards: usize) -> Result<(), PersistError> {
     if shards <= 1 {
         return Ok(());

@@ -25,13 +25,13 @@ enum SlotState<T> {
 /// Fulfilment side of a one-shot pair. Dropping it without calling
 /// [`Promise::fulfill`] cancels the matching [`CompletionHandle`] — so a
 /// panicking executor fails requests instead of hanging their waiters.
-pub struct Promise<T>(Option<Arc<Slot<T>>>);
+pub(crate) struct Promise<T>(Option<Arc<Slot<T>>>);
 
 /// Waiting side of a one-shot pair.
 pub struct CompletionHandle<T>(Arc<Slot<T>>);
 
 /// A connected promise/handle pair.
-pub fn completion_pair<T>() -> (Promise<T>, CompletionHandle<T>) {
+pub(crate) fn completion_pair<T>() -> (Promise<T>, CompletionHandle<T>) {
     let slot = Arc::new(Slot {
         state: Mutex::new(SlotState::Pending),
         ready: Condvar::new(),
@@ -42,7 +42,7 @@ pub fn completion_pair<T>() -> (Promise<T>, CompletionHandle<T>) {
 impl<T> Promise<T> {
     /// Deliver the value and wake the waiter. Consumes the promise —
     /// a one-shot can only fire once.
-    pub fn fulfill(mut self, value: T) {
+    pub(crate) fn fulfill(mut self, value: T) {
         let slot = self.0.take().expect("promise already consumed");
         let mut state = slot.state.lock().expect("completion slot poisoned");
         if matches!(*state, SlotState::Pending) {

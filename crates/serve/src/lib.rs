@@ -47,42 +47,38 @@
 //!   compaction with stable live ids); answers afterwards equal a
 //!   wholesale swap with the same surviving objects, and a request
 //!   admitted after a write completes observes that write.
-//! * **Durability (opt-in)** — with [`ServiceConfig::durability`] set,
-//!   every dataset persists as snapshot + write-ahead log under the
-//!   configured root; each write batch is fsynced before its waiters
-//!   are fulfilled, and a restarted service recovers the full catalog
-//!   and answers byte-equal to one that never stopped (see the
-//!   [`durability`] module docs, including what is *not* guaranteed).
+//! * **Durability (opt-in)** — with [`ServiceBuilder::durability`]
+//!   set, every dataset persists as snapshot + write-ahead log under
+//!   the configured root; each write batch is fsynced before its
+//!   waiters are fulfilled, and a restarted service recovers the full
+//!   catalog and answers byte-equal to one that never stopped (see
+//!   that method's docs, including what is *not* guaranteed).
 //!
 //! Everything is `std`: dispatcher threads, `Mutex`/`Condvar` queues and
 //! one-shots, the engine's persistent worker pool inside a batch — no
 //! async runtime, in keeping with the workspace's zero-dependency rule.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod batcher;
-pub mod builder;
-pub mod client;
-pub mod durability;
-pub mod handle;
-pub mod queue;
-pub mod request;
-pub mod router;
-pub mod service;
-pub mod stats;
+mod batcher;
+mod builder;
+mod durability;
+mod handle;
+mod queue;
+mod request;
+mod router;
+mod service;
+mod stats;
 
 pub use builder::ServiceBuilder;
-pub use cbb_engine::{
-    AnyPartitioner, CompactionPolicy, DatasetId, ShardMap, ShardTiling, Update, UpdateResult,
-};
+pub use cbb_engine::{AnyPartitioner, DatasetId, ShardMap, ShardTiling, Update, UpdateResult};
 pub use cbb_telemetry::{HistogramSnapshot, SlowQuery, Span, TelemetryConfig, TelemetrySnapshot};
-pub use client::{ClientResult, DatasetClient};
-pub use durability::{DurabilityConfig, DEFAULT_CHECKPOINT_BYTES};
 pub use handle::{Canceled, CompletionHandle};
 pub use queue::Closed;
 pub use request::{Completion, Request, RequestError, RequestKind, Response, UpdateSummary};
 pub use router::{ShardFitting, ShardedService};
-pub use service::{Scrape, ServiceConfig, DEFAULT_DATASET};
+pub use service::{Scrape, DEFAULT_DATASET};
 pub use stats::{DatasetReport, ServiceReport};
 
 #[cfg(test)]

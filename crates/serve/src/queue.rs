@@ -19,7 +19,7 @@ pub struct Closed<T>(pub T);
 
 /// Outcome of a deadline-bounded pop.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Popped<T> {
+pub(crate) enum Popped<T> {
     /// An item was available (possibly after waiting).
     Item(T),
     /// The deadline passed with the queue still empty.
@@ -35,7 +35,7 @@ struct State<T> {
 
 /// The bounded MPMC queue. All methods take `&self`; share it behind an
 /// `Arc`.
-pub struct Bounded<T> {
+pub(crate) struct Bounded<T> {
     capacity: usize,
     state: Mutex<State<T>>,
     not_empty: Condvar,
@@ -44,7 +44,7 @@ pub struct Bounded<T> {
 
 impl<T> Bounded<T> {
     /// A queue admitting at most `capacity` items (≥ 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "a queue needs capacity for one item");
         Bounded {
             capacity,
@@ -59,7 +59,7 @@ impl<T> Bounded<T> {
 
     /// Push, blocking while the queue is full (backpressure). Fails only
     /// once the queue is closed.
-    pub fn push(&self, item: T) -> Result<(), Closed<T>> {
+    pub(crate) fn push(&self, item: T) -> Result<(), Closed<T>> {
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
             if state.closed {
@@ -77,7 +77,7 @@ impl<T> Bounded<T> {
 
     /// Pop, blocking while the queue is empty and open. `None` means the
     /// queue is closed **and** drained — the consumer's exit signal.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
             if let Some(item) = state.items.pop_front() {
@@ -98,7 +98,7 @@ impl<T> Bounded<T> {
     /// acquisition, and blocked producers are woken once for all the
     /// room made. Never waits for more than one item. `None` means the
     /// queue is closed **and** drained.
-    pub fn pop_many(&self, max: usize) -> Option<Vec<T>> {
+    pub(crate) fn pop_many(&self, max: usize) -> Option<Vec<T>> {
         assert!(max >= 1, "pop_many takes at least one item");
         let mut state = self.state.lock().expect("queue poisoned");
         while state.items.is_empty() {
@@ -120,7 +120,7 @@ impl<T> Bounded<T> {
     /// queued is returned even past the deadline (draining available
     /// backlog costs no extra waiting — the deadline bounds *added*
     /// latency, which is what micro-batch flushing needs).
-    pub fn pop_until(&self, deadline: Instant) -> Popped<T> {
+    pub(crate) fn pop_until(&self, deadline: Instant) -> Popped<T> {
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
             if let Some(item) = state.items.pop_front() {
@@ -152,22 +152,12 @@ impl<T> Bounded<T> {
 
     /// Stop admitting items. Idempotent. Consumers drain the backlog and
     /// then see `None` / [`Popped::Closed`]; blocked producers fail.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut state = self.state.lock().expect("queue poisoned");
         state.closed = true;
         drop(state);
         self.not_empty.notify_all();
         self.not_full.notify_all();
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -177,17 +167,22 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// Items currently queued.
+    fn queued<T>(q: &Bounded<T>) -> usize {
+        q.state.lock().unwrap().items.len()
+    }
+
     #[test]
     fn fifo_order() {
         let q = Bounded::new(8);
         for i in 0..5 {
             q.push(i).unwrap();
         }
-        assert_eq!(q.len(), 5);
+        assert_eq!(queued(&q), 5);
         for i in 0..5 {
             assert_eq!(q.pop(), Some(i));
         }
-        assert!(q.is_empty());
+        assert_eq!(queued(&q), 0);
     }
 
     #[test]
@@ -244,7 +239,7 @@ mod tests {
         let got = consumer.join().unwrap().expect("open queue");
         assert_eq!(got[0], 1);
         // Fill the queue, block two producers, free both slots at once.
-        while q.len() < 2 {
+        while queued(&q) < 2 {
             q.push(0).unwrap();
         }
         let producers: Vec<_> = (0..2)
@@ -260,7 +255,7 @@ mod tests {
         for p in producers {
             assert!(p.join().unwrap());
         }
-        assert_eq!(q.len(), 2);
+        assert_eq!(queued(&q), 2);
     }
 
     #[test]

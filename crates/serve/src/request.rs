@@ -94,8 +94,8 @@ pub enum Request<const D: usize, P> {
     /// dead/unknown ids). Note that after a compaction sweep reclaims
     /// a dead slot, its id can be reassigned to a later insert —
     /// *retrying* an already-applied delete may then hit the new
-    /// occupant (see [`cbb_engine::CompactionPolicy`] for the caveat
-    /// and the opt-out).
+    /// occupant. Await each write's handle instead: a delete whose
+    /// handle resolved was applied exactly once and needs no retry.
     Delete {
         /// Target dataset.
         dataset: DatasetId,

@@ -1,63 +1,6 @@
 //! The scatter-gather router: the service, over N in-process shards.
-//!
-//! A [`ShardedService`] is the one public service type; start it with
-//! [`crate::ServiceBuilder`]. It owns N shards, each a full query
-//! service — its own catalog, admission queue, dispatcher pool and
-//! telemetry registry — whose stores are built under a [`ShardTiling`]
-//! view of every dataset's partitioner: the **object arena is fully
-//! mirrored** on every shard (identical rectangles, identical live
-//! masks, identical [`cbb_rtree::DataId`] assignment), while each
-//! shard's tile forest
-//! indexes only the contiguous global tile range its
-//! [`ShardMap`] assigned to it. Because the engine's reference-point
-//! rule attributes every result and join pair to exactly one owning
-//! tile, and the shard ranges partition the tile space, each answer
-//! fragment is produced by exactly one shard — merging is exact, not
-//! approximate:
-//!
-//! * **Range** — scattered to the shards whose ranges intersect the
-//!   query's covering tiles; the disjoint fragments merge by sorting
-//!   ascending by id (the canonical batched-range order a single
-//!   store emits).
-//! * **kNN** — scattered to every shard; per-shard exact top-k lists
-//!   fold through [`cbb_engine::merge_knn`] (id-dedup +
-//!   `(distance, id)` insertion — the root-MBB-bounded per-shard
-//!   searches make each list exact for its tiles).
-//! * **Join / CrossJoin** — scattered to every shard; the
-//!   [`cbb_joins::JoinResult`] counters are per-tile sums, and the
-//!   reference-point method already deduplicates boundary tiles, so
-//!   the merge is the counter **sum** across shards.
-//! * **Writes & admin** — replicated to every shard (the mirrored
-//!   arenas must advance in lock-step); responses are identical
-//!   replicas and the first is returned.
-//!
-//! With one shard (the default) every request targets shard 0 and the
-//! router is a pass-through. The oracle tests pin every merge
-//! **byte-equal** to a one-shard service and to the engine called
-//! directly on the same data.
-//!
-//! ### Consistency fine print
-//!
-//! Replica lock-step relies on every shard applying writes in the same
-//! order. The router pushes each request to all its target shards
-//! under one fan-out lock (identical per-shard queue order), so writes
-//! admitted *serially* — each handle awaited before the next submit,
-//! which is what [`ShardedService::create_dataset`] and friends do —
-//! keep the replicas identical. Pipelined writes stay individually
-//! ordered, but shards may coalesce them into different micro-batch
-//! boundaries: per-shard [`cbb_engine::DataVersion`]s can then skew
-//! (and, with arena compaction enabled, reclaimed-slot reuse can
-//! diverge). Deployments that pipeline writes through a sharded
-//! service should disable compaction
-//! ([`cbb_engine::CompactionPolicy::never`]) and treat versions as
-//! per-shard. Likewise a `SwapData` that re-fits the shard map is not
-//! linearizable with *concurrent* reads of that dataset: admit reads
-//! after the swap's handle resolves.
-//!
-//! There is deliberately no non-blocking submit: shedding a fan-out
-//! after some shards already accepted their copy would fork the
-//! replicas, so admission control stays at the per-shard queues
-//! (backpressure blocks the fan-out instead).
+//! The merge rules and the consistency contract are documented on
+//! [`ShardedService`].
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
@@ -76,7 +19,7 @@ use cbb_telemetry::{Counter, Histogram, Phase, Registry, SlowQuery};
 use crate::handle::{completion_pair, CompletionHandle, Promise};
 use crate::queue::{Bounded, Closed};
 use crate::request::{Completion, Request, Response};
-use crate::service::{Scrape, ServiceConfig, Shard, DEFAULT_DATASET};
+use crate::service::{Scrape, ServiceConfig, Shard, DEFAULT_DATASET, QUEUE_CAPACITY};
 use crate::stats::{names, ServiceReport};
 
 /// How a [`ShardedService`] cuts a dataset's tiles into shard ranges.
@@ -208,8 +151,63 @@ impl RouterStats {
 
 /// The query service: a catalog of named datasets served by N shards
 /// behind a scatter-gather router (N = 1 by default, a pass-through).
-/// Built by [`crate::ServiceBuilder`]. See the [module docs](self) for
-/// the merge semantics and consistency contract.
+/// Built by [`crate::ServiceBuilder`]; every request goes through
+/// [`Self::submit`].
+///
+/// Each shard is a full query service — its own catalog, admission
+/// queue, dispatcher pool and telemetry registry — whose stores are
+/// built under a [`ShardTiling`] view of every dataset's partitioner:
+/// the **object arena is fully mirrored** on every shard (identical
+/// rectangles, identical live masks, identical [`cbb_rtree::DataId`]
+/// assignment), while each shard's tile forest indexes only the
+/// contiguous global tile range its [`ShardMap`] assigned to it.
+/// Because the engine's reference-point rule attributes every result
+/// and join pair to exactly one owning tile, and the shard ranges
+/// partition the tile space, each answer fragment is produced by
+/// exactly one shard — merging is exact, not approximate:
+///
+/// * **Range** — scattered to the shards whose ranges intersect the
+///   query's covering tiles; the disjoint fragments merge by sorting
+///   ascending by id (the canonical batched-range order a single
+///   store emits).
+/// * **kNN** — scattered to every shard; per-shard exact top-k lists
+///   fold through [`cbb_engine::merge_knn`] (id-dedup +
+///   `(distance, id)` insertion — the root-MBB-bounded per-shard
+///   searches make each list exact for its tiles).
+/// * **Join / CrossJoin** — scattered to every shard; the
+///   [`cbb_joins::JoinResult`] counters are per-tile sums, and the
+///   reference-point method already deduplicates boundary tiles, so
+///   the merge is the counter **sum** across shards.
+/// * **Writes & admin** — replicated to every shard (the mirrored
+///   arenas must advance in lock-step); responses are identical
+///   replicas and the first is returned.
+///
+/// With one shard (the default) every request targets shard 0 and the
+/// router is a pass-through. The oracle tests pin every merge
+/// **byte-equal** to a one-shard service and to the engine called
+/// directly on the same data.
+///
+/// # Consistency
+///
+/// Replica lock-step relies on every shard applying writes in the same
+/// order. The router pushes each request to all its target shards
+/// under one fan-out lock (identical per-shard queue order), so writes
+/// admitted *serially* — each handle awaited before the next write is
+/// submitted, which is what [`Self::create_dataset`] and friends do —
+/// keep the replicas identical. Pipelined writes stay individually
+/// ordered, but shards may coalesce them into different micro-batch
+/// boundaries: per-shard [`cbb_engine::DataVersion`]s can then skew,
+/// and arena compaction's reclaimed-slot reuse can diverge, so a later
+/// insert may get different ids on different shards. Through a sharded
+/// service, await each write's handle before submitting the next write
+/// to the same dataset. Likewise a `SwapData` that re-fits the shard
+/// map is not linearizable with *concurrent* reads of that dataset:
+/// admit reads after the swap's handle resolves.
+///
+/// There is deliberately no non-blocking submit: shedding a fan-out
+/// after some shards already accepted their copy would fork the
+/// replicas, so admission control stays at the per-shard queues
+/// (backpressure blocks the fan-out instead).
 pub struct ShardedService<const D: usize, P> {
     shards: Vec<Shard<D, ShardTiling<P>>>,
     routes: Arc<RwLock<HashMap<DatasetId, DatasetRoute<P>>>>,
@@ -235,15 +233,14 @@ where
         + 'static,
 {
     /// Start `shards` in-process shards (each with `config`'s
-    /// queue/batching/telemetry knobs) with an empty catalog.
+    /// batching/telemetry knobs) with an empty catalog.
     ///
-    /// With [`ServiceConfig::durability`] set, each shard persists
-    /// under its own `shard_<i>` subdirectory of the configured root.
-    /// On start the subdirectories are **reconciled** before the
-    /// shards recover (each shard fsyncs independently, so a kill can
-    /// land between two shards' commits of the same replicated batch
-    /// — see the [`crate::durability`] module docs), and the route
-    /// table is rebuilt from the recovered per-shard tilings.
+    /// With durability configured, each shard persists under its own
+    /// `shard_<i>` subdirectory of the configured root. On start the
+    /// subdirectories are **reconciled** before the shards recover
+    /// (each shard fsyncs independently, so a kill can land between
+    /// two shards' commits of the same replicated batch), and the
+    /// route table is rebuilt from the recovered per-shard tilings.
     pub(crate) fn start_catalog(
         config: ServiceConfig,
         shards: usize,
@@ -295,7 +292,7 @@ where
         }
         let stats = Arc::new(RouterStats::new(&config.telemetry, shards.len()));
         let routes = Arc::new(RwLock::new(initial_routes));
-        let gather_queue = Arc::new(Bounded::new(config.queue_capacity));
+        let gather_queue = Arc::new(Bounded::new(QUEUE_CAPACITY));
         let gather_workers = (0..config.dispatchers.max(1))
             .map(|i| {
                 let queue = Arc::clone(&gather_queue);
@@ -637,28 +634,11 @@ where
             .into_dropped()
     }
 
-    /// Replace one dataset's objects wholesale on every shard; the
-    /// shard map is re-fitted to the new objects at the same time.
+    /// Replace one dataset's objects wholesale on every shard, with a
+    /// replacement partitioner when one is given (the re-fit path for
+    /// drifted data); the shard map is re-fitted to the new objects at
+    /// the same time.
     pub fn swap_dataset(
-        &self,
-        id: DatasetId,
-        objects: Vec<Rect<D>>,
-    ) -> Result<DataVersion, crate::RequestError> {
-        self.swap_request(id, objects, None)
-    }
-
-    /// [`Self::swap_dataset`] with a replacement partitioner (the
-    /// re-fit path for drifted data).
-    pub fn swap_dataset_with(
-        &self,
-        id: DatasetId,
-        partitioner: P,
-        objects: Vec<Rect<D>>,
-    ) -> Result<DataVersion, crate::RequestError> {
-        self.swap_request(id, objects, Some(partitioner))
-    }
-
-    fn swap_request(
         &self,
         id: DatasetId,
         objects: Vec<Rect<D>>,
@@ -709,7 +689,7 @@ where
 
     /// The data version one dataset serves (`None` for unknown ids),
     /// read from shard 0's store (replicas agree under the lock-step
-    /// contract in the [module docs](self)). Advances by one per
+    /// contract in the [type docs](Self)). Advances by one per
     /// applied write micro-batch and per swap of that dataset — other
     /// datasets' writes never move it.
     pub fn dataset_version(&self, id: DatasetId) -> Option<DataVersion> {
@@ -736,14 +716,9 @@ where
     /// dataset rows from shard 0. Identity, version, and live/arena
     /// columns are exact (mirrored); the tile-level columns
     /// (occupancy, imbalance) describe shard 0's tile slice — use
-    /// [`Self::shard_reports`] for the per-shard view.
+    /// [`Self::shard_scrapes`] for the per-shard view.
     pub fn report(&self) -> ServiceReport {
         merge_reports(self.shards.iter().map(|s| s.report()).collect())
-    }
-
-    /// Every shard's own report, in shard order.
-    pub fn shard_reports(&self) -> Vec<ServiceReport> {
-        self.shards.iter().map(|s| s.report()).collect()
     }
 
     /// The router's own telemetry: per-shard routed-request counters,

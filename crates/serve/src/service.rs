@@ -6,9 +6,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cbb_core::ClipConfig;
-use cbb_engine::{
-    Catalog, CompactionPolicy, DataVersion, DatasetId, DatasetStore, Partitioner, TileForest,
-};
+use cbb_engine::{Catalog, DataVersion, DatasetId, DatasetStore, Partitioner, TileForest};
 use cbb_geom::Rect;
 use cbb_rtree::TreeConfig;
 use cbb_telemetry::{Histogram, SlowQuery, TelemetryConfig, TelemetrySnapshot};
@@ -22,70 +20,36 @@ use crate::stats::{names, DatasetReport, ServiceReport, ServiceStats};
 
 use cbb_engine::PersistPartitioner;
 
-/// Service tuning knobs.
+/// Requests one shard (and the router's gather stage) holds unserved
+/// before `submit` blocks.
+pub(crate) const QUEUE_CAPACITY: usize = 1024;
+
+/// Per-shard tuning, filled by [`crate::ServiceBuilder`] (whose setters
+/// document each knob).
 #[derive(Clone, Debug)]
-pub struct ServiceConfig {
-    /// Admission bound per shard: `submit` blocks once this many
-    /// requests wait unserved.
-    pub queue_capacity: usize,
+pub(crate) struct ServiceConfig {
     /// Flush a micro-batch at this many requests.
-    pub batch_max: usize,
-    /// How long a non-full micro-batch stays open for stragglers after
-    /// it opened — the latency batching is allowed to add. The default
-    /// is **zero** (natural batching): a batch is the backlog that
-    /// queued up while the previous one executed, so batches fill under
-    /// load and a lone request is answered at once. Set it only when a
-    /// batch's fixed cost dwarfs the wait and arrivals are too sparse
-    /// to queue up by themselves — e.g. durable writes, to share one
-    /// `fsync` among more of them.
-    pub batch_deadline: Duration,
+    pub(crate) batch_max: usize,
+    /// How long a non-full micro-batch stays open for stragglers.
+    pub(crate) batch_deadline: Duration,
     /// Dispatcher (consumer) threads forming and executing batches.
-    pub dispatchers: usize,
-    /// Logical chunks the executor splits one batch into; they run on
-    /// the engine's persistent pool ([`cbb_engine::pool`]), so answers
-    /// and counters do not depend on it or on the core count.
-    pub exec_workers: usize,
-    /// Slot-reclamation policy applied to every dataset store the
-    /// service creates (see [`CompactionPolicy`]). Set
-    /// [`CompactionPolicy::never`] to keep the pre-catalog append-only
-    /// arena behaviour.
-    pub compaction: CompactionPolicy,
-    /// Telemetry collection (enabled by default). With
-    /// [`TelemetryConfig::disabled`] every instrumentation point is a
-    /// no-op: answers are identical, every scrape is empty,
-    /// and [`ServiceReport`] counters read zero.
-    pub telemetry: TelemetryConfig,
-    /// Snapshot + write-ahead-log persistence (default `None`: the
-    /// service is in-memory only). With a root configured, every
-    /// applied write micro-batch is fsynced before its waiters wake,
-    /// and a restarted service recovers the whole catalog — see
-    /// [`crate::durability`].
-    pub durability: Option<DurabilityConfig>,
+    pub(crate) dispatchers: usize,
+    /// Logical chunks the executor splits one batch into.
+    pub(crate) exec_workers: usize,
+    pub(crate) telemetry: TelemetryConfig,
+    /// `None`: the service is in-memory only.
+    pub(crate) durability: Option<DurabilityConfig>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            queue_capacity: 1024,
             batch_max: 64,
             batch_deadline: Duration::ZERO,
             dispatchers: 1,
             exec_workers: 4,
-            compaction: CompactionPolicy::default(),
             telemetry: TelemetryConfig::default(),
             durability: None,
-        }
-    }
-}
-
-impl ServiceConfig {
-    /// Per-request execution: every batch holds exactly one request —
-    /// the no-batching baseline.
-    pub fn unbatched() -> Self {
-        ServiceConfig {
-            batch_max: 1,
-            batch_deadline: Duration::ZERO,
-            ..Self::default()
         }
     }
 }
@@ -142,8 +106,7 @@ where
             self.clip,
             self.config.exec_workers,
         );
-        let store = DatasetStore::with_forest(partitioner, objects, Arc::new(forest))
-            .with_compaction(self.config.compaction);
+        let store = DatasetStore::with_forest(partitioner, objects, Arc::new(forest));
         match self.catalog.create(name, store) {
             Ok(id) => {
                 self.stats.forest_builds.inc();
@@ -401,7 +364,7 @@ where
     /// queued [`Request::CreateDataset`] registers one. `tree`/`clip`
     /// configure every per-tile index the shard will ever build.
     ///
-    /// With [`ServiceConfig::durability`] set, any catalog persisted
+    /// With durability configured, any catalog persisted
     /// by a previous incarnation under the same root is **recovered
     /// before the first request is admitted**: snapshots loaded, WAL
     /// tails replayed (torn tails truncated), dataset ids preserved.
@@ -429,7 +392,7 @@ where
             );
             durability
         });
-        let queue = Bounded::new(config.queue_capacity);
+        let queue = Bounded::new(QUEUE_CAPACITY);
         let shared = Arc::new(SharedState {
             config,
             queue,

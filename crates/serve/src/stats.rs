@@ -22,77 +22,77 @@ use crate::request::RequestKind;
 /// the golden scrape test pins this list.
 pub(crate) mod names {
     /// Requests admitted to the queue.
-    pub const SUBMITTED: &str = "cbb_requests_submitted_total";
+    pub(crate) const SUBMITTED: &str = "cbb_requests_submitted_total";
     /// Requests refused by a closed service.
-    pub const REJECTED: &str = "cbb_requests_rejected_total";
+    pub(crate) const REJECTED: &str = "cbb_requests_rejected_total";
     /// Requests answered (handles fulfilled).
-    pub const COMPLETED: &str = "cbb_requests_completed_total";
+    pub(crate) const COMPLETED: &str = "cbb_requests_completed_total";
     /// Requests answered, by request kind.
-    pub const COMPLETED_BY_KIND: &str = "cbb_requests_by_kind_total";
+    pub(crate) const COMPLETED_BY_KIND: &str = "cbb_requests_by_kind_total";
     /// Requests admitted but not yet picked up by a dispatcher.
-    pub const QUEUE_DEPTH: &str = "cbb_queue_depth";
+    pub(crate) const QUEUE_DEPTH: &str = "cbb_queue_depth";
     /// Micro-batches executed.
-    pub const BATCHES: &str = "cbb_batches_total";
+    pub(crate) const BATCHES: &str = "cbb_batches_total";
     /// Requests carried by those batches.
-    pub const BATCHED_REQUESTS: &str = "cbb_batched_requests_total";
+    pub(crate) const BATCHED_REQUESTS: &str = "cbb_batched_requests_total";
     /// Largest batch executed.
-    pub const MAX_BATCH: &str = "cbb_batch_size_max";
+    pub(crate) const MAX_BATCH: &str = "cbb_batch_size_max";
     /// Batch size distribution.
-    pub const BATCH_SIZE: &str = "cbb_batch_size";
+    pub(crate) const BATCH_SIZE: &str = "cbb_batch_size";
     /// End-to-end request latency (admission → answer), by kind.
-    pub const LATENCY_NS: &str = "cbb_request_latency_ns";
+    pub(crate) const LATENCY_NS: &str = "cbb_request_latency_ns";
     /// Per-phase service time, by phase.
-    pub const PHASE_NS: &str = "cbb_request_phase_ns";
+    pub(crate) const PHASE_NS: &str = "cbb_request_phase_ns";
     /// Tile-forest builds (one per dataset create or swap).
-    pub const FOREST_BUILDS: &str = "cbb_forest_builds_total";
+    pub(crate) const FOREST_BUILDS: &str = "cbb_forest_builds_total";
     /// Cross-dataset join requests served.
-    pub const CROSS_JOINS: &str = "cbb_cross_joins_total";
+    pub(crate) const CROSS_JOINS: &str = "cbb_cross_joins_total";
     /// Cross-join probe sides re-partitioned instead of served from a
     /// cached forest (the fallback the forest-native path avoids).
-    pub const PROBE_REPARTITIONS: &str = "cbb_probe_repartitions_total";
+    pub(crate) const PROBE_REPARTITIONS: &str = "cbb_probe_repartitions_total";
     /// (dataset, micro-batch) pairs that applied ≥ 1 write.
-    pub const WRITE_BATCHES: &str = "cbb_write_batches_total";
+    pub(crate) const WRITE_BATCHES: &str = "cbb_write_batches_total";
     /// Individual updates applied.
-    pub const UPDATES_APPLIED: &str = "cbb_updates_applied_total";
+    pub(crate) const UPDATES_APPLIED: &str = "cbb_updates_applied_total";
     /// R-tree nodes constructed by delta maintenance.
-    pub const DELTA_NODES: &str = "cbb_delta_nodes_allocated_total";
+    pub(crate) const DELTA_NODES: &str = "cbb_delta_nodes_allocated_total";
     /// Intersecting pairs produced by join requests.
-    pub const JOIN_PAIRS: &str = "cbb_join_pairs_total";
+    pub(crate) const JOIN_PAIRS: &str = "cbb_join_pairs_total";
     /// WAL records appended (one per applied write micro-batch).
-    pub const WAL_APPENDS: &str = "cbb_wal_appends_total";
+    pub(crate) const WAL_APPENDS: &str = "cbb_wal_appends_total";
     /// Bytes appended to data WALs (frame headers included).
-    pub const WAL_BYTES: &str = "cbb_wal_bytes_total";
+    pub(crate) const WAL_BYTES: &str = "cbb_wal_bytes_total";
     /// Per-commit fsync latency.
-    pub const WAL_FSYNC_NS: &str = "cbb_wal_fsync_ns";
+    pub(crate) const WAL_FSYNC_NS: &str = "cbb_wal_fsync_ns";
     /// WALs rolled into fresh snapshots past the size threshold.
-    pub const CHECKPOINTS: &str = "cbb_checkpoints_total";
+    pub(crate) const CHECKPOINTS: &str = "cbb_checkpoints_total";
     /// Datasets recovered from durable state at startup.
-    pub const RECOVERED_DATASETS: &str = "cbb_recovered_datasets_total";
+    pub(crate) const RECOVERED_DATASETS: &str = "cbb_recovered_datasets_total";
     /// WAL records replayed (applied, not version-skipped) at startup.
-    pub const RECOVERED_RECORDS: &str = "cbb_recovered_wal_records_total";
+    pub(crate) const RECOVERED_RECORDS: &str = "cbb_recovered_wal_records_total";
     /// Snapshot pages read by startup recovery.
-    pub const RECOVERED_PAGES: &str = "cbb_recovered_pages_total";
+    pub(crate) const RECOVERED_PAGES: &str = "cbb_recovered_pages_total";
     /// Per-dataset traversal counter prefix: the six `AccessStats`
     /// fields become `cbb_access_<field>_total{dataset=...}`.
-    pub const ACCESS_PREFIX: &str = "cbb_access_";
+    pub(crate) const ACCESS_PREFIX: &str = "cbb_access_";
     /// Live (queryable) objects per dataset.
-    pub const DS_LIVE: &str = "cbb_dataset_live_objects";
+    pub(crate) const DS_LIVE: &str = "cbb_dataset_live_objects";
     /// Arena slots per dataset.
-    pub const DS_SLOTS: &str = "cbb_dataset_arena_slots";
+    pub(crate) const DS_SLOTS: &str = "cbb_dataset_arena_slots";
     /// Current data version per dataset.
-    pub const DS_VERSION: &str = "cbb_dataset_version";
+    pub(crate) const DS_VERSION: &str = "cbb_dataset_version";
     /// Max-tile / mean-tile live objects per dataset.
-    pub const DS_IMBALANCE: &str = "cbb_dataset_load_imbalance";
+    pub(crate) const DS_IMBALANCE: &str = "cbb_dataset_load_imbalance";
     /// Median tile occupancy per dataset.
-    pub const DS_OCC_P50: &str = "cbb_dataset_tile_occupancy_p50";
+    pub(crate) const DS_OCC_P50: &str = "cbb_dataset_tile_occupancy_p50";
     /// 99th-percentile tile occupancy per dataset.
-    pub const DS_OCC_P99: &str = "cbb_dataset_tile_occupancy_p99";
+    pub(crate) const DS_OCC_P99: &str = "cbb_dataset_tile_occupancy_p99";
 }
 
 /// Pre-resolved telemetry handles of a running service. Dispatchers
 /// record through these; [`ServiceReport`] reads the same registry
 /// cells back.
-pub struct ServiceStats {
+pub(crate) struct ServiceStats {
     registry: Registry,
     slow: SlowQueryRing,
     pub(crate) submitted: Counter,
@@ -494,8 +494,8 @@ pub struct ServiceReport {
     pub recovered_datasets: u64,
     /// WAL records replayed (applied, not version-skipped) at startup.
     pub recovered_records: u64,
-    /// Snapshot pages read by startup recovery — with
-    /// [`crate::ServiceConfig::durability`] unset this stays zero.
+    /// Snapshot pages read by startup recovery — without
+    /// [`crate::ServiceBuilder::durability`] this stays zero.
     pub recovered_pages: u64,
     /// Per-dataset rows, ascending by id (dropped datasets disappear
     /// from here; their aggregate contributions above remain).

@@ -23,7 +23,7 @@ use cbb_engine::{
 use cbb_geom::{Point, Rect};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{Request, RequestError, Response, ServiceBuilder, ServiceConfig, ShardedService};
+use cbb_serve::{Request, RequestError, Response, ServiceBuilder, ShardedService};
 
 const EXEC_WORKERS: usize = 3;
 
@@ -38,11 +38,9 @@ fn clip() -> ClipConfig {
 }
 
 fn catalog_service() -> Service {
-    ServiceBuilder::from_config(ServiceConfig {
-        exec_workers: EXEC_WORKERS,
-        ..ServiceConfig::default()
-    })
-    .build_catalog(tree(), clip())
+    ServiceBuilder::new()
+        .exec_workers(EXEC_WORKERS)
+        .build_catalog(tree(), clip())
 }
 
 fn cross_join(svc: &Service, left: DatasetId, right: DatasetId, use_clips: bool) -> Response {
@@ -355,14 +353,16 @@ fn admin_ops_ride_the_queue_and_fail_cleanly() {
     assert_eq!(svc.datasets(), vec![(id, "layer".to_string())]);
 
     // Swap bumps the version and re-keys the id space.
-    let v = svc.swap_dataset(id, data.boxes[..100].to_vec()).unwrap();
+    let v = svc
+        .swap_dataset(id, data.boxes[..100].to_vec(), None)
+        .unwrap();
     assert_eq!(v, DataVersion(1));
     assert_eq!(svc.dataset_live_count(id), Some(100));
     // Swap with a re-fitted partitioner (the drift answer).
     let refit: AnyPartitioner<2> =
         AdaptiveGrid::from_sample(data.domain, [4, 4], &data.boxes).into();
     let v = svc
-        .swap_dataset_with(id, refit, data.boxes.clone())
+        .swap_dataset(id, data.boxes.clone(), Some(refit))
         .unwrap();
     assert_eq!(v, DataVersion(2));
     assert_eq!(svc.dataset_live_count(id), Some(400));
@@ -394,7 +394,7 @@ fn admin_ops_ride_the_queue_and_fail_cleanly() {
     let failed = cross_join(&svc, id, ghost, true);
     assert_eq!(failed.error(), Some(&RequestError::UnknownDataset(ghost)));
     assert_eq!(
-        svc.swap_dataset(ghost, Vec::new()),
+        svc.swap_dataset(ghost, Vec::new(), None),
         Err(RequestError::UnknownDataset(ghost))
     );
 
@@ -432,14 +432,12 @@ fn writes_and_admin_ops_resolve_in_queue_order() {
     // submissions near-certainly share one micro-batch — and when they
     // happen not to, queue-order execution across batches produces the
     // same final state, so the assertions are timing-independent.
-    let svc: Service = ServiceBuilder::from_config(ServiceConfig {
-        batch_max: 16,
-        batch_deadline: std::time::Duration::from_millis(100),
-        dispatchers: 1,
-        exec_workers: 2,
-        ..ServiceConfig::default()
-    })
-    .build_catalog(tree(), clip());
+    let svc: Service = ServiceBuilder::new()
+        .batch_max(16)
+        .batch_deadline(std::time::Duration::from_millis(100))
+        .dispatchers(1)
+        .exec_workers(2)
+        .build_catalog(tree(), clip());
     let data = clustered_with_layout::<2>(50, 3, 40_000.0, 0.2, 13, 13);
     let dataset = svc
         .create_dataset(

@@ -19,9 +19,7 @@ use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{AdaptiveGrid, JoinAlgo, UniformGrid};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{
-    DurabilityConfig, Request, Response, ServiceBuilder, ServiceConfig, ShardedService, Update,
-};
+use cbb_serve::{Request, Response, ServiceBuilder, ShardedService, Update};
 
 const KILL_POINTS: [usize; 3] = [1, 4, 9];
 const BATCHES: usize = 10;
@@ -191,16 +189,8 @@ where
     let batches = scripted_batches(7, objects.len());
     let root = tmp_root(tag);
 
-    let config = ServiceConfig {
-        durability: Some(DurabilityConfig::new(&root)),
-        ..ServiceConfig::default()
-    };
-    let durable = ServiceBuilder::from_config(config).build(
-        partitioner.clone(),
-        objects.clone(),
-        tree(),
-        clip(),
-    );
+    let builder = ServiceBuilder::new().durability(&root);
+    let durable = builder.build(partitioner.clone(), objects.clone(), tree(), clip());
     let dataset = durable.default_dataset();
     for (i, ops) in batches.iter().enumerate() {
         let completion = durable
@@ -235,18 +225,14 @@ where
                 .unwrap();
         }
 
-        let recovered = ServiceBuilder::from_config(ServiceConfig {
-            durability: Some(DurabilityConfig::new(
-                root.with_extension(format!("kill{kill}")),
-            )),
-            ..ServiceConfig::default()
-        })
-        .build(
-            partitioner.clone(),
-            Vec::new(), // recovery wins: these objects must be ignored
-            tree(),
-            clip(),
-        );
+        let recovered = ServiceBuilder::new()
+            .durability(root.with_extension(format!("kill{kill}")))
+            .build(
+                partitioner.clone(),
+                Vec::new(), // recovery wins: these objects must be ignored
+                tree(),
+                clip(),
+            );
         let rec_dataset = recovered.default_dataset();
         assert_eq!(
             recovered.dataset_version(rec_dataset),
@@ -375,17 +361,11 @@ fn catalog_lifecycle_survives_restart() {
     let (objects, domain) = fixture();
     let partitioner = UniformGrid::new(domain, 3);
     let root = tmp_root("lifecycle");
-    let config = ServiceConfig {
-        durability: Some(DurabilityConfig::new(&root)),
-        ..ServiceConfig::default()
-    };
+    let builder = ServiceBuilder::new().durability(&root);
 
-    let first = ServiceBuilder::from_config(config.clone()).build(
-        partitioner,
-        objects.clone(),
-        tree(),
-        clip(),
-    );
+    let first = builder
+        .clone()
+        .build(partitioner, objects.clone(), tree(), clip());
     let keep = first
         .create_dataset("keep", partitioner, objects[..100].to_vec())
         .unwrap();
@@ -395,7 +375,7 @@ fn catalog_lifecycle_survives_restart() {
     assert!(first.drop_dataset(doomed));
     first.shutdown();
 
-    let second = ServiceBuilder::from_config(config).build(partitioner, Vec::new(), tree(), clip());
+    let second = builder.build(partitioner, Vec::new(), tree(), clip());
     assert_eq!(second.dataset_id("keep"), Some(keep));
     assert_eq!(second.dataset_id("doomed"), None);
     assert_eq!(
@@ -423,18 +403,11 @@ fn checkpoint_rolls_wal_and_preserves_answers() {
     let partitioner = UniformGrid::new(domain, 3);
     let batches = scripted_batches(33, objects.len());
     let root = tmp_root("checkpoint");
-    let config = ServiceConfig {
-        // A tiny threshold: every commit triggers a checkpoint.
-        durability: Some(DurabilityConfig::new(&root).checkpoint_bytes(64)),
-        ..ServiceConfig::default()
-    };
+    let builder = ServiceBuilder::new().durability(&root).checkpoint_bytes(64);
 
-    let durable = ServiceBuilder::from_config(config.clone()).build(
-        partitioner,
-        objects.clone(),
-        tree(),
-        clip(),
-    );
+    let durable = builder
+        .clone()
+        .build(partitioner, objects.clone(), tree(), clip());
     let dataset = durable.default_dataset();
     for ops in &batches {
         durable
@@ -466,8 +439,7 @@ fn checkpoint_rolls_wal_and_preserves_answers() {
             .unwrap();
     }
 
-    let recovered =
-        ServiceBuilder::from_config(config).build(partitioner, Vec::new(), tree(), clip());
+    let recovered = builder.build(partitioner, Vec::new(), tree(), clip());
     let rec_dataset = recovered.default_dataset();
     assert_eq!(
         answers(&recovered, rec_dataset),
@@ -490,11 +462,10 @@ fn waiter_wakes_only_after_wal_record_is_durable() {
     let (objects, domain) = fixture();
     let partitioner = UniformGrid::new(domain, 3);
     let root = tmp_root("commit_order");
-    let service = ServiceBuilder::from_config(ServiceConfig {
-        durability: Some(DurabilityConfig::new(&root)),
-        ..ServiceConfig::default()
-    })
-    .build(partitioner, objects, tree(), clip());
+    let service =
+        ServiceBuilder::new()
+            .durability(&root)
+            .build(partitioner, objects, tree(), clip());
     let dataset = service.default_dataset();
     let wal = root.join("shard_0").join(format!("ds_{}.wal", dataset.0));
 
@@ -540,19 +511,15 @@ fn swap_survives_restart() {
     let (objects, domain) = fixture();
     let partitioner = UniformGrid::new(domain, 3);
     let root = tmp_root("swap");
-    let config = ServiceConfig {
-        durability: Some(DurabilityConfig::new(&root)),
-        ..ServiceConfig::default()
-    };
-    let first = ServiceBuilder::from_config(config.clone()).build(
-        partitioner,
-        objects.clone(),
-        tree(),
-        clip(),
-    );
+    let builder = ServiceBuilder::new().durability(&root);
+    let first = builder
+        .clone()
+        .build(partitioner, objects.clone(), tree(), clip());
     let dataset = first.default_dataset();
     let replacement: Vec<Rect<2>> = objects[..64].to_vec();
-    first.swap_dataset(dataset, replacement.clone()).unwrap();
+    first
+        .swap_dataset(dataset, replacement.clone(), None)
+        .unwrap();
     // Post-swap writes land in the reset WAL.
     first
         .submit(Request::UpdateBatch {
@@ -569,7 +536,7 @@ fn swap_survives_restart() {
     let want_live = first.dataset_live_count(dataset);
     first.shutdown();
 
-    let second = ServiceBuilder::from_config(config).build(partitioner, Vec::new(), tree(), clip());
+    let second = builder.build(partitioner, Vec::new(), tree(), clip());
     assert_eq!(second.dataset_version(dataset), want_version);
     assert_eq!(second.dataset_live_count(dataset), want_live);
     assert_eq!(second.dataset_live_count(dataset), Some(65));
@@ -577,36 +544,45 @@ fn swap_survives_restart() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The builder's `config()` forwards every default unchanged —
-/// `ServiceBuilder::new()` and `ServiceBuilder::from_config` over
-/// `ServiceConfig::default()` start from the same configuration
-/// (`ServiceConfig` has no `PartialEq`; pinned field by field).
+/// `checkpoint_bytes` and `durability` are independent setters: in
+/// either order the service is durable and checkpoints at the small
+/// threshold.
 #[test]
-fn builder_defaults_equal_config_defaults() {
-    let built = ServiceBuilder::new().config();
-    let default = ServiceConfig::default();
-    assert_eq!(built.queue_capacity, default.queue_capacity);
-    assert_eq!(built.batch_max, default.batch_max);
-    assert_eq!(built.batch_deadline, default.batch_deadline);
-    assert_eq!(built.dispatchers, default.dispatchers);
-    assert_eq!(built.exec_workers, default.exec_workers);
-    assert_eq!(built.compaction, default.compaction);
-    assert_eq!(built.telemetry, default.telemetry);
-    assert_eq!(built.durability, default.durability);
-    assert_eq!(built.durability, None, "durability is opt-in");
-
-    let durable = ServiceBuilder::new()
-        .durability("/tmp/cbb-durable")
-        .checkpoint_bytes(1 << 20)
-        .config();
-    assert_eq!(
-        durable.durability,
-        Some(DurabilityConfig::new("/tmp/cbb-durable").checkpoint_bytes(1 << 20))
-    );
-
-    // The unbatched knobs mirror ServiceConfig::unbatched.
-    let unbatched = ServiceBuilder::new().unbatched().config();
-    let reference = ServiceConfig::unbatched();
-    assert_eq!(unbatched.batch_max, reference.batch_max);
-    assert_eq!(unbatched.batch_deadline, reference.batch_deadline);
+fn checkpoint_threshold_holds_in_either_setter_order() {
+    let (objects, domain) = fixture();
+    let partitioner = UniformGrid::new(domain, 3);
+    let batches = scripted_batches(35, objects.len());
+    for threshold_first in [true, false] {
+        let tag = if threshold_first {
+            "threshold_first"
+        } else {
+            "root_first"
+        };
+        let root = tmp_root(tag);
+        let builder = if threshold_first {
+            ServiceBuilder::new().checkpoint_bytes(64).durability(&root)
+        } else {
+            ServiceBuilder::new().durability(&root).checkpoint_bytes(64)
+        };
+        let service = builder.build(partitioner, objects.clone(), tree(), clip());
+        let dataset = service.default_dataset();
+        for ops in &batches[..3] {
+            service
+                .submit(Request::UpdateBatch {
+                    dataset,
+                    updates: ops.clone(),
+                })
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
+        let report = service.report();
+        assert!(
+            report.checkpoints > 0,
+            "{tag}: the 64-byte threshold must checkpoint"
+        );
+        assert_eq!(report.wal_appends, 3, "{tag}: the service is durable");
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

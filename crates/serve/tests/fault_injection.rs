@@ -9,9 +9,7 @@ use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::UniformGrid;
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{
-    DurabilityConfig, Request, Response, ServiceBuilder, ServiceConfig, ShardedService, Update,
-};
+use cbb_serve::{Request, Response, ServiceBuilder, ShardedService, Update};
 use cbb_storage::FaultyLog;
 
 const BATCHES: usize = 6;
@@ -44,11 +42,10 @@ fn run_stream(tag: &str) -> (std::path::PathBuf, Vec<u64>) {
     let data = clustered_with_layout::<2>(600, 4, 30_000.0, 0.15, 5, 5);
     let partitioner = UniformGrid::new(data.domain, 3);
     let root = tmp_root(tag);
-    let service = ServiceBuilder::from_config(ServiceConfig {
-        durability: Some(DurabilityConfig::new(&root)),
-        ..ServiceConfig::default()
-    })
-    .build(partitioner, data.boxes, tree(), clip());
+    let service =
+        ServiceBuilder::new()
+            .durability(&root)
+            .build(partitioner, data.boxes, tree(), clip());
     let dataset = service.default_dataset();
     let mut rng = SplitMix64::new(5);
     let mut versions = Vec::new();
@@ -77,11 +74,12 @@ fn run_stream(tag: &str) -> (std::path::PathBuf, Vec<u64>) {
 
 fn restart(root: &std::path::Path) -> ShardedService<2, UniformGrid<2>> {
     let data = clustered_with_layout::<2>(600, 4, 30_000.0, 0.15, 5, 5);
-    ServiceBuilder::from_config(ServiceConfig {
-        durability: Some(DurabilityConfig::new(root)),
-        ..ServiceConfig::default()
-    })
-    .build(UniformGrid::new(data.domain, 3), Vec::new(), tree(), clip())
+    ServiceBuilder::new().durability(root).build(
+        UniformGrid::new(data.domain, 3),
+        Vec::new(),
+        tree(),
+        clip(),
+    )
 }
 
 /// A truncated tail (the classic torn write: the kill landed inside
@@ -183,11 +181,12 @@ fn torn_catalog_wal_undoes_the_halfwritten_create() {
     let data = clustered_with_layout::<2>(400, 4, 30_000.0, 0.15, 5, 5);
     let partitioner = UniformGrid::new(data.domain, 3);
     let root = tmp_root("admin_torn");
-    let service = ServiceBuilder::from_config(ServiceConfig {
-        durability: Some(DurabilityConfig::new(&root)),
-        ..ServiceConfig::default()
-    })
-    .build(partitioner, data.boxes.clone(), tree(), clip());
+    let service = ServiceBuilder::new().durability(&root).build(
+        partitioner,
+        data.boxes.clone(),
+        tree(),
+        clip(),
+    );
     let extra = service
         .create_dataset("extra", partitioner, data.boxes[..32].to_vec())
         .unwrap();

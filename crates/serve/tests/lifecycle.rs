@@ -10,11 +10,11 @@ use cbb_engine::{DataVersion, JoinAlgo, UniformGrid};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{TreeConfig, Variant};
-use cbb_serve::{Request, ServiceBuilder, ServiceConfig, ShardedService};
+use cbb_serve::{Request, ServiceBuilder, ShardedService};
 
-fn service(config: ServiceConfig, n: usize) -> (ShardedService<2, UniformGrid<2>>, Vec<Rect<2>>) {
+fn service(builder: ServiceBuilder, n: usize) -> (ShardedService<2, UniformGrid<2>>, Vec<Rect<2>>) {
     let data = clustered_with_layout::<2>(n, 5, 40_000.0, 0.2, 3, 3);
-    let svc = ServiceBuilder::from_config(config).build(
+    let svc = builder.build(
         UniformGrid::new(data.domain, 4),
         data.boxes.clone(),
         TreeConfig::tiny(Variant::RStar),
@@ -35,11 +35,9 @@ fn some_query(seed: u64) -> Rect<2> {
 #[test]
 fn shutdown_drains_queue() {
     let (svc, _) = service(
-        ServiceConfig {
-            batch_max: 8,
-            batch_deadline: Duration::from_millis(1),
-            ..ServiceConfig::default()
-        },
+        ServiceBuilder::new()
+            .batch_max(8)
+            .batch_deadline(Duration::from_millis(1)),
         1_500,
     );
     let handles: Vec<_> = (0..400)
@@ -70,7 +68,7 @@ fn shutdown_drains_queue() {
 /// the Drop impl drains and joins, so waiters never hang.
 #[test]
 fn drop_is_a_graceful_shutdown() {
-    let (svc, _) = service(ServiceConfig::default(), 800);
+    let (svc, _) = service(ServiceBuilder::new(), 800);
     let handles: Vec<_> = (0..50)
         .map(|i| {
             svc.submit(Request::Range {
@@ -92,7 +90,7 @@ fn drop_is_a_graceful_shutdown() {
 /// `swap_dataset` rebuilds exactly once more; pair counts are stable.
 #[test]
 fn join_tree_cache_skips_rebuilds_until_version_bump() {
-    let (svc, boxes) = service(ServiceConfig::default(), 1_200);
+    let (svc, boxes) = service(ServiceBuilder::new(), 1_200);
     assert_eq!(
         svc.dataset_version(svc.default_dataset()).unwrap(),
         DataVersion(0)
@@ -124,7 +122,7 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
     );
 
     // Same data under a bumped version: exactly one rebuild, same pairs.
-    svc.swap_dataset(svc.default_dataset(), boxes.clone())
+    svc.swap_dataset(svc.default_dataset(), boxes.clone(), None)
         .unwrap();
     assert_eq!(
         svc.dataset_version(svc.default_dataset()).unwrap(),
@@ -140,8 +138,12 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
 
     // Different data actually changes answers (the version is not
     // cosmetic): drop half the boxes.
-    svc.swap_dataset(svc.default_dataset(), boxes[..boxes.len() / 2].to_vec())
-        .unwrap();
+    svc.swap_dataset(
+        svc.default_dataset(),
+        boxes[..boxes.len() / 2].to_vec(),
+        None,
+    )
+    .unwrap();
     assert_eq!(
         svc.dataset_version(svc.default_dataset()).unwrap(),
         DataVersion(2)
@@ -161,7 +163,7 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
 /// not just the join path).
 #[test]
 fn swap_data_changes_range_answers() {
-    let (svc, boxes) = service(ServiceConfig::default(), 900);
+    let (svc, boxes) = service(ServiceBuilder::new(), 900);
     let q = Rect::new(Point([0.0, 0.0]), Point([1_000_000.0, 1_000_000.0]));
     let all = |svc: &ShardedService<2, UniformGrid<2>>| {
         svc.submit(Request::Range {
@@ -177,18 +179,18 @@ fn swap_data_changes_range_answers() {
         .len()
     };
     assert_eq!(all(&svc), 900);
-    svc.swap_dataset(svc.default_dataset(), boxes[..100].to_vec())
+    svc.swap_dataset(svc.default_dataset(), boxes[..100].to_vec(), None)
         .unwrap();
     assert_eq!(all(&svc), 100);
     svc.shutdown();
 }
 
-/// `swap_dataset_with` re-fits the partitioner alongside the data: the new
+/// `swap_dataset` with a partitioner re-fits it alongside the data: the new
 /// tiling (different tile count) serves correct answers and counts as a
 /// normal version bump.
 #[test]
 fn swap_data_with_refits_the_partitioner() {
-    let (svc, boxes) = service(ServiceConfig::default(), 700);
+    let (svc, boxes) = service(ServiceBuilder::new(), 700);
     let q = Rect::new(Point([0.0, 0.0]), Point([1_000_000.0, 1_000_000.0]));
     let count_all = |svc: &ShardedService<2, UniformGrid<2>>| {
         svc.submit(Request::Range {
@@ -206,10 +208,10 @@ fn swap_data_with_refits_the_partitioner() {
     assert_eq!(count_all(&svc), 700);
     // Re-fit to a finer grid over the same data: answers unchanged.
     let domain = Rect::new(Point([0.0, 0.0]), Point([1_000_000.0, 1_000_000.0]));
-    svc.swap_dataset_with(
+    svc.swap_dataset(
         svc.default_dataset(),
-        UniformGrid::new(domain, 7),
         boxes.clone(),
+        Some(UniformGrid::new(domain, 7)),
     )
     .unwrap();
     assert_eq!(
@@ -233,8 +235,12 @@ fn swap_data_with_refits_the_partitioner() {
         .pairs
     };
     let under_7 = pairs(&svc);
-    svc.swap_dataset_with(svc.default_dataset(), UniformGrid::new(domain, 3), boxes)
-        .unwrap();
+    svc.swap_dataset(
+        svc.default_dataset(),
+        boxes,
+        Some(UniformGrid::new(domain, 3)),
+    )
+    .unwrap();
     let under_3 = pairs(&svc);
     assert_eq!(under_7, under_3, "tiling never changes join answers");
     assert_eq!(svc.report().forest_builds, 3);
@@ -246,13 +252,11 @@ fn swap_data_with_refits_the_partitioner() {
 #[test]
 fn concurrent_producers_all_served_and_batched() {
     let (svc, _) = service(
-        ServiceConfig {
-            batch_max: 32,
-            batch_deadline: Duration::from_millis(10),
-            dispatchers: 2,
-            exec_workers: 2,
-            ..ServiceConfig::default()
-        },
+        ServiceBuilder::new()
+            .batch_max(32)
+            .batch_deadline(Duration::from_millis(10))
+            .dispatchers(2)
+            .exec_workers(2),
         1_000,
     );
     let svc = std::sync::Arc::new(svc);

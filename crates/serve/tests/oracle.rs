@@ -13,7 +13,7 @@ use cbb_engine::{
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{TreeConfig, Variant};
-use cbb_serve::{Request, ServiceBuilder, ServiceConfig};
+use cbb_serve::{Request, ServiceBuilder};
 
 const EXEC_WORKERS: usize = 3;
 
@@ -62,13 +62,11 @@ fn batched_answers_equal_direct_executor_answers() {
         f.clip,
         EXEC_WORKERS,
     );
-    let service = ServiceBuilder::from_config(ServiceConfig {
-        batch_max: 16,
-        batch_deadline: Duration::from_millis(5),
-        exec_workers: EXEC_WORKERS,
-        ..ServiceConfig::default()
-    })
-    .build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
+    let service = ServiceBuilder::new()
+        .batch_max(16)
+        .batch_deadline(Duration::from_millis(5))
+        .exec_workers(EXEC_WORKERS)
+        .build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
     let dataset = service.default_dataset();
 
     let range_qs = queries(60, 41);
@@ -152,28 +150,19 @@ fn batched_answers_equal_direct_executor_answers() {
 fn batching_configuration_does_not_change_answers() {
     let f = fixture();
     let range_qs = queries(40, 77);
-    let configs = [
-        ServiceConfig::unbatched(),
-        ServiceConfig {
-            batch_max: 4,
-            batch_deadline: Duration::from_millis(1),
-            ..ServiceConfig::default()
-        },
-        ServiceConfig {
-            batch_max: 64,
-            batch_deadline: Duration::from_millis(20),
-            dispatchers: 2,
-            ..ServiceConfig::default()
-        },
+    let builders = [
+        ServiceBuilder::new().unbatched(),
+        ServiceBuilder::new()
+            .batch_max(4)
+            .batch_deadline(Duration::from_millis(1)),
+        ServiceBuilder::new()
+            .batch_max(64)
+            .batch_deadline(Duration::from_millis(20))
+            .dispatchers(2),
     ];
     let mut all_answers: Vec<Vec<cbb_serve::Response>> = Vec::new();
-    for config in configs {
-        let service = ServiceBuilder::from_config(config).build(
-            f.partitioner.clone(),
-            f.objects.clone(),
-            f.tree,
-            f.clip,
-        );
+    for builder in builders {
+        let service = builder.build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
         let dataset = service.default_dataset();
         let handles: Vec<_> = range_qs
             .iter()

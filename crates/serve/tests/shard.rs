@@ -13,9 +13,7 @@ use cbb_engine::{
 };
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{
-    Request, RequestError, Response, ServiceBuilder, ServiceConfig, ShardFitting, ShardedService,
-};
+use cbb_serve::{Request, RequestError, Response, ServiceBuilder, ShardFitting, ShardedService};
 
 fn tree() -> TreeConfig<2> {
     TreeConfig::tiny(Variant::RStar)
@@ -25,12 +23,10 @@ fn clip() -> ClipConfig {
     ClipConfig::paper_default::<2>(ClipMethod::Stairline)
 }
 
-fn config() -> ServiceConfig {
-    ServiceConfig {
-        batch_max: 8,
-        batch_deadline: Duration::from_millis(2),
-        ..ServiceConfig::default()
-    }
+fn builder() -> ServiceBuilder {
+    ServiceBuilder::new()
+        .batch_max(8)
+        .batch_deadline(Duration::from_millis(2))
 }
 
 fn dataset(n: usize, seed: u64) -> (Rect<2>, Vec<Rect<2>>) {
@@ -106,16 +102,13 @@ fn oracle_roundtrip<P>(
         + Sync
         + 'static,
 {
-    let single = ServiceBuilder::from_config(config()).build(
+    let single = builder().build(partitioner.clone(), objects.clone(), tree(), clip());
+    let sharded = builder().shards(shards).shard_fitting(fitting).build(
         partitioner.clone(),
         objects.clone(),
         tree(),
         clip(),
     );
-    let sharded = ServiceBuilder::from_config(config())
-        .shards(shards)
-        .shard_fitting(fitting)
-        .build(partitioner.clone(), objects.clone(), tree(), clip());
     assert_eq!(sharded.shard_count(), shards);
     let ds = single.default_dataset();
     assert_eq!(ds, sharded.default_dataset(), "mirrored creation order");
@@ -332,8 +325,8 @@ fn cross_join_oracle_two_datasets() {
     let p_roads = AdaptiveGrid::from_sample(domain, [3, 3], &roads);
     let p_parcels = AdaptiveGrid::from_sample(domain, [4, 2], &parcels);
     for (shards, fitting) in [(2, ShardFitting::Balanced), (3, ShardFitting::Fitted)] {
-        let single = ServiceBuilder::from_config(config()).build_catalog(tree(), clip());
-        let sharded = ServiceBuilder::from_config(config())
+        let single = builder().build_catalog(tree(), clip());
+        let sharded = builder()
             .shards(shards)
             .shard_fitting(fitting)
             .build_catalog::<2, AdaptiveGrid<2>>(tree(), clip());
@@ -380,7 +373,7 @@ fn cross_join_oracle_two_datasets() {
 fn admin_fanout_is_atomic() {
     let (domain, objects) = dataset(500, 61);
     let grid = UniformGrid::new(domain, 4);
-    let sharded = ServiceBuilder::from_config(config())
+    let sharded = builder()
         .shards(3)
         .build_catalog::<2, AnyPartitioner<2>>(tree(), clip());
 
@@ -416,7 +409,7 @@ fn admin_fanout_is_atomic() {
     // switches tilings atomically; queries still answer.
     let quad: AnyPartitioner<2> = QuadtreePartitioner::build(domain, &objects, 100).into();
     let v = sharded
-        .swap_dataset_with(a, quad.clone(), objects.clone())
+        .swap_dataset(a, objects.clone(), Some(quad.clone()))
         .unwrap();
     assert_eq!(sharded.dataset_version(a), Some(v));
     let map = sharded.dataset_shard_map(a).unwrap();
@@ -456,126 +449,12 @@ fn admin_fanout_is_atomic() {
     // Swapping a dropped dataset fails cleanly too (no route, no
     // partitioner to fit — the bare fan-out path).
     assert!(matches!(
-        sharded.swap_dataset(a, Vec::new()),
+        sharded.swap_dataset(a, Vec::new(), None),
         Err(RequestError::UnknownDataset(_))
     ));
 
     let report = sharded.shutdown();
     assert_eq!(report.datasets.len(), 1, "only b remains");
-}
-
-/// The typed client surface and the enum path are the same request:
-/// byte-equal answers through both, on one and two shards.
-#[test]
-fn typed_client_equals_enum_path() {
-    let (domain, objects) = dataset(800, 71);
-    let grid = UniformGrid::new(domain, 3);
-    let sharded = ServiceBuilder::from_config(config()).shards(2).build(
-        grid,
-        objects.clone(),
-        tree(),
-        clip(),
-    );
-    let client = sharded.dataset("default").expect("default dataset exists");
-    assert_eq!(client.id(), sharded.default_dataset());
-
-    let q = Rect::new(domain.lo, Point([domain.hi[0] * 0.4, domain.hi[1] * 0.4]));
-    let typed = client.range(q).unwrap().wait().unwrap().response;
-    let enum_path = sharded
-        .submit(Request::Range {
-            dataset: client.id(),
-            query: q,
-            use_clips: true,
-        })
-        .unwrap()
-        .wait()
-        .unwrap()
-        .response;
-    assert_eq!(typed, enum_path);
-
-    let typed = client
-        .knn(Point([0.0, 0.0]), 9)
-        .unwrap()
-        .wait()
-        .unwrap()
-        .response;
-    let enum_path = sharded
-        .submit(Request::Knn {
-            dataset: client.id(),
-            center: Point([0.0, 0.0]),
-            k: 9,
-        })
-        .unwrap()
-        .wait()
-        .unwrap()
-        .response;
-    assert_eq!(typed, enum_path);
-
-    // join-by-name resolves through the same route table.
-    let self_join = client.join("default").unwrap().unwrap();
-    let pairs = self_join.wait().unwrap().response.into_join().pairs;
-    assert!(
-        pairs >= objects.len() as u64,
-        "self join sees every live object at least once"
-    );
-    assert!(client.join("nope").is_none());
-
-    // Typed writes flow through the same fan-out.
-    let id = client
-        .insert(Rect::new(Point([5.0, 5.0]), Point([6.0, 6.0])))
-        .unwrap()
-        .wait()
-        .unwrap()
-        .response
-        .into_inserted()
-        .unwrap();
-    assert!(client
-        .delete(id)
-        .unwrap()
-        .wait()
-        .unwrap()
-        .response
-        .into_deleted());
-    let summary = client
-        .update(vec![Update::Insert(Rect::new(
-            Point([7.0, 7.0]),
-            Point([8.0, 8.0]),
-        ))])
-        .unwrap()
-        .wait()
-        .unwrap()
-        .response
-        .into_updated();
-    assert_eq!(summary.results.len(), 1);
-
-    // The same client drives a one-shard service.
-    let single = ServiceBuilder::from_config(config()).build(
-        UniformGrid::new(domain, 3),
-        objects,
-        tree(),
-        clip(),
-    );
-    let sclient = single.dataset("default").unwrap();
-    let a = sclient.range(q).unwrap().wait().unwrap().response;
-    assert_eq!(a, typed_or_enum_range_reference(&single, q));
-    single.shutdown();
-    sharded.shutdown();
-}
-
-fn typed_or_enum_range_reference(
-    service: &ShardedService<2, UniformGrid<2>>,
-    q: Rect<2>,
-) -> Response {
-    service
-        .submit(Request::Range {
-            dataset: service.default_dataset(),
-            query: q,
-            use_clips: true,
-        })
-        .unwrap()
-        .wait()
-        .unwrap()
-        .response
 }
 
 /// Router telemetry: scatter/gather phases and per-shard routing
@@ -584,12 +463,9 @@ fn typed_or_enum_range_reference(
 #[test]
 fn router_scrape_exposes_scatter_gather() {
     let (domain, objects) = dataset(400, 81);
-    let sharded = ServiceBuilder::from_config(config()).shards(2).build(
-        UniformGrid::new(domain, 4),
-        objects,
-        tree(),
-        clip(),
-    );
+    let sharded = builder()
+        .shards(2)
+        .build(UniformGrid::new(domain, 4), objects, tree(), clip());
     let ds = sharded.default_dataset();
     for _ in 0..4 {
         sharded

@@ -13,8 +13,7 @@ use cbb_engine::{AdaptiveGrid, DatasetStore, JoinAlgo, UniformGrid};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{AccessStats, TreeConfig, Variant};
 use cbb_serve::{
-    Request, Response, ServiceBuilder, ServiceConfig, ShardedService, TelemetryConfig,
-    DEFAULT_DATASET,
+    Request, Response, ServiceBuilder, ShardedService, TelemetryConfig, DEFAULT_DATASET,
 };
 
 const EXEC_WORKERS: usize = 2;
@@ -38,14 +37,12 @@ fn fixture() -> Fixture {
 }
 
 fn service(f: &Fixture, telemetry: TelemetryConfig) -> ShardedService<2, AdaptiveGrid<2>> {
-    ServiceBuilder::from_config(ServiceConfig {
-        batch_max: 8,
-        batch_deadline: Duration::from_millis(2),
-        exec_workers: EXEC_WORKERS,
-        telemetry,
-        ..ServiceConfig::default()
-    })
-    .build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip)
+    ServiceBuilder::new()
+        .batch_max(8)
+        .batch_deadline(Duration::from_millis(2))
+        .exec_workers(EXEC_WORKERS)
+        .telemetry(telemetry)
+        .build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip)
 }
 
 fn range_queries(n: usize, seed: u64) -> Vec<Rect<2>> {
@@ -85,13 +82,11 @@ fn knn_probes(n: usize, seed: u64) -> Vec<(Point<2>, usize)> {
 #[test]
 fn registry_access_counters_match_direct_engine_oracle() {
     let f = fixture();
-    let svc = ServiceBuilder::from_config(ServiceConfig {
-        batch_max: 8,
-        batch_deadline: Duration::from_millis(2),
-        exec_workers: EXEC_WORKERS,
-        ..ServiceConfig::default()
-    })
-    .build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
+    let svc = ServiceBuilder::new()
+        .batch_max(8)
+        .batch_deadline(Duration::from_millis(2))
+        .exec_workers(EXEC_WORKERS)
+        .build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
     let dataset = svc.default_dataset();
 
     let clipped = range_queries(30, 9);

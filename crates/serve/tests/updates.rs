@@ -12,7 +12,7 @@ use cbb_engine::{DataVersion, DatasetStore, JoinAlgo, UniformGrid, Update, Updat
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{Request, ServiceBuilder, ServiceConfig, ShardedService};
+use cbb_serve::{Request, ServiceBuilder, ShardedService};
 
 type Service = ShardedService<2, UniformGrid<2>>;
 
@@ -31,9 +31,9 @@ fn layer(n: usize) -> (UniformGrid<2>, Vec<Rect<2>>) {
     (UniformGrid::new(data.domain, 4), data.boxes)
 }
 
-fn service(config: ServiceConfig, n: usize) -> (Service, Vec<Rect<2>>) {
+fn service(builder: ServiceBuilder, n: usize) -> (Service, Vec<Rect<2>>) {
     let (grid, boxes) = layer(n);
-    let svc = ServiceBuilder::from_config(config).build(grid, boxes.clone(), tree(), clip());
+    let svc = builder.build(grid, boxes.clone(), tree(), clip());
     (svc, boxes)
 }
 
@@ -70,7 +70,7 @@ fn range(svc: &Service, q: Rect<2>) -> Vec<DataId> {
 /// without a single forest rebuild on the update path.
 #[test]
 fn update_batch_equals_swap_data_with_final_dataset() {
-    let (svc, boxes) = service(ServiceConfig::default(), 1_200);
+    let (svc, boxes) = service(ServiceBuilder::new(), 1_200);
     let base = boxes.len();
     let mut rng = SplitMix64::new(41);
 
@@ -133,9 +133,9 @@ fn update_batch_equals_swap_data_with_final_dataset() {
 
     // Reference service: wholesale swap to the final dataset (fresh id
     // space, so compare by rectangle).
-    let (reference, _) = service(ServiceConfig::default(), 1_200);
+    let (reference, _) = service(ServiceBuilder::new(), 1_200);
     reference
-        .swap_dataset(reference.default_dataset(), live_rects.clone())
+        .swap_dataset(reference.default_dataset(), live_rects.clone(), None)
         .unwrap();
 
     for (qi, q) in queries(40, 42).into_iter().enumerate() {
@@ -229,13 +229,11 @@ fn update_batch_equals_swap_data_with_final_dataset() {
 #[test]
 fn read_your_writes_after_completion() {
     let (svc, _) = service(
-        ServiceConfig {
-            batch_max: 16,
-            batch_deadline: Duration::from_millis(1),
-            dispatchers: 2,
-            exec_workers: 2,
-            ..ServiceConfig::default()
-        },
+        ServiceBuilder::new()
+            .batch_max(16)
+            .batch_deadline(Duration::from_millis(1))
+            .dispatchers(2)
+            .exec_workers(2),
         600,
     );
     let mut rng = SplitMix64::new(7);
@@ -285,7 +283,7 @@ fn read_your_writes_after_completion() {
 /// update batches bump nothing; degenerate writes answer cleanly.
 #[test]
 fn write_batches_bump_once_and_degenerates_answer() {
-    let (svc, boxes) = service(ServiceConfig::default(), 400);
+    let (svc, boxes) = service(ServiceBuilder::new(), 400);
     assert_eq!(
         svc.dataset_version(svc.default_dataset()).unwrap(),
         DataVersion(0)
@@ -394,7 +392,7 @@ fn write_batches_bump_once_and_degenerates_answer() {
 
     // swap_dataset composes with the write path: wholesale replacement
     // re-keys ids, then updates keep working.
-    svc.swap_dataset(svc.default_dataset(), boxes[..100].to_vec())
+    svc.swap_dataset(svc.default_dataset(), boxes[..100].to_vec(), None)
         .unwrap();
     let v = svc.dataset_version(svc.default_dataset()).unwrap();
     let id = svc
@@ -424,13 +422,11 @@ fn write_batches_bump_once_and_degenerates_answer() {
 #[test]
 fn concurrent_writers_and_readers_drain_consistently() {
     let (svc, _) = service(
-        ServiceConfig {
-            batch_max: 64,
-            batch_deadline: Duration::from_millis(5),
-            dispatchers: 2,
-            exec_workers: 2,
-            ..ServiceConfig::default()
-        },
+        ServiceBuilder::new()
+            .batch_max(64)
+            .batch_deadline(Duration::from_millis(5))
+            .dispatchers(2)
+            .exec_workers(2),
         500,
     );
     let svc = std::sync::Arc::new(svc);

@@ -20,17 +20,15 @@ fn main() {
     let partitioner = AdaptiveGrid::from_sample(data.domain, [6, 6], &data.boxes);
     println!("dataset: {n} clustered boxes, adaptive 6×6 partitioning");
 
-    let service = ServiceBuilder::from_config(ServiceConfig {
-        batch_max: 32,
-        batch_deadline: Duration::from_millis(2),
-        ..ServiceConfig::default()
-    })
-    .build(
-        partitioner,
-        data.boxes.clone(),
-        TreeConfig::paper_default(Variant::RStar),
-        ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-    );
+    let service = ServiceBuilder::new()
+        .batch_max(32)
+        .batch_deadline(Duration::from_millis(2))
+        .build(
+            partitioner,
+            data.boxes.clone(),
+            TreeConfig::paper_default(Variant::RStar),
+            ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+        );
     let dataset = service.default_dataset();
     println!(
         "start  : version {:?}, {} live objects",

@@ -24,17 +24,15 @@ fn main() {
 
     // Start the service: trees are partitioned and bulk-loaded ONCE,
     // then every request is served from them.
-    let service = ServiceBuilder::from_config(ServiceConfig {
-        batch_max: 32,
-        batch_deadline: Duration::from_millis(2),
-        ..ServiceConfig::default()
-    })
-    .build(
-        partitioner,
-        data.boxes.clone(),
-        TreeConfig::paper_default(Variant::RStar),
-        ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-    );
+    let service = ServiceBuilder::new()
+        .batch_max(32)
+        .batch_deadline(Duration::from_millis(2))
+        .build(
+            partitioner,
+            data.boxes.clone(),
+            TreeConfig::paper_default(Variant::RStar),
+            ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+        );
     let dataset = service.default_dataset();
 
     // A burst of mixed requests, submitted before anything is awaited —
@@ -96,7 +94,7 @@ fn main() {
 
     // Replace the dataset: the version bumps, the next request rebuilds.
     service
-        .swap_dataset(dataset, data.boxes[..n / 2].to_vec())
+        .swap_dataset(dataset, data.boxes[..n / 2].to_vec(), None)
         .unwrap();
     let shrunk = join().wait().unwrap().response.into_join();
     println!("swap   : half the data → {} pairs", shrunk.pairs);

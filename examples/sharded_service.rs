@@ -1,6 +1,6 @@
-//! A sharded scatter-gather service and the typed client API in front
-//! of it: the same catalog surface as the default one-shard service,
-//! served by N in-process shards. Arenas are mirrored (every shard
+//! A sharded scatter-gather service: the same catalog surface and the
+//! same `submit` path as the default one-shard service, served by N
+//! in-process shards. Arenas are mirrored (every shard
 //! holds every object), forests are sharded (each shard indexes a
 //! contiguous tile range), and the reference-point rule makes each
 //! merge exact — a 4-shard answer is byte-identical to the 1-shard
@@ -42,26 +42,43 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    // The typed client binds a dataset once; every method is the same
-    // request the enum path submits, so both styles mix freely.
-    let roads = service.dataset(DEFAULT_DATASET).expect("created at start");
+    // Every request is a `Request` value submitted to the router; the
+    // handles resolve to the merged answers.
+    let roads = service
+        .dataset_id(DEFAULT_DATASET)
+        .expect("created at start");
     let center = data.boxes[0].center();
     let window = Rect::new(
         Point([center[0] - 30_000.0, center[1] - 30_000.0]),
         Point([center[0] + 30_000.0, center[1] + 30_000.0]),
     );
-    let range = roads.range(window).expect("service is open");
-    let knn = roads.knn(center, 5).expect("service is open");
+    let range_in = |dataset| Request::Range {
+        dataset,
+        query: window,
+        use_clips: true,
+    };
+    let range = service.submit(range_in(roads)).expect("service is open");
+    let knn = service
+        .submit(Request::Knn {
+            dataset: roads,
+            center,
+            k: 5,
+        })
+        .expect("service is open");
 
     // A second served layer, then a cross-dataset join by name.
     let parcels_boxes: Vec<Rect<2>> = data.boxes.iter().step_by(3).copied().collect();
     let parcels_p = AdaptiveGrid::from_sample(data.domain, [4, 4], &parcels_boxes);
-    service
+    let parcels = service
         .create_dataset("parcels", parcels_p, parcels_boxes.clone())
         .expect("fresh name");
-    let join = roads
-        .join("parcels")
-        .expect("parcels exists")
+    let join = service
+        .submit(Request::CrossJoin {
+            left: roads,
+            right: parcels,
+            algo: JoinAlgo::Auto,
+            use_clips: true,
+        })
         .expect("service is open");
 
     let hits = range.wait().unwrap().response.into_range();
@@ -78,9 +95,8 @@ fn main() {
     // The oracle property, demonstrated: a one-shard service on the
     // same data answers every one of those requests identically.
     let single = ServiceBuilder::new().build(partitioner, data.boxes.clone(), tree, clip);
-    let single_roads = single.dataset(DEFAULT_DATASET).expect("created at start");
-    let same_hits = single_roads
-        .range(window)
+    let same_hits = single
+        .submit(range_in(single.default_dataset()))
         .unwrap()
         .wait()
         .unwrap()

@@ -22,21 +22,19 @@ fn main() {
 
     // Telemetry is on by default; `TelemetryConfig::disabled()` turns
     // every handle into a no-op (same answers, empty scrapes).
-    let service = ServiceBuilder::from_config(ServiceConfig {
-        batch_max: 32,
-        batch_deadline: Duration::from_millis(2),
-        telemetry: TelemetryConfig {
+    let service = ServiceBuilder::new()
+        .batch_max(32)
+        .batch_deadline(Duration::from_millis(2))
+        .telemetry(TelemetryConfig {
             slow_query_capacity: 5,
             ..TelemetryConfig::default()
-        },
-        ..ServiceConfig::default()
-    })
-    .build(
-        partitioner,
-        data.boxes.clone(),
-        TreeConfig::paper_default(Variant::RStar),
-        ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-    );
+        })
+        .build(
+            partitioner,
+            data.boxes.clone(),
+            TreeConfig::paper_default(Variant::RStar),
+            ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+        );
     let dataset = service.default_dataset();
 
     // A mixed burst: ranges (clipped and baseline), kNN probes, a join,

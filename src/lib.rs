@@ -78,9 +78,9 @@ pub mod prelude {
         AccessStats, ClippedRTree, DataId, Neighbor, NodeId, RTree, TreeConfig, Variant,
     };
     pub use cbb_serve::{
-        DatasetClient, DatasetReport, DurabilityConfig, Request, RequestError, RequestKind,
-        Response, Scrape, ServiceBuilder, ServiceConfig, ServiceReport, ShardFitting, ShardMap,
-        ShardTiling, ShardedService, UpdateSummary, DEFAULT_DATASET,
+        DatasetReport, Request, RequestError, RequestKind, Response, Scrape, ServiceBuilder,
+        ServiceReport, ShardFitting, ShardMap, ShardTiling, ShardedService, UpdateSummary,
+        DEFAULT_DATASET,
     };
     pub use cbb_telemetry::{
         Histogram, HistogramSnapshot, Phase, PhaseTimer, Registry, SlowQuery, SlowQueryRing, Span,

@@ -8,7 +8,10 @@
 //!   (durability: commit-before-fulfil means an ack is a promise), and
 //! * the recovered state equals a reference replay of exactly the
 //!   surviving prefix on a never-crashed service — ranges as sorted
-//!   sets, kNN byte-equal, live counts and versions exact.
+//!   sets, kNN byte-equal, live counts and versions exact, and the same
+//!   per-tile occupancy: the dataset is partitioned by a grid fitted to
+//!   its boxes, so recovery must restore those cut arrays from the
+//!   snapshot, not fall back to the equal-cut grid it is handed.
 //!
 //! The child is this same binary re-executed with `CBB_CRASH_CHILD=1`;
 //! it reports progress by atomically renaming a one-line counter file
@@ -25,7 +28,7 @@ use std::time::{Duration, Instant};
 use cbb_bench::smoke_mode;
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
-use cbb_engine::UniformGrid;
+use cbb_engine::AdaptiveGrid;
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
 use cbb_serve::{Request, Response, ServiceBuilder, ShardedService, Update};
@@ -43,6 +46,12 @@ fn objects() -> (Vec<Rect<2>>, Rect<2>) {
     let n = if smoke_mode() { 800 } else { 6_000 };
     let data = clustered_with_layout::<2>(n, 5, 30_000.0, 0.15, 13, 13);
     (data.boxes, data.domain)
+}
+
+/// The grid the dataset is created with: 4 × 4 with cuts at the
+/// quantiles of its own boxes.
+fn fitted_grid(boxes: &[Rect<2>], domain: Rect<2>) -> AdaptiveGrid<2> {
+    AdaptiveGrid::from_sample(domain, [4, 4], boxes)
 }
 
 fn scripted_batches(base: usize) -> Vec<Vec<Update<2>>> {
@@ -68,8 +77,8 @@ fn scripted_batches(base: usize) -> Vec<Vec<Update<2>>> {
 fn start(
     root: &Path,
     objects: Vec<Rect<2>>,
-    partitioner: UniformGrid<2>,
-) -> ShardedService<2, UniformGrid<2>> {
+    partitioner: AdaptiveGrid<2>,
+) -> ShardedService<2, AdaptiveGrid<2>> {
     ServiceBuilder::new().durability(root).build(
         partitioner,
         objects,
@@ -80,8 +89,8 @@ fn start(
 
 fn start_reference(
     objects: Vec<Rect<2>>,
-    partitioner: UniformGrid<2>,
-) -> ShardedService<2, UniformGrid<2>> {
+    partitioner: AdaptiveGrid<2>,
+) -> ShardedService<2, AdaptiveGrid<2>> {
     ServiceBuilder::new().build(
         partitioner,
         objects,
@@ -95,7 +104,8 @@ fn start_reference(
 fn run_child(root: &Path, progress: &Path) -> ! {
     let (boxes, domain) = objects();
     let batches = scripted_batches(boxes.len());
-    let service = start(root, boxes, UniformGrid::new(domain, 4));
+    let grid = fitted_grid(&boxes, domain);
+    let service = start(root, boxes, grid);
     let dataset = service.default_dataset();
     for (i, ops) in batches.iter().enumerate() {
         service
@@ -124,7 +134,7 @@ fn read_progress(progress: &Path) -> usize {
 
 /// Range answers as sorted sets + kNN verbatim.
 fn answers(
-    service: &ShardedService<2, UniformGrid<2>>,
+    service: &ShardedService<2, AdaptiveGrid<2>>,
     dataset: cbb_serve::DatasetId,
 ) -> Vec<Response> {
     let mut rng = SplitMix64::new(777);
@@ -184,12 +194,15 @@ fn main() {
     let exe = std::env::current_exe().expect("own path");
     let (boxes, domain) = objects();
     let batches = scripted_batches(boxes.len());
-    let partitioner = UniformGrid::new(domain, 4);
+    let partitioner = fitted_grid(&boxes, domain);
+    // Handed to the recovering service, which must ignore it: a
+    // recovered dataset keeps the partitioner its snapshot recorded.
+    let equal_cuts = AdaptiveGrid::from_sample(domain, [4, 4], &[]);
 
     // The version a fresh default dataset starts at — replayed batch
     // count is recovered_version - base_version.
     let base_version = {
-        let probe = start_reference(boxes.clone(), partitioner);
+        let probe = start_reference(boxes.clone(), partitioner.clone());
         let v = probe
             .dataset_version(probe.default_dataset())
             .expect("default dataset exists")
@@ -236,7 +249,7 @@ fn main() {
 
         // Recover the kill site.
         let started = Instant::now();
-        let recovered = start(&root, Vec::new(), partitioner);
+        let recovered = start(&root, Vec::new(), equal_cuts.clone());
         let recover_ms = started.elapsed().as_secs_f64() * 1e3;
         let dataset = recovered.default_dataset();
         let recovered_version = recovered
@@ -254,7 +267,7 @@ fn main() {
         );
 
         // Reference: the surviving prefix on a never-crashed service.
-        let reference = start_reference(boxes.clone(), partitioner);
+        let reference = start_reference(boxes.clone(), partitioner.clone());
         let ref_dataset = reference.default_dataset();
         for ops in &batches[..survived] {
             reference
@@ -275,6 +288,15 @@ fn main() {
             answers(&recovered, dataset),
             answers(&reference, ref_dataset),
             "offset {offset}: answers"
+        );
+        // Tile occupancy depends on the cut arrays, so it pins the
+        // restored partitioner to the fitted one.
+        let (recovered_report, reference_report) = (recovered.report(), reference.report());
+        let (got, want) = (&recovered_report.datasets[0], &reference_report.datasets[0]);
+        assert_eq!(
+            (got.load_imbalance, &got.occupancy),
+            (want.load_imbalance, &want.occupancy),
+            "offset {offset}: tile occupancy (restored partitioner)"
         );
         let report = recovered.shutdown();
         reference.shutdown();

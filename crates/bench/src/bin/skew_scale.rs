@@ -1,5 +1,6 @@
-//! Skew experiment: uniform vs adaptive vs quadtree partitioning of a
-//! clustered spatial join, every tile swept by the engine's one join
+//! Skew experiment: uniform (an equal-cut grid, fitted to no sample) vs
+//! adaptive (the same grid, cuts at sample quantiles) vs quadtree
+//! partitioning of a clustered spatial join, every tile swept by the engine's one join
 //! kernel. Emits `BENCH_skew.json` with per-partitioner load imbalance
 //! (max-tile / mean-tile estimated work), overlap tests and wall-clock.
 //!
@@ -22,7 +23,6 @@ use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{
     load_imbalance, partitioned_join, AdaptiveGrid, JoinPlan, Partitioner, QuadtreePartitioner,
-    UniformGrid,
 };
 use cbb_rtree::{TreeConfig, Variant};
 
@@ -71,7 +71,7 @@ fn main() {
     // the same tiles, so both belong in the quantile estimate.
     let mut sample = left.boxes.clone();
     sample.extend_from_slice(&right.boxes);
-    let uniform = UniformGrid::new(domain, grid);
+    let uniform = AdaptiveGrid::from_sample(domain, [grid; 2], &[]);
     let adaptive = AdaptiveGrid::from_sample(domain, [grid; 2], &sample);
     let quadtree = QuadtreePartitioner::build(domain, &sample, budget);
 

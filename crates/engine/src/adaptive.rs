@@ -1,14 +1,20 @@
-//! Sample-based adaptive grid: per-axis tile boundaries from data
-//! quantiles.
+//! The engine's grid partitioner: per-axis tile boundaries from data
+//! quantiles, or equal widths when fitted to no data.
 //!
-//! A [`UniformGrid`](crate::UniformGrid) over skewed data concentrates
-//! most objects in a few tiles, so one dense tile straggles the whole
-//! partitioned join (Aji et al., *Effective Spatial Data Partitioning for
-//! Scalable Query Processing*). The [`AdaptiveGrid`] keeps the grid's
-//! cheap row-major indexing but places the cut positions along each axis
-//! at the **quantiles of a data sample**: every column/row then holds
-//! roughly the same number of object centers, which flattens per-tile
-//! load for clustered and Zipfian placements.
+//! An equal-width grid over skewed data concentrates most objects in a
+//! few tiles, so one dense tile straggles the whole partitioned join
+//! (Aji et al., *Effective Spatial Data Partitioning for Scalable Query
+//! Processing*). The [`AdaptiveGrid`] keeps the grid's cheap row-major
+//! indexing but places the cut positions along each axis at the
+//! **quantiles of a data sample**: every column/row then holds roughly
+//! the same number of object centers, which flattens per-tile load for
+//! clustered and Zipfian placements. The fixed PBSM-style grid is the
+//! degenerate case of the same fit:
+//!
+//! | sample passed to [`AdaptiveGrid::from_sample`] | cuts along each axis |
+//! |---|---|
+//! | the data (or any subset of it) | per-axis quantiles of the sample's centers |
+//! | empty (`&[]`), or no finite center | equal widths over the domain |
 //!
 //! Cells are addressed by binary search over the cut arrays, so lookups
 //! are `O(log tiles_per_axis)` per axis, ownership is total (any point —
@@ -17,23 +23,22 @@
 
 use cbb_geom::{Coord, Point, Rect};
 
-use crate::partition::{cell_box_tiles, row_major_cell, row_major_index, Partitioner};
+use crate::partition::Partitioner;
 
 /// Cap on per-axis sample size: quantile estimates stabilise long before
 /// this, and it keeps construction `O(SAMPLE_CAP log SAMPLE_CAP)` per
 /// axis independent of dataset size.
 const SAMPLE_CAP: usize = 4_096;
 
-/// A grid with per-axis boundaries at data quantiles. Tiles are indexed
-/// row-major like [`crate::UniformGrid`]; only the cut positions differ.
+/// A grid with per-axis boundaries at data quantiles (equal widths for
+/// an empty sample). Tiles are indexed row-major in `0..tile_count()`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AdaptiveGrid<const D: usize> {
     domain: Rect<D>,
     /// Interior cut positions per axis, sorted ascending, inside the
     /// domain. Axis `i` has `cuts[i].len() + 1` cells: values `< cuts[0]`
     /// fall in cell 0, values `≥ cuts.last()` in the last cell (cut
-    /// positions belong to the upper cell, mirroring the uniform grid's
-    /// boundary rule).
+    /// positions belong to the upper cell).
     cuts: [Vec<Coord>; D],
 }
 
@@ -41,8 +46,10 @@ impl<const D: usize> AdaptiveGrid<D> {
     /// Build a grid with `dims[i]` tiles along axis `i`, boundaries at the
     /// per-axis quantiles of the centers of `sample`. The sample is
     /// typically the join input itself (or any subset — construction
-    /// subsamples to a cap internally). An empty sample degrades to
-    /// uniform, equal-width cuts.
+    /// subsamples to a cap internally). Centers that are not finite (a
+    /// NaN coordinate, or `lo = −∞, hi = +∞`) are skipped; an empty
+    /// sample, or one with no finite center on an axis, gives that axis
+    /// equal-width cuts — the fixed PBSM-style grid.
     pub fn from_sample(domain: Rect<D>, dims: [usize; D], sample: &[Rect<D>]) -> Self {
         assert!(
             dims.iter().all(|&n| n >= 1),
@@ -57,18 +64,17 @@ impl<const D: usize> AdaptiveGrid<D> {
             let mut values: Vec<Coord> = sample
                 .iter()
                 .step_by(stride)
-                .map(|r| {
-                    let c = (r.lo[i] + r.hi[i]) / 2.0;
-                    c.clamp(domain.lo[i], domain.hi[i])
-                })
+                .map(|r| (r.lo[i] + r.hi[i]) / 2.0)
+                .filter(|c| c.is_finite())
+                .map(|c| c.clamp(domain.lo[i], domain.hi[i]))
                 .collect();
             if values.is_empty() {
-                // No data: equal-width cuts (uniform-grid behaviour).
+                // No finite centre on this axis: equal-width cuts.
                 return (1..dims[i])
                     .map(|k| domain.lo[i] + domain.extent(i) * k as Coord / dims[i] as Coord)
                     .collect();
             }
-            values.sort_by(|a, b| a.partial_cmp(b).expect("finite coordinates"));
+            values.sort_by(Coord::total_cmp);
             (1..dims[i])
                 .map(|k| values[k * values.len() / dims[i]])
                 .collect()
@@ -143,6 +149,58 @@ impl<const D: usize> Partitioner<D> for AdaptiveGrid<D> {
             }
         }
         Rect::new(Point(lo), Point(hi))
+    }
+}
+
+/// Row-major tile index of a cell coordinate under per-axis cell counts.
+fn row_major_index<const D: usize>(cell: [usize; D], dims: [usize; D]) -> usize {
+    let mut idx = 0;
+    for (c, n) in cell.into_iter().zip(dims) {
+        debug_assert!(c < n);
+        idx = idx * n + c;
+    }
+    idx
+}
+
+/// Decompose a row-major tile index back into cell coordinates.
+fn row_major_cell<const D: usize>(tile: usize, dims: [usize; D]) -> [usize; D] {
+    let mut cell = [0usize; D];
+    let mut rest = tile;
+    for i in (0..D).rev() {
+        cell[i] = rest % dims[i];
+        rest /= dims[i];
+    }
+    cell
+}
+
+/// Row-major indices of every cell in the box `lo_cell..=hi_cell`
+/// (odometer enumeration, the multi-assignment set of a rectangle).
+fn cell_box_tiles<const D: usize>(
+    lo_cell: [usize; D],
+    hi_cell: [usize; D],
+    dims: [usize; D],
+) -> Vec<usize> {
+    let mut tiles = Vec::with_capacity(
+        (0..D)
+            .map(|i| hi_cell[i] - lo_cell[i] + 1)
+            .product::<usize>(),
+    );
+    let mut cell = lo_cell;
+    loop {
+        tiles.push(row_major_index(cell, dims));
+        // Odometer increment over the cell box.
+        let mut axis = D;
+        loop {
+            if axis == 0 {
+                return tiles;
+            }
+            axis -= 1;
+            if cell[axis] < hi_cell[axis] {
+                cell[axis] += 1;
+                break;
+            }
+            cell[axis] = lo_cell[axis];
+        }
     }
 }
 
@@ -289,10 +347,9 @@ mod tests {
     #[test]
     fn balances_clustered_data_better_than_uniform() {
         use crate::partition::load_imbalance;
-        use crate::UniformGrid;
         let a = skewed_boxes(4_000, 7);
         let b = skewed_boxes(4_000, 8);
-        let uniform = UniformGrid::new(domain(), 6);
+        let uniform = AdaptiveGrid::from_sample(domain(), [6, 6], &[]);
         let adaptive = AdaptiveGrid::from_sample(domain(), [6, 6], &a);
         let ui = load_imbalance(&uniform, &a, &b);
         let ai = load_imbalance(&adaptive, &a, &b);
@@ -323,5 +380,36 @@ mod tests {
         }
         let total: f64 = (0..g.tile_count()).map(|t| g.tile_rect(t).volume()).sum();
         assert!((total - 10_000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn non_finite_sample_centres_are_skipped() {
+        // An unbounded rect has a NaN centre (−∞ + ∞), and so does a NaN
+        // coordinate; neither may reach the sort. Built as literals
+        // because `Rect::new` rejects NaN corners in debug builds.
+        let unbounded = Rect {
+            lo: Point([f64::NEG_INFINITY, f64::NEG_INFINITY]),
+            hi: Point([f64::INFINITY, f64::INFINITY]),
+        };
+        let nan = Rect {
+            lo: Point([f64::NAN, 10.0]),
+            hi: Point([f64::NAN, 10.0]),
+        };
+        // Only NaN centres along x: equal cuts, like an empty sample. Along
+        // y the NaN box still has a finite centre, 10, which sets every cut.
+        let g = AdaptiveGrid::from_sample(domain(), [4, 4], &[unbounded, nan]);
+        assert_eq!(g.cuts(0), &[25.0, 50.0, 75.0]);
+        assert_eq!(g.cuts(1), &[10.0, 10.0, 10.0]);
+        let g = AdaptiveGrid::from_sample(domain(), [4, 4], &[unbounded]);
+        assert_eq!(g, AdaptiveGrid::from_sample(domain(), [4, 4], &[]));
+        // Mixed with finite data, the bad centres are ignored per axis:
+        // x sees only the finite boxes, y also sees the NaN box's 10.
+        let mut data = skewed_boxes(500, 10);
+        let finite = AdaptiveGrid::from_sample(domain(), [4, 4], &data);
+        data.extend([unbounded, nan]);
+        let g = AdaptiveGrid::from_sample(domain(), [4, 4], &data);
+        assert_eq!(g.cuts(0), finite.cuts(0));
+        assert!(g.cuts(1).windows(2).all(|w| w[0] <= w[1]));
+        assert!(g.cuts(1).iter().all(|&c| (0.0..=100.0).contains(&c)));
     }
 }

@@ -369,7 +369,7 @@ pub struct KnnOutcome {
 mod tests {
     use super::*;
     use crate::catalog::DatasetStore;
-    use crate::partition::UniformGrid;
+    use crate::AdaptiveGrid;
     use cbb_core::{ClipConfig, ClipMethod};
     use cbb_geom::{Point, SplitMix64};
     use cbb_rtree::{TreeConfig, Variant};
@@ -381,7 +381,7 @@ mod tests {
     /// A one-tile store: its batch executor answers the workload from
     /// one shared clipped tree, so a plain per-query loop over that
     /// tree is the reference.
-    fn setup(n: usize) -> (DatasetStore<2, UniformGrid<2>>, Vec<Rect<2>>) {
+    fn setup(n: usize) -> (DatasetStore<2, AdaptiveGrid<2>>, Vec<Rect<2>>) {
         let mut rng = SplitMix64::new(21);
         let objects: Vec<Rect<2>> = (0..n)
             .map(|_| {
@@ -396,7 +396,7 @@ mod tests {
             })
             .collect();
         let store = DatasetStore::build(
-            UniformGrid::new(r2(0.0, 0.0, 1000.0, 1000.0), 1),
+            AdaptiveGrid::from_sample(r2(0.0, 0.0, 1000.0, 1000.0), [1, 1], &[]),
             &objects,
             TreeConfig::tiny(Variant::RStar),
             ClipConfig::paper_default::<2>(ClipMethod::Stairline),
@@ -460,9 +460,7 @@ mod tests {
 
     mod executor {
         use super::*;
-        use crate::adaptive::AdaptiveGrid;
         use crate::catalog::DatasetStore;
-        use crate::partition::UniformGrid;
         use crate::quadtree::QuadtreePartitioner;
         use cbb_rtree::{TreeConfig, Variant};
 
@@ -517,7 +515,13 @@ mod tests {
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
             let tree = TreeConfig::tiny(Variant::RStar);
-            let uniform = DatasetStore::build(UniformGrid::new(domain, 4), &objects, tree, clip, 2);
+            let uniform = DatasetStore::build(
+                AdaptiveGrid::from_sample(domain, [4, 4], &[]),
+                &objects,
+                tree,
+                clip,
+                2,
+            );
             let adaptive = DatasetStore::build(
                 AdaptiveGrid::from_sample(domain, [4, 4], &objects),
                 &objects,
@@ -600,7 +604,13 @@ mod tests {
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
             let tree = TreeConfig::tiny(Variant::RStar);
-            let uniform = DatasetStore::build(UniformGrid::new(domain, 4), &objects, tree, clip, 2);
+            let uniform = DatasetStore::build(
+                AdaptiveGrid::from_sample(domain, [4, 4], &[]),
+                &objects,
+                tree,
+                clip,
+                2,
+            );
             let quad = DatasetStore::build(
                 QuadtreePartitioner::build(domain, &objects, 300),
                 &objects,
@@ -644,9 +654,9 @@ mod tests {
         fn forest_is_shareable_across_executors() {
             let (objects, queries) = objects_and_queries();
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
-            let grid = UniformGrid::new(domain, 4);
+            let grid = AdaptiveGrid::from_sample(domain, [4, 4], &[]);
             let built = DatasetStore::build(
-                grid,
+                grid.clone(),
                 &objects,
                 TreeConfig::tiny(Variant::RStar),
                 ClipConfig::paper_default::<2>(ClipMethod::Stairline),
@@ -670,7 +680,7 @@ mod tests {
             use crate::update::{Update, UpdateResult};
             let (objects, queries) = objects_and_queries();
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
-            let grid = UniformGrid::new(domain, 4);
+            let grid = AdaptiveGrid::from_sample(domain, [4, 4], &[]);
             let tree = TreeConfig::tiny(Variant::RStar);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
             let mut store = DatasetStore::build(grid, &objects, tree, clip, 2);
@@ -739,7 +749,7 @@ mod tests {
                 2,
             ));
             let rebuilt = DatasetStore::with_forest_where(
-                *store.partitioner(),
+                store.partitioner().clone(),
                 store.objects().to_vec(),
                 store.live().to_vec(),
                 rebuilt_forest,
@@ -765,7 +775,7 @@ mod tests {
             // Copy-on-write: the pre-update forest still answers the
             // original dataset — shared tiles were never disturbed.
             let old = DatasetStore::with_forest(
-                *store.partitioner(),
+                store.partitioner().clone(),
                 objects.clone(),
                 before_forest.clone(),
             );
@@ -777,7 +787,7 @@ mod tests {
             use crate::update::Update;
             let (objects, _) = objects_and_queries();
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
-            let grid = UniformGrid::new(domain, 4);
+            let grid = AdaptiveGrid::from_sample(domain, [4, 4], &[]);
             let tree = TreeConfig::tiny(Variant::RStar);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
             let mut store = DatasetStore::build(grid, &objects, tree, clip, 2);
@@ -831,7 +841,7 @@ mod tests {
         fn incremental_inserts_from_empty_executor() {
             use crate::update::Update;
             let domain = r2(0.0, 0.0, 100.0, 100.0);
-            let grid = UniformGrid::new(domain, 2);
+            let grid = AdaptiveGrid::from_sample(domain, [2, 2], &[]);
             let tree = TreeConfig::tiny(Variant::Quadratic);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
             let mut store = DatasetStore::build(grid, &[], tree, clip, 1);
@@ -869,7 +879,7 @@ mod tests {
             use crate::update::Update;
             let (objects, _) = objects_and_queries();
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
-            let grid = UniformGrid::new(domain, 4);
+            let grid = AdaptiveGrid::from_sample(domain, [4, 4], &[]);
             let tree = TreeConfig::tiny(Variant::RStar);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
             let mut store = DatasetStore::build(grid, &objects, tree, clip, 2);
@@ -929,14 +939,14 @@ mod tests {
             let (objects, _) = objects_and_queries();
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
             let built = DatasetStore::build(
-                UniformGrid::new(domain, 4),
+                AdaptiveGrid::from_sample(domain, [4, 4], &[]),
                 &objects,
                 TreeConfig::tiny(Variant::RStar),
                 ClipConfig::paper_default::<2>(ClipMethod::Stairline),
                 2,
             );
             let _ = DatasetStore::with_forest(
-                UniformGrid::new(domain, 5),
+                AdaptiveGrid::from_sample(domain, [5, 5], &[]),
                 objects,
                 built.forest().clone(),
             );

@@ -1086,7 +1086,7 @@ impl<const D: usize, P> Catalog<D, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::UniformGrid;
+    use crate::AdaptiveGrid;
     use cbb_core::{ClipConfig, ClipMethod};
     use cbb_geom::SplitMix64;
     use cbb_rtree::Variant;
@@ -1111,9 +1111,9 @@ mod tests {
             .collect()
     }
 
-    fn store(n: usize, seed: u64) -> DatasetStore<2, UniformGrid<2>> {
+    fn store(n: usize, seed: u64) -> DatasetStore<2, AdaptiveGrid<2>> {
         DatasetStore::build(
-            UniformGrid::new(r2(0.0, 0.0, 100.0, 100.0), 3),
+            AdaptiveGrid::from_sample(r2(0.0, 0.0, 100.0, 100.0), [3, 3], &[]),
             &boxes(n, seed),
             TreeConfig::tiny(Variant::RStar),
             ClipConfig::paper_default::<2>(ClipMethod::Stairline),
@@ -1123,7 +1123,7 @@ mod tests {
 
     #[test]
     fn catalog_creates_resolves_and_drops() {
-        let catalog: Catalog<2, UniformGrid<2>> = Catalog::new();
+        let catalog: Catalog<2, AdaptiveGrid<2>> = Catalog::new();
         assert!(catalog.is_empty());
         let a = catalog.create("roads", store(40, 1)).unwrap();
         let b = catalog.create("pois", store(30, 2)).unwrap();

@@ -45,7 +45,7 @@ use cbb_joins::{reference_point, sweep_precheck, sweep_scan, JoinResult, SweepSi
 use cbb_rtree::{DataId, TreeConfig};
 
 use crate::batch::TileForest;
-use crate::partition::{Partitioner, UniformGrid};
+use crate::partition::Partitioner;
 use crate::pool::{fold_dynamic_tasks, map_chunked};
 
 /// The join strategy a plan or request names. Every tile is swept, so
@@ -135,8 +135,8 @@ impl SplitPolicy {
 /// builds no tree and has no kernel to choose. They stay only because
 /// `benchmark/src/layers.rs` builds a `JoinPlan` literal naming them;
 /// ROADMAP item F retires them.
-#[derive(Clone, Copy, Debug)]
-pub struct JoinPlan<const D: usize, P = UniformGrid<D>> {
+#[derive(Clone, Debug)]
+pub struct JoinPlan<const D: usize, P> {
     /// Spatial partitioning of the workload (any [`Partitioner`]).
     pub partitioner: P,
     /// Ignored (see the type docs).
@@ -557,21 +557,21 @@ mod tests {
             .collect()
     }
 
-    fn plan2(per_dim: usize, workers: usize) -> JoinPlan<2> {
+    fn plan2(per_dim: usize, workers: usize) -> JoinPlan<2, AdaptiveGrid<2>> {
         JoinPlan::new(
-            UniformGrid::new(r2(0.0, 0.0, 500.0, 500.0), per_dim),
+            AdaptiveGrid::from_sample(r2(0.0, 0.0, 500.0, 500.0), [per_dim; 2], &[]),
             TreeConfig::tiny(Variant::RStar),
             ClipConfig::paper_default::<2>(ClipMethod::Stairline),
             workers,
         )
     }
 
-    fn forest(plan: &JoinPlan<2>, objects: &[Rect<2>]) -> TileForest<2> {
+    fn forest(plan: &JoinPlan<2, AdaptiveGrid<2>>, objects: &[Rect<2>]) -> TileForest<2> {
         TileForest::build(&plan.partitioner, objects, plan.tree, plan.clip, 2)
     }
 
     /// Tiles where both sides hold at least one object.
-    fn populated(plan: &JoinPlan<2>, a: &[Rect<2>], b: &[Rect<2>]) -> u64 {
+    fn populated(plan: &JoinPlan<2, AdaptiveGrid<2>>, a: &[Rect<2>], b: &[Rect<2>]) -> u64 {
         let (la, lb) = (plan.partitioner.assign(a), plan.partitioner.assign(b));
         (0..plan.partitioner.tile_count())
             .filter(|&t| !la[t].is_empty() && !lb[t].is_empty())
@@ -645,8 +645,8 @@ mod tests {
         let b = clustered_boxes(550, 11);
         for workers in [2, 4] {
             let never = plan2(4, workers).with_split(SplitPolicy::Never);
-            let auto = never.with_split(SplitPolicy::Auto);
-            let eager = never.with_split(SplitPolicy::Above(0));
+            let auto = never.clone().with_split(SplitPolicy::Auto);
+            let eager = never.clone().with_split(SplitPolicy::Above(0));
             let base = partitioned_join(&never, &a, &b);
             assert_eq!(partitioned_join(&auto, &a, &b), base, "auto");
             assert_eq!(partitioned_join(&eager, &a, &b), base, "eager");
@@ -699,7 +699,7 @@ mod tests {
         let base_plan = plan2(4, 3);
         let forest = forest(&base_plan, &b);
         for split in [SplitPolicy::Never, SplitPolicy::Auto, SplitPolicy::Above(0)] {
-            let plan = base_plan.with_clips(false).with_split(split);
+            let plan = base_plan.clone().with_clips(false).with_split(split);
             assert_eq!(
                 partitioned_join_with(&plan, &a, &b, &forest),
                 partitioned_join(&plan, &a, &b),
@@ -744,7 +744,7 @@ mod tests {
         let base_plan = plan2(4, 3);
         let (left_forest, right_forest) = (forest(&base_plan, &a), forest(&base_plan, &b));
         for split in [SplitPolicy::Never, SplitPolicy::Auto, SplitPolicy::Above(0)] {
-            let plan = base_plan.with_clips(false).with_split(split);
+            let plan = base_plan.clone().with_clips(false).with_split(split);
             assert_eq!(
                 partitioned_join_forests(&plan, &left_forest, &b, &right_forest),
                 partitioned_join(&plan, &a, &b),
@@ -847,7 +847,7 @@ mod tests {
         let base_plan = plan2(4, 3);
         let populated = populated(&base_plan, &a, &b);
         for split in [SplitPolicy::Never, SplitPolicy::Above(0)] {
-            let res = partitioned_join(&base_plan.with_split(split), &a, &b);
+            let res = partitioned_join(&base_plan.clone().with_split(split), &a, &b);
             assert_eq!(res.tiles_sweep, populated, "{split:?}");
             assert_eq!(res.tiles_stt + res.tiles_inlj, 0, "{split:?}");
         }

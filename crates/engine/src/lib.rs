@@ -5,11 +5,14 @@
 //! execution, with every per-tile probe still benefiting from clip-point
 //! pruning. Its modules:
 //!
-//! * [`partition`] — a PBSM-style uniform grid ([`UniformGrid`]):
-//!   rectangles are multi-assigned to every tile they overlap, and
-//!   reference-point ownership makes downstream dedup exact (after Aji et
-//!   al., *Effective Spatial Data Partitioning for Scalable Query
-//!   Processing*).
+//! * [`partition`] — the [`Partitioner`] contract: rectangles are
+//!   multi-assigned to every tile they overlap, and reference-point
+//!   ownership makes downstream dedup exact (after Aji et al.,
+//!   *Effective Spatial Data Partitioning for Scalable Query
+//!   Processing*). Two partitioners honour it: the [`AdaptiveGrid`]
+//!   ([`adaptive`]; cuts at sample quantiles, equal widths for an empty
+//!   sample — the PBSM-style fixed grid) and the
+//!   [`QuadtreePartitioner`] ([`quadtree`]).
 //! * [`join`] — the partitioned parallel join ([`partitioned_join`]):
 //!   every tile is joined by one kernel, a plane sweep over the
 //!   columnar [`cbb_joins::TileColumns`] layout (cached per tile on a
@@ -51,15 +54,17 @@
 //!
 //! ```
 //! use cbb_core::{ClipConfig, ClipMethod};
-//! use cbb_engine::{partitioned_join, JoinPlan, UniformGrid};
+//! use cbb_engine::{partitioned_join, AdaptiveGrid, JoinPlan};
 //! use cbb_geom::{Point, Rect};
 //! use cbb_rtree::{TreeConfig, Variant};
 //!
 //! let r = |x: f64, y: f64| Rect::new(Point([x, y]), Point([x + 2.0, y + 2.0]));
 //! let left = vec![r(0.0, 0.0), r(5.0, 5.0), r(9.0, 9.0)];
 //! let right = vec![r(1.0, 1.0), r(8.5, 8.5)];
+//! // An empty sample fits equal-width cuts: a 2 × 2 PBSM-style grid.
+//! let world = Rect::new(Point([0.0, 0.0]), Point([12.0, 12.0]));
 //! let plan = JoinPlan::new(
-//!     UniformGrid::new(Rect::new(Point([0.0, 0.0]), Point([12.0, 12.0])), 2),
+//!     AdaptiveGrid::from_sample(world, [2, 2], &[]),
 //!     TreeConfig::tiny(Variant::RStar),
 //!     ClipConfig::paper_default::<2>(ClipMethod::Stairline),
 //!     2,
@@ -90,7 +95,7 @@ pub use join::{
     partitioned_join, partitioned_join_forests, partitioned_join_with, sequential_join, AutoPolicy,
     JoinAlgo, JoinPlan, SplitPolicy,
 };
-pub use partition::{load_imbalance, AnyPartitioner, DataVersion, Partitioner, UniformGrid};
+pub use partition::{load_imbalance, AnyPartitioner, DataVersion, Partitioner};
 pub use persist::{
     decode_update_batch, encode_update_batch, read_snapshot, replay_update_batch, restore_store,
     write_snapshot, ByteReader, PersistError, PersistPartitioner, SnapshotContents,

@@ -1,5 +1,5 @@
-//! Spatial partitioning: the [`Partitioner`] contract and the PBSM-style
-//! [`UniformGrid`].
+//! Spatial partitioning: the [`Partitioner`] contract and the
+//! [`AnyPartitioner`] that lets one catalog mix partitioner kinds.
 //!
 //! Rectangles are assigned to every tile they overlap
 //! (*multi-assignment*), so each tile can be processed independently.
@@ -14,12 +14,11 @@
 //! objects sticking out of the domain therefore still land in (border)
 //! tiles and joins stay exact even for out-of-domain data.
 //!
-//! Three implementations ship with the engine:
+//! Two implementations ship with the engine:
 //!
 //! | partitioner | boundaries | best for |
 //! |---|---|---|
-//! | [`UniformGrid`] | equal-width | uniform data, zero build cost |
-//! | [`crate::AdaptiveGrid`] | per-axis data quantiles | skewed data, grid-shaped tiles |
+//! | [`crate::AdaptiveGrid`] | per-axis sample quantiles; equal widths for an empty sample | grid-shaped tiles, uniform or skewed data |
 //! | [`crate::QuadtreePartitioner`] | recursive region splits | heavily clustered data |
 
 use cbb_geom::{Point, Rect};
@@ -98,58 +97,6 @@ pub trait Partitioner<const D: usize>: Sync {
     }
 }
 
-/// Row-major tile index of a cell coordinate under per-axis cell counts.
-pub(crate) fn row_major_index<const D: usize>(cell: [usize; D], dims: [usize; D]) -> usize {
-    let mut idx = 0;
-    for (c, n) in cell.into_iter().zip(dims) {
-        debug_assert!(c < n);
-        idx = idx * n + c;
-    }
-    idx
-}
-
-/// Decompose a row-major tile index back into cell coordinates.
-pub(crate) fn row_major_cell<const D: usize>(tile: usize, dims: [usize; D]) -> [usize; D] {
-    let mut cell = [0usize; D];
-    let mut rest = tile;
-    for i in (0..D).rev() {
-        cell[i] = rest % dims[i];
-        rest /= dims[i];
-    }
-    cell
-}
-
-/// Row-major indices of every cell in the box `lo_cell..=hi_cell`
-/// (odometer enumeration, the multi-assignment set of a rectangle).
-pub(crate) fn cell_box_tiles<const D: usize>(
-    lo_cell: [usize; D],
-    hi_cell: [usize; D],
-    dims: [usize; D],
-) -> Vec<usize> {
-    let mut tiles = Vec::with_capacity(
-        (0..D)
-            .map(|i| hi_cell[i] - lo_cell[i] + 1)
-            .product::<usize>(),
-    );
-    let mut cell = lo_cell;
-    loop {
-        tiles.push(row_major_index(cell, dims));
-        // Odometer increment over the cell box.
-        let mut axis = D;
-        loop {
-            if axis == 0 {
-                return tiles;
-            }
-            axis -= 1;
-            if cell[axis] < hi_cell[axis] {
-                cell[axis] += 1;
-                break;
-            }
-            cell[axis] = lo_cell[axis];
-        }
-    }
-}
-
 /// Load-imbalance metric of a partitioning for a join workload: estimated
 /// per-tile work is `|left assigned| × |right assigned|` (the size of the
 /// candidate cross product), and the imbalance is **max / mean** over the
@@ -179,11 +126,11 @@ pub fn load_imbalance<const D: usize, P: Partitioner<D>>(
     max / mean
 }
 
-/// Any of the engine's three partitioners behind one concrete type —
-/// what lets a single catalog serve datasets with **different
-/// partitioner kinds** side by side (a uniform grid for a uniform
-/// layer, a quadtree for a heavily clustered one) while everything
-/// downstream stays generic over one `P`.
+/// Either of the engine's partitioners behind one concrete type — what
+/// lets a single catalog serve datasets with **different partitioner
+/// kinds** side by side (a grid for a uniform or mildly skewed layer, a
+/// quadtree for a heavily clustered one) while everything downstream
+/// stays generic over one `P`.
 ///
 /// Dispatch is a `match` per call; the partitioner contract (total
 /// ownership, covering consistency) is inherited unchanged from the
@@ -193,18 +140,11 @@ pub fn load_imbalance<const D: usize, P: Partitioner<D>>(
 /// compares kind *and* fitted boundaries.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AnyPartitioner<const D: usize> {
-    /// An equal-width [`UniformGrid`].
-    Uniform(UniformGrid<D>),
-    /// A sample-quantile [`crate::AdaptiveGrid`].
+    /// A sample-quantile (or, fitted to no sample, equal-width)
+    /// [`crate::AdaptiveGrid`].
     Adaptive(crate::AdaptiveGrid<D>),
     /// A budget-driven [`crate::QuadtreePartitioner`].
     Quadtree(crate::QuadtreePartitioner<D>),
-}
-
-impl<const D: usize> From<UniformGrid<D>> for AnyPartitioner<D> {
-    fn from(p: UniformGrid<D>) -> Self {
-        AnyPartitioner::Uniform(p)
-    }
 }
 
 impl<const D: usize> From<crate::AdaptiveGrid<D>> for AnyPartitioner<D> {
@@ -222,7 +162,6 @@ impl<const D: usize> From<crate::QuadtreePartitioner<D>> for AnyPartitioner<D> {
 impl<const D: usize> Partitioner<D> for AnyPartitioner<D> {
     fn tile_count(&self) -> usize {
         match self {
-            AnyPartitioner::Uniform(p) => Partitioner::tile_count(p),
             AnyPartitioner::Adaptive(p) => Partitioner::tile_count(p),
             AnyPartitioner::Quadtree(p) => Partitioner::tile_count(p),
         }
@@ -230,7 +169,6 @@ impl<const D: usize> Partitioner<D> for AnyPartitioner<D> {
 
     fn tile_of(&self, p: &Point<D>) -> usize {
         match self {
-            AnyPartitioner::Uniform(g) => Partitioner::tile_of(g, p),
             AnyPartitioner::Adaptive(g) => Partitioner::tile_of(g, p),
             AnyPartitioner::Quadtree(g) => Partitioner::tile_of(g, p),
         }
@@ -238,7 +176,6 @@ impl<const D: usize> Partitioner<D> for AnyPartitioner<D> {
 
     fn covering_tiles(&self, r: &Rect<D>) -> Vec<usize> {
         match self {
-            AnyPartitioner::Uniform(p) => Partitioner::covering_tiles(p, r),
             AnyPartitioner::Adaptive(p) => Partitioner::covering_tiles(p, r),
             AnyPartitioner::Quadtree(p) => Partitioner::covering_tiles(p, r),
         }
@@ -246,151 +183,26 @@ impl<const D: usize> Partitioner<D> for AnyPartitioner<D> {
 
     fn tile_rect(&self, tile: usize) -> Rect<D> {
         match self {
-            AnyPartitioner::Uniform(p) => Partitioner::tile_rect(p, tile),
             AnyPartitioner::Adaptive(p) => Partitioner::tile_rect(p, tile),
             AnyPartitioner::Quadtree(p) => Partitioner::tile_rect(p, tile),
         }
     }
 }
 
-/// A uniform grid over a rectangular domain with `dims[i]` tiles along
-/// axis `i`, tiles indexed row-major in `0..tile_count()`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct UniformGrid<const D: usize> {
-    domain: Rect<D>,
-    dims: [usize; D],
-}
-
-impl<const D: usize> UniformGrid<D> {
-    /// Grid with `per_dim` tiles along every axis (`per_dim ≥ 1`).
-    pub fn new(domain: Rect<D>, per_dim: usize) -> Self {
-        Self::with_dims(domain, [per_dim; D])
-    }
-
-    /// Grid with an explicit tile count per axis (each `≥ 1`).
-    pub fn with_dims(domain: Rect<D>, dims: [usize; D]) -> Self {
-        assert!(
-            dims.iter().all(|&n| n >= 1),
-            "every axis needs at least one tile"
-        );
-        assert!(domain.is_finite(), "grid domain must be finite");
-        UniformGrid { domain, dims }
-    }
-
-    /// The partitioned domain.
-    pub fn domain(&self) -> &Rect<D> {
-        &self.domain
-    }
-
-    /// Tiles per axis.
-    pub fn dims(&self) -> [usize; D] {
-        self.dims
-    }
-
-    /// Total number of tiles.
-    pub fn tile_count(&self) -> usize {
-        self.dims.iter().product()
-    }
-
-    /// The cell coordinate containing `p` along each axis, clamped into
-    /// the grid (so out-of-domain points map to border cells and the
-    /// domain's upper face belongs to the last cell).
-    ///
-    /// A zero-extent axis has zero cell width; dividing by it would poison
-    /// the index with NaN/∞, so such an axis clamps to cell 0 — the whole
-    /// (degenerate) axis is one cell regardless of `dims`.
-    pub fn cell_of(&self, p: &Point<D>) -> [usize; D] {
-        let mut cell = [0usize; D];
-        for i in 0..D {
-            let extent = self.domain.extent(i);
-            if extent.is_nan() || extent <= 0.0 {
-                // Zero-extent (or, defensively, NaN-extent) axis: clamp
-                // instead of dividing by the zero cell width.
-                continue;
-            }
-            let frac = (p[i] - self.domain.lo[i]) / extent;
-            let scaled = (frac * self.dims[i] as f64).floor();
-            // `f64::max` returns the non-NaN operand, so a NaN `scaled`
-            // (e.g. NaN input coordinate) becomes 0.0 here — in range.
-            cell[i] = (scaled.max(0.0) as usize).min(self.dims[i] - 1);
-        }
-        cell
-    }
-
-    /// Row-major tile index of a cell coordinate.
-    pub fn tile_index(&self, cell: [usize; D]) -> usize {
-        row_major_index(cell, self.dims)
-    }
-
-    /// The unique tile owning point `p` (reference-point semantics).
-    pub fn tile_of(&self, p: &Point<D>) -> usize {
-        self.tile_index(self.cell_of(p))
-    }
-
-    /// Whether tile `tile` owns point `p`.
-    pub fn owns(&self, tile: usize, p: &Point<D>) -> bool {
-        self.tile_of(p) == tile
-    }
-
-    /// Geometric bounds of a tile.
-    pub fn tile_rect(&self, tile: usize) -> Rect<D> {
-        assert!(tile < self.tile_count(), "tile out of range");
-        let cell = row_major_cell(tile, self.dims);
-        let mut lo = [0.0; D];
-        let mut hi = [0.0; D];
-        for i in 0..D {
-            let width = self.domain.extent(i) / self.dims[i] as f64;
-            lo[i] = self.domain.lo[i] + cell[i] as f64 * width;
-            hi[i] = if cell[i] + 1 == self.dims[i] {
-                self.domain.hi[i]
-            } else {
-                self.domain.lo[i] + (cell[i] + 1) as f64 * width
-            };
-        }
-        Rect::new(Point(lo), Point(hi))
-    }
-
-    /// All tiles `r` overlaps (multi-assignment set): the row-major
-    /// indices of the cell box spanned by `r`'s corners.
-    pub fn covering_tiles(&self, r: &Rect<D>) -> Vec<usize> {
-        cell_box_tiles(self.cell_of(&r.lo), self.cell_of(&r.hi), self.dims)
-    }
-
-    /// Multi-assign every rectangle to the tiles it overlaps.
-    pub fn assign(&self, rects: &[Rect<D>]) -> Vec<Vec<u32>> {
-        Partitioner::assign(self, rects)
-    }
-}
-
-impl<const D: usize> Partitioner<D> for UniformGrid<D> {
-    fn tile_count(&self) -> usize {
-        UniformGrid::tile_count(self)
-    }
-
-    fn tile_of(&self, p: &Point<D>) -> usize {
-        UniformGrid::tile_of(self, p)
-    }
-
-    fn covering_tiles(&self, r: &Rect<D>) -> Vec<usize> {
-        UniformGrid::covering_tiles(self, r)
-    }
-
-    fn tile_rect(&self, tile: usize) -> Rect<D> {
-        UniformGrid::tile_rect(self, tile)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AdaptiveGrid;
     use cbb_geom::SplitMix64;
 
     fn r2(lx: f64, ly: f64, hx: f64, hy: f64) -> Rect<2> {
         Rect::new(Point([lx, ly]), Point([hx, hy]))
     }
 
-    fn grid4() -> UniformGrid<2> {
-        UniformGrid::new(r2(0.0, 0.0, 100.0, 100.0), 4)
+    /// A 4 × 4 equal-cut grid: the partitioner contract checked on the
+    /// simplest cut placement.
+    fn grid4() -> AdaptiveGrid<2> {
+        AdaptiveGrid::from_sample(r2(0.0, 0.0, 100.0, 100.0), [4, 4], &[])
     }
 
     #[test]
@@ -481,7 +293,7 @@ mod tests {
 
     #[test]
     fn degenerate_1x1_grid_owns_everything() {
-        let g = UniformGrid::new(r2(0.0, 0.0, 10.0, 10.0), 1);
+        let g = AdaptiveGrid::from_sample(r2(0.0, 0.0, 10.0, 10.0), [1, 1], &[]);
         assert_eq!(g.tile_count(), 1);
         assert!(g.owns(0, &Point([3.0, 3.0])));
         assert!(g.owns(0, &Point([-100.0, 100.0])));
@@ -491,15 +303,17 @@ mod tests {
     #[test]
     fn zero_extent_domain_axis_clamps_instead_of_dividing() {
         // Regression: all data on the line y = 5 → the domain MBB has
-        // zero extent in y. cell_of must not divide by the zero cell
-        // width; the y axis collapses to a single cell and the x axis
-        // still partitions normally.
-        let g = UniformGrid::with_dims(r2(0.0, 5.0, 100.0, 5.0), [4, 4]);
+        // zero extent in y. Every equal-width y cut then sits at 5, and
+        // cell lookup is a binary search, not a division by the zero
+        // cell width: a cut belongs to the upper cell, so the line
+        // itself and everything above it fall in the last row, and the
+        // x axis still partitions normally.
+        let g = AdaptiveGrid::from_sample(r2(0.0, 5.0, 100.0, 5.0), [4, 4], &[]);
         for (p, want) in [
-            (Point([10.0, 5.0]), [0usize, 0usize]),
-            (Point([99.0, 5.0]), [3, 0]),
+            (Point([10.0, 5.0]), [0usize, 3usize]),
+            (Point([99.0, 5.0]), [3, 3]),
             // Off-line and out-of-domain points still clamp to a cell.
-            (Point([50.0, 7.0]), [2, 0]),
+            (Point([50.0, 7.0]), [2, 3]),
             (Point([-3.0, -9.0]), [0, 0]),
         ] {
             let cell = g.cell_of(&p);
@@ -520,11 +334,19 @@ mod tests {
         for &p in &[Point([20.0, 5.0]), Point([50.0, 5.0]), Point([80.0, 5.0])] {
             assert!(covered.contains(&g.tile_of(&p)), "missing owner of {p:?}");
         }
-        // Fully degenerate domain (a single point) still works.
-        let point_grid = UniformGrid::with_dims(r2(3.0, 3.0, 3.0, 3.0), [8, 8]);
-        assert_eq!(point_grid.tile_of(&Point([3.0, 3.0])), 0);
-        assert_eq!(point_grid.tile_of(&Point([100.0, -100.0])), 0);
-        assert_eq!(point_grid.covering_tiles(&r2(0.0, 0.0, 9.0, 9.0)), vec![0]);
+        // Fully degenerate domain (a single point) still works: the point
+        // lands in the last cell, far points clamp per axis, and a rect
+        // around the point covers its owner.
+        let point_grid = AdaptiveGrid::from_sample(r2(3.0, 3.0, 3.0, 3.0), [8, 8], &[]);
+        assert_eq!(point_grid.tile_of(&Point([3.0, 3.0])), 63);
+        assert_eq!(point_grid.tile_of(&Point([100.0, -100.0])), 56);
+        let owners = (0..64)
+            .filter(|&t| point_grid.owns(t, &Point([3.0, 3.0])))
+            .count();
+        assert_eq!(owners, 1);
+        assert!(point_grid
+            .covering_tiles(&r2(0.0, 0.0, 9.0, 9.0))
+            .contains(&63));
     }
 
     #[test]
@@ -562,7 +384,7 @@ mod tests {
 
     #[test]
     fn rectangular_grids_work() {
-        let g = UniformGrid::with_dims(r2(0.0, 0.0, 100.0, 50.0), [5, 2]);
+        let g = AdaptiveGrid::from_sample(r2(0.0, 0.0, 100.0, 50.0), [5, 2], &[]);
         assert_eq!(g.tile_count(), 10);
         assert_eq!(g.dims(), [5, 2]);
         let total: f64 = (0..10).map(|t| g.tile_rect(t).volume()).sum();
@@ -610,7 +432,7 @@ mod tests {
 
     #[test]
     fn load_imbalance_flags_hot_tiles() {
-        let g = UniformGrid::new(r2(0.0, 0.0, 100.0, 100.0), 2);
+        let g = AdaptiveGrid::from_sample(r2(0.0, 0.0, 100.0, 100.0), [2, 2], &[]);
         // Perfectly spread: one object per tile on each side.
         let spread: Vec<Rect<2>> = (0..4)
             .map(|t| {

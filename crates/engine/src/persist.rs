@@ -39,7 +39,7 @@ use cbb_storage::{crc32, PageStore};
 
 use crate::batch::TileForest;
 use crate::catalog::{CompactionPolicy, DatasetStore};
-use crate::partition::{AnyPartitioner, DataVersion, Partitioner, UniformGrid};
+use crate::partition::{AnyPartitioner, DataVersion, Partitioner};
 use crate::shard::ShardTiling;
 use crate::update::Update;
 
@@ -207,34 +207,9 @@ pub trait PersistPartitioner: Sized {
     fn decode_blob(r: &mut ByteReader<'_>) -> Result<Self, PersistError>;
 }
 
-impl<const D: usize> PersistPartitioner for UniformGrid<D> {
-    fn encode_blob(&self, out: &mut Vec<u8>) {
-        put_rect(out, self.domain());
-        for d in self.dims() {
-            put_u32(out, d as u32);
-        }
-    }
-
-    fn decode_blob(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let domain = r.rect::<D>()?;
-        let mut dims = [0usize; D];
-        for d in dims.iter_mut() {
-            *d = r.u32()? as usize;
-            if *d == 0 {
-                return Err(corrupt("uniform grid with a zero-tile axis"));
-            }
-        }
-        Ok(UniformGrid::with_dims(domain, dims))
-    }
-}
-
 impl<const D: usize> PersistPartitioner for AnyPartitioner<D> {
     fn encode_blob(&self, out: &mut Vec<u8>) {
         match self {
-            AnyPartitioner::Uniform(p) => {
-                out.push(0);
-                p.encode_blob(out);
-            }
             AnyPartitioner::Adaptive(p) => {
                 out.push(1);
                 p.encode_blob(out);
@@ -248,7 +223,6 @@ impl<const D: usize> PersistPartitioner for AnyPartitioner<D> {
 
     fn decode_blob(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
         match r.u8()? {
-            0 => Ok(AnyPartitioner::Uniform(UniformGrid::decode_blob(r)?)),
             1 => Ok(AnyPartitioner::Adaptive(crate::AdaptiveGrid::decode_blob(
                 r,
             )?)),
@@ -421,6 +395,10 @@ where
 /// Decode a snapshot previously written by [`write_snapshot`]. Any
 /// damage — header, partitioner blob, state map, or an arena page —
 /// fails with [`PersistError::Corrupt`] via the section checksums.
+///
+/// An [`AnyPartitioner`] blob is tagged `1` (adaptive grid) or `2`
+/// (quadtree). Tag `0` belonged to a retired equal-width grid type; a
+/// blob carrying it decodes as an unknown tag, i.e. `Corrupt`.
 pub fn read_snapshot<const D: usize, P, S>(
     store: &mut S,
 ) -> Result<SnapshotContents<D, P>, PersistError>
@@ -688,7 +666,7 @@ mod tests {
     fn any_partitioners(data: &[Rect<2>]) -> Vec<AnyPartitioner<2>> {
         let domain = r2(0.0, 0.0, 100.0, 100.0);
         vec![
-            UniformGrid::new(domain, 3).into(),
+            AdaptiveGrid::from_sample(domain, [3, 3], &[]).into(),
             AdaptiveGrid::from_sample(domain, [3, 4], data).into(),
             QuadtreePartitioner::build(domain, data, 25).into(),
         ]
@@ -712,12 +690,31 @@ mod tests {
     }
 
     #[test]
+    fn retired_partitioner_tag_is_corrupt() {
+        // Tag 0 named an equal-width grid type that no longer exists. A
+        // blob carrying it (domain, then per-axis tile counts) must be
+        // rejected as corrupt, neither decoded nor panicked on.
+        let mut blob = vec![0u8];
+        put_rect(&mut blob, &r2(0.0, 0.0, 100.0, 100.0));
+        put_u32(&mut blob, 3);
+        put_u32(&mut blob, 3);
+        let err = AnyPartitioner::<2>::decode_blob(&mut ByteReader::new(&blob)).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::Corrupt(why) if why == "unknown partitioner tag 0"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn shard_tiling_blob_round_trips() {
-        let p = ShardTiling::new(UniformGrid::new(r2(0.0, 0.0, 10.0, 10.0), 4), 3..9);
+        let p = ShardTiling::new(
+            AdaptiveGrid::from_sample(r2(0.0, 0.0, 10.0, 10.0), [4, 4], &[]),
+            3..9,
+        );
         let mut blob = Vec::new();
         p.encode_blob(&mut blob);
         let mut r = ByteReader::new(&blob);
-        let back = ShardTiling::<UniformGrid<2>>::decode_blob(&mut r).expect("round trip");
+        let back = ShardTiling::<AdaptiveGrid<2>>::decode_blob(&mut r).expect("round trip");
         assert_eq!(back.tiles(), 3..9);
         assert_eq!(back.inner(), p.inner());
     }
@@ -808,7 +805,7 @@ mod tests {
     fn replay_is_idempotent_and_gap_checked() {
         let data = boxes(40, 11);
         let mut ds = DatasetStore::build(
-            UniformGrid::new(r2(0.0, 0.0, 100.0, 100.0), 3),
+            AdaptiveGrid::from_sample(r2(0.0, 0.0, 100.0, 100.0), [3, 3], &[]),
             &data,
             tree(),
             clip(),
@@ -834,7 +831,11 @@ mod tests {
     fn corrupt_snapshot_pages_are_detected() {
         let data = boxes(260, 13); // > 1 arena page at D=2 (113/page)
         let ds = DatasetStore::build(
-            AnyPartitioner::from(UniformGrid::new(r2(0.0, 0.0, 100.0, 100.0), 4)),
+            AnyPartitioner::from(AdaptiveGrid::from_sample(
+                r2(0.0, 0.0, 100.0, 100.0),
+                [4, 4],
+                &[],
+            )),
             &data,
             tree(),
             clip(),

@@ -268,7 +268,7 @@ impl<const D: usize> crate::persist::PersistPartitioner for QuadtreePartitioner<
 mod tests {
     use super::*;
     use crate::partition::load_imbalance;
-    use crate::UniformGrid;
+    use crate::AdaptiveGrid;
     use cbb_geom::SplitMix64;
 
     fn r2(lx: f64, ly: f64, hx: f64, hy: f64) -> Rect<2> {
@@ -378,7 +378,7 @@ mod tests {
     fn beats_uniform_on_clustered_imbalance() {
         let a = clustered(3_000, 8);
         let b = clustered(3_000, 9);
-        let uniform = UniformGrid::new(domain(), 6);
+        let uniform = AdaptiveGrid::from_sample(domain(), [6, 6], &[]);
         let qt = QuadtreePartitioner::build(domain(), &a, 150);
         let ui = load_imbalance(&uniform, &a, &b);
         let qi = load_imbalance(&qt, &a, &b);

@@ -154,7 +154,7 @@ impl ShardMap {
 /// shard whose range holds that tile sees every rectangle containing
 /// the point (law 2, because the unfiltered coverage did) — which is
 /// why per-shard results merge exactly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardTiling<P> {
     inner: P,
     lo: usize,
@@ -241,7 +241,7 @@ pub fn merge_knn(parts: impl IntoIterator<Item = Vec<Neighbor>>, k: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::UniformGrid;
+    use crate::AdaptiveGrid;
     use cbb_geom::SplitMix64;
     use cbb_rtree::DataId;
 
@@ -307,7 +307,7 @@ mod tests {
 
     #[test]
     fn shard_views_jointly_reproduce_the_global_assignment() {
-        let grid = UniformGrid::new(r2(0.0, 0.0, 100.0, 100.0), 4);
+        let grid = AdaptiveGrid::from_sample(r2(0.0, 0.0, 100.0, 100.0), [4, 4], &[]);
         let mut rng = SplitMix64::new(21);
         let rects: Vec<Rect<2>> = (0..300)
             .map(|_| {
@@ -326,7 +326,7 @@ mod tests {
             let global = Partitioner::assign(&grid, &rects);
             let mut merged = vec![Vec::new(); grid.tile_count()];
             for s in 0..shards {
-                let view = ShardTiling::new(grid, map.range(s));
+                let view = ShardTiling::new(grid.clone(), map.range(s));
                 assert_eq!(Partitioner::tile_count(&view), grid.tile_count());
                 let assigned = view.assign(&rects);
                 for (t, list) in assigned.into_iter().enumerate() {
@@ -345,8 +345,8 @@ mod tests {
 
     #[test]
     fn shard_view_ownership_is_global() {
-        let grid = UniformGrid::new(r2(0.0, 0.0, 100.0, 100.0), 4);
-        let view = ShardTiling::new(grid, 4..8);
+        let grid = AdaptiveGrid::from_sample(r2(0.0, 0.0, 100.0, 100.0), [4, 4], &[]);
+        let view = ShardTiling::new(grid.clone(), 4..8);
         let mut rng = SplitMix64::new(22);
         for _ in 0..500 {
             let p = Point([rng.gen_range(-10.0, 110.0), rng.gen_range(-10.0, 110.0)]);

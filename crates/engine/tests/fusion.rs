@@ -11,7 +11,7 @@ use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{
     AdaptiveGrid, AutoPolicy, DatasetStore, Partitioner, QuadtreePartitioner, QueryAlgo,
-    SplitPolicy, UniformGrid,
+    SplitPolicy,
 };
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{AccessStats, TreeConfig, Variant};
@@ -137,7 +137,13 @@ fn fused_execution_matches_descend_on_all_partitioners() {
     let tree = TreeConfig::tiny(Variant::RStar);
     let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
 
-    let uniform = DatasetStore::build(UniformGrid::new(WORLD, 5), &objects, tree, clip, 2);
+    let uniform = DatasetStore::build(
+        AdaptiveGrid::from_sample(WORLD, [5, 5], &[]),
+        &objects,
+        tree,
+        clip,
+        2,
+    );
     check_fusion_oracle(&uniform, "uniform");
 
     let adaptive = DatasetStore::build(
@@ -168,7 +174,7 @@ fn fused_execution_matches_descend_on_all_partitioners() {
 fn fused_counters_are_exact_under_decomposition() {
     let objects = boxes(700, 22);
     let store = DatasetStore::build(
-        UniformGrid::new(WORLD, 4),
+        AdaptiveGrid::from_sample(WORLD, [4, 4], &[]),
         &objects,
         TreeConfig::tiny(Variant::RRStar),
         ClipConfig::paper_default::<2>(ClipMethod::Stairline),
@@ -217,7 +223,7 @@ fn fused_counters_are_exact_under_decomposition() {
 fn degenerate_batches_answer_identically() {
     let objects = boxes(300, 24);
     let store = DatasetStore::build(
-        UniformGrid::new(WORLD, 4),
+        AdaptiveGrid::from_sample(WORLD, [4, 4], &[]),
         &objects,
         TreeConfig::tiny(Variant::RStar),
         ClipConfig::paper_default::<2>(ClipMethod::Stairline),
@@ -253,7 +259,7 @@ fn knn_clipped_prefilter_is_exact_and_cheaper() {
         })
         .collect();
     let store = DatasetStore::build(
-        UniformGrid::new(WORLD, 4),
+        AdaptiveGrid::from_sample(WORLD, [4, 4], &[]),
         &objects,
         TreeConfig::tiny(Variant::RStar),
         ClipConfig::paper_default::<2>(ClipMethod::Stairline),

@@ -14,7 +14,7 @@ use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{
     load_imbalance, partitioned_join, partitioned_join_forests, partitioned_join_with,
     sequential_join, AdaptiveGrid, DatasetStore, JoinPlan, Partitioner, QuadtreePartitioner,
-    SplitPolicy, TileForest, UniformGrid,
+    SplitPolicy, TileForest,
 };
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::{brute_force_pairs, inlj, stt, JoinResult};
@@ -42,9 +42,9 @@ fn boxes(n: usize, seed: u64, max_side: f64) -> Vec<Rect<2>> {
         .collect()
 }
 
-fn plan(variant: Variant, per_dim: usize, workers: usize) -> JoinPlan<2> {
+fn plan(variant: Variant, per_dim: usize, workers: usize) -> JoinPlan<2, AdaptiveGrid<2>> {
     JoinPlan::new(
-        UniformGrid::new(WORLD, per_dim),
+        AdaptiveGrid::from_sample(WORLD, [per_dim; 2], &[]),
         TreeConfig::tiny(variant),
         ClipConfig::paper_default::<2>(ClipMethod::Stairline),
         workers,
@@ -251,12 +251,12 @@ fn two_level_scheduling_stays_exact_under_skew() {
     let (a, b, domain) = skewed_sides(400, 53);
     let mut sample = a.clone();
     sample.extend_from_slice(&b);
-    let uniform = UniformGrid::new(domain, 4);
+    let uniform = AdaptiveGrid::from_sample(domain, [4, 4], &[]);
     let adaptive = AdaptiveGrid::from_sample(domain, [4, 4], &sample);
     let tree = TreeConfig::tiny(Variant::RStar);
     let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
     let base = JoinPlan::new(uniform, tree, clip, 3).with_split(SplitPolicy::Never);
-    let split = base.with_split(SplitPolicy::Above(0));
+    let split = base.clone().with_split(SplitPolicy::Above(0));
     assert_eq!(
         partitioned_join(&base, &a, &b),
         partitioned_join(&split, &a, &b),
@@ -278,7 +278,7 @@ fn adaptive_partitioners_reduce_imbalance_on_clustered_data() {
     let (a, b, domain) = skewed_sides(2_000, 54);
     let mut sample = a.clone();
     sample.extend_from_slice(&b);
-    let uniform = UniformGrid::new(domain, 6);
+    let uniform = AdaptiveGrid::from_sample(domain, [6, 6], &[]);
     let adaptive = AdaptiveGrid::from_sample(domain, [6, 6], &sample);
     let quadtree = QuadtreePartitioner::build(domain, &sample, 2 * 2_000 / 36);
     let ui = load_imbalance(&uniform, &a, &b);
@@ -292,7 +292,7 @@ fn adaptive_partitioners_reduce_imbalance_on_clustered_data() {
 fn batched_queries_match_sequential_and_merge_stats() {
     let objects = boxes(1_200, 41, 15.0);
     let store = DatasetStore::build(
-        UniformGrid::new(WORLD, 4),
+        AdaptiveGrid::from_sample(WORLD, [4, 4], &[]),
         &objects,
         TreeConfig::tiny(Variant::RRStar),
         ClipConfig::paper_default::<2>(ClipMethod::Stairline),

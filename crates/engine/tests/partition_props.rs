@@ -1,5 +1,7 @@
-//! Property tests for the [`Partitioner`] contract on the two adaptive
-//! implementations (referenced from the trait's doc comment).
+//! Property tests for the [`Partitioner`] contract on both
+//! implementations (referenced from the trait's doc comment): the grid
+//! with cuts fitted to a sample, the same grid with the equal cuts an
+//! empty sample gives, and the quadtree.
 //!
 //! The engine's exactness rests on two per-partitioner invariants:
 //!
@@ -14,6 +16,9 @@
 //! Inputs are adversarially skewed: most rectangles pile into two dense
 //! blobs (so the adaptive boundaries are genuinely non-uniform), a few
 //! span many tiles, and a few are degenerate point-extent rectangles.
+//! Equal-cut grids run on the same inputs: with the generated dims, and
+//! on fixed shapes — square, rectangular, 1 × 1, and a domain with a
+//! zero-extent axis, where every cut along that axis coincides.
 
 use cbb_engine::{partitioned_join, AdaptiveGrid, JoinPlan, Partitioner, QuadtreePartitioner};
 use cbb_geom::{Point, Rect};
@@ -66,6 +71,25 @@ fn arb_skewed_rect() -> impl Strategy<Value = Rect<2>> {
         spanning,
         point_extent,
     ]
+}
+
+/// Equal-cut grids the generated dims may miss: square, rectangular,
+/// a single tile, and a zero-extent `y` axis through the data (all
+/// three `y` cuts sit at 500).
+fn fixed_equal_cut_grids() -> [AdaptiveGrid<2>; 4] {
+    [
+        AdaptiveGrid::from_sample(DOMAIN, [4, 4], &[]),
+        AdaptiveGrid::from_sample(DOMAIN, [5, 3], &[]),
+        AdaptiveGrid::from_sample(DOMAIN, [1, 1], &[]),
+        AdaptiveGrid::from_sample(r2(0.0, 500.0, 1000.0, 500.0), [4, 4], &[]),
+    ]
+}
+
+/// The equal-cut grid with the generated dims, then the fixed shapes.
+fn equal_cut_grids(dims: [usize; 2]) -> Vec<AdaptiveGrid<2>> {
+    let mut grids = vec![AdaptiveGrid::from_sample(DOMAIN, dims, &[])];
+    grids.extend(fixed_equal_cut_grids());
+    grids
 }
 
 fn arb_skewed_set(max: usize) -> impl Strategy<Value = Vec<Rect<2>>> {
@@ -158,6 +182,9 @@ proptest! {
     ) {
         let g = AdaptiveGrid::from_sample(DOMAIN, [dims.0, dims.1], &rects);
         assert_contract(&g, &rects)?;
+        for g in equal_cut_grids([dims.0, dims.1]) {
+            assert_contract(&g, &rects)?;
+        }
     }
 
     #[test]
@@ -179,6 +206,9 @@ proptest! {
         // cuts it never voted for.
         let g = AdaptiveGrid::from_sample(DOMAIN, [dims.0, dims.1], &left);
         assert_pairs_once(&g, &left, &right)?;
+        for g in equal_cut_grids([dims.0, dims.1]) {
+            assert_pairs_once(&g, &left, &right)?;
+        }
     }
 
     #[test]
@@ -213,5 +243,14 @@ proptest! {
             expected,
             "quadtree"
         );
+        for g in fixed_equal_cut_grids() {
+            let dims = g.dims();
+            prop_assert_eq!(
+                partitioned_join(&JoinPlan::new(g, tree, clip, 3), &left, &right).pairs,
+                expected,
+                "equal cuts {:?}",
+                dims
+            );
+        }
     }
 }

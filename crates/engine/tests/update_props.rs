@@ -17,7 +17,7 @@ use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{
     partitioned_join_with, AdaptiveGrid, CompactionPolicy, DatasetStore, JoinPlan, Partitioner,
-    QuadtreePartitioner, TileForest, UniformGrid, Update,
+    QuadtreePartitioner, TileForest, Update,
 };
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::brute_force_pairs;
@@ -229,7 +229,7 @@ proptest! {
         queries in prop::collection::vec(arb_skewed_rect(), 1..12),
         chunk in 1usize..20,
     ) {
-        let grid = UniformGrid::new(DOMAIN, 4);
+        let grid = AdaptiveGrid::from_sample(DOMAIN, [4, 4], &[]);
         let (store, arena, live) = run_script(grid, &initial, &script, chunk);
         check_against_rebuild(&store, &arena, &live, &queries)?;
     }

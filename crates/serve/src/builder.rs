@@ -12,13 +12,11 @@
 //! ```no_run
 //! use cbb_serve::{ServiceBuilder, ShardFitting};
 //! # use cbb_core::{ClipConfig, ClipMethod};
-//! # use cbb_engine::UniformGrid;
+//! # use cbb_engine::AdaptiveGrid;
 //! # use cbb_geom::{Point, Rect};
 //! # use cbb_rtree::{TreeConfig, Variant};
-//! # let (partitioner, objects) = (
-//! #     UniformGrid::new(Rect::new(Point([0.0, 0.0]), Point([1.0, 1.0])), 2),
-//! #     vec![],
-//! # );
+//! # let world = Rect::new(Point([0.0, 0.0]), Point([1.0, 1.0]));
+//! # let (partitioner, objects) = (AdaptiveGrid::from_sample(world, [2, 2], &[]), vec![]);
 //! let service = ServiceBuilder::new()
 //!     .shards(4)
 //!     .shard_fitting(ShardFitting::Fitted)

@@ -85,7 +85,7 @@ pub use stats::{DatasetReport, ServiceReport};
 mod tests {
     use super::*;
     use cbb_core::{ClipConfig, ClipMethod};
-    use cbb_engine::UniformGrid;
+    use cbb_engine::AdaptiveGrid;
     use cbb_geom::{Point, Rect};
     use cbb_rtree::{TreeConfig, Variant};
 
@@ -94,7 +94,11 @@ mod tests {
         let r = |x: f64, y: f64| Rect::new(Point([x, y]), Point([x + 2.0, y + 2.0]));
         let objects = vec![r(0.0, 0.0), r(5.0, 5.0), r(9.0, 9.0)];
         let service = ServiceBuilder::new().build(
-            UniformGrid::new(Rect::new(Point([0.0, 0.0]), Point([12.0, 12.0])), 2),
+            AdaptiveGrid::from_sample(
+                Rect::new(Point([0.0, 0.0]), Point([12.0, 12.0])),
+                [2, 2],
+                &[],
+            ),
             objects,
             TreeConfig::tiny(Variant::RStar),
             ClipConfig::paper_default::<2>(ClipMethod::Stairline),

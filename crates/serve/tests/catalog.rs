@@ -3,10 +3,11 @@
 //! * **Cross-join oracle** — `CrossJoin` over two served datasets is
 //!   byte-equal (every `JoinResult` counter, not just pairs) to a
 //!   direct engine join over the same two object sets — per call with
-//!   clips off, over forests built from them with clips on — for all
-//!   three partitioner kinds on the indexed side plus a shared tiling,
-//!   with the indexed side's forest served from the cache — the build
-//!   counter proves zero rebuilds on repeat joins.
+//!   clips off, over forests built from them with clips on — for an
+//!   equal-cut grid, a fitted grid and a quadtree on the indexed side
+//!   plus a shared tiling, with the indexed side's forest served from
+//!   the cache — the build counter proves zero rebuilds on repeat
+//!   joins.
 //! * **Isolation** — concurrent write batches to dataset A bump only
 //!   A's `DataVersion`; reads of B observe no version change and no
 //!   cache invalidation.
@@ -18,7 +19,6 @@ use cbb_datasets::skew::{clustered_with_layout, zipfian};
 use cbb_engine::{
     partitioned_join, partitioned_join_forests, partitioned_join_with, AdaptiveGrid,
     AnyPartitioner, DataVersion, DatasetId, JoinAlgo, JoinPlan, QuadtreePartitioner, TileForest,
-    UniformGrid,
 };
 use cbb_geom::{Point, Rect};
 use cbb_joins::brute_force_pairs;
@@ -77,7 +77,10 @@ fn cross_join_equals_direct_partitioned_join_for_all_partitioners() {
     };
 
     let rights: Vec<(&str, AnyPartitioner<2>)> = vec![
-        ("uniform", UniformGrid::new(domain, 4).into()),
+        (
+            "uniform",
+            AdaptiveGrid::from_sample(domain, [4, 4], &[]).into(),
+        ),
         (
             "adaptive",
             AdaptiveGrid::from_sample(domain, [5, 3], &right_data.boxes).into(),
@@ -165,7 +168,7 @@ fn same_tiling_cross_joins_never_repartition_probes() {
     let data_a = clustered_with_layout::<2>(900, 5, 25_000.0, 0.12, 9, 9);
     let data_b = clustered_with_layout::<2>(1_000, 5, 25_000.0, 0.12, 9, 10);
     let domain = data_a.domain.union(&data_b.domain);
-    let shared_part = AnyPartitioner::from(UniformGrid::new(domain, 4));
+    let shared_part = AnyPartitioner::from(AdaptiveGrid::from_sample(domain, [4, 4], &[]));
     let a = svc
         .create_dataset("a", shared_part.clone(), data_a.boxes.clone())
         .unwrap();
@@ -198,7 +201,7 @@ fn same_tiling_cross_joins_never_repartition_probes() {
         "one build per dataset creation, zero per join"
     );
     // A mismatched tiling is exactly what moves the counter.
-    let other = AnyPartitioner::from(UniformGrid::new(domain, 5));
+    let other = AnyPartitioner::from(AdaptiveGrid::from_sample(domain, [5, 5], &[]));
     let c = svc
         .create_dataset("c", other, data_b.boxes.clone())
         .unwrap();
@@ -219,7 +222,7 @@ fn writes_to_one_dataset_leave_others_unversioned_and_cached() {
     let a = svc
         .create_dataset(
             "churny",
-            UniformGrid::new(a_data.domain, 4).into(),
+            AdaptiveGrid::from_sample(a_data.domain, [4, 4], &[]).into(),
             a_data.boxes.clone(),
         )
         .unwrap();
@@ -331,7 +334,7 @@ fn writes_to_one_dataset_leave_others_unversioned_and_cached() {
 fn admin_ops_ride_the_queue_and_fail_cleanly() {
     let svc = catalog_service();
     let data = clustered_with_layout::<2>(400, 4, 40_000.0, 0.2, 9, 9);
-    let grid: AnyPartitioner<2> = UniformGrid::new(data.domain, 3).into();
+    let grid: AnyPartitioner<2> = AdaptiveGrid::from_sample(data.domain, [3, 3], &[]).into();
 
     // Queued create, then a name clash.
     let id = svc
@@ -442,7 +445,7 @@ fn writes_and_admin_ops_resolve_in_queue_order() {
     let dataset = svc
         .create_dataset(
             "layer",
-            UniformGrid::new(data.domain, 3).into(),
+            AdaptiveGrid::from_sample(data.domain, [3, 3], &[]).into(),
             data.boxes.clone(),
         )
         .unwrap();
@@ -516,7 +519,7 @@ fn report_rows_surface_per_dataset_imbalance_and_counters() {
     let skewed = svc
         .create_dataset(
             "skewed",
-            UniformGrid::new(data.domain, 5).into(),
+            AdaptiveGrid::from_sample(data.domain, [5, 5], &[]).into(),
             data.boxes.clone(),
         )
         .unwrap();

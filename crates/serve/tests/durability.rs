@@ -16,7 +16,7 @@ use std::path::Path;
 
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
-use cbb_engine::{AdaptiveGrid, JoinAlgo, UniformGrid};
+use cbb_engine::{AdaptiveGrid, JoinAlgo};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
 use cbb_serve::{Request, Response, ServiceBuilder, ShardedService, Update};
@@ -270,7 +270,7 @@ where
 #[test]
 fn recovered_single_service_matches_reference_uniform_grid() {
     let (_, domain) = fixture();
-    single_service_oracle("uniform", UniformGrid::new(domain, 4));
+    single_service_oracle("uniform", AdaptiveGrid::from_sample(domain, [4, 4], &[]));
 }
 
 #[test]
@@ -288,12 +288,12 @@ fn recovered_single_service_matches_reference_adaptive_grid() {
 #[test]
 fn recovered_sharded_service_matches_reference() {
     let (objects, domain) = fixture();
-    let partitioner = UniformGrid::new(domain, 4);
+    let partitioner = AdaptiveGrid::from_sample(domain, [4, 4], &[]);
     let batches = scripted_batches(21, objects.len());
     let root = tmp_root("sharded");
 
     let durable = ServiceBuilder::new().shards(2).durability(&root).build(
-        partitioner,
+        partitioner.clone(),
         objects.clone(),
         tree(),
         clip(),
@@ -316,10 +316,12 @@ fn recovered_sharded_service_matches_reference() {
     durable.shutdown();
 
     for kill in KILL_POINTS {
-        let reference =
-            ServiceBuilder::new()
-                .shards(2)
-                .build(partitioner, objects.clone(), tree(), clip());
+        let reference = ServiceBuilder::new().shards(2).build(
+            partitioner.clone(),
+            objects.clone(),
+            tree(),
+            clip(),
+        );
         let ref_dataset = reference.default_dataset();
         for ops in &batches[..kill] {
             reference
@@ -335,7 +337,7 @@ fn recovered_sharded_service_matches_reference() {
         let recovered = ServiceBuilder::new()
             .shards(2)
             .durability(root.with_extension(format!("kill{kill}")))
-            .build(partitioner, Vec::new(), tree(), clip());
+            .build(partitioner.clone(), Vec::new(), tree(), clip());
         let rec_dataset = recovered.default_dataset();
         assert_eq!(
             answers(&recovered, rec_dataset),
@@ -359,23 +361,23 @@ fn recovered_sharded_service_matches_reference() {
 #[test]
 fn catalog_lifecycle_survives_restart() {
     let (objects, domain) = fixture();
-    let partitioner = UniformGrid::new(domain, 3);
+    let partitioner = AdaptiveGrid::from_sample(domain, [3, 3], &[]);
     let root = tmp_root("lifecycle");
     let builder = ServiceBuilder::new().durability(&root);
 
     let first = builder
         .clone()
-        .build(partitioner, objects.clone(), tree(), clip());
+        .build(partitioner.clone(), objects.clone(), tree(), clip());
     let keep = first
-        .create_dataset("keep", partitioner, objects[..100].to_vec())
+        .create_dataset("keep", partitioner.clone(), objects[..100].to_vec())
         .unwrap();
     let doomed = first
-        .create_dataset("doomed", partitioner, objects[..50].to_vec())
+        .create_dataset("doomed", partitioner.clone(), objects[..50].to_vec())
         .unwrap();
     assert!(first.drop_dataset(doomed));
     first.shutdown();
 
-    let second = builder.build(partitioner, Vec::new(), tree(), clip());
+    let second = builder.build(partitioner.clone(), Vec::new(), tree(), clip());
     assert_eq!(second.dataset_id("keep"), Some(keep));
     assert_eq!(second.dataset_id("doomed"), None);
     assert_eq!(
@@ -400,14 +402,14 @@ fn catalog_lifecycle_survives_restart() {
 #[test]
 fn checkpoint_rolls_wal_and_preserves_answers() {
     let (objects, domain) = fixture();
-    let partitioner = UniformGrid::new(domain, 3);
+    let partitioner = AdaptiveGrid::from_sample(domain, [3, 3], &[]);
     let batches = scripted_batches(33, objects.len());
     let root = tmp_root("checkpoint");
     let builder = ServiceBuilder::new().durability(&root).checkpoint_bytes(64);
 
     let durable = builder
         .clone()
-        .build(partitioner, objects.clone(), tree(), clip());
+        .build(partitioner.clone(), objects.clone(), tree(), clip());
     let dataset = durable.default_dataset();
     for ops in &batches {
         durable
@@ -426,7 +428,8 @@ fn checkpoint_rolls_wal_and_preserves_answers() {
         report.checkpoints
     );
 
-    let reference = ServiceBuilder::new().build(partitioner, objects.clone(), tree(), clip());
+    let reference =
+        ServiceBuilder::new().build(partitioner.clone(), objects.clone(), tree(), clip());
     let ref_dataset = reference.default_dataset();
     for ops in &batches {
         reference
@@ -460,7 +463,7 @@ fn checkpoint_rolls_wal_and_preserves_answers() {
 #[test]
 fn waiter_wakes_only_after_wal_record_is_durable() {
     let (objects, domain) = fixture();
-    let partitioner = UniformGrid::new(domain, 3);
+    let partitioner = AdaptiveGrid::from_sample(domain, [3, 3], &[]);
     let root = tmp_root("commit_order");
     let service =
         ServiceBuilder::new()
@@ -509,12 +512,12 @@ fn waiter_wakes_only_after_wal_record_is_durable() {
 #[test]
 fn swap_survives_restart() {
     let (objects, domain) = fixture();
-    let partitioner = UniformGrid::new(domain, 3);
+    let partitioner = AdaptiveGrid::from_sample(domain, [3, 3], &[]);
     let root = tmp_root("swap");
     let builder = ServiceBuilder::new().durability(&root);
     let first = builder
         .clone()
-        .build(partitioner, objects.clone(), tree(), clip());
+        .build(partitioner.clone(), objects.clone(), tree(), clip());
     let dataset = first.default_dataset();
     let replacement: Vec<Rect<2>> = objects[..64].to_vec();
     first
@@ -550,7 +553,7 @@ fn swap_survives_restart() {
 #[test]
 fn checkpoint_threshold_holds_in_either_setter_order() {
     let (objects, domain) = fixture();
-    let partitioner = UniformGrid::new(domain, 3);
+    let partitioner = AdaptiveGrid::from_sample(domain, [3, 3], &[]);
     let batches = scripted_batches(35, objects.len());
     for threshold_first in [true, false] {
         let tag = if threshold_first {
@@ -564,7 +567,7 @@ fn checkpoint_threshold_holds_in_either_setter_order() {
         } else {
             ServiceBuilder::new().durability(&root).checkpoint_bytes(64)
         };
-        let service = builder.build(partitioner, objects.clone(), tree(), clip());
+        let service = builder.build(partitioner.clone(), objects.clone(), tree(), clip());
         let dataset = service.default_dataset();
         for ops in &batches[..3] {
             service

@@ -6,7 +6,7 @@
 
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
-use cbb_engine::UniformGrid;
+use cbb_engine::AdaptiveGrid;
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
 use cbb_serve::{Request, Response, ServiceBuilder, ShardedService, Update};
@@ -40,7 +40,7 @@ fn shard_dir(root: &std::path::Path) -> std::path::PathBuf {
 /// versions.
 fn run_stream(tag: &str) -> (std::path::PathBuf, Vec<u64>) {
     let data = clustered_with_layout::<2>(600, 4, 30_000.0, 0.15, 5, 5);
-    let partitioner = UniformGrid::new(data.domain, 3);
+    let partitioner = AdaptiveGrid::from_sample(data.domain, [3, 3], &[]);
     let root = tmp_root(tag);
     let service =
         ServiceBuilder::new()
@@ -72,10 +72,10 @@ fn run_stream(tag: &str) -> (std::path::PathBuf, Vec<u64>) {
     (root, versions)
 }
 
-fn restart(root: &std::path::Path) -> ShardedService<2, UniformGrid<2>> {
+fn restart(root: &std::path::Path) -> ShardedService<2, AdaptiveGrid<2>> {
     let data = clustered_with_layout::<2>(600, 4, 30_000.0, 0.15, 5, 5);
     ServiceBuilder::new().durability(root).build(
-        UniformGrid::new(data.domain, 3),
+        AdaptiveGrid::from_sample(data.domain, [3, 3], &[]),
         Vec::new(),
         tree(),
         clip(),
@@ -179,10 +179,10 @@ fn corrupt_snapshot_refuses_recovery() {
 #[test]
 fn torn_catalog_wal_undoes_the_halfwritten_create() {
     let data = clustered_with_layout::<2>(400, 4, 30_000.0, 0.15, 5, 5);
-    let partitioner = UniformGrid::new(data.domain, 3);
+    let partitioner = AdaptiveGrid::from_sample(data.domain, [3, 3], &[]);
     let root = tmp_root("admin_torn");
     let service = ServiceBuilder::new().durability(&root).build(
-        partitioner,
+        partitioner.clone(),
         data.boxes.clone(),
         tree(),
         clip(),

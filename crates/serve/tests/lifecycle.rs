@@ -6,16 +6,19 @@ use std::time::Duration;
 
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
-use cbb_engine::{DataVersion, JoinAlgo, UniformGrid};
+use cbb_engine::{AdaptiveGrid, DataVersion, JoinAlgo};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{TreeConfig, Variant};
 use cbb_serve::{Request, ServiceBuilder, ShardedService};
 
-fn service(builder: ServiceBuilder, n: usize) -> (ShardedService<2, UniformGrid<2>>, Vec<Rect<2>>) {
+fn service(
+    builder: ServiceBuilder,
+    n: usize,
+) -> (ShardedService<2, AdaptiveGrid<2>>, Vec<Rect<2>>) {
     let data = clustered_with_layout::<2>(n, 5, 40_000.0, 0.2, 3, 3);
     let svc = builder.build(
-        UniformGrid::new(data.domain, 4),
+        AdaptiveGrid::from_sample(data.domain, [4, 4], &[]),
         data.boxes.clone(),
         TreeConfig::tiny(Variant::RStar),
         ClipConfig::paper_default::<2>(ClipMethod::Stairline),
@@ -165,7 +168,7 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
 fn swap_data_changes_range_answers() {
     let (svc, boxes) = service(ServiceBuilder::new(), 900);
     let q = Rect::new(Point([0.0, 0.0]), Point([1_000_000.0, 1_000_000.0]));
-    let all = |svc: &ShardedService<2, UniformGrid<2>>| {
+    let all = |svc: &ShardedService<2, AdaptiveGrid<2>>| {
         svc.submit(Request::Range {
             dataset: svc.default_dataset(),
             query: q,
@@ -192,7 +195,7 @@ fn swap_data_changes_range_answers() {
 fn swap_data_with_refits_the_partitioner() {
     let (svc, boxes) = service(ServiceBuilder::new(), 700);
     let q = Rect::new(Point([0.0, 0.0]), Point([1_000_000.0, 1_000_000.0]));
-    let count_all = |svc: &ShardedService<2, UniformGrid<2>>| {
+    let count_all = |svc: &ShardedService<2, AdaptiveGrid<2>>| {
         svc.submit(Request::Range {
             dataset: svc.default_dataset(),
             query: q,
@@ -211,7 +214,7 @@ fn swap_data_with_refits_the_partitioner() {
     svc.swap_dataset(
         svc.default_dataset(),
         boxes.clone(),
-        Some(UniformGrid::new(domain, 7)),
+        Some(AdaptiveGrid::from_sample(domain, [7, 7], &[])),
     )
     .unwrap();
     assert_eq!(
@@ -220,7 +223,7 @@ fn swap_data_with_refits_the_partitioner() {
     );
     assert_eq!(count_all(&svc), 700);
     let probes: Vec<Rect<2>> = (0..100).map(|i| some_query(9_000 + i)).collect();
-    let pairs = |svc: &ShardedService<2, UniformGrid<2>>| {
+    let pairs = |svc: &ShardedService<2, AdaptiveGrid<2>>| {
         svc.submit(Request::Join {
             dataset: svc.default_dataset(),
             probes: probes.clone(),
@@ -238,7 +241,7 @@ fn swap_data_with_refits_the_partitioner() {
     svc.swap_dataset(
         svc.default_dataset(),
         boxes,
-        Some(UniformGrid::new(domain, 3)),
+        Some(AdaptiveGrid::from_sample(domain, [3, 3], &[])),
     )
     .unwrap();
     let under_3 = pairs(&svc);

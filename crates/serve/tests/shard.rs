@@ -9,7 +9,7 @@ use std::time::Duration;
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{
-    AdaptiveGrid, AnyPartitioner, JoinAlgo, Partitioner, QuadtreePartitioner, UniformGrid, Update,
+    AdaptiveGrid, AnyPartitioner, JoinAlgo, Partitioner, QuadtreePartitioner, Update,
 };
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
@@ -266,7 +266,7 @@ fn uniform_grid_oracle_balanced() {
     let (domain, objects) = dataset(1_500, 11);
     for shards in [2, 3] {
         oracle_roundtrip(
-            UniformGrid::new(domain, 4),
+            AdaptiveGrid::from_sample(domain, [4, 4], &[]),
             domain,
             objects.clone(),
             shards,
@@ -308,7 +308,7 @@ fn empty_shards_answer_correctly() {
     let (domain, objects) = dataset(600, 41);
     // 2×2 grid = 4 tiles across 7 shards → ≥ 3 empty shards.
     oracle_roundtrip(
-        UniformGrid::new(domain, 2),
+        AdaptiveGrid::from_sample(domain, [2, 2], &[]),
         domain,
         objects,
         7,
@@ -372,13 +372,13 @@ fn cross_join_oracle_two_datasets() {
 #[test]
 fn admin_fanout_is_atomic() {
     let (domain, objects) = dataset(500, 61);
-    let grid = UniformGrid::new(domain, 4);
+    let grid = AdaptiveGrid::from_sample(domain, [4, 4], &[]);
     let sharded = builder()
         .shards(3)
         .build_catalog::<2, AnyPartitioner<2>>(tree(), clip());
 
     let a = sharded
-        .create_dataset("a", grid.into(), objects.clone())
+        .create_dataset("a", grid.clone().into(), objects.clone())
         .unwrap();
     assert_eq!(sharded.dataset_id("a"), Some(a));
     // Name clash fails identically everywhere — and leaves no partial
@@ -463,9 +463,12 @@ fn admin_fanout_is_atomic() {
 #[test]
 fn router_scrape_exposes_scatter_gather() {
     let (domain, objects) = dataset(400, 81);
-    let sharded = builder()
-        .shards(2)
-        .build(UniformGrid::new(domain, 4), objects, tree(), clip());
+    let sharded = builder().shards(2).build(
+        AdaptiveGrid::from_sample(domain, [4, 4], &[]),
+        objects,
+        tree(),
+        clip(),
+    );
     let ds = sharded.default_dataset();
     for _ in 0..4 {
         sharded

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
-use cbb_engine::{AdaptiveGrid, DatasetStore, JoinAlgo, UniformGrid};
+use cbb_engine::{AdaptiveGrid, DatasetStore, JoinAlgo, Partitioner};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{AccessStats, TreeConfig, Variant};
 use cbb_serve::{
@@ -178,17 +178,21 @@ fn reads_stay_descents_whatever_the_forest_has_cached() {
     const RANGES: usize = 16;
     let f = fixture();
     let domain = Rect::mbb_of(&f.objects).expect("non-empty fixture");
-    let grid = UniformGrid::new(domain, 4);
+    let grid = AdaptiveGrid::from_sample(domain, [4, 4], &[]);
     let svc = ServiceBuilder::new()
         .batch_max(64)
         .batch_deadline(Duration::from_millis(200))
         .exec_workers(EXEC_WORKERS)
-        .build(grid, f.objects.clone(), f.tree, f.clip);
+        .build(grid.clone(), f.objects.clone(), f.tree, f.clip);
     let dataset = svc.default_dataset();
     // A self-join, and a join from a differently tiled copy whose live
     // objects are re-partitioned onto this dataset's tiles.
     let other = svc
-        .create_dataset("other", UniformGrid::new(domain, 3), f.objects.clone())
+        .create_dataset(
+            "other",
+            AdaptiveGrid::from_sample(domain, [3, 3], &[]),
+            f.objects.clone(),
+        )
         .unwrap();
     for left in [dataset, other] {
         let joined = svc

@@ -8,13 +8,13 @@ use std::time::Duration;
 
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
-use cbb_engine::{DataVersion, DatasetStore, JoinAlgo, UniformGrid, Update, UpdateResult};
+use cbb_engine::{AdaptiveGrid, DataVersion, DatasetStore, JoinAlgo, Update, UpdateResult};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{DataId, TreeConfig, Variant};
 use cbb_serve::{Request, ServiceBuilder, ShardedService};
 
-type Service = ShardedService<2, UniformGrid<2>>;
+type Service = ShardedService<2, AdaptiveGrid<2>>;
 
 fn tree() -> TreeConfig<2> {
     TreeConfig::tiny(Variant::RStar)
@@ -26,9 +26,12 @@ fn clip() -> ClipConfig {
 
 /// The layer every service here serves: `n` clustered boxes over a
 /// 4 × 4 uniform grid.
-fn layer(n: usize) -> (UniformGrid<2>, Vec<Rect<2>>) {
+fn layer(n: usize) -> (AdaptiveGrid<2>, Vec<Rect<2>>) {
     let data = clustered_with_layout::<2>(n, 5, 40_000.0, 0.2, 3, 3);
-    (UniformGrid::new(data.domain, 4), data.boxes)
+    (
+        AdaptiveGrid::from_sample(data.domain, [4, 4], &[]),
+        data.boxes,
+    )
 }
 
 fn service(builder: ServiceBuilder, n: usize) -> (Service, Vec<Rect<2>>) {

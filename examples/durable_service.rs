@@ -13,7 +13,9 @@ use clipped_bbox::prelude::*;
 
 fn main() {
     let data = clustered_with_layout::<2>(10_000, 6, 30_000.0, 0.15, 7, 7);
-    let partitioner = UniformGrid::new(data.domain, 4);
+    // A 4 × 4 grid with cuts at the data's quantiles: its cut arrays are
+    // part of what the snapshot must restore.
+    let partitioner = AdaptiveGrid::from_sample(data.domain, [4, 4], &data.boxes);
     let tree = TreeConfig::paper_default(Variant::RStar);
     let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
     let root = std::env::temp_dir().join(format!("durable_service_{}", std::process::id()));
@@ -22,10 +24,12 @@ fn main() {
     // ── First life: create, write, "crash". ────────────────────────
     // The builder's `durability` knob turns persistence on; everything
     // else about the service is unchanged.
-    let service =
-        ServiceBuilder::new()
-            .durability(&root)
-            .build(partitioner, data.boxes.clone(), tree, clip);
+    let service = ServiceBuilder::new().durability(&root).build(
+        partitioner.clone(),
+        data.boxes.clone(),
+        tree,
+        clip,
+    );
     let dataset = service.default_dataset();
     for i in 0..25u32 {
         let x = f64::from(i) * 1_000.0;

@@ -25,9 +25,10 @@ fn main() {
         parcels.len(),
     );
 
-    // Any `Partitioner` fits here — see examples/skewed_join.rs for the
-    // adaptive and quadtree alternatives on skewed data.
-    let grid = UniformGrid::new(streets.domain.union(&parcels.domain), 8);
+    // An empty sample gives an 8 × 8 equal-cut grid. Any `Partitioner`
+    // fits here — examples/skewed_join.rs fits the cuts to the data and
+    // compares the quadtree on skewed inputs.
+    let grid = AdaptiveGrid::from_sample(streets.domain.union(&parcels.domain), [8, 8], &[]);
     let base_plan = JoinPlan::new(
         grid,
         TreeConfig::paper_default(Variant::RStar),
@@ -46,7 +47,7 @@ fn main() {
     for workers in [1, 2, 4, 8] {
         let plan = JoinPlan {
             workers,
-            ..base_plan
+            ..base_plan.clone()
         };
         let t = Instant::now();
         let par = partitioned_join(&plan, &streets.boxes, &parcels.boxes);

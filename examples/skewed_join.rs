@@ -1,7 +1,8 @@
 //! Choosing a partitioner for skewed data: a clustered join runs under
-//! the uniform grid, the sample-based adaptive grid, and the quadtree
-//! region split, every tile swept by the plane-sweep kernel — same
-//! exact pair count, very different load balance.
+//! an equal-cut grid (fitted to no sample), the same grid with cuts at
+//! sample quantiles, and the quadtree region split, every tile swept by
+//! the plane-sweep kernel — same exact pair count, very different load
+//! balance.
 //!
 //! ```text
 //! cargo run --release --example skewed_join
@@ -23,7 +24,7 @@ fn main() {
 
     let mut sample = left.boxes.clone();
     sample.extend_from_slice(&right.boxes);
-    let uniform = UniformGrid::new(domain, 8);
+    let uniform = AdaptiveGrid::from_sample(domain, [8, 8], &[]);
     let adaptive = AdaptiveGrid::from_sample(domain, [8, 8], &sample);
     let quadtree = QuadtreePartitioner::build(domain, &sample, 2 * n / 64);
 
@@ -45,7 +46,7 @@ fn main() {
 
     let t = Instant::now();
     let r = partitioned_join(
-        &JoinPlan::new(uniform, tree, clip, workers),
+        &JoinPlan::new(uniform.clone(), tree, clip, workers),
         &left.boxes,
         &right.boxes,
     );

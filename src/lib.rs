@@ -70,7 +70,7 @@ pub mod prelude {
         partitioned_join, partitioned_join_forests, partitioned_join_with, AdaptiveGrid,
         AnyPartitioner, BatchOutcome, Catalog, CatalogError, CompactionPolicy, DataVersion,
         DatasetId, DatasetStore, JoinAlgo, JoinPlan, KnnOutcome, Partitioner, QuadtreePartitioner,
-        SplitPolicy, TileForest, UniformGrid, Update, UpdateOutcome, UpdateResult,
+        SplitPolicy, TileForest, Update, UpdateOutcome, UpdateResult,
     };
     pub use cbb_geom::{CornerMask, Point, Rect};
     pub use cbb_joins::JoinResult;

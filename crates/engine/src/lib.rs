@@ -101,5 +101,5 @@ pub use persist::{
     write_snapshot, ByteReader, PersistError, PersistPartitioner, SnapshotContents,
 };
 pub use quadtree::QuadtreePartitioner;
-pub use shard::{assignment_loads, merge_knn, ShardMap, ShardTiling};
+pub use shard::{merge_knn, ShardMap, ShardTiling};
 pub use update::{Update, UpdateOutcome, UpdateResult};

@@ -1,18 +1,12 @@
-//! Shard-boundary fitting over a [`Partitioner`]'s tiling.
+//! Shard boundaries over a [`Partitioner`]'s tiling.
 //!
 //! A *shard* owns a contiguous range of global tile ids. Everything the
 //! engine already guarantees per tile — multi-assignment, reference-point
 //! ownership, counter-exact join decomposition — survives the split
 //! unchanged, because a shard boundary is just a grouping of tiles:
 //!
-//! * [`ShardMap`] cuts `0..tile_count` into one contiguous range per
-//!   shard, either evenly ([`ShardMap::balanced`]) or weighted by
-//!   per-tile assignment counts ([`ShardMap::fitted`]) so a data-fitted
-//!   partitioner's hot region does not land on one shard. Aji et al.
-//!   (*Effective Spatial Data Partitioning for Scalable Query
-//!   Processing*) make exactly this point: partition quality is what
-//!   drives distributed query scalability, and the same fitters that
-//!   balance tiles balance shards.
+//! * [`ShardMap`] cuts `0..tile_count` into near-equal contiguous
+//!   ranges, one per shard ([`ShardMap::balanced`]).
 //! * [`ShardTiling`] wraps a partitioner into one shard's *view* of it:
 //!   the global tile-id space is kept (so reference-point ownership
 //!   still names global tiles), but [`Partitioner::covering_tiles`] is
@@ -36,6 +30,10 @@ use crate::partition::Partitioner;
 /// A contiguous cut of a tiling's `0..tile_count` global tile ids into
 /// `shard_count` ranges, shard `s` owning `range(s)`.
 ///
+/// Every map is [`Self::balanced`]: it depends on the tile count
+/// alone, never on the data, so datasets over one partitioner get
+/// identical ranges and their cross-joins stay shard-local.
+///
 /// Contiguity is deliberate: a shard's tiles are an ascending run, so
 /// concatenating per-shard tile-ordered results in shard order yields
 /// the global tile-ascending order an unsharded store produces — no
@@ -54,49 +52,6 @@ impl ShardMap {
     pub fn balanced(tile_count: usize, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         let bounds = (0..=shards).map(|s| s * tile_count / shards).collect();
-        ShardMap { bounds }
-    }
-
-    /// Cut tiles into `shards` contiguous ranges weighted by per-tile
-    /// `loads` (e.g. [`assignment_loads`] of the dataset being
-    /// sharded): shard `s` ends at the first prefix covering
-    /// `(s+1)/N` of the total load. Deterministic in `(loads, shards)`;
-    /// all-zero loads degrade to [`Self::balanced`].
-    pub fn fitted(loads: &[u64], shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        let total: u128 = loads.iter().map(|&l| l as u128).sum();
-        if total == 0 {
-            return Self::balanced(loads.len(), shards);
-        }
-        let mut bounds = Vec::with_capacity(shards + 1);
-        bounds.push(0);
-        let mut prefix: u128 = 0;
-        let mut tile = 0usize;
-        for s in 1..shards {
-            let target = total * s as u128 / shards as u128;
-            while tile < loads.len() && prefix < target {
-                prefix += loads[tile] as u128;
-                tile += 1;
-            }
-            bounds.push(tile);
-        }
-        bounds.push(loads.len());
-        ShardMap { bounds }
-    }
-
-    /// Rebuild a map from explicit cut points: shard `s` owns tiles
-    /// `bounds[s]..bounds[s + 1]`. This is the recovery path — a
-    /// restarted router reassembles each dataset's map from the
-    /// per-shard tile ranges its shards recovered — so the invariants
-    /// ([`Self::balanced`]/[`Self::fitted`] establish them by
-    /// construction) are asserted here.
-    pub fn from_bounds(bounds: Vec<usize>) -> Self {
-        assert!(bounds.len() >= 2, "need at least one shard");
-        assert_eq!(bounds[0], 0, "shard 0 must start at tile 0");
-        assert!(
-            bounds.windows(2).all(|w| w[0] <= w[1]),
-            "cut points must be non-decreasing"
-        );
         ShardMap { bounds }
     }
 
@@ -162,7 +117,7 @@ pub struct ShardTiling<P> {
 }
 
 impl<P> ShardTiling<P> {
-    /// View `tiles` (a range out of a [`ShardMap`] fitted to `inner`'s
+    /// View `tiles` (a range out of a [`ShardMap`] over `inner`'s
     /// tiling) of `inner`.
     pub fn new(inner: P, tiles: std::ops::Range<usize>) -> Self {
         ShardTiling {
@@ -201,22 +156,6 @@ impl<const D: usize, P: Partitioner<D>> Partitioner<D> for ShardTiling<P> {
     fn tile_rect(&self, tile: usize) -> Rect<D> {
         self.inner.tile_rect(tile)
     }
-}
-
-/// Per-tile assignment counts of `rects` under `partitioner` — the
-/// load signal [`ShardMap::fitted`] cuts on (a counting pass; nothing
-/// is materialised per tile).
-pub fn assignment_loads<const D: usize, P: Partitioner<D>>(
-    partitioner: &P,
-    rects: &[Rect<D>],
-) -> Vec<u64> {
-    let mut loads = vec![0u64; partitioner.tile_count()];
-    for r in rects {
-        for t in partitioner.covering_tiles(r) {
-            loads[t] += 1;
-        }
-    }
-    loads
 }
 
 /// Merge per-shard k-nearest candidate lists into the global top-k:
@@ -280,24 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn fitted_map_balances_skewed_loads() {
-        // Tile 0 holds half the data; a balanced cut of 8 tiles × 2
-        // shards puts tiles 0..4 on shard 0 (75 % of load), the fitted
-        // cut isolates the hot tile.
-        let loads = [500u64, 100, 100, 100, 50, 50, 50, 50];
-        let map = ShardMap::fitted(&loads, 2);
-        assert_eq!(map.tile_count(), 8);
-        let first: u64 = map.range(0).map(|t| loads[t]).sum();
-        let second: u64 = map.range(1).map(|t| loads[t]).sum();
-        assert!(first <= 600 && second >= 400, "{first} vs {second}");
-        // Deterministic and total.
-        assert_eq!(map, ShardMap::fitted(&loads, 2));
-        assert_eq!(map.range(0).len() + map.range(1).len(), 8);
-        // All-zero loads degrade to the balanced cut.
-        assert_eq!(ShardMap::fitted(&[0; 8], 2), ShardMap::balanced(8, 2));
-    }
-
-    #[test]
     fn covering_shards_dedups_and_sorts() {
         let map = ShardMap::balanced(16, 4);
         assert_eq!(map.covering_shards(&[0, 1, 2, 3]), vec![0]);
@@ -322,7 +243,7 @@ mod tests {
             })
             .collect();
         for shards in [2usize, 3, 5] {
-            let map = ShardMap::fitted(&assignment_loads(&grid, &rects), shards);
+            let map = ShardMap::balanced(grid.tile_count(), shards);
             let global = Partitioner::assign(&grid, &rects);
             let mut merged = vec![Vec::new(); grid.tile_count()];
             for s in 0..shards {

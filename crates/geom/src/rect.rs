@@ -163,11 +163,6 @@ impl<const D: usize> Rect<D> {
         true
     }
 
-    /// Squared Euclidean distance between centers.
-    pub fn center_distance_sq(&self, other: &Rect<D>) -> Coord {
-        self.center().distance_sq(&other.center())
-    }
-
     /// Squared minimum Euclidean distance from `p` to this rectangle
     /// (`0` when `p` lies inside) — the MINDIST bound of the kNN
     /// literature: no point of the rectangle is closer to `p` than this.

@@ -51,11 +51,6 @@ impl<const D: usize> ChangeLog<D> {
         self.record(id, ChangeKind::EntryAdded);
     }
 
-    /// Strongest change recorded for `id`, if any.
-    pub fn kind_of(&self, id: NodeId) -> Option<ChangeKind> {
-        self.kinds.iter().find(|(n, _)| *n == id).map(|(_, k)| *k)
-    }
-
     /// All `(node, strongest-change)` pairs.
     pub fn changes(&self) -> &[(NodeId, ChangeKind)] {
         &self.kinds

@@ -10,7 +10,7 @@
 //! swept. They are the only way to configure a service.
 //!
 //! ```no_run
-//! use cbb_serve::{ServiceBuilder, ShardFitting};
+//! use cbb_serve::ServiceBuilder;
 //! # use cbb_core::{ClipConfig, ClipMethod};
 //! # use cbb_engine::AdaptiveGrid;
 //! # use cbb_geom::{Point, Rect};
@@ -19,7 +19,6 @@
 //! # let (partitioner, objects) = (AdaptiveGrid::from_sample(world, [2, 2], &[]), vec![]);
 //! let service = ServiceBuilder::new()
 //!     .shards(4)
-//!     .shard_fitting(ShardFitting::Fitted)
 //!     .batch_max(32)
 //!     .build(
 //!         partitioner,
@@ -39,7 +38,7 @@ use cbb_rtree::TreeConfig;
 use cbb_telemetry::TelemetryConfig;
 
 use crate::durability::{DurabilityConfig, DEFAULT_CHECKPOINT_BYTES};
-use crate::router::{ShardFitting, ShardedService};
+use crate::router::ShardedService;
 use crate::service::ServiceConfig;
 
 /// Fluent configuration for a (sharded) query service. Start from
@@ -50,7 +49,6 @@ pub struct ServiceBuilder {
     /// Per-shard knobs; `durability` stays `None` until [`Self::finish`].
     config: ServiceConfig,
     shards: usize,
-    fitting: ShardFitting,
     durable_root: Option<PathBuf>,
     checkpoint_bytes: u64,
 }
@@ -62,15 +60,14 @@ impl Default for ServiceBuilder {
 }
 
 impl ServiceBuilder {
-    /// Defaults: one shard, balanced shard fitting, micro-batches of up
-    /// to 64 requests with a zero deadline, one dispatcher, 4 exec
-    /// workers, telemetry on, durability off (4 MiB checkpoint
-    /// threshold once it is turned on).
+    /// Defaults: one shard, micro-batches of up to 64 requests with a
+    /// zero deadline, one dispatcher, 4 exec workers, telemetry on,
+    /// durability off (4 MiB checkpoint threshold once it is turned
+    /// on).
     pub fn new() -> Self {
         ServiceBuilder {
             config: ServiceConfig::default(),
             shards: 1,
-            fitting: ShardFitting::default(),
             durable_root: None,
             checkpoint_bytes: DEFAULT_CHECKPOINT_BYTES,
         }
@@ -78,18 +75,15 @@ impl ServiceBuilder {
 
     /// Number of shards (≥ 1; default 1). Every shard is a full query
     /// service with its own catalog, queue and dispatchers — the
-    /// batching knobs below apply *per shard*. See [`ShardedService`]
+    /// batching knobs below apply *per shard*. Each dataset's tiles
+    /// are cut into near-equal contiguous shard ranges
+    /// ([`cbb_engine::ShardMap::balanced`]). A sharded service is
+    /// in-memory only: more than one shard together with
+    /// [`Self::durability`] panics at build. See [`ShardedService`]
     /// for how answers merge and what stays consistent.
     pub fn shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         self.shards = shards;
-        self
-    }
-
-    /// How dataset tiles are cut into shard ranges (default
-    /// [`ShardFitting::Balanced`]).
-    pub fn shard_fitting(mut self, fitting: ShardFitting) -> Self {
-        self.fitting = fitting;
         self
     }
 
@@ -145,12 +139,14 @@ impl ServiceBuilder {
         self
     }
 
-    /// Persist every dataset under `root` as snapshot + write-ahead
-    /// log, and recover the catalog from there on start. Off by
-    /// default (the service is in-memory only). Shard `i` of a sharded
-    /// service persists under `<root>/shard_<i>/`.
+    /// Persist every dataset directly under `root` as snapshot +
+    /// write-ahead log, and recover the catalog from there on start.
+    /// Off by default (the service is in-memory only). Durability is
+    /// one-shard: [`Self::build`] and [`Self::build_catalog`] panic
+    /// when it is combined with [`Self::shards`] above 1, before
+    /// anything is created under `root`.
     ///
-    /// Each shard directory holds, per dataset:
+    /// `root` holds, per dataset:
     ///
     /// * `ds_<id>.snap` — a full-store snapshot in the `cbb-storage`
     ///   page format ([`cbb_engine::write_snapshot`]), rewritten
@@ -170,14 +166,9 @@ impl ServiceBuilder {
     /// that recovery deletes, never a live dataset without bytes.
     ///
     /// **Recovery.** On start, before the first request is admitted,
-    /// the shard directories are reconciled (each shard fsyncs
-    /// independently, so a kill can land between two shards' commits
-    /// of one replicated batch: missing WAL tails are copied from the
-    /// most advanced shard, half-replicated creates and drops are
-    /// undone or completed). Each shard then replays `catalog.wal`'s
-    /// valid prefix and, for each live dataset, loads the snapshot,
-    /// rebuilds the tile forest, and replays the WAL tail. Replay is
-    /// **idempotent by version** ([`cbb_engine::replay_update_batch`]):
+    /// the service replays `catalog.wal`'s valid prefix and, for each
+    /// live dataset, loads the snapshot, rebuilds the tile forest, and
+    /// replays the WAL tail. Replay is **idempotent by version** ([`cbb_engine::replay_update_batch`]):
     /// records at or below the snapshot's version are skipped, a gap
     /// is corruption. A torn tail (partial append at the kill point)
     /// is detected by checksum and truncated — committed batches
@@ -193,18 +184,9 @@ impl ServiceBuilder {
     /// then WAL reset) is crash-safe: a crash in between leaves old
     /// records the version check skips.
     ///
-    /// **What is NOT guaranteed.**
-    ///
-    /// * Durability I/O errors at commit time **panic** the
-    ///   dispatcher: a service that cannot persist a write must not
-    ///   acknowledge it.
-    /// * Across shards, `SwapData` is not crash-atomic: each shard
-    ///   checkpoints its own snapshot, so a kill while a swap is
-    ///   mid-flight across shards can leave replicas on either side of
-    ///   the swap with no WAL records to roll the laggards forward.
-    ///   Start-up reconciliation detects this and refuses to start;
-    ///   restore from a fresh `SwapData` after recovery of a pre-swap
-    ///   state, or snapshot externally before swapping.
+    /// **What is NOT guaranteed.** Durability I/O errors at commit time
+    /// **panic** the dispatcher: a service that cannot persist a write
+    /// must not acknowledge it.
     pub fn durability(mut self, root: impl AsRef<Path>) -> Self {
         self.durable_root = Some(root.as_ref().to_path_buf());
         self
@@ -220,13 +202,13 @@ impl ServiceBuilder {
     }
 
     /// The per-shard configuration the setters assembled.
-    fn finish(self) -> (ServiceConfig, usize, ShardFitting) {
+    fn finish(self) -> (ServiceConfig, usize) {
         let mut config = self.config;
         config.durability = self.durable_root.map(|root| DurabilityConfig {
             root,
             checkpoint_bytes: self.checkpoint_bytes,
         });
-        (config, self.shards, self.fitting)
+        (config, self.shards)
     }
 
     /// Start with an **empty catalog**. With [`Self::durability`] set,
@@ -247,8 +229,8 @@ impl ServiceBuilder {
             + Sync
             + 'static,
     {
-        let (config, shards, fitting) = self.finish();
-        ShardedService::start_catalog(config, shards, fitting, tree, clip)
+        let (config, shards) = self.finish();
+        ShardedService::start_catalog(config, shards, tree, clip)
     }
 
     /// Start with one dataset named [`crate::DEFAULT_DATASET`] built
@@ -271,8 +253,8 @@ impl ServiceBuilder {
             + Sync
             + 'static,
     {
-        let (config, shards, fitting) = self.finish();
-        ShardedService::start(config, shards, fitting, partitioner, objects, tree, clip)
+        let (config, shards) = self.finish();
+        ShardedService::start(config, shards, partitioner, objects, tree, clip)
     }
 }
 
@@ -282,9 +264,8 @@ mod tests {
 
     #[test]
     fn new_is_the_documented_defaults() {
-        let (config, shards, fitting) = ServiceBuilder::new().finish();
+        let (config, shards) = ServiceBuilder::new().finish();
         assert_eq!(shards, 1);
-        assert_eq!(fitting, ShardFitting::Balanced);
         assert_eq!(config.batch_max, 64);
         assert_eq!(config.batch_deadline, Duration::ZERO);
         assert_eq!(config.dispatchers, 1);

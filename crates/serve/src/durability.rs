@@ -23,7 +23,7 @@ use crate::stats::ServiceStats;
 /// Default WAL size that triggers a checkpoint (4 MiB).
 pub(crate) const DEFAULT_CHECKPOINT_BYTES: u64 = 4 << 20;
 
-/// Where and how one shard persists its catalog.
+/// Where and how a durable (one-shard) service persists its catalog.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct DurabilityConfig {
     /// Directory holding `catalog.wal` and the per-dataset
@@ -369,146 +369,9 @@ fn orphan_candidate(file: &str) -> Option<u32> {
     digits.parse().ok()
 }
 
-// ── Cross-shard reconciliation ─────────────────────────────────────
-
-/// Version of the first 24 snapshot header bytes: magic, format, and
-/// the store version at offset 16 — enough to compare shard progress
-/// without decoding the snapshot (format v1 pins these offsets).
-fn peek_snapshot_version(path: &Path) -> Result<u64, PersistError> {
-    use std::io::Read;
-    let mut head = [0u8; 24];
-    let mut file = fs::File::open(path).map_err(|err| {
-        PersistError::Corrupt(format!("snapshot {} unreadable: {err}", path.display()))
-    })?;
-    file.read_exact(&mut head)?;
-    if head[..8] != cbb_engine::persist::SNAP_MAGIC {
-        return Err(PersistError::Corrupt(format!(
-            "snapshot {} has a damaged magic",
-            path.display()
-        )));
-    }
-    Ok(u64::from_le_bytes(head[16..24].try_into().unwrap()))
-}
-
-/// Version of one data-WAL record without decoding its ops (the
-/// version is the payload's first 8 bytes).
-fn peek_record_version(payload: &[u8]) -> Result<u64, PersistError> {
-    let bytes: [u8; 8] = payload
-        .get(..8)
-        .and_then(|b| b.try_into().ok())
-        .ok_or_else(|| PersistError::Corrupt("WAL record shorter than its version".into()))?;
-    Ok(u64::from_le_bytes(bytes))
-}
-
-/// Reconcile the per-shard durability directories of a sharded service
-/// before its shards recover, file-level (no `D`/`P` knowledge):
-///
-/// * A dataset whose `Create` persisted on only *some* shards was
-///   never acknowledged — the trailing create is **undone** by
-///   appending a `Drop` record on the shards that have it (their
-///   recovery then deletes the files as orphans). A trailing `Drop`
-///   is **completed** the same way on the shards that missed it.
-/// * Data WALs that diverged in length (each shard fsyncs its own
-///   log, so a kill can land between two shards' commits of the same
-///   batch) are **rolled forward**: missing tail records are copied
-///   byte-for-byte from the most advanced shard — replicated batches
-///   encode identically on every shard.
-/// * Divergence that crosses a checkpoint or `SwapData` boundary
-///   cannot be rolled forward from WAL records and is an error — see
-///   the fine print on [`crate::ServiceBuilder::durability`].
-pub(crate) fn reconcile_shard_dirs(root: &Path, shards: usize) -> Result<(), PersistError> {
-    if shards <= 1 {
-        return Ok(());
-    }
-    let dirs: Vec<PathBuf> = (0..shards)
-        .map(|s| root.join(format!("shard_{s}")))
-        .collect();
-    let mut admin: Vec<BTreeMap<DatasetId, String>> = Vec::with_capacity(shards);
-    for dir in &dirs {
-        fs::create_dir_all(dir)?;
-        let recovered = recover_wal(&catalog_wal_path(dir))?;
-        admin.push(fold_admin(&recovered.records)?.0);
-    }
-
-    // Lifecycle reconcile: live everywhere, or not at all.
-    let consensus: BTreeMap<DatasetId, String> = admin[0]
-        .iter()
-        .filter(|(id, _)| admin.iter().all(|m| m.contains_key(id)))
-        .map(|(id, name)| (*id, name.clone()))
-        .collect();
-    for (dir, shard_admin) in dirs.iter().zip(&admin) {
-        let stragglers: Vec<DatasetId> = shard_admin
-            .keys()
-            .filter(|id| !consensus.contains_key(id))
-            .copied()
-            .collect();
-        if stragglers.is_empty() {
-            continue;
-        }
-        let mut wal = WalWriter::append_to(&catalog_wal_path(dir))?;
-        for id in stragglers {
-            wal.append(&AdminRecord::Drop { id }.encode())?;
-        }
-        wal.sync()?;
-    }
-
-    // Data roll-forward per consensus dataset.
-    for &id in consensus.keys() {
-        let mut snap_versions = Vec::with_capacity(shards);
-        let mut tails = Vec::with_capacity(shards);
-        for dir in &dirs {
-            snap_versions.push(peek_snapshot_version(&snap_path(dir, id))?);
-            tails.push(recover_wal(&wal_path(dir, id))?);
-        }
-        let end_of = |s: usize| -> Result<u64, PersistError> {
-            match tails[s].records.last() {
-                Some(payload) => peek_record_version(payload),
-                None => Ok(snap_versions[s]),
-            }
-        };
-        let mut ends = Vec::with_capacity(shards);
-        for s in 0..shards {
-            ends.push(end_of(s)?);
-        }
-        let max_end = *ends.iter().max().expect("at least one shard");
-        let donor = ends.iter().position(|&e| e == max_end).expect("max exists");
-        for s in 0..shards {
-            if ends[s] == max_end {
-                continue;
-            }
-            // The donor's WAL must still hold every record the laggard
-            // is missing; a checkpoint or swap on the donor discarded
-            // them (snapshot base past the laggard's end).
-            if snap_versions[donor] > ends[s] {
-                return Err(PersistError::Corrupt(format!(
-                    "dataset {} diverged across a checkpoint/swap boundary: shard {} ends at \
-                     version {} but shard {}'s WAL starts past it — SwapData is not crash-atomic \
-                     across shards (see cbb_serve::durability)",
-                    id.0, s, ends[s], donor
-                )));
-            }
-            let mut wal = WalWriter::append_to(&wal_path(&dirs[s], id))?;
-            for payload in &tails[donor].records {
-                if peek_record_version(payload)? > ends[s] {
-                    wal.append(payload)?;
-                }
-            }
-            wal.sync()?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cbb-durability-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     #[test]
     fn admin_records_round_trip() {
@@ -557,141 +420,5 @@ mod tests {
         assert_eq!(orphan_candidate("ds_0.snap.tmp"), Some(0));
         assert_eq!(orphan_candidate("catalog.wal"), None);
         assert_eq!(orphan_candidate("ds_x.snap"), None);
-    }
-
-    #[test]
-    fn reconcile_completes_trailing_drop_and_undoes_trailing_create() {
-        let root = tmp_dir("reconcile-admin");
-        // Shard 0 saw create(0), create(1); shard 1 saw create(0) only
-        // (killed before the second create persisted). Also give both
-        // shards dataset 0 bytes so the data pass has files to read.
-        for (s, records) in [
-            (
-                0usize,
-                vec![
-                    AdminRecord::Create {
-                        id: DatasetId(0),
-                        name: "a".into(),
-                    },
-                    AdminRecord::Create {
-                        id: DatasetId(1),
-                        name: "b".into(),
-                    },
-                ],
-            ),
-            (
-                1usize,
-                vec![AdminRecord::Create {
-                    id: DatasetId(0),
-                    name: "a".into(),
-                }],
-            ),
-        ] {
-            let dir = root.join(format!("shard_{s}"));
-            fs::create_dir_all(&dir).unwrap();
-            let mut wal = WalWriter::create(&catalog_wal_path(&dir)).unwrap();
-            for r in &records {
-                wal.append(&r.encode()).unwrap();
-            }
-            wal.sync().unwrap();
-            // Minimal fake snapshot header: magic + format + D + version.
-            let mut head = Vec::new();
-            head.extend_from_slice(&cbb_engine::persist::SNAP_MAGIC);
-            head.extend_from_slice(&1u32.to_le_bytes());
-            head.extend_from_slice(&2u32.to_le_bytes());
-            head.extend_from_slice(&0u64.to_le_bytes());
-            fs::write(snap_path(&dir, DatasetId(0)), head).unwrap();
-            WalWriter::create(&wal_path(&dir, DatasetId(0))).unwrap();
-        }
-        reconcile_shard_dirs(&root, 2).unwrap();
-        // Shard 0's un-acked create of dataset 1 is undone.
-        let recovered = recover_wal(&catalog_wal_path(&root.join("shard_0"))).unwrap();
-        let (live, _) = fold_admin(&recovered.records).unwrap();
-        assert_eq!(live.keys().copied().collect::<Vec<_>>(), vec![DatasetId(0)]);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn reconcile_rolls_lagging_shard_forward() {
-        let root = tmp_dir("reconcile-data");
-        let mk_payload = |version: u64| {
-            let mut p = version.to_le_bytes().to_vec();
-            p.extend_from_slice(&0u32.to_le_bytes()); // zero ops
-            p
-        };
-        for (s, last) in [(0usize, 3u64), (1usize, 1u64)] {
-            let dir = root.join(format!("shard_{s}"));
-            fs::create_dir_all(&dir).unwrap();
-            let mut cat = WalWriter::create(&catalog_wal_path(&dir)).unwrap();
-            cat.append(
-                &AdminRecord::Create {
-                    id: DatasetId(0),
-                    name: "a".into(),
-                }
-                .encode(),
-            )
-            .unwrap();
-            cat.sync().unwrap();
-            let mut head = Vec::new();
-            head.extend_from_slice(&cbb_engine::persist::SNAP_MAGIC);
-            head.extend_from_slice(&1u32.to_le_bytes());
-            head.extend_from_slice(&2u32.to_le_bytes());
-            head.extend_from_slice(&0u64.to_le_bytes());
-            fs::write(snap_path(&dir, DatasetId(0)), head).unwrap();
-            let mut wal = WalWriter::create(&wal_path(&dir, DatasetId(0))).unwrap();
-            for v in 1..=last {
-                wal.append(&mk_payload(v)).unwrap();
-            }
-            wal.sync().unwrap();
-        }
-        reconcile_shard_dirs(&root, 2).unwrap();
-        let lagger = recover_wal(&wal_path(&root.join("shard_1"), DatasetId(0))).unwrap();
-        let versions: Vec<u64> = lagger
-            .records
-            .iter()
-            .map(|p| peek_record_version(p).unwrap())
-            .collect();
-        assert_eq!(versions, vec![1, 2, 3], "missing records copied from donor");
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn reconcile_refuses_swap_divergence() {
-        let root = tmp_dir("reconcile-swap");
-        // Shard 0 swapped (snapshot at version 5, empty WAL); shard 1
-        // still pre-swap (snapshot at 0, WAL through 4).
-        for (s, snap_version, wal_to) in [(0usize, 5u64, 0u64), (1usize, 0u64, 4u64)] {
-            let dir = root.join(format!("shard_{s}"));
-            fs::create_dir_all(&dir).unwrap();
-            let mut cat = WalWriter::create(&catalog_wal_path(&dir)).unwrap();
-            cat.append(
-                &AdminRecord::Create {
-                    id: DatasetId(0),
-                    name: "a".into(),
-                }
-                .encode(),
-            )
-            .unwrap();
-            cat.sync().unwrap();
-            let mut head = Vec::new();
-            head.extend_from_slice(&cbb_engine::persist::SNAP_MAGIC);
-            head.extend_from_slice(&1u32.to_le_bytes());
-            head.extend_from_slice(&2u32.to_le_bytes());
-            head.extend_from_slice(&snap_version.to_le_bytes());
-            fs::write(snap_path(&dir, DatasetId(0)), head).unwrap();
-            let mut wal = WalWriter::create(&wal_path(&dir, DatasetId(0))).unwrap();
-            for v in (snap_version + 1)..=wal_to {
-                let mut p = v.to_le_bytes().to_vec();
-                p.extend_from_slice(&0u32.to_le_bytes());
-                wal.append(&p).unwrap();
-            }
-            wal.sync().unwrap();
-        }
-        let err = reconcile_shard_dirs(&root, 2).unwrap_err();
-        assert!(
-            err.to_string().contains("not crash-atomic"),
-            "swap divergence names the caveat: {err}"
-        );
-        let _ = fs::remove_dir_all(&root);
     }
 }

@@ -47,9 +47,9 @@
 //!   compaction with stable live ids); answers afterwards equal a
 //!   wholesale swap with the same surviving objects, and a request
 //!   admitted after a write completes observes that write.
-//! * **Durability (opt-in)** — with [`ServiceBuilder::durability`]
-//!   set, every dataset persists as snapshot + write-ahead log under
-//!   the configured root; each write batch is fsynced before its
+//! * **Durability (opt-in, one shard)** — with
+//!   [`ServiceBuilder::durability`] set, every dataset persists as
+//!   snapshot + write-ahead log directly under the configured root; each write batch is fsynced before its
 //!   waiters are fulfilled, and a restarted service recovers the full
 //!   catalog and answers byte-equal to one that never stopped (see
 //!   that method's docs, including what is *not* guaranteed).
@@ -77,7 +77,7 @@ pub use cbb_telemetry::{HistogramSnapshot, SlowQuery, Span, TelemetryConfig, Tel
 pub use handle::{Canceled, CompletionHandle};
 pub use queue::Closed;
 pub use request::{Completion, Request, RequestError, RequestKind, Response, UpdateSummary};
-pub use router::{ShardFitting, ShardedService};
+pub use router::ShardedService;
 pub use service::{Scrape, DEFAULT_DATASET};
 pub use stats::{DatasetReport, ServiceReport};
 

@@ -224,19 +224,6 @@ impl<const D: usize, P> Request<D, P> {
         }
     }
 
-    /// Whether this request mutates a dataset or the catalog.
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            Request::Insert { .. }
-                | Request::Delete { .. }
-                | Request::UpdateBatch { .. }
-                | Request::CreateDataset { .. }
-                | Request::DropDataset { .. }
-                | Request::SwapData { .. }
-        )
-    }
-
     /// The dataset a data request targets (`None` for admin requests
     /// and cross-dataset joins, which have their own routing).
     pub fn dataset(&self) -> Option<DatasetId> {

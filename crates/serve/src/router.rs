@@ -8,9 +8,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use cbb_core::ClipConfig;
-use cbb_engine::{
-    assignment_loads, merge_knn, DataVersion, DatasetId, Partitioner, ShardMap, ShardTiling,
-};
+use cbb_engine::{merge_knn, DataVersion, DatasetId, Partitioner, ShardMap, ShardTiling};
 use cbb_geom::Rect;
 use cbb_joins::JoinResult;
 use cbb_rtree::TreeConfig;
@@ -21,27 +19,6 @@ use crate::queue::{Bounded, Closed};
 use crate::request::{Completion, Request, Response};
 use crate::service::{Scrape, ServiceConfig, Shard, DEFAULT_DATASET, QUEUE_CAPACITY};
 use crate::stats::{names, ServiceReport};
-
-/// How a [`ShardedService`] cuts a dataset's tiles into shard ranges.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShardFitting {
-    /// Near-equal contiguous tile ranges ([`ShardMap::balanced`]).
-    /// Datasets sharing a partitioner get identical ranges, so the
-    /// equal-tiling cross-join fast path (borrowing both forests)
-    /// keeps working shard-locally.
-    #[default]
-    Balanced,
-    /// Ranges weighted by the dataset's per-tile assignment counts
-    /// ([`ShardMap::fitted`]) — the shard-boundary fitting move from
-    /// *Effective Spatial Data Partitioning for Scalable Query
-    /// Processing*: a data-fitted partitioner's hot region is spread
-    /// across shards instead of landing on one. Trade-off: two
-    /// datasets over the same partitioner may get different ranges,
-    /// demoting their cross-joins from the forest-borrowing fast path
-    /// to the re-partitioning path (answers identical, left forest not
-    /// reused).
-    Fitted,
-}
 
 /// Routing state of one dataset: its global partitioner and the shard
 /// map its tiles were cut by.
@@ -160,7 +137,8 @@ impl RouterStats {
 /// the **object arena is fully mirrored** on every shard (identical
 /// rectangles, identical live masks, identical [`cbb_rtree::DataId`]
 /// assignment), while each shard's tile forest indexes only the
-/// contiguous global tile range its [`ShardMap`] assigned to it.
+/// contiguous global tile range the dataset's [`ShardMap::balanced`]
+/// cut assigns it.
 /// Because the engine's reference-point rule attributes every result
 /// and join pair to exactly one owning tile, and the shard ranges
 /// partition the tile space, each answer fragment is produced by
@@ -183,9 +161,10 @@ impl RouterStats {
 ///   replicas and the first is returned.
 ///
 /// With one shard (the default) every request targets shard 0 and the
-/// router is a pass-through. The oracle tests pin every merge
-/// **byte-equal** to a one-shard service and to the engine called
-/// directly on the same data.
+/// router is a pass-through. Only a one-shard service can be durable
+/// (see [`crate::ServiceBuilder::durability`]). The oracle tests pin
+/// every merge **byte-equal** to a one-shard service and to the engine
+/// called directly on the same data.
 ///
 /// # Consistency
 ///
@@ -200,9 +179,10 @@ impl RouterStats {
 /// and arena compaction's reclaimed-slot reuse can diverge, so a later
 /// insert may get different ids on different shards. Through a sharded
 /// service, await each write's handle before submitting the next write
-/// to the same dataset. Likewise a `SwapData` that re-fits the shard
-/// map is not linearizable with *concurrent* reads of that dataset:
-/// admit reads after the swap's handle resolves.
+/// to the same dataset. Likewise a `SwapData` that replaces the
+/// partitioner (and with it the shard map) is not linearizable with
+/// *concurrent* reads of that dataset: admit reads after the swap's
+/// handle resolves.
 ///
 /// There is deliberately no non-blocking submit: shedding a fan-out
 /// after some shards already accepted their copy would fork the
@@ -217,7 +197,6 @@ pub struct ShardedService<const D: usize, P> {
     /// Serializes fan-outs so every shard sees the same queue order —
     /// the invariant replica lock-step rests on.
     fanout: Mutex<()>,
-    fitting: ShardFitting,
     default_dataset: Option<DatasetId>,
 }
 
@@ -233,63 +212,41 @@ where
         + 'static,
 {
     /// Start `shards` in-process shards (each with `config`'s
-    /// batching/telemetry knobs) with an empty catalog.
-    ///
-    /// With durability configured, each shard persists under its own
-    /// `shard_<i>` subdirectory of the configured root. On start the
-    /// subdirectories are **reconciled** before the shards recover
-    /// (each shard fsyncs independently, so a kill can land between
-    /// two shards' commits of the same replicated batch), and the
-    /// route table is rebuilt from the recovered per-shard tilings.
+    /// batching/telemetry knobs) with an empty catalog. With
+    /// durability configured, the one shard recovers the catalog under
+    /// the root and the route table is rebuilt from it; durability over
+    /// more shards panics before the root is touched.
     pub(crate) fn start_catalog(
         config: ServiceConfig,
         shards: usize,
-        fitting: ShardFitting,
         tree: TreeConfig<D>,
         clip: ClipConfig,
     ) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        if let Some(durable) = &config.durability {
-            crate::durability::reconcile_shard_dirs(&durable.root, shards).unwrap_or_else(|err| {
-                panic!(
-                    "shard reconciliation failed under {}: {err}",
-                    durable.root.display()
-                )
-            });
-        }
+        // Every shard would persist into the same root.
+        assert!(
+            config.durability.is_none() || shards == 1,
+            "durability() is one-shard: drop shards({shards}) or durability()"
+        );
         let shards: Vec<Shard<D, ShardTiling<P>>> = (0..shards)
-            .map(|i| {
-                let mut shard_config = config.clone();
-                if let Some(durable) = &mut shard_config.durability {
-                    durable.root = durable.root.join(format!("shard_{i}"));
-                }
-                Shard::start(shard_config, tree, clip)
+            .map(|_| Shard::start(config.clone(), tree, clip))
+            .collect();
+        // Only a durable (hence one-shard) service starts with
+        // datasets; each recovered route is the whole tiling.
+        let initial_routes = shards[0]
+            .dataset_partitioners()
+            .into_iter()
+            .map(|(id, name, tiling)| {
+                let partitioner = tiling.inner().clone();
+                let map = ShardMap::balanced(partitioner.tile_count(), 1);
+                let route = DatasetRoute {
+                    name,
+                    partitioner,
+                    map,
+                };
+                (id, route)
             })
             .collect();
-        // Rebuild the route table from recovered state: shard 0's
-        // tiling carries the global partitioner, and the per-shard
-        // tile ranges are the shard map's cut points.
-        let mut initial_routes = HashMap::new();
-        if config.durability.is_some() {
-            let per_shard: Vec<Vec<(DatasetId, String, ShardTiling<P>)>> =
-                shards.iter().map(|s| s.dataset_partitioners()).collect();
-            for (row, (id, name, tiling)) in per_shard[0].iter().enumerate() {
-                let mut bounds = vec![tiling.tiles().start, tiling.tiles().end];
-                for shard_rows in &per_shard[1..] {
-                    let (other_id, _, other) = &shard_rows[row];
-                    debug_assert_eq!(other_id, id, "reconciled shards list identical datasets");
-                    bounds.push(other.tiles().end);
-                }
-                initial_routes.insert(
-                    *id,
-                    DatasetRoute {
-                        name: name.clone(),
-                        partitioner: tiling.inner().clone(),
-                        map: ShardMap::from_bounds(bounds),
-                    },
-                );
-            }
-        }
         let stats = Arc::new(RouterStats::new(&config.telemetry, shards.len()));
         let routes = Arc::new(RwLock::new(initial_routes));
         let gather_queue = Arc::new(Bounded::new(QUEUE_CAPACITY));
@@ -311,7 +268,6 @@ where
             gather_workers,
             stats,
             fanout: Mutex::new(()),
-            fitting,
             default_dataset: None,
         }
     }
@@ -321,13 +277,12 @@ where
     pub(crate) fn start(
         config: ServiceConfig,
         shards: usize,
-        fitting: ShardFitting,
         partitioner: P,
         objects: Vec<Rect<D>>,
         tree: TreeConfig<D>,
         clip: ClipConfig,
     ) -> Self {
-        let mut service = Self::start_catalog(config, shards, fitting, tree, clip);
+        let mut service = Self::start_catalog(config, shards, tree, clip);
         // With durability enabled, a previous run's default dataset may
         // have been recovered; its objects and partitioner win over the
         // ones passed here (the acknowledged writes it holds must not
@@ -347,17 +302,9 @@ where
         self.shards.len()
     }
 
-    /// Cut a shard map for `partitioner` over `objects` according to
-    /// this service's [`ShardFitting`].
-    fn fit_map(&self, partitioner: &P, objects: &[Rect<D>]) -> ShardMap {
-        match self.fitting {
-            ShardFitting::Balanced => {
-                ShardMap::balanced(partitioner.tile_count(), self.shards.len())
-            }
-            ShardFitting::Fitted => {
-                ShardMap::fitted(&assignment_loads(partitioner, objects), self.shards.len())
-            }
-        }
+    /// The shard map a dataset over `partitioner` is cut by.
+    fn map_for(&self, partitioner: &P) -> ShardMap {
+        ShardMap::balanced(partitioner.tile_count(), self.shards.len())
     }
 
     /// Decide targets, merge kind, route action, and (for admin ops
@@ -401,11 +348,9 @@ where
                 (all(), MergeKind::First, None, None)
             }
             Request::CreateDataset {
-                name,
-                partitioner,
-                objects,
+                name, partitioner, ..
             } => {
-                let map = self.fit_map(partitioner, objects);
+                let map = self.map_for(partitioner);
                 let action = RouteAction::Install {
                     name: name.clone(),
                     partitioner: partitioner.clone(),
@@ -426,8 +371,8 @@ where
             ),
             Request::SwapData {
                 dataset,
-                objects,
                 partitioner,
+                ..
             } => {
                 let global = match partitioner {
                     Some(p) => Some(p.clone()),
@@ -438,7 +383,7 @@ where
                 };
                 match global {
                     Some(p) => {
-                        let map = self.fit_map(&p, objects);
+                        let map = self.map_for(&p);
                         let action = RouteAction::Swap {
                             dataset: *dataset,
                             partitioner: p.clone(),
@@ -446,7 +391,7 @@ where
                         };
                         (all(), MergeKind::First, Some(action), Some((p, map)))
                     }
-                    // Unknown dataset and no partitioner to fit:
+                    // Unknown dataset and no partitioner to cut:
                     // forward bare, every shard refuses identically.
                     None => (all(), MergeKind::First, None, None),
                 }
@@ -599,8 +544,8 @@ where
     // ── Catalog surface ────────────────────────────────────────────
 
     /// Create a named dataset on every shard and wait for its id. The
-    /// dataset's tiles are cut into shard ranges per this service's
-    /// [`ShardFitting`].
+    /// dataset's tiles are cut into near-equal shard ranges
+    /// ([`ShardMap::balanced`]).
     pub fn create_dataset(
         &self,
         name: &str,
@@ -636,8 +581,8 @@ where
 
     /// Replace one dataset's objects wholesale on every shard, with a
     /// replacement partitioner when one is given (the re-fit path for
-    /// drifted data); the shard map is re-fitted to the new objects at
-    /// the same time.
+    /// drifted data); the shard map is re-cut for that partitioner's
+    /// tiles at the same time.
     pub fn swap_dataset(
         &self,
         id: DatasetId,

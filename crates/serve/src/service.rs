@@ -457,7 +457,7 @@ where
 
     /// `(id, name, partitioner)` of every live dataset, ascending by
     /// id (brief read lock per store). The router uses this to rebuild
-    /// its route table from recovered shards.
+    /// its route table from a recovered shard.
     pub(crate) fn dataset_partitioners(&self) -> Vec<(DatasetId, String, P)> {
         self.shared
             .catalog

@@ -1,7 +1,8 @@
 //! The recovery oracle: a service recovered from snapshot + WAL
 //! answers every request kind identically to a service that never
-//! restarted, at every simulated kill point, for one and two shards
-//! and multiple partitioner kinds.
+//! restarted, at every simulated kill point, for multiple partitioner
+//! kinds. Durability is one-shard: a durable multi-shard service is
+//! refused at build.
 //!
 //! Crash points are simulated by copying the durability directory
 //! right after the k-th write batch is acknowledged: because each
@@ -90,16 +91,12 @@ fn tmp_root(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Copy a durability root (flat: every file sits directly under it).
 fn copy_dir(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).unwrap();
     for entry in std::fs::read_dir(from).unwrap() {
         let entry = entry.unwrap();
-        let target = to.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_dir(&entry.path(), &target);
-        } else {
-            std::fs::copy(entry.path(), target).unwrap();
-        }
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
     }
 }
 
@@ -282,82 +279,11 @@ fn recovered_single_service_matches_reference_adaptive_grid() {
     );
 }
 
-/// The same oracle through the sharded shape: kill-point copies of the
-/// whole root (with its `shard_<i>` subdirectories) recover to the
-/// reference answers.
-#[test]
-fn recovered_sharded_service_matches_reference() {
-    let (objects, domain) = fixture();
-    let partitioner = AdaptiveGrid::from_sample(domain, [4, 4], &[]);
-    let batches = scripted_batches(21, objects.len());
-    let root = tmp_root("sharded");
-
-    let durable = ServiceBuilder::new().shards(2).durability(&root).build(
-        partitioner.clone(),
-        objects.clone(),
-        tree(),
-        clip(),
-    );
-    let dataset = durable.default_dataset();
-    for (i, ops) in batches.iter().enumerate() {
-        durable
-            .submit(Request::UpdateBatch {
-                dataset,
-                updates: ops.clone(),
-            })
-            .unwrap()
-            .wait()
-            .unwrap();
-        let acked = i + 1;
-        if KILL_POINTS.contains(&acked) {
-            copy_dir(&root, &root.with_extension(format!("kill{acked}")));
-        }
-    }
-    durable.shutdown();
-
-    for kill in KILL_POINTS {
-        let reference = ServiceBuilder::new().shards(2).build(
-            partitioner.clone(),
-            objects.clone(),
-            tree(),
-            clip(),
-        );
-        let ref_dataset = reference.default_dataset();
-        for ops in &batches[..kill] {
-            reference
-                .submit(Request::UpdateBatch {
-                    dataset: ref_dataset,
-                    updates: ops.clone(),
-                })
-                .unwrap()
-                .wait()
-                .unwrap();
-        }
-
-        let recovered = ServiceBuilder::new()
-            .shards(2)
-            .durability(root.with_extension(format!("kill{kill}")))
-            .build(partitioner.clone(), Vec::new(), tree(), clip());
-        let rec_dataset = recovered.default_dataset();
-        assert_eq!(
-            answers(&recovered, rec_dataset),
-            answers(&reference, ref_dataset),
-            "kill point {kill}: sharded answers"
-        );
-        let report = recovered.shutdown();
-        assert_eq!(report.recovered_datasets, 2, "one recovery per shard");
-        assert_eq!(report.recovered_records, 2 * kill as u64);
-        reference.shutdown();
-    }
-    let _ = std::fs::remove_dir_all(&root);
-    for kill in KILL_POINTS {
-        let _ = std::fs::remove_dir_all(root.with_extension(format!("kill{kill}")));
-    }
-}
-
 /// Lifecycle survives restart: created datasets come back under their
 /// names, dropped datasets stay dead, and dropped ids are never reused
-/// even across the restart.
+/// even across the restart. The files live directly under the root,
+/// and each recovered dataset routes exactly as a fresh in-memory
+/// service over the same partitioner would.
 #[test]
 fn catalog_lifecycle_survives_restart() {
     let (objects, domain) = fixture();
@@ -378,6 +304,30 @@ fn catalog_lifecycle_survives_restart() {
     first.shutdown();
 
     let second = builder.build(partitioner.clone(), Vec::new(), tree(), clip());
+    assert!(
+        root.join("catalog.wal").is_file(),
+        "catalog.wal lives directly under the root"
+    );
+    for entry in std::fs::read_dir(&root).unwrap() {
+        let entry = entry.unwrap();
+        assert!(
+            entry.file_type().unwrap().is_file(),
+            "no subdirectory under the root: {:?}",
+            entry.file_name()
+        );
+    }
+    let in_memory = ServiceBuilder::new().build(partitioner.clone(), Vec::new(), tree(), clip());
+    let fresh_map = in_memory.dataset_shard_map(in_memory.default_dataset());
+    in_memory.shutdown();
+    let recovered = second.datasets();
+    assert_eq!(recovered.len(), 2, "the default dataset and \"keep\"");
+    for (id, name) in recovered {
+        assert_eq!(
+            second.dataset_shard_map(id),
+            fresh_map,
+            "recovered {name}: route equals a fresh service's"
+        );
+    }
     assert_eq!(second.dataset_id("keep"), Some(keep));
     assert_eq!(second.dataset_id("doomed"), None);
     assert_eq!(
@@ -470,7 +420,7 @@ fn waiter_wakes_only_after_wal_record_is_durable() {
             .durability(&root)
             .build(partitioner, objects, tree(), clip());
     let dataset = service.default_dataset();
-    let wal = root.join("shard_0").join(format!("ds_{}.wal", dataset.0));
+    let wal = root.join(format!("ds_{}.wal", dataset.0));
 
     for i in 0..8u64 {
         let response = service
@@ -587,5 +537,45 @@ fn checkpoint_threshold_holds_in_either_setter_order() {
         assert_eq!(report.wal_appends, 3, "{tag}: the service is durable");
         service.shutdown();
         let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// Durability is one-shard: two shards with a durable root panic at
+/// build, in either setter order and through either entry point. The
+/// message names both setters, and nothing is created under the root.
+#[test]
+fn sharded_durability_is_refused_at_build() {
+    let (_, domain) = fixture();
+    let partitioner = AdaptiveGrid::from_sample(domain, [3, 3], &[]);
+    let root = std::env::temp_dir().join(format!(
+        "cbb_serve_durability_refused_{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&root);
+    for builder in [
+        ServiceBuilder::new().shards(2).durability(&root),
+        ServiceBuilder::new().durability(&root).shards(2),
+    ] {
+        for catalog in [false, true] {
+            let (builder, partitioner) = (builder.clone(), partitioner.clone());
+            let started = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                if catalog {
+                    builder.build_catalog::<2, AdaptiveGrid<2>>(tree(), clip());
+                } else {
+                    builder.build(partitioner, Vec::new(), tree(), clip());
+                }
+            }));
+            let payload = started.expect_err("a two-shard durable service must not start");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("shards(") && message.contains("durability("),
+                "the panic names both setters: {message:?}"
+            );
+            assert!(!root.exists(), "the refused build created {root:?}");
+        }
     }
 }

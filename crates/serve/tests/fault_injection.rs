@@ -29,12 +29,6 @@ fn tmp_root(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Where the (only) shard of a one-shard durable service keeps its
-/// files.
-fn shard_dir(root: &std::path::Path) -> std::path::PathBuf {
-    root.join("shard_0")
-}
-
 /// A durable service with `BATCHES` single-insert batches applied,
 /// shut down cleanly. Returns the root and the per-batch acked
 /// versions.
@@ -88,7 +82,7 @@ fn restart(root: &std::path::Path) -> ShardedService<2, AdaptiveGrid<2>> {
 #[test]
 fn truncated_wal_tail_loses_only_the_last_batch() {
     let (root, versions) = run_stream("truncate");
-    let wal = shard_dir(&root).join("ds_0.wal");
+    let wal = root.join("ds_0.wal");
     // Chop 3 bytes off the final record: its length prefix now promises
     // more payload than the file holds.
     FaultyLog::new(&wal).truncate_tail(3).unwrap();
@@ -110,7 +104,7 @@ fn truncated_wal_tail_loses_only_the_last_batch() {
 #[test]
 fn bit_flip_in_wal_tail_is_detected_by_checksum() {
     let (root, versions) = run_stream("bitflip");
-    let wal = shard_dir(&root).join("ds_0.wal");
+    let wal = root.join("ds_0.wal");
     // Damage the payload of the final record (well past its 8-byte
     // frame, counted from the end).
     FaultyLog::new(&wal).flip_bit_from_end(4).unwrap();
@@ -134,7 +128,7 @@ fn bit_flip_in_wal_tail_is_detected_by_checksum() {
 #[test]
 fn bit_flip_mid_wal_recovers_the_valid_prefix() {
     let (root, versions) = run_stream("midflip");
-    let wal = shard_dir(&root).join("ds_0.wal");
+    let wal = root.join("ds_0.wal");
     let len = std::fs::metadata(&wal).unwrap().len();
     // Land inside one of the middle records' payloads.
     FaultyLog::new(&wal).flip_bit_at(len / 2).unwrap();
@@ -160,7 +154,7 @@ fn bit_flip_mid_wal_recovers_the_valid_prefix() {
 #[test]
 fn corrupt_snapshot_refuses_recovery() {
     let (root, _) = run_stream("snapcorrupt");
-    let snap = shard_dir(&root).join("ds_0.snap");
+    let snap = root.join("ds_0.snap");
     // Flip a bit inside the arena section, far from the header.
     let len = std::fs::metadata(&snap).unwrap().len();
     FaultyLog::new(&snap).flip_bit_at(len / 2).unwrap();
@@ -193,10 +187,10 @@ fn torn_catalog_wal_undoes_the_halfwritten_create() {
     service.shutdown();
 
     // Tear the tail of catalog.wal inside the "extra" Create record.
-    FaultyLog::new(&shard_dir(&root).join("catalog.wal"))
+    FaultyLog::new(&root.join("catalog.wal"))
         .truncate_tail(2)
         .unwrap();
-    let snap = shard_dir(&root).join(format!("ds_{}.snap", extra.0));
+    let snap = root.join(format!("ds_{}.snap", extra.0));
     assert!(
         snap.exists(),
         "the orphan snapshot was written before the record"

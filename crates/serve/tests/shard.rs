@@ -1,8 +1,8 @@
 //! Shard oracle: an N-shard [`ShardedService`] answers **byte-equal**
 //! to a one-shard service on the same seeded data, for
-//! every request kind, across shard counts, partitioner kinds, and
-//! both shard-fitting modes — plus the router edge cases (boundary
-//! straddling, empty shards, atomic admin fan-out, cross-join dedup).
+//! every request kind, across shard counts and partitioner kinds —
+//! plus the router edge cases (boundary straddling, empty shards,
+//! atomic admin fan-out, cross-join dedup).
 
 use std::time::Duration;
 
@@ -13,7 +13,7 @@ use cbb_engine::{
 };
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{Request, RequestError, Response, ServiceBuilder, ShardFitting, ShardedService};
+use cbb_serve::{Request, RequestError, Response, ServiceBuilder, ShardedService};
 
 fn tree() -> TreeConfig<2> {
     TreeConfig::tiny(Variant::RStar)
@@ -86,13 +86,8 @@ where
 
 /// The full mixed workload — every request kind, serially — against a
 /// one-shard service and an N-shard service over the same partitioner.
-fn oracle_roundtrip<P>(
-    partitioner: P,
-    domain: Rect<2>,
-    objects: Vec<Rect<2>>,
-    shards: usize,
-    fitting: ShardFitting,
-) where
+fn oracle_roundtrip<P>(partitioner: P, domain: Rect<2>, objects: Vec<Rect<2>>, shards: usize)
+where
     P: Partitioner<2>
         + cbb_engine::PersistPartitioner
         + Clone
@@ -103,12 +98,10 @@ fn oracle_roundtrip<P>(
         + 'static,
 {
     let single = builder().build(partitioner.clone(), objects.clone(), tree(), clip());
-    let sharded = builder().shards(shards).shard_fitting(fitting).build(
-        partitioner.clone(),
-        objects.clone(),
-        tree(),
-        clip(),
-    );
+    let sharded =
+        builder()
+            .shards(shards)
+            .build(partitioner.clone(), objects.clone(), tree(), clip());
     assert_eq!(sharded.shard_count(), shards);
     let ds = single.default_dataset();
     assert_eq!(ds, sharded.default_dataset(), "mirrored creation order");
@@ -270,11 +263,12 @@ fn uniform_grid_oracle_balanced() {
             domain,
             objects.clone(),
             shards,
-            ShardFitting::Balanced,
         );
     }
 }
 
+/// A data-fitted partitioner (cuts at the objects' quantiles) behind
+/// balanced shard maps.
 #[test]
 fn adaptive_grid_oracle_fitted() {
     let (domain, objects) = dataset(1_500, 23);
@@ -284,11 +278,11 @@ fn adaptive_grid_oracle_fitted() {
             domain,
             objects.clone(),
             shards,
-            ShardFitting::Fitted,
         );
     }
 }
 
+/// A quadtree fitted to the objects, behind balanced shard maps.
 #[test]
 fn quadtree_oracle_fitted() {
     let (domain, objects) = dataset(1_200, 37);
@@ -297,7 +291,6 @@ fn quadtree_oracle_fitted() {
         domain,
         objects,
         3,
-        ShardFitting::Fitted,
     );
 }
 
@@ -312,23 +305,20 @@ fn empty_shards_answer_correctly() {
         domain,
         objects,
         7,
-        ShardFitting::Balanced,
     );
 }
 
-/// Cross-dataset joins between two independently partitioned datasets,
-/// under both fitting modes.
+/// Cross-dataset joins between two independently partitioned datasets.
 #[test]
 fn cross_join_oracle_two_datasets() {
     let (domain, roads) = dataset(900, 51);
     let (_, parcels) = dataset(700, 52);
     let p_roads = AdaptiveGrid::from_sample(domain, [3, 3], &roads);
     let p_parcels = AdaptiveGrid::from_sample(domain, [4, 2], &parcels);
-    for (shards, fitting) in [(2, ShardFitting::Balanced), (3, ShardFitting::Fitted)] {
+    for shards in [2, 3] {
         let single = builder().build_catalog(tree(), clip());
         let sharded = builder()
             .shards(shards)
-            .shard_fitting(fitting)
             .build_catalog::<2, AdaptiveGrid<2>>(tree(), clip());
         let r1 = single
             .create_dataset("roads", p_roads.clone(), roads.clone())
@@ -355,9 +345,7 @@ fn cross_join_oracle_two_datasets() {
                         algo: JoinAlgo::Auto,
                         use_clips,
                     },
-                    &format!(
-                        "cross join clips={use_clips} {left:?}⋈{right:?} ({shards} shards, {fitting:?})"
-                    ),
+                    &format!("cross join clips={use_clips} {left:?}⋈{right:?} ({shards} shards)"),
                 );
             }
         }
@@ -367,7 +355,7 @@ fn cross_join_oracle_two_datasets() {
 }
 
 /// Admin ops fan out atomically: ids assigned in lock-step, drops
-/// leave no shard behind, swaps re-fit the shard map, and requests
+/// leave no shard behind, swaps re-cut the shard map, and requests
 /// against dropped datasets fail identically.
 #[test]
 fn admin_fanout_is_atomic() {
@@ -416,7 +404,7 @@ fn admin_fanout_is_atomic() {
     assert_eq!(
         map.tile_count(),
         quad.tile_count(),
-        "map re-fitted to the new tiling"
+        "map re-cut for the new tiling"
     );
     let hits = sharded
         .submit(Request::Range {

@@ -97,15 +97,6 @@ impl Histogram {
         }
     }
 
-    /// Record a duration as integer nanoseconds (saturating at
-    /// `u64::MAX` — ~584 years).
-    #[inline]
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        if self.0.is_some() {
-            self.observe(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-        }
-    }
-
     /// A point-in-time copy of the cells.
     pub fn snapshot(&self) -> HistogramSnapshot {
         match &self.0 {

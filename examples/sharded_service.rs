@@ -22,19 +22,19 @@ fn main() {
     let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
     println!("dataset: {n} clustered boxes, adaptive 6×6 partitioning");
 
-    // Shard count and tile fitting are just builder knobs. Fitted
-    // ranges spread the clustered hot region across shards instead of
-    // landing it on one.
-    let service = ServiceBuilder::new()
-        .shards(4)
-        .shard_fitting(ShardFitting::Fitted)
-        .batch_max(32)
-        .build(partitioner.clone(), data.boxes.clone(), tree, clip);
+    // The shard count is just a builder knob; each dataset's tiles are
+    // cut into near-equal contiguous ranges, one per shard.
+    let service = ServiceBuilder::new().shards(4).batch_max(32).build(
+        partitioner.clone(),
+        data.boxes.clone(),
+        tree,
+        clip,
+    );
     let map = service
         .dataset_shard_map(service.default_dataset())
         .expect("default dataset is routed");
     println!(
-        "shards : {} shards over {} tiles, fitted ranges {:?}",
+        "shards : {} shards over {} tiles, balanced ranges {:?}",
         map.shard_count(),
         map.tile_count(),
         (0..map.shard_count())

@@ -79,8 +79,7 @@ pub mod prelude {
     };
     pub use cbb_serve::{
         DatasetReport, Request, RequestError, RequestKind, Response, Scrape, ServiceBuilder,
-        ServiceReport, ShardFitting, ShardMap, ShardTiling, ShardedService, UpdateSummary,
-        DEFAULT_DATASET,
+        ServiceReport, ShardMap, ShardTiling, ShardedService, UpdateSummary, DEFAULT_DATASET,
     };
     pub use cbb_telemetry::{
         Histogram, HistogramSnapshot, Phase, PhaseTimer, Registry, SlowQuery, SlowQueryRing, Span,

@@ -11,7 +11,12 @@
 //!   sets, kNN byte-equal, live counts and versions exact, and the same
 //!   per-tile occupancy: the dataset is partitioned by a grid fitted to
 //!   its boxes, so recovery must restore those cut arrays from the
-//!   snapshot, not fall back to the equal-cut grid it is handed.
+//!   snapshot, not fall back to the equal-cut grid it is handed, and
+//! * the recovered arena and free-list sizes equal the reference's. The
+//!   stream opens with delete-only batches that push the dead fraction
+//!   past the compaction threshold, so a sweep fires before the third
+//!   kill offset; with a small checkpoint size, later snapshots carry a
+//!   non-empty free list and replay puts inserts into reclaimed slots.
 //!
 //! The child is this same binary re-executed with `CBB_CRASH_CHILD=1`;
 //! it reports progress by atomically renaming a one-line counter file
@@ -34,13 +39,24 @@ use cbb_rtree::{DataId, TreeConfig, Variant};
 use cbb_serve::{Request, Response, ServiceBuilder, ShardedService, Update};
 
 /// Ack counts at which the child is killed. Deliberately uneven: early
-/// (snapshot barely cold), mid-stream, and deep enough that replay has
-/// real work to do.
+/// (snapshot barely cold, before the sweep), just after the delete-heavy
+/// prefix, and deep into the stream, where recovery starts from a
+/// checkpoint snapshot and replays its WAL tail.
 const KILL_OFFSETS: [usize; 5] = [3, 11, 26, 57, 120];
 
 /// More batches than the deepest kill offset — the child never finishes
 /// the stream on its own.
 const CHILD_BATCHES: usize = 200;
+
+/// Leading batches that only delete, each 2 % of the base objects: the
+/// dead fraction passes the 30 % compaction threshold after batch 16,
+/// before the third kill offset, in smoke mode and at full size.
+const DELETE_HEAVY_BATCHES: usize = 20;
+
+/// WAL size that triggers a checkpoint in the child: small, so snapshots
+/// are also taken after the sweep and recovery restores a non-empty
+/// free list.
+const CHECKPOINT_BYTES: u64 = 2 << 10;
 
 fn objects() -> (Vec<Rect<2>>, Rect<2>) {
     let n = if smoke_mode() { 800 } else { 6_000 };
@@ -56,8 +72,14 @@ fn fitted_grid(boxes: &[Rect<2>], domain: Rect<2>) -> AdaptiveGrid<2> {
 
 fn scripted_batches(base: usize) -> Vec<Vec<Update<2>>> {
     let mut rng = SplitMix64::new(0xC4A5);
+    let per_batch = base / 50;
     (0..CHILD_BATCHES)
         .map(|b| {
+            if b < DELETE_HEAVY_BATCHES {
+                return (b * per_batch..(b + 1) * per_batch)
+                    .map(|i| Update::Delete(DataId(i as u32)))
+                    .collect();
+            }
             let mut ops = Vec::new();
             for _ in 0..8 {
                 let x = rng.gen_range(0.0, 900_000.0);
@@ -79,12 +101,15 @@ fn start(
     objects: Vec<Rect<2>>,
     partitioner: AdaptiveGrid<2>,
 ) -> ShardedService<2, AdaptiveGrid<2>> {
-    ServiceBuilder::new().durability(root).build(
-        partitioner,
-        objects,
-        TreeConfig::tiny(Variant::RStar),
-        ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-    )
+    ServiceBuilder::new()
+        .durability(root)
+        .checkpoint_bytes(CHECKPOINT_BYTES)
+        .build(
+            partitioner,
+            objects,
+            TreeConfig::tiny(Variant::RStar),
+            ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+        )
 }
 
 fn start_reference(
@@ -284,6 +309,15 @@ fn main() {
             reference.dataset_live_count(ref_dataset),
             "offset {offset}: live counts"
         );
+        let (recovered_report, reference_report) = (recovered.report(), reference.report());
+        let (got, want) = (&recovered_report.datasets[0], &reference_report.datasets[0]);
+        // Slot reuse depends on the restored free list: a recovery that
+        // lost it would append where the reference reuses.
+        assert_eq!(
+            (got.arena_slots, got.free_slots),
+            (want.arena_slots, want.free_slots),
+            "offset {offset}: arena and free-list sizes"
+        );
         assert_eq!(
             answers(&recovered, dataset),
             answers(&reference, ref_dataset),
@@ -291,20 +325,24 @@ fn main() {
         );
         // Tile occupancy depends on the cut arrays, so it pins the
         // restored partitioner to the fitted one.
-        let (recovered_report, reference_report) = (recovered.report(), reference.report());
-        let (got, want) = (&recovered_report.datasets[0], &reference_report.datasets[0]);
         assert_eq!(
             (got.load_imbalance, &got.occupancy),
             (want.load_imbalance, &want.occupancy),
             "offset {offset}: tile occupancy (restored partitioner)"
         );
+        if survived >= DELETE_HEAVY_BATCHES {
+            assert!(
+                want.compactions >= 1,
+                "offset {offset}: the delete-heavy prefix must have swept"
+            );
+        }
         let report = recovered.shutdown();
         reference.shutdown();
         println!(
             "  kill@{offset:>3}: acked {acked:>3}, survived {survived:>3}, \
-             replayed {:>3} WAL records, {} snapshot pages, recovered in {recover_ms:.0} ms — \
-             recovered state equals reference prefix",
-            report.recovered_records, report.recovered_pages,
+             replayed {:>3} WAL records, {} snapshot pages, {} free slots, \
+             recovered in {recover_ms:.0} ms — recovered state equals reference prefix",
+            report.recovered_records, report.recovered_pages, got.free_slots,
         );
 
         let _ = std::fs::remove_dir_all(&root);

@@ -651,32 +651,8 @@ mod tests {
         }
 
         #[test]
-        fn forest_is_shareable_across_executors() {
-            let (objects, queries) = objects_and_queries();
-            let domain = r2(0.0, 0.0, 1000.0, 1000.0);
-            let grid = AdaptiveGrid::from_sample(domain, [4, 4], &[]);
-            let built = DatasetStore::build(
-                grid.clone(),
-                &objects,
-                TreeConfig::tiny(Variant::RStar),
-                ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-                2,
-            );
-            assert_eq!(built.forest().tile_count(), grid.tile_count());
-            assert!(built.forest().total_indexed() >= objects.len());
-            // A second executor over the same Arc answers identically
-            // without building anything.
-            let shared =
-                DatasetStore::with_forest(grid, built.objects().to_vec(), built.forest().clone());
-            assert_eq!(
-                shared.run(&queries, 2, true).results,
-                built.run(&queries, 2, true).results
-            );
-            assert_eq!(std::sync::Arc::strong_count(built.forest()), 2);
-        }
-
-        #[test]
         fn apply_updates_matches_wholesale_rebuild() {
+            use crate::persist::SnapshotContents;
             use crate::update::{Update, UpdateResult};
             let (objects, queries) = objects_and_queries();
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
@@ -684,6 +660,11 @@ mod tests {
             let tree = TreeConfig::tiny(Variant::RStar);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
             let mut store = DatasetStore::build(grid, &objects, tree, clip, 2);
+            assert_eq!(
+                store.forest().tile_count(),
+                store.partitioner().tile_count()
+            );
+            assert!(store.forest().total_indexed() >= objects.len());
             let before_forest = store.forest().clone();
             let before_answers = store.run(&queries, 2, true);
 
@@ -740,19 +721,17 @@ mod tests {
             // Oracle: a wholesale rebuild over the surviving arena
             // answers identically (kNN byte-equal, ranges as sets —
             // traversal order differs between built and grown trees).
-            let rebuilt_forest = Arc::new(TileForest::build_where(
-                store.partitioner(),
-                store.objects(),
-                Some(store.live()),
+            let rebuilt = DatasetStore::restore(
+                SnapshotContents {
+                    partitioner: store.partitioner().clone(),
+                    objects: store.objects().to_vec(),
+                    live: store.live().to_vec(),
+                    free: Vec::new(),
+                    version: store.version(),
+                },
                 tree,
                 clip,
                 2,
-            ));
-            let rebuilt = DatasetStore::with_forest_where(
-                store.partitioner().clone(),
-                store.objects().to_vec(),
-                store.live().to_vec(),
-                rebuilt_forest,
             );
             let delta_out = store.run(&queries, 2, true);
             let rebuilt_out = rebuilt.run(&queries, 2, true);
@@ -774,11 +753,8 @@ mod tests {
 
             // Copy-on-write: the pre-update forest still answers the
             // original dataset — shared tiles were never disturbed.
-            let old = DatasetStore::with_forest(
-                store.partitioner().clone(),
-                objects.clone(),
-                before_forest.clone(),
-            );
+            let mut old = DatasetStore::build(store.partitioner().clone(), &[], tree, clip, 1);
+            old.swap(store.partitioner().clone(), objects.clone(), before_forest);
             assert_eq!(old.run(&queries, 2, true).results, before_answers.results);
         }
 
@@ -935,20 +911,21 @@ mod tests {
 
         #[test]
         #[should_panic(expected = "different partitioning")]
-        fn with_forest_rejects_mismatched_tiling() {
+        fn swap_rejects_mismatched_tiling() {
             let (objects, _) = objects_and_queries();
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
-            let built = DatasetStore::build(
+            let mut built = DatasetStore::build(
                 AdaptiveGrid::from_sample(domain, [4, 4], &[]),
                 &objects,
                 TreeConfig::tiny(Variant::RStar),
                 ClipConfig::paper_default::<2>(ClipMethod::Stairline),
                 2,
             );
-            let _ = DatasetStore::with_forest(
+            let forest = built.forest().clone();
+            built.swap(
                 AdaptiveGrid::from_sample(domain, [5, 5], &[]),
                 objects,
-                built.forest().clone(),
+                forest,
             );
         }
     }

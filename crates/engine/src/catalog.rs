@@ -37,6 +37,7 @@ use cbb_rtree::{push_neighbor, AccessStats, DataId, Neighbor, TreeConfig};
 use crate::batch::{BatchOutcome, KnnOutcome, QueryAlgo, TileForest};
 use crate::join::{AutoPolicy, SplitPolicy};
 use crate::partition::{DataVersion, Partitioner};
+use crate::persist::SnapshotContents;
 use crate::pool::map_chunked;
 use crate::update::{Update, UpdateOutcome, UpdateResult};
 
@@ -47,52 +48,27 @@ use crate::update::{Update, UpdateOutcome, UpdateResult};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DatasetId(pub u32);
 
-/// When a [`DatasetStore`] reclaims tombstoned arena slots.
+/// The tombstoned fraction of the arena past which a [`DatasetStore`]
+/// reclaims dead slots: rare enough that id assignment stays
+/// append-like under light churn, early enough that a delete-heavy
+/// stream cannot triple the arena.
 ///
 /// Deletes tombstone their slot (the id never reappears in any tree,
 /// live ids stay stable), but an append-only arena grows without bound
-/// under churn. Compaction sweeps the tombstoned slots into a free list
-/// once their fraction of the arena exceeds `dead_fraction`; later
-/// inserts reuse freed slots (smallest id first) instead of growing the
-/// arena. Live ids are untouched — only dead ids are recycled.
+/// under churn. After every write batch, once tombstones exceed this
+/// fraction of the arena, a sweep moves every dead slot to a free list;
+/// later inserts reuse freed slots (smallest id first) instead of
+/// growing the arena. Live ids are untouched — only dead ids are
+/// recycled. The rule is fixed, so replaying the same batches over the
+/// same arena and free list reassigns the same ids.
 ///
 /// **Id-reuse caveat:** once a dead slot is reclaimed and reassigned,
 /// a *stale* delete of the old id (a client retrying a delete whose
 /// response was lost) targets the new occupant — [`DataId`]s carry no
 /// generation tag to tell the difference, so applied deletes are not
 /// idempotent across a sweep. At-least-once clients that retry deletes
-/// should run with [`CompactionPolicy::never`] (the pre-catalog
-/// append-only behaviour, where retrying an applied delete is a
-/// guaranteed no-op) or dedup delete retries on their side.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CompactionPolicy {
-    /// Sweep once `tombstoned / arena_len` exceeds this fraction.
-    /// `f64::INFINITY` disables compaction (the pre-catalog, append-only
-    /// behaviour).
-    pub dead_fraction: f64,
-}
-
-impl CompactionPolicy {
-    /// Never reclaim slots (append-only arena, compaction on swap only).
-    pub fn never() -> Self {
-        CompactionPolicy {
-            dead_fraction: f64::INFINITY,
-        }
-    }
-}
-
-/// Sweep once more than 30 % of the arena is tombstoned: rare enough
-/// that id assignment stays append-like under light churn, early enough
-/// that a delete-heavy stream cannot triple the arena.
-pub const DEFAULT_COMPACT_DEAD_FRACTION: f64 = 0.3;
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        CompactionPolicy {
-            dead_fraction: DEFAULT_COMPACT_DEAD_FRACTION,
-        }
-    }
-}
+/// must dedup delete retries on their side.
+pub const COMPACT_DEAD_FRACTION: f64 = 0.3;
 
 /// One mutable versioned spatial dataset: the arena / liveness /
 /// partitioner / forest state every executor and serving layer shares.
@@ -103,7 +79,7 @@ impl Default for CompactionPolicy {
 ///
 /// Object ids ([`DataId`]) are arena slots: live ids are stable across
 /// every update *and* every compaction; deleted ids are recycled only
-/// per the [`CompactionPolicy`].
+/// once a sweep past [`COMPACT_DEAD_FRACTION`] frees them.
 pub struct DatasetStore<const D: usize, P> {
     partitioner: P,
     /// Object arena: slot `i` is the rect of `DataId(i)`. Slots of
@@ -119,7 +95,6 @@ pub struct DatasetStore<const D: usize, P> {
     tombstones: usize,
     forest: Arc<TileForest<D>>,
     version: DataVersion,
-    compaction: CompactionPolicy,
     // Per-dataset maintenance counters (mutated under the catalog's
     // write lock, read for per-dataset reports).
     compactions: u64,
@@ -139,102 +114,73 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
         clip: ClipConfig,
         workers: usize,
     ) -> Self {
-        let forest = Arc::new(TileForest::build(
-            &partitioner,
-            objects,
-            tree,
-            clip,
-            workers,
-        ));
-        Self::with_forest(partitioner, objects.to_vec(), forest)
-    }
-
-    /// Wrap an existing (cached) forest instead of building one. The
-    /// forest must have been built from `objects` under `partitioner` —
-    /// the tile count is checked, the content correspondence is the
-    /// caller's contract. Every slot is taken as live; a forest built
-    /// over a tombstoned arena ([`TileForest::build_where`] with a
-    /// mask) must come through [`Self::with_forest_where`] instead.
-    pub fn with_forest(partitioner: P, objects: Vec<Rect<D>>, forest: Arc<TileForest<D>>) -> Self {
-        let live = vec![true; objects.len()];
-        Self::with_forest_where(partitioner, objects, live, forest)
-    }
-
-    /// [`Self::with_forest`] for a tombstoned arena: `live[i]` flags
-    /// slot `i`, and the forest must index exactly the live slots (a
-    /// [`TileForest::build_where`] over the same mask does).
-    pub fn with_forest_where(
-        partitioner: P,
-        objects: Vec<Rect<D>>,
-        live: Vec<bool>,
-        forest: Arc<TileForest<D>>,
-    ) -> Self {
-        assert_eq!(
-            forest.tile_count(),
-            partitioner.tile_count(),
-            "forest was built under a different partitioning"
-        );
-        assert_eq!(live.len(), objects.len(), "mask must cover every slot");
-        let tombstones = live.iter().filter(|&&l| !l).count();
-        DatasetStore {
+        let forest = TileForest::build(&partitioner, objects, tree, clip, workers);
+        Self::from_parts(
             partitioner,
-            objects,
-            live,
-            free: Vec::new(),
-            tombstones,
+            objects.to_vec(),
+            vec![true; objects.len()],
+            Vec::new(),
             forest,
-            version: DataVersion::initial(),
-            compaction: CompactionPolicy::default(),
-            compactions: 0,
-            write_batches: 0,
-            updates_applied: 0,
-            delta_nodes_allocated: 0,
-        }
+            DataVersion::initial(),
+        )
     }
 
     /// Reconstruct a store exactly as a snapshot captured it: arena,
-    /// liveness, reusable free slots, version, and compaction policy
-    /// all restored verbatim, `forest` freshly rebuilt over the live
-    /// slots (trees are derived state and are not persisted).
+    /// liveness, reusable free slots and version restored verbatim, the
+    /// forest freshly built over the live slots (trees are derived
+    /// state and are not persisted). Contents with every slot live, no
+    /// free slot and [`DataVersion::initial`] make the store
+    /// [`Self::build`] would, without copying the arena.
     ///
-    /// Restoring the free list and the policy is what makes WAL replay
-    /// deterministic — the id a replayed insert takes, and the moment
-    /// a sweep fires, depend on both. Lifetime maintenance counters
-    /// ([`Self::write_batches`] etc.) restart at zero: they are
-    /// process-local observability, not data.
+    /// Restoring the free list is what makes WAL replay deterministic:
+    /// the id a replayed insert takes depends on it, and the moment a
+    /// sweep fires depends on it and the fixed [`COMPACT_DEAD_FRACTION`].
+    /// Lifetime maintenance counters ([`Self::write_batches`] etc.)
+    /// restart at zero: they are process-local observability, not data.
     pub fn restore(
-        partitioner: P,
-        objects: Vec<Rect<D>>,
-        live: Vec<bool>,
-        free: Vec<u32>,
-        forest: Arc<TileForest<D>>,
-        version: DataVersion,
-        compaction: CompactionPolicy,
+        contents: SnapshotContents<D, P>,
+        tree: TreeConfig<D>,
+        clip: ClipConfig,
+        workers: usize,
     ) -> Self {
-        assert_eq!(
-            forest.tile_count(),
-            partitioner.tile_count(),
-            "forest was built under a different partitioning"
-        );
+        let SnapshotContents {
+            partitioner,
+            objects,
+            live,
+            free,
+            version,
+        } = contents;
         assert_eq!(live.len(), objects.len(), "mask must cover every slot");
         assert!(
             free.iter()
                 .all(|&s| (s as usize) < live.len() && !live[s as usize]),
             "free slots must be dead arena slots"
         );
-        let mut free = free;
+        let forest =
+            TileForest::build_where(&partitioner, &objects, Some(&live), tree, clip, workers);
+        Self::from_parts(partitioner, objects, live, free, forest, version)
+    }
+
+    /// The one place the store's fields are assembled: free slots sorted
+    /// for smallest-first reuse, every other dead slot a tombstone.
+    fn from_parts(
+        partitioner: P,
+        objects: Vec<Rect<D>>,
+        live: Vec<bool>,
+        mut free: Vec<u32>,
+        forest: TileForest<D>,
+        version: DataVersion,
+    ) -> Self {
         free.sort_unstable_by(|a, b| b.cmp(a)); // pop() = smallest id
-        let dead = live.iter().filter(|&&l| !l).count();
-        let tombstones = dead - free.len();
+        let tombstones = live.iter().filter(|&&l| !l).count() - free.len();
         DatasetStore {
             partitioner,
             objects,
             live,
             free,
             tombstones,
-            forest,
+            forest: Arc::new(forest),
             version,
-            compaction,
             compactions: 0,
             write_batches: 0,
             updates_applied: 0,
@@ -249,17 +195,6 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
         let mut slots = self.free.clone();
         slots.sort_unstable();
         slots
-    }
-
-    /// The slot-reclamation policy in force.
-    pub fn compaction(&self) -> CompactionPolicy {
-        self.compaction
-    }
-
-    /// Replace the slot-reclamation policy (builder style).
-    pub fn with_compaction(mut self, policy: CompactionPolicy) -> Self {
-        self.compaction = policy;
-        self
     }
 
     /// The partitioner the store was built over.
@@ -360,26 +295,12 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
         self.forest.tile_loads()
     }
 
-    /// Replace the dataset wholesale: new arena (all slots live), a
-    /// forest built over it (tile counts checked), and a version bump.
-    /// The partitioner is kept; use [`Self::swap_with`] to re-fit it.
-    pub fn swap(&mut self, objects: Vec<Rect<D>>, forest: Arc<TileForest<D>>) {
-        assert_eq!(
-            forest.tile_count(),
-            self.partitioner.tile_count(),
-            "forest was built under a different partitioning"
-        );
-        self.live = vec![true; objects.len()];
-        self.objects = objects;
-        self.free.clear();
-        self.tombstones = 0;
-        self.forest = forest;
-        self.version.bump();
-    }
-
-    /// [`Self::swap`] with a replacement partitioner — the re-fit path
-    /// for data whose distribution moved.
-    pub fn swap_with(&mut self, partitioner: P, objects: Vec<Rect<D>>, forest: Arc<TileForest<D>>) {
+    /// Replace the dataset wholesale: a new partitioner (the current
+    /// one again, or a re-fit for data whose distribution moved), a new
+    /// arena (all slots live), and a forest built over it under that
+    /// partitioner, then bump the version. The tile count is checked;
+    /// the content correspondence is the caller's contract.
+    pub fn swap(&mut self, partitioner: P, objects: Vec<Rect<D>>, forest: Arc<TileForest<D>>) {
         assert_eq!(
             forest.tile_count(),
             partitioner.tile_count(),
@@ -407,8 +328,8 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
     /// A batch that applied at least one update bumps the version
     /// exactly once; an all-no-op batch (dead-id deletes, rejected
     /// inserts) changes nothing and bumps nothing. After the batch, a
-    /// compaction sweep runs when the [`CompactionPolicy`] threshold is
-    /// exceeded — live ids are never moved by it
+    /// compaction sweep runs when tombstones exceed
+    /// [`COMPACT_DEAD_FRACTION`] of the arena — live ids are never moved by it
     /// ([`UpdateOutcome::slots_reclaimed`] counts what it freed).
     ///
     /// Answers afterwards are exactly those of a wholesale rebuild over
@@ -427,7 +348,7 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
         for update in updates {
             let result = match *update {
                 Update::Insert(rect) => {
-                    if !rect.is_finite() || (0..D).any(|i| rect.lo[i] > rect.hi[i]) {
+                    if !rect.is_valid() {
                         UpdateResult::Rejected
                     } else {
                         let id = match self.free.pop() {
@@ -501,9 +422,9 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
             self.delta_nodes_allocated += outcome.nodes_allocated;
         }
         // Compaction sweep: once the tombstoned fraction crosses the
-        // policy threshold, every dead slot becomes reusable. Live ids
-        // are untouched; the arena stops growing under churn.
-        if self.tombstones as f64 > self.compaction.dead_fraction * self.objects.len() as f64 {
+        // threshold, every dead slot becomes reusable. Live ids are
+        // untouched; the arena stops growing under churn.
+        if self.tombstones as f64 > COMPACT_DEAD_FRACTION * self.objects.len() as f64 {
             outcome.slots_reclaimed = self.tombstones;
             self.free = (0..self.objects.len() as u32)
                 .rev()
@@ -1175,7 +1096,7 @@ mod tests {
         // Swap bumps and resets the arena.
         let objs = boxes(9, 9);
         let forest = Arc::new(TileForest::build(s.partitioner(), &objs, tree, clip, 1));
-        s.swap(objs, forest);
+        s.swap(s.partitioner().clone(), objs, forest);
         assert_eq!(s.version(), DataVersion(2));
         assert_eq!(s.live_count(), 9);
         assert_eq!(s.free_slots(), 0);
@@ -1188,7 +1109,7 @@ mod tests {
     fn compaction_reclaims_slots_with_stable_live_ids() {
         let tree = TreeConfig::tiny(Variant::RStar);
         let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-        let mut s = store(100, 11).with_compaction(CompactionPolicy { dead_fraction: 0.2 });
+        let mut s = store(100, 11);
         let everything = r2(-10.0, -10.0, 200.0, 200.0);
         let before: Vec<DataId> = {
             let mut ids = s.run(&[everything], 1, true).results.remove(0);
@@ -1197,12 +1118,12 @@ mod tests {
         };
         assert_eq!(before.len(), 100);
 
-        // Delete 30 of 100: 30 % dead > 20 % threshold → sweep.
-        let deletes: Vec<Update<2>> = (0..30).map(|i| Update::Delete(DataId(i * 3))).collect();
+        // Delete every third id, 34 of 100: 34 % dead > 30 % → sweep.
+        let deletes: Vec<Update<2>> = (0..34).map(|i| Update::Delete(DataId(i * 3))).collect();
         let out = s.apply_updates(&deletes, tree, clip);
-        assert_eq!(out.slots_reclaimed, 30, "sweep reclaimed every tombstone");
+        assert_eq!(out.slots_reclaimed, 34, "sweep reclaimed every tombstone");
         assert_eq!(s.compactions(), 1);
-        assert_eq!(s.free_slots(), 30);
+        assert_eq!(s.free_slots(), 34);
         assert_eq!(s.arena_len(), 100);
 
         // Live ids are stable across the compaction: the survivors
@@ -1212,11 +1133,7 @@ mod tests {
             ids.sort();
             ids
         };
-        let expected: Vec<DataId> = before
-            .iter()
-            .copied()
-            .filter(|id| id.0 % 3 != 0 || id.0 >= 90)
-            .collect();
+        let expected: Vec<DataId> = before.iter().copied().filter(|id| id.0 % 3 != 0).collect();
         assert_eq!(survivors, expected);
 
         // Inserts reuse the reclaimed slots, smallest id first; the
@@ -1235,15 +1152,15 @@ mod tests {
             "smallest reclaimed slots are reused first"
         );
         assert_eq!(s.arena_len(), 100, "reuse does not grow the arena");
-        assert_eq!(s.free_slots(), 28);
+        assert_eq!(s.free_slots(), 32);
         let found = s
             .run(&[r2(49.0, 49.0, 52.0, 52.0)], 1, true)
             .results
             .remove(0);
         assert!(found.contains(&DataId(0)), "reused id is queryable");
 
-        // 31 inserts: 28 reuses, then 3 appends.
-        let inserts: Vec<Update<2>> = (0..31)
+        // 35 inserts: 32 reuses, then 3 appends.
+        let inserts: Vec<Update<2>> = (0..35)
             .map(|i| Update::Insert(r2(i as f64, 0.0, i as f64 + 0.5, 0.5)))
             .collect();
         s.apply_updates(&inserts, tree, clip);
@@ -1253,11 +1170,12 @@ mod tests {
     }
 
     #[test]
-    fn never_policy_keeps_the_arena_append_only() {
+    fn at_or_below_the_threshold_the_arena_stays_append_only() {
         let tree = TreeConfig::tiny(Variant::RStar);
         let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-        let mut s = store(10, 13).with_compaction(CompactionPolicy::never());
-        let deletes: Vec<Update<2>> = (0..10).map(|i| Update::Delete(DataId(i))).collect();
+        let mut s = store(10, 13);
+        // 3 of 10 dead is exactly the threshold, which does not exceed it.
+        let deletes: Vec<Update<2>> = (0..3).map(|i| Update::Delete(DataId(i))).collect();
         let out = s.apply_updates(&deletes, tree, clip);
         assert_eq!(out.slots_reclaimed, 0);
         assert_eq!(s.compactions(), 0);

@@ -31,8 +31,10 @@
 //!   snapshot. A tile is copied only while someone else still holds the
 //!   previous [`TileForest`].
 //! * [`catalog`] — the multi-dataset layer: the mutable versioned
-//!   [`DatasetStore`] (arena, liveness, free-slot compaction,
-//!   per-dataset [`DataVersion`]) and the [`Catalog`] mapping
+//!   [`DatasetStore`] (arena, liveness, free-slot compaction past the
+//!   fixed [`COMPACT_DEAD_FRACTION`], per-dataset [`DataVersion`]) —
+//!   made by [`DatasetStore::build`] or [`DatasetStore::restore`] and
+//!   replaced by [`DatasetStore::swap`] — and the [`Catalog`] mapping
 //!   [`DatasetId`]s to independently locked stores, each with its own
 //!   partitioner ([`AnyPartitioner`] mixes kinds in one catalog).
 //!   Cross-dataset joins borrow both sides' cached forests
@@ -41,7 +43,8 @@
 //!   through the `cbb-storage` page layer (arena pages reuse the
 //!   paper's Figure-4a node encoding) and per-batch WAL records with
 //!   version-keyed idempotent replay ([`replay_update_batch`]), so the
-//!   serve layer can recover a catalog after a crash.
+//!   serve layer can recover a catalog after a crash: a snapshot's
+//!   [`SnapshotContents`] feed [`DatasetStore::restore`].
 //!
 //! Everything runs on one persistent worker pool ([`pool`]): a
 //! process-wide set of `available_parallelism() − 1` parked threads,
@@ -87,18 +90,15 @@ pub mod update;
 
 pub use adaptive::AdaptiveGrid;
 pub use batch::{BatchOutcome, KnnOutcome, QueryAlgo, TileForest};
-pub use catalog::{
-    Catalog, CatalogError, CompactionPolicy, Dataset, DatasetId, DatasetStore,
-    DEFAULT_COMPACT_DEAD_FRACTION,
-};
+pub use catalog::{Catalog, CatalogError, Dataset, DatasetId, DatasetStore, COMPACT_DEAD_FRACTION};
 pub use join::{
     partitioned_join, partitioned_join_forests, partitioned_join_with, sequential_join, AutoPolicy,
     JoinAlgo, JoinPlan, SplitPolicy,
 };
 pub use partition::{load_imbalance, AnyPartitioner, DataVersion, Partitioner};
 pub use persist::{
-    decode_update_batch, encode_update_batch, read_snapshot, replay_update_batch, restore_store,
-    write_snapshot, ByteReader, PersistError, PersistPartitioner, SnapshotContents,
+    decode_update_batch, encode_update_batch, read_snapshot, replay_update_batch, write_snapshot,
+    ByteReader, PersistError, PersistPartitioner, SnapshotContents,
 };
 pub use quadtree::QuadtreePartitioner;
 pub use shard::{merge_knn, ShardMap, ShardTiling};

@@ -5,13 +5,13 @@
 //! the serve layer:
 //!
 //! * a **snapshot** — the full store state (partitioner, object arena,
-//!   per-slot liveness/free state, version, compaction policy) written
+//!   per-slot liveness/free state, version) written
 //!   through [`write_snapshot`] into any [`PageStore`]. Live rects ride
 //!   in the paper's own Figure-4a page layout: each arena page is a
 //!   level-0 node whose entries are `(rect, DataId(slot))`, encoded by
 //!   the existing [`cbb_storage::codec`]. Forests are *not* persisted —
 //!   they are derived state, rebuilt over the live slots on recovery
-//!   ([`restore_store`]), exactly as a swap builds them.
+//!   ([`DatasetStore::restore`]).
 //! * a **WAL tail** — one [`encode_update_batch`] record per applied
 //!   update micro-batch (already an atomic one-[`DataVersion`] unit).
 //!   Replay ([`replay_update_batch`]) is idempotent by version: records
@@ -20,15 +20,14 @@
 //!
 //! Determinism note: replaying the logged batches over the restored
 //! store must reassign exactly the ids the original run assigned.
-//! That is why the snapshot carries the free list and the
-//! [`CompactionPolicy`] — insert slot choice (`free.pop()`) and sweep
-//! timing both depend on them.
+//! That is why the snapshot carries the free list: insert slot choice
+//! (`free.pop()`) depends on it, and sweep timing on it and the
+//! tombstone count under the fixed [`crate::COMPACT_DEAD_FRACTION`],
+//! a constant rather than persisted state.
 //!
 //! Every section is checksummed (IEEE CRC-32, the WAL's checksum): a
 //! flipped bit anywhere in a snapshot surfaces as
 //! [`PersistError::Corrupt`] instead of a silently wrong dataset.
-
-use std::sync::Arc;
 
 use cbb_core::ClipConfig;
 use cbb_geom::{Point, Rect};
@@ -37,8 +36,7 @@ use cbb_rtree::{DataId, Entry, Node, TreeConfig};
 use cbb_storage::codec::{decode_node, encode_node};
 use cbb_storage::{crc32, PageStore};
 
-use crate::batch::TileForest;
-use crate::catalog::{CompactionPolicy, DatasetStore};
+use crate::catalog::DatasetStore;
 use crate::partition::{AnyPartitioner, DataVersion, Partitioner};
 use crate::shard::ShardTiling;
 use crate::update::Update;
@@ -46,8 +44,10 @@ use crate::update::Update;
 /// Identifies a snapshot header page.
 pub const SNAP_MAGIC: [u8; 8] = *b"CBBSNAP1";
 
-/// Snapshot format version (bumped on layout changes).
-pub const SNAP_FORMAT: u32 = 1;
+/// Snapshot format version (bumped on layout changes). Format `1`
+/// carried a per-store compaction threshold in its header; it decodes
+/// as [`PersistError::Corrupt`].
+pub const SNAP_FORMAT: u32 = 2;
 
 /// Why a snapshot or WAL record failed to decode.
 #[derive(Debug)]
@@ -272,9 +272,12 @@ const fn div_ceil(a: usize, b: usize) -> usize {
     a.div_ceil(b)
 }
 
-/// Everything [`read_snapshot`] recovers — the exact inputs of
-/// [`DatasetStore::restore`] minus the forest, which
-/// [`restore_store`] rebuilds.
+/// Everything [`read_snapshot`] recovers: the arena, its liveness and
+/// free list, the partitioner and the version — all of a store's state
+/// that is data. [`DatasetStore::restore`] makes a store from it and
+/// builds the forest over the live slots; slot reclamation needs no
+/// persisted setting, its threshold is the constant
+/// [`crate::COMPACT_DEAD_FRACTION`].
 pub struct SnapshotContents<const D: usize, P> {
     /// The partitioner the dataset was fitted with.
     pub partitioner: P,
@@ -287,8 +290,6 @@ pub struct SnapshotContents<const D: usize, P> {
     pub free: Vec<u32>,
     /// The version queries were answered from at snapshot time.
     pub version: DataVersion,
-    /// The slot-reclamation policy in force (replay determinism).
-    pub compaction: CompactionPolicy,
 }
 
 fn pack_states(states: &[u8]) -> Vec<u8> {
@@ -376,7 +377,6 @@ where
     put_u64(&mut header, ds.arena_len() as u64);
     put_u64(&mut header, live_slots.len() as u64);
     put_u32(&mut header, blob.len() as u32);
-    put_f64(&mut header, ds.compaction().dead_fraction);
     put_u32(&mut header, crc32(&blob));
     put_u32(&mut header, crc32(&packed));
     put_u32(&mut header, crc32(&arena_page_crcs));
@@ -425,11 +425,10 @@ where
     let arena_len = r.u64()? as usize;
     let live_count = r.u64()? as usize;
     let blob_len = r.u32()? as usize;
-    let dead_fraction = r.f64()?;
     let part_crc = r.u32()?;
     let state_crc = r.u32()?;
     let arena_crc = r.u32()?;
-    let header_len = SNAP_MAGIC.len() + 4 + 4 + 8 + 8 + 8 + 4 + 8 + 4 + 4 + 4;
+    let header_len = SNAP_MAGIC.len() + 4 + 4 + 8 + 8 + 8 + 4 + 4 + 4 + 4;
     let hcrc = r.u32()?;
     if crc32(&page0[..header_len]) != hcrc {
         return Err(corrupt("snapshot header checksum mismatch"));
@@ -509,40 +508,7 @@ where
         live,
         free,
         version,
-        compaction: CompactionPolicy { dead_fraction },
     })
-}
-
-/// Rebuild a ready-to-serve [`DatasetStore`] from snapshot contents:
-/// forests are derived state, so they are constructed fresh over the
-/// live slots (same path as a swap), then the store is restored
-/// verbatim around them.
-pub fn restore_store<const D: usize, P>(
-    contents: SnapshotContents<D, P>,
-    tree: TreeConfig<D>,
-    clip: ClipConfig,
-    workers: usize,
-) -> DatasetStore<D, P>
-where
-    P: Partitioner<D>,
-{
-    let forest = Arc::new(TileForest::build_where(
-        &contents.partitioner,
-        &contents.objects,
-        Some(&contents.live),
-        tree,
-        clip,
-        workers,
-    ));
-    DatasetStore::restore(
-        contents.partitioner,
-        contents.objects,
-        contents.live,
-        contents.free,
-        forest,
-        contents.version,
-        contents.compaction,
-    )
 }
 
 // ---------------------------------------------------------------------
@@ -721,36 +687,42 @@ mod tests {
 
     /// Snapshot → restore round-trips a churned store exactly: same
     /// version, arena, liveness, free list, answers, and same replay
-    /// behaviour (id assignment) afterwards.
+    /// behaviour (id assignment, sweep timing) afterwards.
     #[test]
     fn snapshot_round_trips_churned_store() {
         let data = boxes(90, 7);
         for p in any_partitioners(&data) {
-            let mut ds = DatasetStore::build(p, &data, tree(), clip(), 2)
-                .with_compaction(CompactionPolicy { dead_fraction: 0.2 });
-            // Churn: deletes past the sweep threshold + fresh inserts,
-            // so the snapshot carries tombstones AND free slots.
-            let deletes: Vec<Update<2>> = (0..25).map(|i| Update::Delete(DataId(i * 3))).collect();
-            ds.apply_updates(&deletes, tree(), clip());
+            let mut ds = DatasetStore::build(p, &data, tree(), clip(), 2);
+            // Churn: deletes past the sweep threshold (30 of 90), fresh
+            // inserts into reclaimed slots, then one more delete, so the
+            // snapshot carries tombstones AND free slots.
+            let deletes: Vec<Update<2>> = (0..30).map(|i| Update::Delete(DataId(i * 3))).collect();
+            assert_eq!(
+                ds.apply_updates(&deletes, tree(), clip()).slots_reclaimed,
+                30
+            );
             ds.apply_updates(
                 &[
                     Update::Insert(r2(4.0, 4.0, 6.0, 6.0)),
                     Update::Insert(r2(70.0, 70.0, 75.0, 75.0)),
+                    Update::Delete(DataId(1)),
                 ],
                 tree(),
                 clip(),
             );
+            assert!(ds.free_slots() >= 1, "snapshot must carry free slots");
+            let tombstones = ds.arena_len() - ds.live_count() - ds.free_slots();
+            assert!(tombstones >= 1, "snapshot must carry tombstones");
 
             let mut store = MemPageStore::new();
             let pages = write_snapshot(&mut store, &ds);
             assert_eq!(pages, store.page_count());
             let contents = read_snapshot::<2, AnyPartitioner<2>, _>(&mut store).expect("clean");
-            let back = restore_store(contents, tree(), clip(), 2);
+            let back = DatasetStore::restore(contents, tree(), clip(), 2);
 
             assert_eq!(back.version(), ds.version());
             assert_eq!(back.live(), ds.live());
             assert_eq!(back.free_list(), ds.free_list());
-            assert_eq!(back.compaction(), ds.compaction());
             assert_eq!(back.live_rects(), ds.live_rects());
             // Queries answer identically (ranges as sets — traversal
             // order differs between grown and rebuilt trees; see the
@@ -765,7 +737,8 @@ mod tests {
                 back.run_knn(&[(Point([30.0, 30.0]), 5)], 1).results,
                 ds.run_knn(&[(Point([30.0, 30.0]), 5)], 1).results
             );
-            // Replay determinism: the next insert takes the same slot.
+            // Replay determinism: the next insert takes the same slot,
+            // and a delete-everything batch sweeps the same slots.
             let up = [Update::Insert(r2(1.0, 1.0, 2.0, 2.0))];
             let mut ds2 = ds;
             let mut back2 = back;
@@ -773,7 +746,47 @@ mod tests {
                 ds2.apply_updates(&up, tree(), clip()).inserted_ids(),
                 back2.apply_updates(&up, tree(), clip()).inserted_ids()
             );
+            let all: Vec<Update<2>> = (0..ds2.arena_len() as u32)
+                .map(|i| Update::Delete(DataId(i)))
+                .collect();
+            assert_eq!(
+                ds2.apply_updates(&all, tree(), clip()).slots_reclaimed,
+                back2.apply_updates(&all, tree(), clip()).slots_reclaimed
+            );
+            assert_eq!(back2.free_list(), ds2.free_list());
         }
+    }
+
+    /// A format-1 header (which held an 8-byte compaction threshold
+    /// after the blob length) is refused at its format field, before
+    /// any later field is read, even with a valid checksum over it.
+    #[test]
+    fn retired_snapshot_format_is_corrupt() {
+        let mut header = SNAP_MAGIC.to_vec();
+        put_u32(&mut header, 1); // format
+        put_u32(&mut header, 2); // D
+        for v in [3, 10, 10] {
+            put_u64(&mut header, v); // version, arena and live counts
+        }
+        put_u32(&mut header, 40); // blob length
+        put_f64(&mut header, 0.3); // the retired threshold
+        for _ in 0..3 {
+            put_u32(&mut header, 0); // section checksums
+        }
+        let hcrc = crc32(&header);
+        put_u32(&mut header, hcrc);
+        let mut page0 = vec![0u8; PAGE_SIZE];
+        page0[..header.len()].copy_from_slice(&header);
+        let mut store = MemPageStore::new();
+        store.write_page(0, &page0);
+
+        let err = read_snapshot::<2, AnyPartitioner<2>, _>(&mut store)
+            .err()
+            .expect("refused");
+        assert!(
+            matches!(&err, PersistError::Corrupt(why) if why == "unknown snapshot format"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub struct UpdateOutcome {
     /// and the benchmark's `engine.apply_nodes_allocated_per_update`.
     pub nodes_allocated: u64,
     /// Tombstoned arena slots swept into the free list by the
-    /// compaction pass that ran after this batch (0 when the
-    /// [`crate::CompactionPolicy`] threshold was not crossed). Reclaimed
+    /// compaction pass that ran after this batch (0 when tombstones did
+    /// not exceed [`crate::COMPACT_DEAD_FRACTION`] of the arena). Reclaimed
     /// slots are reused by later inserts; live ids never move.
     pub slots_reclaimed: usize,
 }

@@ -16,14 +16,13 @@
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{
-    partitioned_join_with, AdaptiveGrid, CompactionPolicy, DatasetStore, JoinPlan, Partitioner,
-    QuadtreePartitioner, TileForest, Update,
+    partitioned_join_with, AdaptiveGrid, DataVersion, DatasetStore, JoinPlan, Partitioner,
+    QuadtreePartitioner, SnapshotContents, TileForest, Update, COMPACT_DEAD_FRACTION,
 };
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{DataId, TreeConfig, Variant};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 const DOMAIN: Rect<2> = Rect {
     lo: Point([0.0, 0.0]),
@@ -88,7 +87,7 @@ fn arb_script(max_len: usize) -> impl Strategy<Value = Vec<ScriptOp>> {
 /// the arena in plain vectors for the oracle — including the store's
 /// documented slot-reclamation semantics: deletes tombstone their slot,
 /// a post-batch sweep frees every dead slot once tombstones exceed
-/// [`cbb_engine::DEFAULT_COMPACT_DEAD_FRACTION`] of the arena, and
+/// [`COMPACT_DEAD_FRACTION`] of the arena, and
 /// later inserts reuse freed slots smallest-id-first before appending.
 /// The adversarial delete-heavy scripts cross the threshold routinely,
 /// so the mirror exercises compaction on most cases.
@@ -138,7 +137,7 @@ fn run_script<P: Partitioner<2> + Clone>(
             }
         }
         // Mirror the post-batch compaction sweep.
-        if tombstones as f64 > cbb_engine::DEFAULT_COMPACT_DEAD_FRACTION * arena.len() as f64 {
+        if tombstones as f64 > COMPACT_DEAD_FRACTION * arena.len() as f64 {
             free = (0..arena.len() as u32)
                 .rev()
                 .filter(|&s| !live[s as usize])
@@ -148,6 +147,28 @@ fn run_script<P: Partitioner<2> + Clone>(
         store.apply_updates(&batch, tree, clip);
     }
     (store, arena, live)
+}
+
+/// A store built wholesale over `arena`'s live slots — the oracle the
+/// delta-maintained store is compared against.
+fn wholesale_rebuild<P: Partitioner<2>>(
+    partitioner: P,
+    objects: Vec<Rect<2>>,
+    live: Vec<bool>,
+) -> DatasetStore<2, P> {
+    let contents = SnapshotContents {
+        partitioner,
+        objects,
+        live,
+        free: Vec::new(),
+        version: DataVersion::initial(),
+    };
+    DatasetStore::restore(
+        contents,
+        TreeConfig::tiny(Variant::RStar),
+        ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+        2,
+    )
 }
 
 fn check_against_rebuild<P: Partitioner<2> + Clone>(
@@ -160,20 +181,7 @@ fn check_against_rebuild<P: Partitioner<2> + Clone>(
     let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
     prop_assert_eq!(store.objects(), arena);
     prop_assert_eq!(store.live(), live);
-    let rebuilt_forest = Arc::new(TileForest::build_where(
-        store.partitioner(),
-        arena,
-        Some(live),
-        tree,
-        clip,
-        2,
-    ));
-    let rebuilt = DatasetStore::with_forest_where(
-        store.partitioner().clone(),
-        arena.to_vec(),
-        live.to_vec(),
-        rebuilt_forest.clone(),
-    );
+    let rebuilt = wholesale_rebuild(store.partitioner().clone(), arena.to_vec(), live.to_vec());
 
     // Ranges: same id sets per query, against brute force over the
     // live arena.
@@ -263,8 +271,9 @@ proptest! {
 /// shaped like the data and dropped near it, 40 % deletes of distinct
 /// base objects) absorbed batch by batch allocates fewer R-tree nodes
 /// than rebuilding the forest after every batch, and the maintained
-/// store answers exactly like the last rebuild. Compaction is off so
-/// both sides keep the same append-only id space.
+/// store answers exactly like the last rebuild. The stream stays under
+/// the compaction threshold, so both sides keep the same append-only
+/// id space.
 #[test]
 fn delta_apply_allocates_fewer_nodes_than_rebuild_per_batch() {
     let (n, batches, ops_per_batch) = (4_000, 8, 150);
@@ -291,13 +300,11 @@ fn delta_apply_allocates_fewer_nodes_than_rebuild_per_batch() {
         })
         .collect();
 
-    let mut store = DatasetStore::build(partitioner.clone(), &data.boxes, tree, clip, 2)
-        .with_compaction(CompactionPolicy::never());
+    let mut store = DatasetStore::build(partitioner.clone(), &data.boxes, tree, clip, 2);
     let mut delta_nodes = 0;
     let mut arena = data.boxes.clone();
     let mut live = vec![true; n];
     let mut rebuild_nodes = 0;
-    let mut rebuilt = None;
     for ops in script.chunks(ops_per_batch) {
         delta_nodes += store.apply_updates(ops, tree, clip).nodes_allocated;
         for op in ops {
@@ -311,21 +318,20 @@ fn delta_apply_allocates_fewer_nodes_than_rebuild_per_batch() {
         }
         let forest = TileForest::build_where(&partitioner, &arena, Some(&live), tree, clip, 2);
         rebuild_nodes += forest.nodes_allocated();
-        rebuilt = Some(forest);
     }
     assert!(
         delta_nodes < rebuild_nodes,
         "delta-apply allocated {delta_nodes} nodes, rebuild-per-batch {rebuild_nodes}"
     );
 
+    assert_eq!(
+        store.compactions(),
+        0,
+        "the stream stays under the threshold"
+    );
     assert_eq!(store.objects(), &arena[..]);
     assert_eq!(store.live(), &live[..]);
-    let rebuilt = DatasetStore::with_forest_where(
-        partitioner,
-        arena,
-        live,
-        Arc::new(rebuilt.expect("at least one batch")),
-    );
+    let rebuilt = wholesale_rebuild(partitioner, arena, live);
     let queries: Vec<Rect<2>> = (0..60)
         .map(|_| {
             let anchor = data.boxes[rng.gen_index(n)].center();

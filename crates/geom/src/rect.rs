@@ -185,6 +185,14 @@ impl<const D: usize> Rect<D> {
     pub fn is_finite(&self) -> bool {
         self.lo.is_finite() && self.hi.is_finite()
     }
+
+    /// True when the rectangle can be indexed: every coordinate finite
+    /// and `lo ≤ hi` on every axis. A non-finite or inverted rectangle
+    /// has no meaningful MBB (its center may be NaN, its extent
+    /// negative), so indexes refuse it instead of placing it somewhere.
+    pub fn is_valid(&self) -> bool {
+        self.is_finite() && (0..D).all(|i| self.lo[i] <= self.hi[i])
+    }
 }
 
 impl<const D: usize> fmt::Debug for Rect<D> {
@@ -199,6 +207,22 @@ mod tests {
 
     fn r2(lx: f64, ly: f64, hx: f64, hy: f64) -> Rect<2> {
         Rect::new(Point([lx, ly]), Point([hx, hy]))
+    }
+
+    #[test]
+    fn validity_needs_finite_ordered_corners() {
+        assert!(r2(1.0, 2.0, 3.0, 4.0).is_valid());
+        assert!(
+            Rect::point(Point([5.0, 5.0])).is_valid(),
+            "degenerate is valid"
+        );
+        let raw = |lo: [f64; 2], hi: [f64; 2]| Rect {
+            lo: Point(lo),
+            hi: Point(hi),
+        };
+        assert!(!raw([f64::NAN, 0.0], [1.0, 1.0]).is_valid());
+        assert!(!raw([f64::NEG_INFINITY, 0.0], [f64::INFINITY, 1.0]).is_valid());
+        assert!(!raw([2.0, 0.0], [1.0, 1.0]).is_valid(), "inverted");
     }
 
     #[test]

@@ -11,9 +11,9 @@ use std::time::Instant;
 
 use cbb_core::ClipConfig;
 use cbb_engine::{
-    decode_update_batch, encode_update_batch, read_snapshot, replay_update_batch, restore_store,
-    write_snapshot, ByteReader, Catalog, DatasetId, DatasetStore, Partitioner, PersistError,
-    PersistPartitioner, Update,
+    decode_update_batch, encode_update_batch, read_snapshot, replay_update_batch, write_snapshot,
+    ByteReader, Catalog, DatasetId, DatasetStore, Partitioner, PersistError, PersistPartitioner,
+    Update,
 };
 use cbb_rtree::TreeConfig;
 use cbb_storage::{recover_wal, FilePageStore, PageStore, WalWriter};
@@ -198,7 +198,7 @@ impl Durability {
             })?;
             let contents = read_snapshot::<D, P, _>(&mut pages)?;
             recovery.pages_read += pages.counters().reads;
-            let mut store = restore_store(contents, tree, clip, workers);
+            let mut store = DatasetStore::restore(contents, tree, clip, workers);
             let tail = recover_wal(&wal_path(root, id))?;
             for payload in &tail.records {
                 let (version, ops) = decode_update_batch::<D>(payload)?;

@@ -43,8 +43,8 @@
 //!   requests; repeated (cross-) joins rebuild nothing.
 //! * **Mutability without rebuilds** — writes are coalesced per
 //!   dataset per micro-batch into one atomic delta-apply (a single
-//!   version bump, tiles maintained in place, threshold-driven arena
-//!   compaction with stable live ids); answers afterwards equal a
+//!   version bump, tiles maintained in place, arena compaction past a
+//!   fixed dead fraction with stable live ids); answers afterwards equal a
 //!   wholesale swap with the same surviving objects, and a request
 //!   admitted after a write completes observes that write.
 //! * **Durability (opt-in, one shard)** — with

@@ -83,7 +83,11 @@ pub enum Request<const D: usize, P> {
     },
     /// Insert one object into `dataset`; the store assigns and returns
     /// its [`DataId`] (the smallest compaction-reclaimed slot when one
-    /// is free, else a fresh arena slot).
+    /// is free, else a fresh arena slot). Slots are reclaimed by one
+    /// fixed rule: after a write batch leaves more than
+    /// [`cbb_engine::COMPACT_DEAD_FRACTION`] of the arena tombstoned,
+    /// every dead slot becomes reusable. A non-finite or inverted
+    /// `rect` is rejected (answers `Inserted(None)`).
     Insert {
         /// Target dataset.
         dataset: DatasetId,
@@ -94,8 +98,10 @@ pub enum Request<const D: usize, P> {
     /// dead/unknown ids). Note that after a compaction sweep reclaims
     /// a dead slot, its id can be reassigned to a later insert —
     /// *retrying* an already-applied delete may then hit the new
-    /// occupant. Await each write's handle instead: a delete whose
-    /// handle resolved was applied exactly once and needs no retry.
+    /// occupant, and no setting turns sweeps off. Await each write's
+    /// handle instead: a delete whose handle resolved was applied
+    /// exactly once and needs no retry. At-least-once clients must
+    /// dedup their delete retries.
     Delete {
         /// Target dataset.
         dataset: DatasetId,
@@ -114,7 +120,9 @@ pub enum Request<const D: usize, P> {
     /// Register a new named dataset: partition `objects` under
     /// `partitioner`, bulk-load its tile forest (one counted build),
     /// and answer the assigned [`DatasetId`]. Fails with
-    /// [`RequestError::NameTaken`] when the name exists.
+    /// [`RequestError::NameTaken`] when the name exists, and with
+    /// [`RequestError::InvalidObject`] when an object is non-finite or
+    /// inverted.
     CreateDataset {
         /// Catalog-unique dataset name.
         name: String,
@@ -132,7 +140,9 @@ pub enum Request<const D: usize, P> {
     /// Replace `dataset`'s objects wholesale: fresh id space, a counted
     /// forest rebuild, one version bump. With a
     /// `partitioner`, the tiling is re-fitted at the same time (the
-    /// churn-drift answer).
+    /// churn-drift answer). Fails with [`RequestError::InvalidObject`],
+    /// leaving the dataset as it was, when an object is non-finite or
+    /// inverted.
     SwapData {
         /// Target dataset.
         dataset: DatasetId,
@@ -251,6 +261,10 @@ pub enum RequestError {
     UnknownDataset(DatasetId),
     /// `CreateDataset` named an existing dataset.
     NameTaken(String),
+    /// A `CreateDataset` or `SwapData` payload holds a non-finite or
+    /// inverted rectangle (`lo > hi` on some axis) at this index into
+    /// its objects; nothing was built or replaced.
+    InvalidObject(usize),
 }
 
 impl std::fmt::Display for RequestError {
@@ -258,6 +272,9 @@ impl std::fmt::Display for RequestError {
         match self {
             RequestError::UnknownDataset(id) => write!(f, "unknown dataset {id:?}"),
             RequestError::NameTaken(name) => write!(f, "dataset name {name:?} is taken"),
+            RequestError::InvalidObject(index) => {
+                write!(f, "object {index} is non-finite or inverted")
+            }
         }
     }
 }
@@ -289,7 +306,7 @@ pub enum Response {
     /// [`Request::Join`] and [`Request::CrossJoin`].
     Join(JoinResult),
     /// The id assigned to an applied [`Request::Insert`], or `None`
-    /// when the rectangle was rejected (non-finite).
+    /// when the rectangle was rejected (non-finite or inverted).
     Inserted(Option<DataId>),
     /// Whether the [`Request::Delete`]'s object was live and removed.
     Deleted(bool),
@@ -301,7 +318,8 @@ pub enum Response {
     Dropped(bool),
     /// The version a [`Request::SwapData`] installed.
     Swapped(DataVersion),
-    /// The request could not be served (unknown dataset, name taken).
+    /// The request could not be served (unknown dataset, name taken,
+    /// invalid object).
     Failed(RequestError),
 }
 

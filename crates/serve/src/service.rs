@@ -6,7 +6,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cbb_core::ClipConfig;
-use cbb_engine::{Catalog, DataVersion, DatasetId, DatasetStore, Partitioner, TileForest};
+use cbb_engine::{
+    Catalog, DataVersion, DatasetId, DatasetStore, Partitioner, SnapshotContents, TileForest,
+};
 use cbb_geom::Rect;
 use cbb_rtree::TreeConfig;
 use cbb_telemetry::{Histogram, SlowQuery, TelemetryConfig, TelemetrySnapshot};
@@ -80,12 +82,23 @@ pub(crate) struct SharedState<const D: usize, P> {
     pub(crate) durability: Option<Durability>,
 }
 
+/// Refuse a dataset payload holding a rectangle no index can place
+/// (non-finite or inverted), naming the first such object.
+fn check_objects<const D: usize>(objects: &[Rect<D>]) -> Result<(), RequestError> {
+    match objects.iter().position(|r| !r.is_valid()) {
+        Some(index) => Err(RequestError::InvalidObject(index)),
+        None => Ok(()),
+    }
+}
+
 impl<const D: usize, P> SharedState<D, P>
 where
     P: Partitioner<D> + PersistPartitioner,
 {
     /// Build a dataset store (the forest build is counted) and register
-    /// it — the execution of a queued `CreateDataset` admin op.
+    /// it — the execution of a queued `CreateDataset` admin op. A
+    /// payload holding a non-finite or inverted rectangle is refused
+    /// before any forest is built.
     pub(crate) fn create_dataset_now(
         &self,
         name: &str,
@@ -99,14 +112,17 @@ where
         if self.catalog.resolve(name).is_some() {
             return Err(RequestError::NameTaken(name.to_string()));
         }
-        let forest = TileForest::build(
-            &partitioner,
-            &objects,
-            self.tree,
-            self.clip,
-            self.config.exec_workers,
-        );
-        let store = DatasetStore::with_forest(partitioner, objects, Arc::new(forest));
+        check_objects(&objects)?;
+        // A fresh arena handed over whole: `DatasetStore::build` borrows
+        // and would copy it once more.
+        let contents = SnapshotContents {
+            live: vec![true; objects.len()],
+            partitioner,
+            objects,
+            free: Vec::new(),
+            version: DataVersion::initial(),
+        };
+        let store = DatasetStore::restore(contents, self.tree, self.clip, self.config.exec_workers);
         match self.catalog.create(name, store) {
             Ok(id) => {
                 self.stats.forest_builds.inc();
@@ -141,7 +157,8 @@ where
 
     /// Replace one dataset's objects (and optionally its partitioner),
     /// rebuilding the forest (a counted build) under the bumped
-    /// version.
+    /// version. A payload holding a non-finite or inverted rectangle is
+    /// refused before any forest is built.
     ///
     /// The (expensive) forest build runs with **no lock held** — a swap
     /// of a big dataset must not block this dataset's readers longer
@@ -161,8 +178,10 @@ where
         let Some(entry) = self.catalog.get(id) else {
             return Err(RequestError::UnknownDataset(id));
         };
-        let fit = match &partitioner {
-            Some(p) => p.clone(),
+        check_objects(&objects)?;
+        let refit = partitioner.is_some();
+        let fit = match partitioner {
+            Some(p) => p,
             None => entry
                 .store()
                 .read()
@@ -178,23 +197,22 @@ where
             self.config.exec_workers,
         );
         let mut store = entry.store().write().expect("dataset store poisoned");
-        let built = if partitioner.is_some() || *store.partitioner() == fit {
-            built
+        let (fit, built) = if refit || *store.partitioner() == fit {
+            (fit, built)
         } else {
-            TileForest::build(
-                store.partitioner(),
+            let won = store.partitioner().clone();
+            let built = TileForest::build(
+                &won,
                 &objects,
                 self.tree,
                 self.clip,
                 self.config.exec_workers,
-            )
+            );
+            (won, built)
         };
         let next = store.version().next();
         self.stats.forest_builds.inc();
-        match partitioner {
-            Some(p) => store.swap_with(p, objects, Arc::new(built)),
-            None => store.swap(objects, Arc::new(built)),
-        }
+        store.swap(fit, objects, Arc::new(built));
         debug_assert_eq!(store.version(), next);
         // Persist the swapped-in state while the write lock still
         // pins it: fresh snapshot, reset WAL.

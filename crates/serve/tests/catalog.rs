@@ -24,6 +24,7 @@ use cbb_geom::{Point, Rect};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{DataId, TreeConfig, Variant};
 use cbb_serve::{Request, RequestError, Response, ServiceBuilder, ShardedService};
+use std::time::Duration;
 
 const EXEC_WORKERS: usize = 3;
 
@@ -423,6 +424,94 @@ fn admin_ops_ride_the_queue_and_fail_cleanly() {
 
     let report = svc.shutdown();
     assert_eq!(report.completed, report.submitted, "admin ops drain too");
+}
+
+/// One malformed object cannot take the service down. A `CreateDataset`
+/// or `SwapData` payload holding a non-finite or inverted rectangle is
+/// refused whole, naming the offending index, before any forest build
+/// (whose bulk load cannot order a NaN center), and the single
+/// dispatcher goes on answering. Every wait is bounded, so a dead
+/// dispatcher fails the test instead of hanging it.
+#[test]
+fn invalid_objects_are_refused_and_the_service_keeps_answering() {
+    let svc: Service = ServiceBuilder::new()
+        .dispatchers(1)
+        .exec_workers(EXEC_WORKERS)
+        .build_catalog(tree(), clip());
+    let data = clustered_with_layout::<2>(200, 4, 40_000.0, 0.2, 21, 21);
+    let grid: AnyPartitioner<2> = AdaptiveGrid::from_sample(data.domain, [3, 3], &[]).into();
+    let answer = |request: Request<2, AnyPartitioner<2>>| -> Response {
+        match svc
+            .submit(request)
+            .unwrap()
+            .wait_timeout(Duration::from_secs(10))
+        {
+            Ok(done) => {
+                done.expect("request canceled: the dispatcher died")
+                    .response
+            }
+            Err(_) => panic!("request not answered within 10 s"),
+        }
+    };
+    let raw = |lo: [f64; 2], hi: [f64; 2]| Rect {
+        lo: Point(lo),
+        hi: Point(hi),
+    };
+    let with_bad = |at: usize, bad: Rect<2>| {
+        let mut objects = data.boxes.clone();
+        objects[at] = bad;
+        objects
+    };
+
+    // A NaN corner, then an axis spanning −∞..+∞ (a NaN center).
+    let nan = with_bad(7, raw([f64::NAN, 10.0], [20.0, 20.0]));
+    let response = answer(Request::CreateDataset {
+        name: "nan".into(),
+        partitioner: grid.clone(),
+        objects: nan,
+    });
+    assert_eq!(response.error(), Some(&RequestError::InvalidObject(7)));
+    let unbounded = with_bad(0, raw([1.0, f64::NEG_INFINITY], [2.0, f64::INFINITY]));
+    let response = answer(Request::CreateDataset {
+        name: "unbounded".into(),
+        partitioner: grid.clone(),
+        objects: unbounded.clone(),
+    });
+    assert_eq!(response.error(), Some(&RequestError::InvalidObject(0)));
+    // An inverted rect is refused too, not indexed under some tiling.
+    let inverted = with_bad(199, raw([30.0, 30.0], [10.0, 40.0]));
+    let response = answer(Request::CreateDataset {
+        name: "inverted".into(),
+        partitioner: grid.clone(),
+        objects: inverted,
+    });
+    assert_eq!(response.error(), Some(&RequestError::InvalidObject(199)));
+    assert!(svc.datasets().is_empty(), "nothing was created");
+
+    // The same service still creates, and a bad swap leaves the
+    // dataset as it was.
+    let id = answer(Request::CreateDataset {
+        name: "good".into(),
+        partitioner: grid.clone(),
+        objects: data.boxes.clone(),
+    })
+    .into_created();
+    let response = answer(Request::SwapData {
+        dataset: id,
+        objects: unbounded,
+        partitioner: None,
+    });
+    assert_eq!(response.error(), Some(&RequestError::InvalidObject(0)));
+    assert_eq!(svc.dataset_version(id), Some(DataVersion(0)));
+    assert_eq!(svc.dataset_live_count(id), Some(data.boxes.len()));
+    let everything = Rect::mbb_of(&data.boxes).unwrap();
+    let found = answer(Request::Range {
+        dataset: id,
+        query: everything,
+        use_clips: true,
+    });
+    assert_eq!(found, Response::Range((0..200).map(DataId).collect()));
+    svc.shutdown();
 }
 
 /// Mutations sharing a micro-batch resolve to the queue-order final

@@ -9,7 +9,7 @@
 //!   log₂-bucket **histograms** behind pre-resolved atomic handles.
 //!   Registration takes a lock once; recording is a single relaxed
 //!   `fetch_add` with no allocation.
-//! * [`Span`] / [`PhaseTimer`] — per-request **phase tracing**
+//! * [`Span`] — per-request **phase tracing**
 //!   (queue-wait → coalesce → lock-acquire → execute → respond, plus
 //!   engine sub-phases), a fixed array of nanosecond accumulators
 //!   carried alongside each request.
@@ -41,7 +41,7 @@ pub use registry::{
     TelemetrySnapshot,
 };
 pub use slow::{SlowQuery, SlowQueryRing};
-pub use span::{Phase, PhaseTimer, Span};
+pub use span::{Phase, Span};
 
 /// How much telemetry a service should collect.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

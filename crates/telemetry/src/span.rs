@@ -7,8 +7,6 @@
 //! vs. cache hit, join probing) land in the same span. Finished spans
 //! feed the per-phase histograms and the slow-query ring.
 
-use std::time::Instant;
-
 /// A lifecycle phase of a served request. The first five are the
 /// serve-layer pipeline in order; `ForestBuild`/`Probe` are engine
 /// sub-phases that overlap `Execute`; `Scatter`/`Gather` are router
@@ -146,32 +144,6 @@ impl Span {
     }
 }
 
-/// Measures one phase from construction to [`PhaseTimer::stop`],
-/// recording into a [`Span`]. Cheap enough to use inline in the
-/// dispatcher loop; one `Instant::now` at each end.
-pub struct PhaseTimer {
-    phase: Phase,
-    start: Instant,
-}
-
-impl PhaseTimer {
-    /// Start timing `phase` now.
-    pub fn start(phase: Phase) -> Self {
-        PhaseTimer {
-            phase,
-            start: Instant::now(),
-        }
-    }
-
-    /// Stop and record the elapsed time into `span`, returning the
-    /// elapsed nanoseconds.
-    pub fn stop(self, span: &mut Span) -> u64 {
-        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        span.record(self.phase, ns);
-        ns
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,14 +183,5 @@ mod tests {
         assert_eq!(span.get(Phase::Execute), u64::MAX);
         span.record(Phase::QueueWait, u64::MAX);
         assert_eq!(span.total_ns(), u64::MAX);
-    }
-
-    #[test]
-    fn timer_records_something() {
-        let mut span = Span::new();
-        let t = PhaseTimer::start(Phase::Respond);
-        std::hint::black_box(0u64);
-        let ns = t.stop(&mut span);
-        assert_eq!(span.get(Phase::Respond), ns);
     }
 }

@@ -68,9 +68,9 @@ pub mod prelude {
     pub use cbb_core::{Cbb, ClipConfig, ClipMethod, ClipPoint};
     pub use cbb_engine::{
         partitioned_join, partitioned_join_forests, partitioned_join_with, AdaptiveGrid,
-        AnyPartitioner, BatchOutcome, Catalog, CatalogError, CompactionPolicy, DataVersion,
-        DatasetId, DatasetStore, JoinAlgo, JoinPlan, KnnOutcome, Partitioner, QuadtreePartitioner,
-        SplitPolicy, TileForest, Update, UpdateOutcome, UpdateResult,
+        AnyPartitioner, BatchOutcome, Catalog, CatalogError, DataVersion, DatasetId, DatasetStore,
+        JoinAlgo, JoinPlan, KnnOutcome, Partitioner, QuadtreePartitioner, SplitPolicy, TileForest,
+        Update, UpdateOutcome, UpdateResult,
     };
     pub use cbb_geom::{CornerMask, Point, Rect};
     pub use cbb_joins::JoinResult;
@@ -82,7 +82,7 @@ pub mod prelude {
         ServiceReport, ShardMap, ShardTiling, ShardedService, UpdateSummary, DEFAULT_DATASET,
     };
     pub use cbb_telemetry::{
-        Histogram, HistogramSnapshot, Phase, PhaseTimer, Registry, SlowQuery, SlowQueryRing, Span,
+        Histogram, HistogramSnapshot, Phase, Registry, SlowQuery, SlowQueryRing, Span,
         TelemetryConfig, TelemetrySnapshot,
     };
 }

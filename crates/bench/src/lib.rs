@@ -1,7 +1,10 @@
 //! # cbb-bench — shared harness for the per-figure experiment binaries
 //!
 //! The `fig*`, `ablation_*` and `join_experiment` binaries in `src/bin/`
-//! regenerate the paper's tables and figures. Three more exercise the
+//! regenerate the paper's tables and figures; `fig14_buildtime` also
+//! times Algorithm 2's intersection test against the plain MBB test (the
+//! paper claims the clip test is cheaper than the MBB test before it).
+//! Three more binaries exercise the
 //! system around it: `crash_recovery` (the SIGKILL recovery gauntlet),
 //! and `skew_scale` and `catalog_scale` (which write `BENCH_skew.json`
 //! and `BENCH_catalog.json`). Performance of the served system is

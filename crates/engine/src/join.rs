@@ -41,7 +41,9 @@ use std::sync::Arc;
 
 use cbb_core::{ClipConfig, ClipPoint};
 use cbb_geom::Rect;
-use cbb_joins::{reference_point, sweep_precheck, sweep_scan, JoinResult, SweepSide, TileColumns};
+use cbb_joins::{
+    reference_point, sweep_filtered, sweep_precheck, sweep_scan, JoinResult, SweepSide, TileColumns,
+};
 use cbb_rtree::{DataId, TreeConfig};
 
 use crate::batch::TileForest;
@@ -479,8 +481,7 @@ fn join_tile<const D: usize, P: Partitioner<D>>(
     let (lcols, rcols, mut result, live) = open_tile(plan, tile, left, lsource, right, rsource);
     if live {
         let keep = |a: &Rect<D>, b: &Rect<D>| plan.partitioner.owns(tile, &reference_point(a, b));
-        result += sweep_scan(&lcols, &rcols, SweepSide::Left, 0, lcols.len(), keep);
-        result += sweep_scan(&lcols, &rcols, SweepSide::Right, 0, rcols.len(), keep);
+        result += sweep_filtered(&lcols, &rcols, keep);
     }
     result
 }

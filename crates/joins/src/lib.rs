@@ -123,22 +123,6 @@ pub fn inlj<const D: usize>(
     inner: &ClippedRTree<D>,
     use_clips: bool,
 ) -> JoinResult {
-    inlj_filtered(outer, inner, use_clips, |_, _| true)
-}
-
-/// Tile-local INLJ entry point: as [`inlj`], but a found `(outer rect,
-/// inner id)` match is counted only when `keep` accepts it. Partitioned
-/// executors use this for reference-point duplicate elimination; I/O
-/// counters still reflect the full probes.
-pub fn inlj_filtered<const D: usize, F>(
-    outer: &[Rect<D>],
-    inner: &ClippedRTree<D>,
-    use_clips: bool,
-    keep: F,
-) -> JoinResult
-where
-    F: Fn(&Rect<D>, DataId) -> bool,
-{
     let mut result = JoinResult::default();
     let mut stats = AccessStats::new();
     for o in outer {
@@ -147,7 +131,7 @@ where
         } else {
             inner.tree.range_query_stats(o, &mut stats)
         };
-        result.pairs += found.iter().filter(|id| keep(o, **id)).count() as u64;
+        result.pairs += found.len() as u64;
     }
     result.leaf_accesses_right = stats.leaf_accesses;
     result.internal_accesses = stats.internal_accesses;
@@ -162,22 +146,6 @@ pub fn stt<const D: usize>(
     right: &ClippedRTree<D>,
     use_clips: bool,
 ) -> JoinResult {
-    stt_filtered(left, right, use_clips, |_, _| true)
-}
-
-/// Tile-local STT entry point: as [`stt`], but an intersecting leaf pair
-/// is counted only when `keep` accepts its two object rectangles.
-/// Partitioned executors pass a reference-point ownership test here so a
-/// pair materialised in several tiles is counted exactly once globally.
-pub fn stt_filtered<const D: usize, F>(
-    left: &ClippedRTree<D>,
-    right: &ClippedRTree<D>,
-    use_clips: bool,
-    keep: F,
-) -> JoinResult
-where
-    F: Fn(&Rect<D>, &Rect<D>) -> bool,
-{
     let mut result = JoinResult::default();
     if left.tree.is_empty() || right.tree.is_empty() {
         return result;
@@ -193,7 +161,7 @@ where
     if use_clips && !pair_survives_clips(left, lroot, &lmbb, right, rroot, &rmbb, &w, &mut result) {
         return result;
     }
-    stt_rec(left, lroot, right, rroot, use_clips, &keep, &mut result);
+    stt_rec(left, lroot, right, rroot, use_clips, &mut result);
     result
 }
 
@@ -220,17 +188,14 @@ fn pair_survives_clips<const D: usize>(
     true
 }
 
-fn stt_rec<const D: usize, F>(
+fn stt_rec<const D: usize>(
     left: &ClippedRTree<D>,
     lid: NodeId,
     right: &ClippedRTree<D>,
     rid: NodeId,
     use_clips: bool,
-    keep: &F,
     result: &mut JoinResult,
-) where
-    F: Fn(&Rect<D>, &Rect<D>) -> bool,
-{
+) {
     let lnode = left.tree.node(lid);
     let rnode = right.tree.node(rid);
 
@@ -241,7 +206,7 @@ fn stt_rec<const D: usize, F>(
             result.overlap_tests += (lnode.entries.len() * rnode.entries.len()) as u64;
             for e1 in &lnode.entries {
                 for e2 in &rnode.entries {
-                    if e1.mbb.intersects(&e2.mbb) && keep(&e1.mbb, &e2.mbb) {
+                    if e1.mbb.intersects(&e2.mbb) {
                         result.pairs += 1;
                     }
                 }
@@ -267,7 +232,7 @@ fn stt_rec<const D: usize, F>(
                         continue;
                     }
                 }
-                stt_rec(left, c1, right, rid, use_clips, keep, result);
+                stt_rec(left, c1, right, rid, use_clips, result);
             }
         }
         (true, false) => {
@@ -285,7 +250,7 @@ fn stt_rec<const D: usize, F>(
                     result.clip_prunes += 1;
                     continue;
                 }
-                stt_rec(left, lid, right, c2, use_clips, keep, result);
+                stt_rec(left, lid, right, c2, use_clips, result);
             }
         }
         (false, false) => {
@@ -309,7 +274,7 @@ fn stt_rec<const D: usize, F>(
                     {
                         continue;
                     }
-                    stt_rec(left, c1, right, c2, use_clips, keep, result);
+                    stt_rec(left, c1, right, c2, use_clips, result);
                 }
             }
         }
@@ -428,9 +393,11 @@ pub fn sweep<const D: usize>(left: &TileColumns<D>, right: &TileColumns<D>) -> J
     sweep_filtered(left, right, |_, _| true)
 }
 
-/// Tile-local sweep entry point: as [`sweep`], but a found pair is
-/// counted only when `keep` accepts its two object rectangles (the
-/// reference-point duplicate-elimination hook, as in [`stt_filtered`]).
+/// As [`sweep`], but a found pair is counted only when `keep` accepts its
+/// two object rectangles. The engine sweeps a whole tile through this
+/// with its reference-point ownership test as `keep`, so a pair found in
+/// several tiles counts once; a hot tile runs the same scans in
+/// [`sweep_scan`] chunks.
 pub fn sweep_filtered<const D: usize, F>(
     left: &TileColumns<D>,
     right: &TileColumns<D>,
@@ -447,8 +414,8 @@ where
 /// One chunk of the sweep: the forward scans of elements `lo..hi` on one
 /// side. Each element's scan is independent, so summing chunks over any
 /// partition of `0..len` on both sides reproduces [`sweep_filtered`]
-/// **exactly** (all counters, in any order) — the property parallel
-/// executors rely on to split a hot tile's sweep by x-range.
+/// **exactly** (all counters, in any order) — the property the engine
+/// relies on to split a hot tile's sweep by x-range.
 ///
 /// The tie-break makes every intersecting pair the responsibility of
 /// exactly one scan: a left element tests the right elements whose x-min

@@ -300,42 +300,6 @@ impl<const D: usize> ClippedRTree<D> {
         }
     }
 
-    /// Per-scope averages of `(dead-space fraction, clipped fraction of
-    /// node volume)` — the two stacked segments of the Figure 10 bars.
-    /// Note the dead-space half is clipping-invariant; sweeps over `k`
-    /// should measure it once and use [`Self::avg_clipped_fraction`].
-    pub fn avg_dead_space_and_clipped(
-        &self,
-        scope: crate::metrics::NodeScope,
-    ) -> Option<(f64, f64)> {
-        let mut dead_sum = 0.0;
-        let mut clip_sum = 0.0;
-        let mut count = 0usize;
-        for (id, node) in self.tree.iter_nodes() {
-            let keep = match scope {
-                crate::metrics::NodeScope::All => true,
-                crate::metrics::NodeScope::Leaves => node.is_leaf(),
-                crate::metrics::NodeScope::Internal => !node.is_leaf(),
-            };
-            if !keep || node.entries.is_empty() || node.mbb.volume() <= 0.0 {
-                continue;
-            }
-            dead_sum += crate::metrics::node_dead_space(node);
-            let regions: Vec<Rect<D>> = self
-                .clips_of(id)
-                .iter()
-                .map(|c| c.region(&node.mbb))
-                .collect();
-            clip_sum += cbb_geom::union_volume_exact(&node.mbb, &regions) / node.mbb.volume();
-            count += 1;
-        }
-        if count == 0 {
-            None
-        } else {
-            Some((dead_sum / count as f64, clip_sum / count as f64))
-        }
-    }
-
     /// Audit helper: every stored clip point must be valid for its node's
     /// current entries (zero positive-measure overlap).
     pub fn verify_clips(&self) -> Result<(), String> {
@@ -508,9 +472,9 @@ mod tests {
     #[test]
     fn dead_space_and_clipped_fractions_are_sane() {
         let clipped = build(Variant::Quadratic, ClipMethod::Stairline, 400);
-        let (dead, cl) = clipped
-            .avg_dead_space_and_clipped(crate::metrics::NodeScope::Leaves)
-            .unwrap();
+        let scope = crate::metrics::NodeScope::Leaves;
+        let dead = crate::metrics::avg_dead_space(&clipped.tree, scope).unwrap();
+        let cl = clipped.avg_clipped_fraction(scope).unwrap();
         assert!((0.0..=1.0).contains(&dead));
         assert!((0.0..=1.0).contains(&cl));
         assert!(cl <= dead + 1e-9, "clipped {cl} exceeds dead space {dead}");

@@ -406,6 +406,8 @@ fn admin_ops_ride_the_queue_and_fail_cleanly() {
     // recreate under the same name gets a FRESH id.
     assert!(svc.drop_dataset(id));
     assert!(!svc.drop_dataset(id));
+    assert_eq!(svc.dataset_id("layer"), None, "the name is released");
+    assert!(svc.datasets().is_empty());
     let failed = svc
         .submit(Request::Knn {
             dataset: id,

@@ -327,6 +327,11 @@ fn concurrent_producers_record_exact_totals() {
         Some(batch_size.count),
         snap.counter("cbb_batches_total", &[])
     );
+    // The report is a view over the same registry cells.
+    let report = svc.report();
+    assert_eq!(report.submitted, admitted);
+    assert_eq!(report.completed, admitted);
+    assert_eq!(Some(report.batches), snap.counter("cbb_batches_total", &[]));
     svc.shutdown();
 }
 

@@ -1,10 +1,10 @@
 //! Parallel partitioned join demo: the `cbb-engine` subsystem fans a
-//! spatial join out over a uniform grid and a worker pool, sweeping
-//! every tile with the forward-scan plane sweep. Pair counts are
-//! bit-identical to the sequential (one global sweep) join; the
-//! clipped trees show up in the batched range queries below, answered
-//! by a `DatasetStore`'s per-tile descents, which prune with clip
-//! points.
+//! spatial join out over a grid and a worker pool, sweeping every tile
+//! with the forward-scan plane sweep. Pair counts are bit-identical to
+//! the sequential (one global sweep) join whatever the partitioner; on
+//! skewed data the partitioner decides the load balance. The clipped
+//! trees show up in the batched range queries at the end, answered by a
+//! `DatasetStore`'s per-tile descents, which prune with clip points.
 //!
 //! ```text
 //! cargo run --release --example parallel_join
@@ -12,11 +12,17 @@
 
 use std::time::Instant;
 
+use clipped_bbox::datasets::skew::clustered_with_layout;
 use clipped_bbox::datasets::{self, Scale};
-use clipped_bbox::engine::sequential_join;
+use clipped_bbox::engine::{load_imbalance, sequential_join};
 use clipped_bbox::prelude::*;
 
 fn main() {
+    let tree = TreeConfig::paper_default(Variant::RStar);
+    let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
+
+    // 1. Uniform-ish inputs on an 8 × 8 equal-cut grid (an empty sample),
+    //    across worker counts.
     let streets = datasets::dataset2("rea02", Scale::Exact(60_000));
     let parcels = datasets::dataset2("par02", Scale::Exact(60_000));
     println!(
@@ -24,17 +30,7 @@ fn main() {
         streets.len(),
         parcels.len(),
     );
-
-    // An empty sample gives an 8 × 8 equal-cut grid. Any `Partitioner`
-    // fits here — examples/skewed_join.rs fits the cuts to the data and
-    // compares the quadtree on skewed inputs.
     let grid = AdaptiveGrid::from_sample(streets.domain.union(&parcels.domain), [8, 8], &[]);
-    let base_plan = JoinPlan::new(
-        grid,
-        TreeConfig::paper_default(Variant::RStar),
-        ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-        1,
-    );
 
     let t = Instant::now();
     let seq = sequential_join(&streets.boxes, &parcels.boxes);
@@ -43,12 +39,8 @@ fn main() {
         "\nsequential sweep        : {:>9} pairs  {:>8.1} ms",
         seq.pairs, seq_ms
     );
-
     for workers in [1, 2, 4, 8] {
-        let plan = JoinPlan {
-            workers,
-            ..base_plan.clone()
-        };
+        let plan = JoinPlan::new(grid.clone(), tree, clip, workers);
         let t = Instant::now();
         let par = partitioned_join(&plan, &streets.boxes, &parcels.boxes);
         let ms = t.elapsed().as_secs_f64() * 1e3;
@@ -61,15 +53,53 @@ fn main() {
         );
     }
 
-    // Batched range queries against the streets' tile forest: one
-    // clipped tree per tile, the store the service answers reads from.
-    let store = DatasetStore::build(
-        base_plan.partitioner,
-        &streets.boxes,
-        TreeConfig::paper_default(Variant::RStar),
-        ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-        4,
-    );
+    // 2. Choosing a partitioner for skewed data: both sides cluster at
+    //    the same eight Zipf-populated spots. Equal cuts, cuts at sample
+    //    quantiles and the quadtree region split find the same pairs
+    //    with very different load balance.
+    let n = 20_000;
+    let left = clustered_with_layout::<2>(n, 8, 20_000.0, 0.1, 7, 1);
+    let right = clustered_with_layout::<2>(n, 8, 20_000.0, 0.1, 7, 2);
+    let domain = left.domain.union(&right.domain);
+    println!("\nskewed inputs: 2 × {n} clustered boxes (shared blob layout)");
+    let mut sample = left.boxes.clone();
+    sample.extend_from_slice(&right.boxes);
+    let partitioners: [(&str, AnyPartitioner<2>); 3] = [
+        (
+            "equal",
+            AdaptiveGrid::from_sample(domain, [8, 8], &[]).into(),
+        ),
+        (
+            "adaptive",
+            AdaptiveGrid::from_sample(domain, [8, 8], &sample).into(),
+        ),
+        (
+            "quadtree",
+            QuadtreePartitioner::build(domain, &sample, 2 * n / 64).into(),
+        ),
+    ];
+    let expected = sequential_join(&left.boxes, &right.boxes).pairs;
+    for (name, p) in &partitioners {
+        let t = Instant::now();
+        let r = partitioned_join(
+            &JoinPlan::new(p.clone(), tree, clip, 4),
+            &left.boxes,
+            &right.boxes,
+        );
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(r.pairs, expected, "{name}: pair count changed");
+        println!(
+            "{name:<9}: {:>4} tiles, imbalance {:>6.2}, {} pairs, {ms:>7.1} ms",
+            p.tile_count(),
+            load_imbalance(p, &left.boxes, &right.boxes),
+            r.pairs,
+        );
+    }
+
+    // 3. Batched range queries against the streets' tile forest: one
+    //    clipped tree per tile, built once and reused by every batch —
+    //    the store the service answers reads from.
+    let store = DatasetStore::build(grid, &streets.boxes, tree, clip, 4);
     let mut counter = |q: &Rect<2>| store.run(&[*q], 1, true).results[0].len();
     let queries = datasets::generate_queries(
         &streets,
@@ -78,7 +108,11 @@ fn main() {
         7,
         &mut counter,
     );
-    println!("\nbatched range queries ({} queries):", queries.len());
+    println!(
+        "\nbatched range queries ({} queries, {} tile trees):",
+        queries.len(),
+        store.tile_tree_count()
+    );
     let t = Instant::now();
     let base = store.run(&queries, 1, true);
     let base_ms = t.elapsed().as_secs_f64() * 1e3;

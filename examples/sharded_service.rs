@@ -24,12 +24,10 @@ fn main() {
 
     // The shard count is just a builder knob; each dataset's tiles are
     // cut into near-equal contiguous ranges, one per shard.
-    let service = ServiceBuilder::new().shards(4).batch_max(32).build(
-        partitioner.clone(),
-        data.boxes.clone(),
-        tree,
-        clip,
-    );
+    let service =
+        ServiceBuilder::new()
+            .shards(4)
+            .build(partitioner.clone(), data.boxes.clone(), tree, clip);
     let map = service
         .dataset_shard_map(service.default_dataset())
         .expect("default dataset is routed");

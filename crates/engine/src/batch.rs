@@ -30,7 +30,11 @@ use crate::pool::map_chunked;
 /// Trees are always built *with* clip tables, so every consumer can
 /// choose clipped or unclipped probing per call (an unused clip table
 /// changes no traversal counter). Ids stored in the trees are global
-/// [`DataId`]s into the object slice the forest was built from.
+/// [`DataId`]s into the object slice the forest was built from, and
+/// each entry's rect is that object's rect exactly — the forest stores
+/// objects, never clamped or otherwise adjusted copies, whatever tiles
+/// they span. [`crate::DatasetStore`]'s range path deduplicates on the
+/// leaf entry's rect and relies on this.
 ///
 /// Each tile tree sits behind its own `Arc`: cloning a forest is a
 /// per-tile refcount bump, and the mutable maintenance path

@@ -80,6 +80,12 @@ pub const COMPACT_DEAD_FRACTION: f64 = 0.3;
 /// Object ids ([`DataId`]) are arena slots: live ids are stable across
 /// every update *and* every compaction; deleted ids are recycled only
 /// once a sweep past [`COMPACT_DEAD_FRACTION`] frees them.
+///
+/// Invariant: every forest entry for `DataId(i)` carries the arena rect
+/// `objects()[i]` bit for bit (build, restore, swap and insert all
+/// index the arena rect itself). The range path therefore takes an
+/// object's rect from the leaf entry instead of the arena; a debug
+/// assertion there checks the invariant on every hit.
 pub struct DatasetStore<const D: usize, P> {
     partitioner: P,
     /// Object arena: slot `i` is the rect of `DataId(i)`. Slots of
@@ -436,30 +442,39 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
         outcome
     }
 
-    /// Answer one query against one tile by tree descent: probe the
-    /// tile's tree, keep each object only if this tile owns the
-    /// query/object reference point (the duplicate-elimination rule —
-    /// a multi-assigned object is reported by exactly one covered tile).
+    /// Answer one query against one tile by tree descent, pushing into
+    /// `kept` each hit this tile owns under the query/object reference
+    /// point (the duplicate-elimination rule — a multi-assigned object
+    /// is reported by exactly one covered tile).
+    ///
+    /// The ownership test runs inside the descent's visitor on the leaf
+    /// entry's own rect, which *is* the object's arena rect (see the
+    /// type docs): the range path reads nothing from the arena, and no
+    /// list of raw hits is built. `stats.results` still counts raw hits
+    /// before ownership.
     fn descend_tile(
         &self,
         t: usize,
         q: &Rect<D>,
         use_clips: bool,
         stats: &mut AccessStats,
-    ) -> Vec<DataId> {
+        kept: &mut Vec<DataId>,
+    ) {
         let tree = self.forest.tree(t).expect("planned tiles are built");
-        let found = if use_clips {
-            tree.range_query_stats(q, stats)
-        } else {
-            tree.tree.range_query_stats(q, stats)
+        let mut keep = |rect: &Rect<D>, id: DataId| {
+            debug_assert!(
+                *rect == self.objects[id.0 as usize],
+                "tile {t} indexes {id:?} under a rect that is not its arena rect"
+            );
+            if self.partitioner.owns(t, &reference_point(q, rect)) {
+                kept.push(id);
+            }
         };
-        found
-            .into_iter()
-            .filter(|id| {
-                self.partitioner
-                    .owns(t, &reference_point(q, &self.objects[id.0 as usize]))
-            })
-            .collect()
+        if use_clips {
+            tree.range_query_visit(q, stats, &mut keep);
+        } else {
+            tree.tree.range_query_visit(q, stats, &mut keep);
+        }
     }
 
     /// Answer one kNN probe: visit tile trees in ascending MINDIST of
@@ -695,7 +710,8 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
                         for &qi in &plan.qs[lo..hi] {
                             let q = &queries[qi as usize];
                             let mut stats = AccessStats::new();
-                            let kept = self.descend_tile(plan.t, q, use_clips, &mut stats);
+                            let mut kept = Vec::new();
+                            self.descend_tile(plan.t, q, use_clips, &mut stats, &mut kept);
                             out.push((qi, kept, stats));
                         }
                     }

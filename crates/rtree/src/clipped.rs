@@ -196,34 +196,54 @@ impl<const D: usize> ClippedRTree<D> {
     /// descended child.
     pub fn range_query_stats(&self, q: &Rect<D>, stats: &mut AccessStats) -> Vec<DataId> {
         let mut out = Vec::new();
+        self.range_query_visit(q, stats, &mut |_, id| out.push(id));
+        out
+    }
+
+    /// The clipping-enabled descent itself: calls `visit(rect, id)` for
+    /// every object whose MBB intersects `q`, in leaf-scan order, with
+    /// the leaf entry's own rect (see [`RTree::range_query_visit`]).
+    /// The root's own CBB can prune the whole query. Counts exactly as
+    /// [`Self::range_query_stats`], which collects the ids of this
+    /// descent.
+    pub fn range_query_visit(
+        &self,
+        q: &Rect<D>,
+        stats: &mut AccessStats,
+        visit: &mut impl FnMut(&Rect<D>, DataId),
+    ) {
         if self.tree.is_empty() {
-            return out;
+            return;
         }
         let root = self.tree.root_id();
-        // The root's own CBB can prune the whole query.
         let root_mbb = self.tree.node(root).mbb;
         stats.clip_tests += self.clips_of(root).len() as u64;
         if !query_intersects_cbb(&root_mbb, self.clips_of(root), q) {
             stats.clip_prunes += 1;
-            return out;
+            return;
         }
-        self.query_rec(root, q, stats, &mut out);
-        out
+        self.query_rec(root, q, stats, visit);
     }
 
-    fn query_rec(&self, id: NodeId, q: &Rect<D>, stats: &mut AccessStats, out: &mut Vec<DataId>) {
+    fn query_rec(
+        &self,
+        id: NodeId,
+        q: &Rect<D>,
+        stats: &mut AccessStats,
+        visit: &mut impl FnMut(&Rect<D>, DataId),
+    ) {
         let node = self.tree.node(id);
         stats.overlap_tests += node.entries.len() as u64;
         if node.is_leaf() {
             stats.leaf_accesses += 1;
-            let before = out.len();
+            let mut found = 0u64;
             for e in &node.entries {
                 if e.mbb.intersects(q) {
-                    out.push(e.child.data_id());
+                    visit(&e.mbb, e.child.data_id());
+                    found += 1;
                 }
             }
-            let found = out.len() - before;
-            stats.results += found as u64;
+            stats.results += found;
             if found > 0 {
                 stats.contributing_leaf_accesses += 1;
             }
@@ -244,7 +264,7 @@ impl<const D: usize> ClippedRTree<D> {
                 stats.clip_prunes += 1;
                 continue;
             }
-            self.query_rec(child, q, stats, out);
+            self.query_rec(child, q, stats, visit);
         }
     }
 
@@ -367,6 +387,104 @@ mod tests {
                     with_clips.sort();
                     assert_eq!(base, with_clips, "{variant:?}/{method:?} q={q:?}");
                 }
+            }
+        }
+    }
+
+    /// A diagonal band of boxes plus degenerate point and segment rects:
+    /// the root's off-diagonal corners are dead space, so its clips
+    /// prune queries there.
+    fn diagonal_with_degenerates() -> Vec<Rect<2>> {
+        let mut rng = cbb_geom::SplitMix64::new(17);
+        (0..400)
+            .map(|i| {
+                let t = rng.gen_range(0.0, 980.0);
+                let d = rng.gen_range(-15.0, 15.0);
+                let (x, y) = (t, (t + d).clamp(0.0, 980.0));
+                match i % 4 {
+                    0 => r2(x, y, x, y),
+                    1 => r2(x, y, x + rng.gen_range(1.0, 20.0), y),
+                    2 => r2(x, y, x, y + rng.gen_range(1.0, 20.0)),
+                    _ => r2(
+                        x,
+                        y,
+                        x + rng.gen_range(0.5, 12.0),
+                        y + rng.gen_range(0.5, 12.0),
+                    ),
+                }
+            })
+            .collect()
+    }
+
+    /// `range_query_visit` is what `range_query_stats` collects: the
+    /// same ids in the same order, the same counters, and each visited
+    /// rect is the object's own rect, on the clipped and the base path.
+    fn assert_visit_is_collect(tree: &ClippedRTree<2>, rects: &[Rect<2>], q: &Rect<2>) {
+        for use_clips in [true, false] {
+            let (mut collect_stats, mut visit_stats) = (AccessStats::new(), AccessStats::new());
+            let mut visited: Vec<(Rect<2>, DataId)> = Vec::new();
+            let mut visit = |r: &Rect<2>, id: DataId| visited.push((*r, id));
+            let ids = if use_clips {
+                tree.range_query_visit(q, &mut visit_stats, &mut visit);
+                tree.range_query_stats(q, &mut collect_stats)
+            } else {
+                tree.tree.range_query_visit(q, &mut visit_stats, &mut visit);
+                tree.tree.range_query_stats(q, &mut collect_stats)
+            };
+            let visited_ids: Vec<DataId> = visited.iter().map(|&(_, id)| id).collect();
+            assert_eq!(visited_ids, ids, "clips {use_clips} q={q:?}");
+            assert_eq!(visit_stats, collect_stats, "clips {use_clips} q={q:?}");
+            assert_eq!(visit_stats.results, ids.len() as u64);
+            for (r, id) in visited {
+                assert_eq!(r, rects[id.0 as usize], "{id:?} visited under another rect");
+                assert!(r.intersects(q));
+            }
+        }
+    }
+
+    #[test]
+    fn range_visitor_is_the_collector() {
+        let rects = diagonal_with_degenerates();
+        let mut base = RTree::new(TreeConfig::tiny(Variant::RStar));
+        for (i, r) in rects.iter().enumerate() {
+            base.insert(*r, DataId(i as u32));
+        }
+        let clipped = ClippedRTree::from_tree(
+            base.clone(),
+            ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+        );
+        let unclipped = ClippedRTree::unclipped(base);
+        let empty = ClippedRTree::unclipped(RTree::new(TreeConfig::tiny(Variant::RStar)));
+
+        // A point deep in the root's dead lower-right corner: the root's
+        // own clips prune it before any node is read.
+        let root = clipped.tree.root_id();
+        let root_mbb = clipped.tree.node(root).mbb;
+        let corner = clipped
+            .clips_of(root)
+            .iter()
+            .map(|c| c.region(&root_mbb))
+            .max_by(|a, b| a.volume().total_cmp(&b.volume()))
+            .expect("the diagonal's root is clipped");
+        let pruned = Rect::point(corner.center());
+        let mut stats = AccessStats::new();
+        assert!(clipped.range_query_stats(&pruned, &mut stats).is_empty());
+        assert_eq!(stats.clip_prunes, 1, "the root's clips prune the query");
+        assert_eq!(stats.leaf_accesses + stats.internal_accesses, 0);
+
+        let mut rng = cbb_geom::SplitMix64::new(5);
+        let mut queries = vec![pruned, rects[0], rects[1], rects[2], root_mbb];
+        for _ in 0..150 {
+            let (x, y) = (rng.gen_range(0.0, 990.0), rng.gen_range(0.0, 990.0));
+            let s = rng.gen_range(0.0, 80.0);
+            queries.push(r2(x, y, x + s, y + s));
+            // Degenerate queries: a point and a horizontal segment.
+            queries.push(r2(x, y, x, y));
+            queries.push(r2(x, y, x + s, y));
+        }
+        for q in &queries {
+            for tree in [&clipped, &unclipped, &empty] {
+                assert_visit_is_collect(tree, &rects, q);
             }
         }
     }

@@ -116,26 +116,47 @@ impl<const D: usize> RTree<D> {
     /// paper's I/O metric; internal nodes are assumed buffered).
     pub fn range_query_stats(&self, q: &Rect<D>, stats: &mut AccessStats) -> Vec<DataId> {
         let mut out = Vec::new();
-        if self.is_empty() {
-            return out;
-        }
-        self.query_node(self.root_id(), q, stats, &mut out);
+        self.range_query_visit(q, stats, &mut |_, id| out.push(id));
         out
     }
 
-    fn query_node(&self, id: NodeId, q: &Rect<D>, stats: &mut AccessStats, out: &mut Vec<DataId>) {
+    /// The range descent itself: calls `visit(rect, id)` for every
+    /// object whose MBB intersects `q`, in leaf-scan order, with the
+    /// leaf entry's own rect — so a caller that needs the object's
+    /// geometry (a duplicate-elimination rule, a refinement step) reads
+    /// it from the leaf it is already in. Counts exactly as
+    /// [`Self::range_query_stats`], which collects the ids of this
+    /// descent; `results` counts every visited object.
+    pub fn range_query_visit(
+        &self,
+        q: &Rect<D>,
+        stats: &mut AccessStats,
+        visit: &mut impl FnMut(&Rect<D>, DataId),
+    ) {
+        if !self.is_empty() {
+            self.query_node(self.root_id(), q, stats, visit);
+        }
+    }
+
+    fn query_node(
+        &self,
+        id: NodeId,
+        q: &Rect<D>,
+        stats: &mut AccessStats,
+        visit: &mut impl FnMut(&Rect<D>, DataId),
+    ) {
         let node = self.node(id);
         stats.overlap_tests += node.entries.len() as u64;
         if node.is_leaf() {
             stats.leaf_accesses += 1;
-            let before = out.len();
+            let mut found = 0u64;
             for e in &node.entries {
                 if e.mbb.intersects(q) {
-                    out.push(e.child.data_id());
+                    visit(&e.mbb, e.child.data_id());
+                    found += 1;
                 }
             }
-            let found = out.len() - before;
-            stats.results += found as u64;
+            stats.results += found;
             if found > 0 {
                 stats.contributing_leaf_accesses += 1;
             }
@@ -144,7 +165,7 @@ impl<const D: usize> RTree<D> {
             for e in &node.entries {
                 if e.mbb.intersects(q) {
                     if let Child::Node(child) = e.child {
-                        self.query_node(child, q, stats, out);
+                        self.query_node(child, q, stats, visit);
                     }
                 }
             }

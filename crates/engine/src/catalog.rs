@@ -32,7 +32,7 @@ use std::sync::{Arc, RwLock};
 use cbb_core::{clipped_min_dist_sq, ClipConfig};
 use cbb_geom::{Point, Rect};
 use cbb_joins::{reference_point, sweep_queries_scan, SweepSide, TileColumns};
-use cbb_rtree::{push_neighbor, AccessStats, DataId, Neighbor, TreeConfig};
+use cbb_rtree::{AccessStats, DataId, Neighbor, TreeConfig};
 
 use crate::batch::{BatchOutcome, KnnOutcome, QueryAlgo, TileForest};
 use crate::join::{AutoPolicy, SplitPolicy};
@@ -480,21 +480,24 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
     /// Answer one kNN probe: visit tile trees in ascending MINDIST of
     /// their *root MBB* (not the tile rectangle — border tiles own
     /// clamped out-of-domain objects that can stick out of their tile),
-    /// merge per-tile k-nearest sets with id-dedup (spanning objects
-    /// appear in several trees), and stop once the next tree's MINDIST
-    /// exceeds the current k-th best distance.
+    /// carrying one running k-nearest set through them, and stop once
+    /// the next tree's MINDIST exceeds the set's k-th distance.
     ///
-    /// Exact: an object of the global k-nearest set is, in every tile
-    /// containing it, also in that tile's k-nearest set, and the root
-    /// MBB lower-bounds the distance of every object in the tile.
+    /// Each visited tree's search merges into that set
+    /// ([`cbb_rtree::ClippedRTree::knn_merge_stats`]) and prunes from its
+    /// current k-th distance, so a later tile opens only nodes that can
+    /// still improve the answer; an object assigned to several tiles
+    /// enters the set once. Exact: the root MBB lower-bounds the
+    /// distance of every object in the tile, and each merge keeps the
+    /// `(dist, id)` top-k of everything seen so far.
     ///
     /// With `clipped_prefilter` the tile ordering bound is
     /// [`cbb_core::clipped_min_dist_sq`] over the root's clip points — a
     /// *tighter* true lower bound on the distance of any object in the
-    /// tile, so the early break fires sooner and whole tile trees are
-    /// skipped. Answers are identical (the clipped bound is still a
-    /// lower bound); only node accesses drop. The prefilter reads the
-    /// cached root clip table and ticks no counters itself.
+    /// tile. Answers are identical either way (both bounds are lower
+    /// bounds); the order only changes the radius each tile's search
+    /// starts from. The prefilter reads the cached root clip table and
+    /// ticks no counters itself.
     fn knn_one(
         &self,
         center: &Point<D>,
@@ -524,12 +527,7 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
                 break;
             }
             let tree = self.forest.tree(t).expect("listed tiles are built");
-            for (id, dist) in tree.knn_stats(center, k, stats) {
-                if best.iter().any(|&(bid, _)| bid == id) {
-                    continue; // multi-assigned object already merged
-                }
-                push_neighbor(&mut best, k, id, dist);
-            }
+            tree.knn_merge_stats(center, k, stats, &mut best);
         }
         best
     }
@@ -771,17 +769,21 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
 
     /// Execute the kNN probes `(center, k)` in `workers` parallel chunks.
     /// Results come back in workload order and are independent of the
-    /// worker count. Per-tile searches run the clip-aware kNN
-    /// ([`cbb_rtree::ClippedRTree::knn_stats`]): clip points tighten
-    /// node MINDISTs for probes near clipped corners, with answers
-    /// identical to the base-tree search.
+    /// worker count. Each probe carries one k-nearest set through the
+    /// tiles it visits, and each tile's search is the clip-aware kNN
+    /// merging into it ([`cbb_rtree::ClippedRTree::knn_merge_stats`]):
+    /// clip points tighten node MINDISTs for probes near clipped
+    /// corners, with answers identical to the base-tree search.
     ///
     /// Tiles are ordered (and early-broken) by the **clipped** root
-    /// MINDIST — the [`cbb_core::clipped_min_dist_sq`] prefilter — so
-    /// dead corner space in a tile's root MBB no longer forces a
-    /// descent into its tree. Answers are identical to the plain-bound
-    /// search ([`Self::run_knn_with`] with `clipped_prefilter = false`,
-    /// the oracle the tests pin against); node accesses only drop.
+    /// MINDIST — the [`cbb_core::clipped_min_dist_sq`] prefilter.
+    /// Answers are identical to the plain-bound ordering
+    /// ([`Self::run_knn_with`] with `clipped_prefilter = false`). Under
+    /// the carried bound the order only decides the radius each tile's
+    /// search starts from, so neither ordering opens fewer nodes on
+    /// every probe.
+    ///
+    /// `results` in the counters is the number of neighbours returned.
     pub fn run_knn(&self, probes: &[(Point<D>, usize)], workers: usize) -> KnnOutcome {
         self.run_knn_with(probes, workers, true)
     }

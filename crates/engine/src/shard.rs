@@ -158,21 +158,16 @@ impl<const D: usize, P: Partitioner<D>> Partitioner<D> for ShardTiling<P> {
     }
 }
 
-/// Merge per-shard k-nearest candidate lists into the global top-k:
-/// id-dedup (an object spanning a shard boundary is reported by every
-/// shard indexing it, at the same distance), then the same
-/// `(distance, id)`-ordered insertion ([`push_neighbor`]) the
-/// single-store search uses — so the merged list is byte-equal to an
+/// Merge per-shard k-nearest candidate lists into the global top-k
+/// with the same `(distance, id)`-ordered insertion ([`push_neighbor`])
+/// the single-store search uses, which also drops the repeats of an
+/// object spanning a shard boundary (every shard indexing it reports
+/// it, at the same distance) — so the merged list is byte-equal to an
 /// unsharded kNN over the union of the shards' objects.
 pub fn merge_knn(parts: impl IntoIterator<Item = Vec<Neighbor>>, k: usize) -> Vec<Neighbor> {
     let mut best: Vec<Neighbor> = Vec::new();
-    for part in parts {
-        for (id, dist) in part {
-            if best.iter().any(|&(bid, _)| bid == id) {
-                continue; // boundary-spanning object already merged
-            }
-            push_neighbor(&mut best, k, id, dist);
-        }
+    for (id, dist) in parts.into_iter().flatten() {
+        push_neighbor(&mut best, k, id, dist);
     }
     best
 }

@@ -4,17 +4,18 @@
 //! split policy — including empty tiles, point-extent queries and
 //! queries straddling tile boundaries — and every path must return each
 //! query's results in the canonical order (ascending by id). The kNN
-//! half pins the clipped-MBB prefilter: identical answers, no more
-//! node accesses than the plain root-MBB ordering.
+//! half pins the carried k-nearest set: answers identical under both
+//! tile orderings and to a brute-force oracle, at fewer node accesses
+//! than restarting each tile's search.
 
-use cbb_core::{ClipConfig, ClipMethod};
+use cbb_core::{clipped_min_dist_sq, ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{
     AdaptiveGrid, AutoPolicy, DatasetStore, Partitioner, QuadtreePartitioner, QueryAlgo,
-    SplitPolicy,
+    SplitPolicy, Update,
 };
 use cbb_geom::{Point, Rect, SplitMix64};
-use cbb_rtree::{AccessStats, TreeConfig, Variant};
+use cbb_rtree::{push_neighbor, AccessStats, DataId, Neighbor, TreeConfig, Variant};
 
 fn r2(lx: f64, ly: f64, hx: f64, hy: f64) -> Rect<2> {
     Rect::new(Point([lx, ly]), Point([hx, hy]))
@@ -240,16 +241,58 @@ fn degenerate_batches_answer_identically() {
     }
 }
 
-/// The clipped-MBB kNN prefilter: byte-equal neighbour lists, and node
-/// accesses never above the plain root-MBB tile ordering. The diagonal
-/// workload leaves large dead corners in every tile's root MBB, so the
-/// tighter bound must actually skip trees (strictly fewer accesses).
+/// The parent algorithm of the served kNN, kept as the work reference:
+/// the same tile order and early break, but each visited tile's search
+/// restarts from radius ∞ ([`cbb_rtree::ClippedRTree::knn_stats`]) and
+/// its k-nearest list is merged afterwards. Returns the node accesses
+/// it spends on one probe.
+fn per_tile_restart_accesses<P: Partitioner<2>>(
+    store: &DatasetStore<2, P>,
+    center: &Point<2>,
+    k: usize,
+    clipped_prefilter: bool,
+) -> u64 {
+    let forest = store.forest();
+    let mut tiles: Vec<(f64, usize)> = (0..forest.tile_count())
+        .filter_map(|t| {
+            let tree = forest.tree(t)?;
+            let mbb = tree.tree.bounds()?;
+            let bound = if clipped_prefilter {
+                clipped_min_dist_sq(&mbb, tree.clips_of(tree.tree.root_id()), center)
+            } else {
+                mbb.min_dist_sq(center)
+            };
+            Some((bound, t))
+        })
+        .collect();
+    tiles.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    let mut best: Vec<Neighbor> = Vec::new();
+    let mut stats = AccessStats::new();
+    for (tile_dist, t) in tiles {
+        if k == 0 || (best.len() == k && tile_dist > best[k - 1].1) {
+            break;
+        }
+        let tree = forest.tree(t).expect("listed tiles are built");
+        for (id, dist) in tree.knn_stats(center, k, &mut stats) {
+            push_neighbor(&mut best, k, id, dist);
+        }
+    }
+    stats.leaf_accesses + stats.internal_accesses
+}
+
+/// The served kNN carries one k-nearest set across tiles: answers are
+/// byte-equal with the clipped root prefilter on and off and to a
+/// brute-force `(dist, id)` oracle over the live objects — equidistant
+/// objects and tile-spanning objects included, for k = 0, 1, 7 and more
+/// than the live count — and, under either tile ordering, the carried
+/// bound spends strictly fewer node accesses in total than restarting
+/// every tile's search from radius ∞.
 #[test]
-fn knn_clipped_prefilter_is_exact_and_cheaper() {
+fn knn_carried_bound_is_exact_and_cheaper_than_per_tile_restart() {
     let mut rng = SplitMix64::new(25);
     // Diagonal band: tiles' root MBBs are mostly dead space off the
     // diagonal — the shape the paper's clipping targets.
-    let objects: Vec<Rect<2>> = (0..1_200)
+    let mut objects: Vec<Rect<2>> = (0..1_200)
         .map(|_| {
             let t = rng.gen_range(0.0, 480.0);
             let d = rng.gen_range(-8.0, 8.0);
@@ -258,42 +301,80 @@ fn knn_clipped_prefilter_is_exact_and_cheaper() {
             r2(x, y, x + s, y + s)
         })
         .collect();
-    let store = DatasetStore::build(
+    // Tile-spanning objects, and exact copies (equidistant from every
+    // probe, so only the id breaks their tie).
+    for i in 0..30 {
+        let t = 15.0 * i as f64;
+        objects.push(r2(t, t, t + 140.0, t + 90.0));
+    }
+    for i in 0..60 {
+        objects.push(objects[i * 17]);
+    }
+    let tree = TreeConfig::tiny(Variant::RStar);
+    let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
+    let mut store = DatasetStore::build(
         AdaptiveGrid::from_sample(WORLD, [4, 4], &[]),
         &objects,
-        TreeConfig::tiny(Variant::RStar),
-        ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+        tree,
+        clip,
         2,
     );
+    let deletes: Vec<Update<2>> = (0..objects.len())
+        .step_by(9)
+        .map(|i| Update::Delete(DataId(i as u32)))
+        .collect();
+    store.apply_updates(&deletes, tree, clip);
+    let live = store.live_count();
+
     // Probes off the diagonal, where the plain root-MBB MINDIST
-    // underestimates badly.
-    let probes: Vec<(Point<2>, usize)> = (0..40)
+    // underestimates badly, and probes at the equidistant copies.
+    let mut probes: Vec<(Point<2>, usize)> = (0..40)
         .map(|i| {
             let x = rng.gen_range(0.0, 480.0);
             let y = rng.gen_range(0.0, 480.0);
-            (Point([x, y]), 1 + i % 7)
+            (Point([x, y]), [1, 7][i % 2])
         })
         .collect();
+    probes.extend((0..20).map(|i| (objects[i * 17 + 1].center(), [1, 7][i % 2])));
+    probes.push((Point([250.0, 240.0]), live + 5));
+    probes.push((Point([-30.0, 600.0]), live + 5));
+    probes.push((Point([100.0, 100.0]), 0));
+
+    let oracle = |center: &Point<2>, k: usize| {
+        let mut all: Vec<Neighbor> = store
+            .objects()
+            .iter()
+            .zip(store.live())
+            .enumerate()
+            .filter(|(_, (_, &l))| l)
+            .map(|(i, (r, _))| (DataId(i as u32), r.min_dist_sq(center)))
+            .collect();
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    };
+    let accesses = |s: &AccessStats| s.leaf_accesses + s.internal_accesses;
     for workers in [1, 3] {
         let plain = store.run_knn_with(&probes, workers, false);
         let clipped = store.run_knn_with(&probes, workers, true);
-        assert_eq!(clipped.results, plain.results, "answers must be identical");
-        let accesses = |s: &cbb_rtree::AccessStats| s.leaf_accesses + s.internal_accesses;
-        for (c, p) in clipped.per_query.iter().zip(&plain.per_query) {
-            assert!(
-                accesses(c) <= accesses(p),
-                "prefilter must never add node accesses"
-            );
+        assert_eq!(clipped.results, plain.results, "prefilter changed answers");
+        for ((center, k), got) in probes.iter().zip(&clipped.results) {
+            assert_eq!(*got, oracle(center, *k), "k={k} at {center:?}");
         }
-        assert!(
-            accesses(&clipped.stats) < accesses(&plain.stats),
-            "diagonal data must make the clipped prefilter strictly cheaper \
-             ({} vs {})",
-            accesses(&clipped.stats),
-            accesses(&plain.stats)
-        );
+        assert!(clipped.results.last().expect("probes").is_empty(), "k = 0");
         // The default path IS the prefiltered one.
         assert_eq!(store.run_knn(&probes, workers), clipped);
+        for (prefilter, outcome) in [(false, &plain), (true, &clipped)] {
+            let restart: u64 = probes
+                .iter()
+                .map(|(c, k)| per_tile_restart_accesses(&store, c, *k, prefilter))
+                .sum();
+            assert!(
+                accesses(&outcome.stats) < restart,
+                "prefilter {prefilter}: carried bound {} !< per-tile restart {restart}",
+                accesses(&outcome.stats)
+            );
+        }
     }
 }
 

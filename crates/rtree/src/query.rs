@@ -14,6 +14,15 @@
 //! and skips it once k candidates are closer. Answers are identical to
 //! the base-tree search (the bound is a true lower bound); only the
 //! visit order and the access counters improve.
+//!
+//! A partitioned store answers one probe from several trees — one per
+//! tile — and the k nearest objects of the union are what it wants, not
+//! k per tree. [`ClippedRTree::knn_merge_stats`] therefore runs the same
+//! best-first search *into* a running k-nearest set: it prunes from the
+//! k-th distance the earlier trees already reached, so a later tree
+//! opens only the nodes that can still improve the answer, and it skips
+//! an object already in the set (one assigned to several tiles).
+//! [`ClippedRTree::knn_stats`] is that search on an empty set.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -85,11 +94,20 @@ impl Ord for QueueEntry {
 /// Insert `(id, dist)` into `best`, kept sorted by `(dist, id)` and
 /// truncated to `k` entries — the running k-nearest set. Shared by the
 /// tree-level search here and by merging layers above it (the engine's
-/// per-tile kNN), so the tie-break order cannot diverge between them.
+/// shard merge), so the tie-break order cannot diverge between them.
+///
+/// An entry equal to one already in the set is not added twice: an
+/// object indexed in several trees (or shards) is reached once per
+/// tree, always at the same distance, so a repeat lands exactly on its
+/// first copy's `(dist, id)` position.
 pub fn push_neighbor(best: &mut Vec<Neighbor>, k: usize, id: DataId, dist: f64) {
     let pos =
         best.partition_point(|&(bid, bd)| bd.total_cmp(&dist).then_with(|| bid.cmp(&id)).is_lt());
-    if pos < k {
+    if pos < k
+        && best
+            .get(pos)
+            .is_none_or(|&(bid, bd)| bid != id || bd.total_cmp(&dist).is_ne())
+    {
         best.insert(pos, (id, dist));
         best.truncate(k);
     }
@@ -238,15 +256,44 @@ impl<const D: usize> ClippedRTree<D> {
         self.knn_stats(p, k, &mut stats)
     }
 
-    /// [`Self::knn`] collecting access statistics. `clip_tests` counts
-    /// bound evaluations; `clip_prunes` counts children whose plain
-    /// MINDIST would have been enqueued but whose clip-tightened bound
-    /// already exceeded the pruning radius.
+    /// [`Self::knn`] collecting access statistics: [`Self::knn_merge_stats`]
+    /// into an empty set.
     pub fn knn_stats(&self, p: &Point<D>, k: usize, stats: &mut AccessStats) -> Vec<Neighbor> {
-        let mut best: Vec<Neighbor> = Vec::new();
+        let mut best = Vec::new();
+        self.knn_merge_stats(p, k, stats, &mut best);
+        best
+    }
+
+    /// Merge this tree's objects into `best`, a running k-nearest set
+    /// sorted by `(squared distance, id)` (empty, or left by earlier
+    /// calls on other trees): afterwards `best` is the `(dist, id)`
+    /// top-`k` of its old entries plus this tree's objects.
+    ///
+    /// The best-first search starts from `best`'s current k-th distance
+    /// rather than from +∞, so the root and every node farther than the
+    /// answer so far are never opened. An object already in `best` — the
+    /// same id at the same distance, i.e. one indexed in several trees —
+    /// is not added twice ([`push_neighbor`]). Pruning is strict (`>`):
+    /// equidistant entries are still explored, so the `(dist, id)`
+    /// tie-break at the k-th place stays exact.
+    ///
+    /// Counters: `clip_tests` counts bound evaluations; `clip_prunes`
+    /// counts nodes whose plain MINDIST was within the pruning radius
+    /// but whose clip-tightened bound was not; `results` counts the
+    /// entries by which `best` grew — from an empty set the answer's
+    /// length, and summed over the trees a probe visits, the probe's
+    /// answer length.
+    pub fn knn_merge_stats(
+        &self,
+        p: &Point<D>,
+        k: usize,
+        stats: &mut AccessStats,
+        best: &mut Vec<Neighbor>,
+    ) {
         if k == 0 || self.tree.is_empty() {
-            return best;
+            return;
         }
+        let seeded = best.len();
         let root = self.tree.root_id();
         let root_clips = self.clips_of(root);
         stats.clip_tests += root_clips.len() as u64;
@@ -256,12 +303,12 @@ impl<const D: usize> ClippedRTree<D> {
             target: Target::Node(root),
         });
         while let Some(entry) = queue.pop() {
-            if entry.dist > prune_radius(&best, k) {
+            if entry.dist > prune_radius(best, k) {
                 // The search is over: everything still queued is at
                 // least this far. Attribute the nodes the *plain*
                 // MINDIST would have opened — skipped only thanks to
                 // their clip-tightened keys — to `clip_prunes`.
-                let radius = prune_radius(&best, k);
+                let radius = prune_radius(best, k);
                 for e in std::iter::once(entry).chain(queue.drain()) {
                     if let Target::Node(id) = e.target {
                         if self.tree.node(id).mbb.min_dist_sq(p) <= radius {
@@ -272,7 +319,7 @@ impl<const D: usize> ClippedRTree<D> {
                 break;
             }
             match entry.target {
-                Target::Object(id) => push_neighbor(&mut best, k, id, entry.dist),
+                Target::Object(id) => push_neighbor(best, k, id, entry.dist),
                 Target::Node(id) => {
                     let node = self.tree.node(id);
                     if node.is_leaf() {
@@ -282,7 +329,7 @@ impl<const D: usize> ClippedRTree<D> {
                     }
                     for e in &node.entries {
                         let plain = e.mbb.min_dist_sq(p);
-                        if plain > prune_radius(&best, k) {
+                        if plain > prune_radius(best, k) {
                             continue;
                         }
                         match e.child {
@@ -294,7 +341,7 @@ impl<const D: usize> ClippedRTree<D> {
                                 let clips = self.clips_of(n);
                                 stats.clip_tests += clips.len() as u64;
                                 let dist = clipped_min_dist_sq(&e.mbb, clips, p);
-                                if dist > prune_radius(&best, k) {
+                                if dist > prune_radius(best, k) {
                                     // The plain bound admitted this child;
                                     // only the clip points excluded it.
                                     stats.clip_prunes += 1;
@@ -310,8 +357,7 @@ impl<const D: usize> ClippedRTree<D> {
                 }
             }
         }
-        stats.results += best.len() as u64;
-        best
+        stats.results += (best.len() - seeded) as u64;
     }
 }
 
@@ -523,6 +569,67 @@ mod tests {
         assert!(clip_stats.clip_prunes > 0, "the bound never fired");
         assert!(clip_stats.clip_tests > 0);
         assert_eq!(base_stats.results, clip_stats.results);
+    }
+
+    #[test]
+    fn knn_merge_into_a_seeded_set_is_the_top_k_of_the_union() {
+        let mut rng = cbb_geom::SplitMix64::new(31);
+        for variant in [Variant::RStar, Variant::Quadratic] {
+            let clipped = diagonal_clipped(variant);
+            let unclipped = crate::ClippedRTree::unclipped(clipped.tree.clone());
+            let objects = clipped.tree.all_objects();
+            for round in 0..40 {
+                let t = rng.gen_range(-100.0, 2_400.0);
+                let off = rng.gen_range(-300.0, 300.0);
+                let p = Point([t + off, t - off]);
+                let k = [1, 2, 5, 13, 200][round % 5];
+                // The seed: some of the tree's own objects at their true
+                // distances (what an earlier tile of a spanning object
+                // reports) and some foreign ids at made-up distances,
+                // trimmed to a valid running set.
+                let mut seed: Vec<Neighbor> = Vec::new();
+                for _ in 0..(round % 7) {
+                    let (mbb, id) = objects[rng.gen_range(0.0, objects.len() as f64) as usize];
+                    push_neighbor(&mut seed, k, id, mbb.min_dist_sq(&p));
+                    let foreign = DataId(10_000 + rng.gen_range(0.0, 50.0) as u32);
+                    push_neighbor(&mut seed, k, foreign, rng.gen_range(0.0, 400_000.0));
+                }
+                let mut union: Vec<Neighbor> = objects
+                    .iter()
+                    .map(|(mbb, id)| (*id, mbb.min_dist_sq(&p)))
+                    .chain(seed.iter().copied().filter(|(id, _)| id.0 >= 10_000))
+                    .collect();
+                union.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+                union.dedup();
+                union.truncate(k);
+                for tree in [&clipped, &unclipped] {
+                    let mut best = seed.clone();
+                    let mut stats = AccessStats::new();
+                    tree.knn_merge_stats(&p, k, &mut stats, &mut best);
+                    assert_eq!(best, union, "{variant:?} p={p:?} k={k} seed={seed:?}");
+                    assert_eq!(stats.results, (best.len() - seed.len()) as u64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn knn_merge_from_a_full_set_opens_less() {
+        // A seeded radius can only shrink the search: merging into the
+        // tree's own answer opens no more nodes than the empty-set search.
+        let clipped = diagonal_clipped(Variant::RStar);
+        let accesses = |s: &AccessStats| s.leaf_accesses + s.internal_accesses;
+        for i in 0..30 {
+            let p = Point([70.0 * i as f64, 70.0 * i as f64 + 40.0]);
+            let mut cold = AccessStats::new();
+            let answer = clipped.knn_stats(&p, 6, &mut cold);
+            let mut warm = AccessStats::new();
+            let mut best = answer.clone();
+            clipped.knn_merge_stats(&p, 6, &mut warm, &mut best);
+            assert_eq!(best, answer, "re-merging the answer changes nothing");
+            assert!(accesses(&warm) <= accesses(&cold), "p={p:?}");
+            assert_eq!(warm.results, 0);
+        }
     }
 
     #[test]

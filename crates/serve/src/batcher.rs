@@ -357,6 +357,14 @@ pub(crate) fn run_batch<const D: usize, P>(
     let mut cross_joins: Vec<(usize, DatasetId, DatasetId, bool)> = Vec::new();
     for (slot, env) in batch.iter_mut().enumerate() {
         match &mut env.request {
+            // Geometry with no answer is refused here, where the read
+            // groups are formed: it never reaches a store.
+            Request::Range { query, .. } if !query.is_valid() => {
+                responses[slot] = Some(Response::Failed(RequestError::InvalidQuery));
+            }
+            Request::Knn { center, .. } if !center.is_finite() => {
+                responses[slot] = Some(Response::Failed(RequestError::InvalidQuery));
+            }
             Request::Range {
                 dataset,
                 query,

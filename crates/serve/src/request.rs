@@ -30,7 +30,8 @@ use cbb_rtree::{DataId, Neighbor};
 pub enum Request<const D: usize, P> {
     /// All objects of `dataset` intersecting `query`. `use_clips`
     /// selects clipped (paper Algorithm 2) or baseline probing of the
-    /// same trees.
+    /// same trees. A non-finite or inverted `query` fails with
+    /// [`RequestError::InvalidQuery`].
     Range {
         /// Target dataset.
         dataset: DatasetId,
@@ -40,7 +41,8 @@ pub enum Request<const D: usize, P> {
         use_clips: bool,
     },
     /// The `k` objects of `dataset` nearest to `center` (MINDIST order,
-    /// ties by id).
+    /// ties by id). A `center` with a non-finite coordinate fails with
+    /// [`RequestError::InvalidQuery`].
     Knn {
         /// Target dataset.
         dataset: DatasetId,
@@ -265,6 +267,10 @@ pub enum RequestError {
     /// inverted rectangle (`lo > hi` on some axis) at this index into
     /// its objects; nothing was built or replaced.
     InvalidObject(usize),
+    /// A read whose geometry has no answer: a `Range` window that is
+    /// non-finite or inverted, or a `Knn` centre with a non-finite
+    /// coordinate. Nothing was searched.
+    InvalidQuery,
 }
 
 impl std::fmt::Display for RequestError {
@@ -274,6 +280,9 @@ impl std::fmt::Display for RequestError {
             RequestError::NameTaken(name) => write!(f, "dataset name {name:?} is taken"),
             RequestError::InvalidObject(index) => {
                 write!(f, "object {index} is non-finite or inverted")
+            }
+            RequestError::InvalidQuery => {
+                write!(f, "query window or centre is non-finite or inverted")
             }
         }
     }

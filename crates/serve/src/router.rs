@@ -321,6 +321,11 @@ where
     ) {
         let all = || (0..self.shards.len()).collect::<Vec<_>>();
         match request {
+            // A window with no answer has no covering tiles to route
+            // by: any one shard refuses it (`RequestError::InvalidQuery`).
+            Request::Range { query, .. } if !query.is_valid() => {
+                (vec![0], MergeKind::Concat, None, None)
+            }
             Request::Range { dataset, query, .. } => {
                 let routes = self.routes.read().expect("route table poisoned");
                 let targets = match routes.get(dataset) {

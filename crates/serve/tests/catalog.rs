@@ -23,7 +23,9 @@ use cbb_engine::{
 use cbb_geom::{Point, Rect};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{Request, RequestError, Response, ServiceBuilder, ShardedService};
+use cbb_serve::{
+    Completion, CompletionHandle, Request, RequestError, Response, ServiceBuilder, ShardedService,
+};
 use std::time::Duration;
 
 const EXEC_WORKERS: usize = 3;
@@ -514,6 +516,92 @@ fn invalid_objects_are_refused_and_the_service_keeps_answering() {
     });
     assert_eq!(found, Response::Range((0..200).map(DataId).collect()));
     svc.shutdown();
+}
+
+/// A read whose geometry has no answer is refused, not answered: a
+/// range window with a NaN, infinite or inverted bound and a kNN centre
+/// with a NaN or infinite coordinate each fail with `InvalidQuery`,
+/// alone or sharing a micro-batch with valid reads, on one shard and on
+/// two. The next valid request is answered, and every wait is bounded.
+#[test]
+fn invalid_read_queries_are_refused_and_the_service_keeps_answering() {
+    let data = clustered_with_layout::<2>(200, 4, 40_000.0, 0.2, 21, 21);
+    let everything = Rect::mbb_of(&data.boxes).unwrap();
+    let (lo, hi) = (everything.lo.0, everything.hi.0);
+    let raw = |lo: [f64; 2], hi: [f64; 2]| Rect {
+        lo: Point(lo),
+        hi: Point(hi),
+    };
+    let bad_ranges = [
+        raw([f64::NAN, lo[1]], hi),
+        raw(lo, [hi[0], f64::NAN]),
+        raw([f64::NEG_INFINITY, lo[1]], [f64::INFINITY, hi[1]]),
+        raw([hi[0], lo[1]], [lo[0], hi[1]]),
+    ];
+    let bad_centres = [
+        Point([f64::NAN, 10.0]),
+        Point([f64::INFINITY, f64::INFINITY]),
+        Point([5.0, f64::NEG_INFINITY]),
+    ];
+    for shards in [1, 2] {
+        let svc: Service = ServiceBuilder::new()
+            .dispatchers(1)
+            .shards(shards)
+            .exec_workers(EXEC_WORKERS)
+            .build_catalog(tree(), clip());
+        let grid: AnyPartitioner<2> =
+            AdaptiveGrid::from_sample(data.domain, [3, 3], &data.boxes).into();
+        let dataset = svc
+            .create_dataset("reads", grid, data.boxes.clone())
+            .unwrap();
+        let wait = |handle: CompletionHandle<Completion>| -> Response {
+            match handle.wait_timeout(Duration::from_secs(10)) {
+                Ok(done) => {
+                    done.expect("request canceled: the dispatcher died")
+                        .response
+                }
+                Err(_) => panic!("request not answered within 10 s"),
+            }
+        };
+        let range = |query: Rect<2>| Request::Range {
+            dataset,
+            query,
+            use_clips: true,
+        };
+        let knn = |center: Point<2>, k: usize| Request::Knn { dataset, center, k };
+        let all_ids = Response::Range((0..200).map(DataId).collect());
+        let refused = Some(&RequestError::InvalidQuery);
+
+        // One at a time, each followed by a valid read.
+        for bad in bad_ranges {
+            let response = wait(svc.submit(range(bad)).unwrap());
+            assert_eq!(response.error(), refused, "{shards} shard(s): {bad:?}");
+            assert_eq!(wait(svc.submit(range(everything)).unwrap()), all_ids);
+        }
+        for bad in bad_centres {
+            let response = wait(svc.submit(knn(bad, 5)).unwrap());
+            assert_eq!(response.error(), refused, "{shards} shard(s): {bad:?}");
+            let nn = wait(svc.submit(knn(everything.center(), 5)).unwrap()).into_knn();
+            assert_eq!(nn.len(), 5);
+        }
+
+        // All at once, interleaved with valid reads in the queue.
+        let mut handles = Vec::new();
+        for (bad, centre) in bad_ranges.into_iter().zip(bad_centres.into_iter().cycle()) {
+            handles.push((true, svc.submit(range(bad)).unwrap()));
+            handles.push((false, svc.submit(range(everything)).unwrap()));
+            handles.push((true, svc.submit(knn(centre, 3)).unwrap()));
+        }
+        for (is_bad, handle) in handles {
+            let response = wait(handle);
+            if is_bad {
+                assert_eq!(response.error(), refused, "{shards} shard(s)");
+            } else {
+                assert_eq!(response, all_ids);
+            }
+        }
+        svc.shutdown();
+    }
 }
 
 /// Mutations sharing a micro-batch resolve to the queue-order final

@@ -614,25 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn knn_merge_from_a_full_set_opens_less() {
-        // A seeded radius can only shrink the search: merging into the
-        // tree's own answer opens no more nodes than the empty-set search.
-        let clipped = diagonal_clipped(Variant::RStar);
-        let accesses = |s: &AccessStats| s.leaf_accesses + s.internal_accesses;
-        for i in 0..30 {
-            let p = Point([70.0 * i as f64, 70.0 * i as f64 + 40.0]);
-            let mut cold = AccessStats::new();
-            let answer = clipped.knn_stats(&p, 6, &mut cold);
-            let mut warm = AccessStats::new();
-            let mut best = answer.clone();
-            clipped.knn_merge_stats(&p, 6, &mut warm, &mut best);
-            assert_eq!(best, answer, "re-merging the answer changes nothing");
-            assert!(accesses(&warm) <= accesses(&cold), "p={p:?}");
-            assert_eq!(warm.results, 0);
-        }
-    }
-
-    #[test]
     fn unclipped_wrapper_knn_equals_base_with_same_stats() {
         let tree = grid_tree(Variant::Quadratic);
         let wrapped = crate::ClippedRTree::unclipped(tree);

@@ -365,6 +365,9 @@ pub(crate) fn run_batch<const D: usize, P>(
             Request::Knn { center, .. } if !center.is_finite() => {
                 responses[slot] = Some(Response::Failed(RequestError::InvalidQuery));
             }
+            Request::Join { probes, .. } if !probes.iter().all(Rect::is_valid) => {
+                responses[slot] = Some(Response::Failed(RequestError::InvalidQuery));
+            }
             Request::Range {
                 dataset,
                 query,

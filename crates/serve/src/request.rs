@@ -53,7 +53,9 @@ pub enum Request<const D: usize, P> {
     },
     /// Join `probes ⋈ dataset`: every intersecting (probe, object)
     /// pair, counted via the partitioned join, each tile swept with the
-    /// dataset side's columns borrowed from its store's forest.
+    /// dataset side's columns borrowed from its store's forest. A probe
+    /// set holding a non-finite or inverted rectangle fails with
+    /// [`RequestError::InvalidQuery`].
     Join {
         /// The indexed (right) dataset.
         dataset: DatasetId,
@@ -267,9 +269,9 @@ pub enum RequestError {
     /// inverted rectangle (`lo > hi` on some axis) at this index into
     /// its objects; nothing was built or replaced.
     InvalidObject(usize),
-    /// A read whose geometry has no answer: a `Range` window that is
-    /// non-finite or inverted, or a `Knn` centre with a non-finite
-    /// coordinate. Nothing was searched.
+    /// A read whose geometry has no answer: a `Range` window or a
+    /// `Join` probe that is non-finite or inverted, or a `Knn` centre
+    /// with a non-finite coordinate. Nothing was searched.
     InvalidQuery,
 }
 

@@ -1,4 +1,5 @@
-//! Byte-exact node and clip-table codecs (Figure 4 physical layout).
+//! Byte-exact node codec and clip-table record sizes (Figure 4
+//! physical layout).
 //!
 //! Node page (4096 bytes):
 //! ```text
@@ -7,13 +8,12 @@
 //! ```
 //!
 //! Clip-table record per node (Figure 4b; the table itself is an array
-//! indexed by node id):
+//! indexed by node id; [`crate::layout`] counts its bytes):
 //! ```text
 //! [count: u16] then count × [mask: u8][coord: D×f64]
 //! ```
 
-use cbb_core::ClipPoint;
-use cbb_geom::{CornerMask, Point, Rect};
+use cbb_geom::{Point, Rect};
 use cbb_rtree::config::{entry_bytes, NODE_HEADER_BYTES, PAGE_SIZE};
 use cbb_rtree::{Child, DataId, Entry, Node, NodeId};
 
@@ -95,38 +95,6 @@ pub const fn clip_point_bytes(d: usize) -> usize {
 /// Bytes the per-node clip-table header occupies (count + offset pointer).
 pub const CLIP_RECORD_HEADER_BYTES: usize = 2 + 8;
 
-/// Serialize one node's clip points.
-pub fn encode_clips<const D: usize>(clips: &[ClipPoint<D>]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(2 + clips.len() * clip_point_bytes(D));
-    buf.extend_from_slice(&(clips.len() as u16).to_le_bytes());
-    for c in clips {
-        buf.push(c.mask.bits());
-        for i in 0..D {
-            buf.extend_from_slice(&c.coord[i].to_le_bytes());
-        }
-    }
-    buf
-}
-
-/// Deserialize one node's clip points (scores are not persisted — they
-/// only order the points, and the order is preserved on disk).
-pub fn decode_clips<const D: usize>(buf: &[u8]) -> Vec<ClipPoint<D>> {
-    let count = u16::from_le_bytes(buf[0..2].try_into().expect("count")) as usize;
-    let mut out = Vec::with_capacity(count);
-    let mut off = 2;
-    for _ in 0..count {
-        let mask = CornerMask::new(buf[off]);
-        off += 1;
-        let mut coord = [0.0; D];
-        for c in coord.iter_mut() {
-            *c = f64::from_le_bytes(buf[off..off + 8].try_into().expect("coord"));
-            off += 8;
-        }
-        out.push(ClipPoint::new(mask, Point(coord)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,21 +170,6 @@ mod tests {
             ));
         }
         let _ = encode_node(&n);
-    }
-
-    #[test]
-    fn clip_roundtrip() {
-        let clips = vec![
-            ClipPoint::new(CornerMask::new(0b01), Point([1.5, 2.5])),
-            ClipPoint::new(CornerMask::new(0b10), Point([3.5, 4.5])),
-        ];
-        let buf = encode_clips(&clips);
-        assert_eq!(buf.len(), 2 + 2 * clip_point_bytes(2));
-        let back: Vec<ClipPoint<2>> = decode_clips(&buf);
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].mask, clips[0].mask);
-        assert_eq!(back[0].coord, clips[0].coord);
-        assert_eq!(back[1].coord, clips[1].coord);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! This crate provides:
 //!
 //! * [`codec`] — byte-exact node (de)serialization in the Figure 4a
-//!   layout, and the Figure 4b clip-table encoding;
+//!   layout, and the sizes of the Figure 4b clip-table records;
 //! * [`pagestore`] — page-granular storage backends (a real file and an
 //!   in-memory store) with read/write counters;
 //! * [`buffer`] — an LRU buffer pool with hit/miss accounting;

@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, RwLock};
 
-use cbb_core::{clipped_min_dist_sq, ClipConfig};
+use cbb_core::ClipConfig;
 use cbb_geom::{Point, Rect};
 use cbb_joins::{reference_point, sweep_queries_scan, SweepSide, TileColumns};
 use cbb_rtree::{AccessStats, DataId, Neighbor, TreeConfig};
@@ -490,35 +490,18 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
     /// enters the set once. Exact: the root MBB lower-bounds the
     /// distance of every object in the tile, and each merge keeps the
     /// `(dist, id)` top-k of everything seen so far.
-    ///
-    /// With `clipped_prefilter` the tile ordering bound is
-    /// [`cbb_core::clipped_min_dist_sq`] over the root's clip points — a
-    /// *tighter* true lower bound on the distance of any object in the
-    /// tile. Answers are identical either way (both bounds are lower
-    /// bounds); the order only changes the radius each tile's search
-    /// starts from. The prefilter reads the cached root clip table and
-    /// ticks no counters itself.
-    fn knn_one(
-        &self,
-        center: &Point<D>,
-        k: usize,
-        stats: &mut AccessStats,
-        clipped_prefilter: bool,
-    ) -> Vec<Neighbor> {
+    fn knn_one(&self, center: &Point<D>, k: usize, stats: &mut AccessStats) -> Vec<Neighbor> {
         let mut best: Vec<Neighbor> = Vec::new();
         if k == 0 {
             return best;
         }
         let mut tiles: Vec<(f64, usize)> = (0..self.forest.tile_count())
             .filter_map(|t| {
-                let tree = self.forest.tree(t)?;
-                let mbb = tree.tree.bounds().expect("forest trees are non-empty");
-                let bound = if clipped_prefilter {
-                    clipped_min_dist_sq(&mbb, tree.clips_of(tree.tree.root_id()), center)
-                } else {
-                    mbb.min_dist_sq(center)
-                };
-                Some((bound, t))
+                let mbb = self.forest.tree(t)?.tree.bounds();
+                Some((
+                    mbb.expect("forest trees are non-empty").min_dist_sq(center),
+                    t,
+                ))
             })
             .collect();
         tiles.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
@@ -775,35 +758,15 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
     /// clip points tighten node MINDISTs for probes near clipped
     /// corners, with answers identical to the base-tree search.
     ///
-    /// Tiles are ordered (and early-broken) by the **clipped** root
-    /// MINDIST — the [`cbb_core::clipped_min_dist_sq`] prefilter.
-    /// Answers are identical to the plain-bound ordering
-    /// ([`Self::run_knn_with`] with `clipped_prefilter = false`). Under
-    /// the carried bound the order only decides the radius each tile's
-    /// search starts from, so neither ordering opens fewer nodes on
-    /// every probe.
-    ///
     /// `results` in the counters is the number of neighbours returned.
     pub fn run_knn(&self, probes: &[(Point<D>, usize)], workers: usize) -> KnnOutcome {
-        self.run_knn_with(probes, workers, true)
-    }
-
-    /// [`Self::run_knn`] with an explicit choice of tile-ordering bound:
-    /// `clipped_prefilter = false` reproduces the plain root-MBB
-    /// MINDIST ordering (the baseline), `true` the clipped prefilter.
-    pub fn run_knn_with(
-        &self,
-        probes: &[(Point<D>, usize)],
-        workers: usize,
-        clipped_prefilter: bool,
-    ) -> KnnOutcome {
         let shards = map_chunked(workers, probes, |_offset, chunk| {
             let mut per_query = Vec::with_capacity(chunk.len());
             let results: Vec<Vec<Neighbor>> = chunk
                 .iter()
                 .map(|(center, k)| {
                     let mut stats = AccessStats::new();
-                    let best = self.knn_one(center, *k, &mut stats, clipped_prefilter);
+                    let best = self.knn_one(center, *k, &mut stats);
                     per_query.push(stats);
                     best
                 })

@@ -26,7 +26,16 @@
 //!  ───────┘    handles                                   tile forest
 //! ```
 //!
-//! Properties the tests pin down:
+//! Properties the tests pin down. Most are checked by one seeded,
+//! model-based harness (`tests/model.rs`, with `tests/harness/` and
+//! `cbb-engine`'s `tests/model/`): each seed draws datasets, tilings, a
+//! tree variant, an engine execution and a service shape (shards,
+//! dispatchers, batching, exec workers, durability), streams reads,
+//! writes, admin ops and hostile geometry through the service, and
+//! compares every response byte for byte with the engine reference,
+//! which is itself checked against a brute-force model. The other test
+//! files name cases of it and keep the properties it cannot see
+//! (concurrency, telemetry, recovery).
 //!
 //! * **Transparency** — a batched answer is byte-identical to calling
 //!   the executor directly with the same request; batching changes

@@ -162,9 +162,9 @@ impl RouterStats {
 ///
 /// With one shard (the default) every request targets shard 0 and the
 /// router is a pass-through. Only a one-shard service can be durable
-/// (see [`crate::ServiceBuilder::durability`]). The oracle tests pin
-/// every merge **byte-equal** to a one-shard service and to the engine
-/// called directly on the same data.
+/// (see [`crate::ServiceBuilder::durability`]). The seeded model tests
+/// pin every merge **byte-equal** to the engine called directly on the
+/// same data.
 ///
 /// # Consistency
 ///

@@ -62,13 +62,15 @@ pub fn pick<T: Copy>(rng: &mut SplitMix64, from: &[T]) -> T {
     from[rng.gen_index(from.len())]
 }
 
-/// The tilings a case draws from.
+/// The tilings a case draws from ([`Tiling::ALL`]), plus a coarse
+/// grid that cases pin where shards must outnumber tiles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Tiling {
     Equal,
     Fitted,
     Single,
     Quadtree,
+    Coarse,
 }
 
 impl Tiling {
@@ -85,6 +87,7 @@ impl Tiling {
             Tiling::Equal => AdaptiveGrid::from_sample(domain, [4, 3], &[]).into(),
             Tiling::Fitted => AdaptiveGrid::from_sample(domain, [3, 4], sample).into(),
             Tiling::Single => AdaptiveGrid::from_sample(domain, [1, 1], &[]).into(),
+            Tiling::Coarse => AdaptiveGrid::from_sample(domain, [2, 2], &[]).into(),
             Tiling::Quadtree => {
                 QuadtreePartitioner::build(domain, sample, sample.len() / 8 + 1).into()
             }

@@ -35,15 +35,19 @@ fn partitioned_join_matches_oracles_on_all_variants() {
 }
 
 /// Every object spans several tiles, so most hits and pairs are found
-/// in more than one tile and must be reported by exactly one. (A
-/// quadtree over such data splits to its depth cap.)
+/// in more than one tile and must be reported by exactly one, under
+/// every tree variant: one dataset on an equal-cut grid, one on a
+/// fitted grid, joined across tilings and with itself. (A quadtree
+/// over such data splits to its depth cap.)
 #[test]
 fn tile_spanning_objects_are_counted_exactly_once() {
-    for tiling in [Tiling::Equal, Tiling::Fitted] {
+    for variant in Variant::ALL {
         engine_case(330, |c| {
+            c.variant = variant;
             c.wide = true;
-            c.size = 100;
-            c.tilings = vec![tiling; 2];
+            c.size = 60;
+            c.tilings = vec![Tiling::Equal, Tiling::Fitted];
+            c.share = false;
         });
     }
 }

@@ -685,13 +685,18 @@ mod tests {
     fn inlj_counts_match_brute_force() {
         let a = boxes(150, 1);
         let b = boxes(200, 2);
-        let inner = clipped(&b, Variant::RStar);
         let expected = brute_force_pairs(&a, &b);
-        let plain = inlj(&a, &inner, false);
-        let with_clips = inlj(&a, &inner, true);
-        assert_eq!(plain.pairs, expected);
-        assert_eq!(with_clips.pairs, expected);
-        assert!(with_clips.leaf_accesses_right <= plain.leaf_accesses_right);
+        for variant in Variant::ALL {
+            let inner = clipped(&b, variant);
+            let plain = inlj(&a, &inner, false);
+            let with_clips = inlj(&a, &inner, true);
+            assert_eq!(plain.pairs, expected, "{variant:?}");
+            assert_eq!(with_clips.pairs, expected, "{variant:?}");
+            assert!(
+                with_clips.leaf_accesses_right <= plain.leaf_accesses_right,
+                "{variant:?}: clipping increased INLJ I/O"
+            );
+        }
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //! model-based harness (`tests/model.rs`, with `tests/harness/` and
 //! `cbb-engine`'s `tests/model/`): each seed draws datasets, tilings, a
 //! tree variant, an engine execution and a service shape (shards,
-//! dispatchers, batching, exec workers, durability), streams reads,
+//! dispatchers, batch size and deadline, exec workers, durability),
+//! streams reads,
 //! writes, admin ops and hostile geometry through the service, and
 //! compares every response byte for byte with the engine reference,
 //! which is itself checked against a brute-force model. The other test

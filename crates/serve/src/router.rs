@@ -380,31 +380,25 @@ where
             ),
             Request::SwapData {
                 dataset,
-                partitioner,
+                partitioner: Some(p),
                 ..
             } => {
-                let global = match partitioner {
-                    Some(p) => Some(p.clone()),
-                    None => {
-                        let routes = self.routes.read().expect("route table poisoned");
-                        routes.get(dataset).map(|r| r.partitioner.clone())
-                    }
+                let map = self.map_for(p);
+                let wrap = (p.clone(), map.clone());
+                let action = RouteAction::Swap {
+                    dataset: *dataset,
+                    partitioner: p.clone(),
+                    map,
                 };
-                match global {
-                    Some(p) => {
-                        let map = self.map_for(&p);
-                        let action = RouteAction::Swap {
-                            dataset: *dataset,
-                            partitioner: p.clone(),
-                            map: map.clone(),
-                        };
-                        (all(), MergeKind::First, Some(action), Some((p, map)))
-                    }
-                    // Unknown dataset and no partitioner to cut:
-                    // forward bare, every shard refuses identically.
-                    None => (all(), MergeKind::First, None, None),
-                }
+                (all(), MergeKind::First, Some(action), Some(wrap))
             }
+            // No re-fit: forwarded bare, so each shard keeps the tiling
+            // its store holds when the swap reaches it in queue order
+            // (an earlier pipelined re-fit included), and the route
+            // stays as it is. An unknown dataset is refused identically.
+            Request::SwapData {
+                partitioner: None, ..
+            } => (all(), MergeKind::First, None, None),
         }
     }
 

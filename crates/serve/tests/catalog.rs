@@ -21,6 +21,8 @@ mod harness;
 #[path = "../../engine/tests/model/mod.rs"]
 mod model;
 
+use std::time::Duration;
+
 use cbb_datasets::skew::{clustered_with_layout, zipfian};
 use cbb_engine::{
     AdaptiveGrid, AnyPartitioner, DataVersion, DatasetId, JoinAlgo, QuadtreePartitioner,
@@ -76,7 +78,7 @@ fn cross_join_equals_direct_partitioned_join_for_all_partitioners() {
 /// reads and writes against dropped or unknown ids.
 #[test]
 fn admin_ops_ride_the_queue_and_fail_cleanly() {
-    let seen = run(305, |c| {
+    let seen = run(311, |c| {
         c.shape.shards = 1;
         c.shape.dispatchers = 1;
         c.rounds = 10;
@@ -291,14 +293,16 @@ fn invalid_read_queries_are_refused_and_the_service_keeps_answering() {
 /// Mutations sharing a micro-batch resolve to the queue-order final
 /// state: an admin op is a write barrier, so a write enqueued before a
 /// swap or drop of its dataset is applied first, and one enqueued after
-/// it lands on the fresh arena (or fails). One dispatcher, wide batches:
-/// the harness replays each of the service's batches in queue order.
+/// it lands on the fresh arena (or fails). One dispatcher, wide batches
+/// held open long enough that a burst is one batch: the harness
+/// replays each of the service's batches in queue order.
 #[test]
 fn writes_and_admin_ops_resolve_in_queue_order() {
     let seen = run(309, |c| {
         c.shape.shards = 1;
         c.shape.dispatchers = 1;
         c.shape.batch_max = Some(64);
+        c.shape.deadline = Duration::from_millis(10);
         c.rounds = 10;
     });
     assert!(seen.contains("batch=writes around an admin op"));

@@ -116,6 +116,11 @@ pub struct Shape {
     pub dispatchers: usize,
     /// `None` is `unbatched()`.
     pub batch_max: Option<usize>,
+    /// How long a non-full batch stays open (batched only). A few
+    /// milliseconds keep a pipelined burst in as few batches as
+    /// `batch_max` allows, so cases that assert batching do not depend
+    /// on when the dispatcher wakes.
+    pub deadline: Duration,
     pub exec_workers: usize,
     /// Durability is one-shard only.
     pub durable: bool,
@@ -463,21 +468,18 @@ impl Stream {
 
     /// A burst of writes and admin ops. Unless the shape is ordered,
     /// each dataset is touched at most once and at most one dataset is
-    /// created. A dataset is swapped at most once per burst: the router
-    /// fills in a swap's absent partitioner from its route table when
-    /// the swap is submitted, before an earlier swap in the burst has
-    /// re-fitted it.
+    /// created.
     fn writes(&mut self, r: &Reference) -> Vec<Req> {
         let ordered = self.case.shape.ordered();
         let n = 1 + self.case.data.rng.gen_index(if ordered { 8 } else { 4 });
-        let (mut touched, mut swapped, mut created) = (BTreeSet::new(), BTreeSet::new(), false);
+        let (mut touched, mut created) = (BTreeSet::new(), false);
         let mut burst = Vec::new();
         for _ in 0..n {
             let dataset = self.target(r);
             let kind = self.case.data.rng.gen_index(10);
             let create = kind == 9 || (kind == 8 && r.ids(true).len() < 3);
             let again = touched.contains(&dataset) || (create && created);
-            if (!ordered && again) || (kind == 7 && !swapped.insert(dataset)) {
+            if !ordered && again {
                 continue;
             }
             burst.push(if create {
@@ -638,10 +640,15 @@ pub fn run(seed: u64, pin: impl FnOnce(&mut ServeCase)) -> Seen {
     let mut data = Case::draw(seed, 3);
     let rng = &mut data.rng;
     let shards = pick(rng, &[1, 2]);
+    let batch_max = pick(rng, &[None, Some(4), Some(64)]);
     let shape = Shape {
         shards,
         dispatchers: pick(rng, &[1, 2]),
-        batch_max: pick(rng, &[None, Some(4), Some(64)]),
+        batch_max,
+        deadline: match batch_max {
+            Some(_) => pick(rng, &[Duration::ZERO, Duration::from_millis(5)]),
+            None => Duration::ZERO,
+        },
         exec_workers: pick(rng, &[1, 3]),
         durable: shards == 1 && rng.gen_index(3) == 0,
     };
@@ -658,11 +665,16 @@ pub fn run(seed: u64, pin: impl FnOnce(&mut ServeCase)) -> Seen {
         !shape.durable || shape.shards == 1,
         "durability is one-shard"
     );
+    assert!(
+        shape.batch_max.is_some() || shape.deadline.is_zero(),
+        "unbatched has no deadline"
+    );
     let mut seen: Seen = [
         format!("variant={variant:?}"),
         format!("shards={}", shape.shards),
         format!("dispatchers={}", shape.dispatchers),
         format!("batch_max={:?}", shape.batch_max),
+        format!("deadline={:?}", shape.deadline),
         format!("exec_workers={}", shape.exec_workers),
         format!("durable={}", shape.durable),
         format!("algo={:?}", exec.algo),
@@ -678,7 +690,7 @@ pub fn run(seed: u64, pin: impl FnOnce(&mut ServeCase)) -> Seen {
         .dispatchers(shape.dispatchers)
         .exec_workers(shape.exec_workers);
     builder = match shape.batch_max {
-        Some(max) => builder.batch_max(max),
+        Some(max) => builder.batch_max(max).batch_deadline(shape.deadline),
         None => builder.unbatched(),
     };
     if shape.durable {
@@ -829,34 +841,35 @@ fn assert_catalog(seed: u64, svc: &Service, r: &Reference) {
 }
 
 /// Every live dataset answers the same before and after a `SwapData`
-/// of its model's survivors (ids differ, so compare by rectangle, by
-/// kNN distance and by pair count).
+/// of its model's survivors (ids differ, so compare ranges by
+/// rectangle, kNN by distance and joins by pair count). Each side's
+/// reads go out as one pipelined burst.
 fn survivors_equal_a_swap(seed: u64, svc: &Service, r: &mut Reference, c: &mut Case) {
     let windows: Vec<Rect<2>> = (0..12).map(|_| c.window()).collect();
     let centres: Vec<Point<2>> = (0..6).map(|_| c.centre()).collect();
     let probes = c.probes();
     for dataset in r.ids(true) {
+        let mut burst: Vec<Req> = windows.iter().map(|q| range(dataset, *q, true)).collect();
+        burst.extend(centres.iter().map(|c| knn(dataset, *c, 9)));
+        burst.push(join(dataset, probes.clone(), true));
         let answers = |r: &Reference| {
             let model = &r.entry(dataset).unwrap().model;
             let key = |id: &DataId| {
                 let b = model.rect(*id);
                 [b.lo[0], b.lo[1], b.hi[0], b.hi[1]].map(f64::to_bits)
             };
-            let hits = |q: &Rect<2>| {
-                let ids = answer(svc, range(dataset, *q, true)).into_range();
-                let mut keys: Vec<[u64; 4]> = ids.iter().map(key).collect();
-                keys.sort_unstable();
-                keys
+            let summary = |done: Completion| match done.response {
+                Response::Range(ids) => {
+                    let mut keys: Vec<[u64; 4]> = ids.iter().map(key).collect();
+                    keys.sort_unstable();
+                    keys.concat()
+                }
+                Response::Knn(nn) => nn.iter().map(|(_, d)| d.to_bits()).collect(),
+                Response::Join(result) => vec![result.pairs],
+                other => panic!("seed {seed}: {other:?}"),
             };
-            let dists = |c: &Point<2>| {
-                let nn = answer(svc, knn(dataset, *c, 9)).into_knn();
-                nn.iter().map(|(_, d)| d.to_bits()).collect::<Vec<u64>>()
-            };
-            let pairs = answer(svc, join(dataset, probes.clone(), true))
-                .into_join()
-                .pairs;
-            let ranges: Vec<_> = windows.iter().map(hits).collect();
-            (ranges, centres.iter().map(dists).collect::<Vec<_>>(), pairs)
+            let got = submit_all(svc, &burst);
+            got.into_iter().map(summary).collect::<Vec<Vec<u64>>>()
         };
         let before = answers(r);
         let objects = r.entry(dataset).unwrap().model.live_rects();
@@ -882,7 +895,7 @@ pub fn every_axis() -> Vec<String> {
     let tilings = Tiling::ALL.map(|t| format!("{t:?}"));
     let algos = Exec::ALGOS.map(|a| format!("{a:?}"));
     let splits = Exec::SPLITS.map(|s| format!("{s:?}"));
-    let axes: [(&str, Vec<&str>); 15] = [
+    let axes: [(&str, Vec<&str>); 16] = [
         ("tiling", tilings.iter().map(String::as_str).collect()),
         ("variant", variants.iter().map(String::as_str).collect()),
         ("kind", kinds.iter().map(String::as_str).collect()),
@@ -892,6 +905,7 @@ pub fn every_axis() -> Vec<String> {
         ("shards", vec!["1", "2"]),
         ("dispatchers", vec!["1", "2"]),
         ("batch_max", vec!["None", "Some(4)", "Some(64)"]),
+        ("deadline", vec!["0ns", "5ms"]),
         ("exec_workers", vec!["1", "3"]),
         ("durable", vec!["true", "false"]),
         ("k", vec!["0", "1", "7"]),

@@ -11,6 +11,8 @@ mod harness;
 #[path = "../../engine/tests/model/mod.rs"]
 mod model;
 
+use std::time::Duration;
+
 use cbb_engine::QueryAlgo;
 use harness::{run, Shape};
 
@@ -24,6 +26,7 @@ fn batched_answers_equal_direct_executor_answers() {
             shards: 1,
             dispatchers: 1,
             batch_max: Some(16),
+            deadline: Duration::from_millis(5),
             exec_workers: 3,
             durable: false,
         }
@@ -31,14 +34,20 @@ fn batched_answers_equal_direct_executor_answers() {
     assert!(seen.contains("batch>1"), "the shape must form real batches");
 }
 
-/// The same stream under unbatched, narrow and wide batching, on one
-/// and two dispatchers.
+/// The same stream under unbatched, narrow and wide batching, with and
+/// without a deadline, on one and two dispatchers.
 #[test]
 fn batching_configuration_does_not_change_answers() {
-    for (dispatchers, batch_max) in [(1, None), (1, Some(4)), (2, Some(64))] {
+    let held = Duration::from_millis(5);
+    for (dispatchers, batch_max, deadline) in [
+        (1, None, Duration::ZERO),
+        (1, Some(4), held),
+        (2, Some(64), Duration::ZERO),
+    ] {
         run(102, |c| {
             c.shape.dispatchers = dispatchers;
             c.shape.batch_max = batch_max;
+            c.shape.deadline = deadline;
         });
     }
 }
@@ -53,7 +62,7 @@ fn degenerate_requests_are_served() {
 }
 
 /// The engine's range paths move work counters, never answers, under
-/// a batched and an unbatched service on one shard and on two.
+/// a batched and an unbatched service on one shard and on three.
 #[test]
 fn query_algo_never_changes_answers_in_any_service_shape() {
     for (i, algo) in [QueryAlgo::Descend, QueryAlgo::SharedSweep, QueryAlgo::Auto]
@@ -62,8 +71,9 @@ fn query_algo_never_changes_answers_in_any_service_shape() {
     {
         run(104, |c| {
             c.data.exec.algo = algo;
-            c.shape.shards = 1 + i % 2;
+            c.shape.shards = [1, 3][i % 2];
             c.shape.batch_max = [Some(16), None][i % 2];
+            c.shape.deadline = Duration::ZERO;
             c.shape.durable = false;
         });
     }

@@ -5,8 +5,9 @@
 //! router's own edges: atomic admin fan-out and its telemetry.
 //!
 //! The answer checks are named cases of the seeded harness
-//! (`harness/`) with two shards pinned; the harness compares every
-//! merged response with the engine reference over the whole dataset.
+//! (`harness/`) with 2, 3, 5 or 7 shards pinned; the harness compares
+//! every merged response with the engine reference over the whole
+//! dataset.
 
 mod harness;
 #[path = "../../engine/tests/model/mod.rs"]
@@ -19,47 +20,57 @@ use cbb_engine::{AdaptiveGrid, AnyPartitioner, Partitioner, QuadtreePartitioner}
 use cbb_geom::{Point, Rect};
 use cbb_rtree::Variant;
 use cbb_serve::{Request, RequestError, Response, ServiceBuilder};
-use harness::{answer, run, ServeCase};
+use harness::{answer, cross_join, run, wait, ServeCase, Service};
 use model::{clip, tree, Tiling};
 
-/// Two shards over `tiling` for every initial dataset.
-fn two_shards(c: &mut ServeCase, tiling: Tiling) {
-    c.shape.shards = 2;
+/// `n` shards over `tiling` for every initial dataset.
+fn sharded(c: &mut ServeCase, n: usize, tiling: Tiling) {
+    c.shape.shards = n;
     c.shape.durable = false;
     c.data.tilings.fill(tiling);
 }
 
+/// An equal-cut grid on two shards, and on three, where the middle
+/// shard owns tiles at both ends of its range.
 #[test]
 fn uniform_grid_oracle_balanced() {
-    run(201, |c| two_shards(c, Tiling::Equal));
+    for n in [2, 3] {
+        run(201, |c| sharded(c, n, Tiling::Equal));
+    }
 }
 
 /// A data-fitted partitioner (cuts at the objects' quantiles) behind
-/// balanced shard maps.
+/// balanced shard maps over five shards.
 #[test]
 fn adaptive_grid_oracle_fitted() {
-    run(202, |c| two_shards(c, Tiling::Fitted));
+    run(202, |c| sharded(c, 5, Tiling::Fitted));
 }
 
-/// A quadtree fitted to the objects, behind balanced shard maps.
+/// A quadtree fitted to the objects, behind balanced shard maps over
+/// three shards.
 #[test]
 fn quadtree_oracle_fitted() {
-    run(203, |c| two_shards(c, Tiling::Quadtree));
+    run(203, |c| sharded(c, 3, Tiling::Quadtree));
 }
 
-/// A 1 × 1 tiling over two shards: shard 1 owns no tile yet must
-/// mirror writes and contribute empty fragments without disturbing
-/// merges.
+/// More shards than tiles: 4 tiles over 7 shards leave shards 0, 2
+/// and 4 without a tile, and a 1 × 1 grid leaves six. They must mirror
+/// writes and contribute empty fragments without disturbing merges.
 #[test]
 fn empty_shards_answer_correctly() {
-    run(204, |c| two_shards(c, Tiling::Single));
+    run(204, |c| {
+        sharded(c, 7, Tiling::Coarse);
+        c.data.tilings[1] = Tiling::Single;
+        c.data.share = false;
+    });
 }
 
-/// Cross-dataset joins between two independently tiled datasets.
+/// Cross-dataset joins between two independently tiled datasets, on
+/// three shards.
 #[test]
 fn cross_join_oracle_two_datasets() {
     let seen = run(205, |c| {
-        two_shards(c, Tiling::Fitted);
+        sharded(c, 3, Tiling::Fitted);
         c.data.tilings[1] = Tiling::Equal;
         c.data.share = false;
     });
@@ -152,6 +163,44 @@ fn admin_fanout_is_atomic() {
 
     let report = sharded.shutdown();
     assert_eq!(report.datasets.len(), 1, "only b remains");
+}
+
+/// A swap without a partitioner keeps the tiling its dataset holds
+/// when the swap is dequeued, even right behind a pipelined re-fit:
+/// the dataset then joins like one created under the re-fit tiling.
+#[test]
+fn pipelined_swaps_keep_the_latest_refit() {
+    let (domain, objects) = dataset(400, 91);
+    let quad: AnyPartitioner<2> = QuadtreePartitioner::build(domain, &objects, 50).into();
+    let fresh = builder().build_catalog(tree(Variant::RStar), clip());
+    let id = fresh
+        .create_dataset("a", quad.clone(), objects.clone())
+        .unwrap();
+    let want = answer(&fresh, cross_join(id, id, true));
+    fresh.shutdown();
+    for shards in [1, 2] {
+        let svc: Service = builder()
+            .shards(shards)
+            .build_catalog(tree(Variant::RStar), clip());
+        let grid = AdaptiveGrid::from_sample(domain, [4, 4], &[]);
+        let a = svc
+            .create_dataset("a", grid.into(), objects.clone())
+            .unwrap();
+        let swap = |partitioner| Request::SwapData {
+            dataset: a,
+            objects: objects.clone(),
+            partitioner,
+        };
+        let handles = [swap(Some(quad.clone())), swap(None)].map(|q| svc.submit(q).unwrap());
+        for handle in handles {
+            assert!(matches!(wait(handle).response, Response::Swapped(_)));
+        }
+        let map = svc.dataset_shard_map(a).unwrap();
+        assert_eq!(map.tile_count(), quad.tile_count(), "{shards} shards");
+        let got = answer(&svc, cross_join(a, a, true));
+        assert_eq!(got, want, "{shards} shards: self-join after both swaps");
+        svc.shutdown();
+    }
 }
 
 /// Router telemetry: scatter/gather phases and per-shard routing

@@ -45,6 +45,7 @@ fn read_your_writes_after_completion() {
             shards: 1,
             dispatchers: 2,
             batch_max: Some(16),
+            deadline: Duration::ZERO,
             exec_workers: 2,
             durable: false,
         }
@@ -60,6 +61,7 @@ fn write_batches_bump_once_and_degenerates_answer() {
             shards: 1,
             dispatchers: 1,
             batch_max: Some(64),
+            deadline: Duration::from_millis(5),
             exec_workers: 3,
             durable: false,
         };
